@@ -3,7 +3,8 @@
 Subcommands
 -----------
 analyze    full rigidity report with spectral invariants (JSON or text)
-decide     exit 0 if edge-rigid, 1 if not, 2 on error
+decide     exit 0 if edge-rigid, 1 if not, 2 on error, 3 if a truncated
+           --max-power check found no violation (not a proof)
 optimize   minimize S_k / maximize s_k over the weight simplex
 profile    optimize for every k and both objectives
 certify    primal-dual certificate for one eigenvalue level
@@ -30,18 +31,20 @@ from .errors import EdgeRigidError
 from .graphs import Graph, WeightVector, laplacian, parse_graph
 from .rigidity import decide_edge_rigid_exact, full_report
 from .spectral import (
-    edge_isometry_check,
-    effective_resistances,
     embedding,
+    kirchhoff_from_eigenvalues,
     kirchhoff_index,
+    resistances_from_eigh,
     spectrum,
     tree_count_exact,
+    tree_count_from_eigenvalues,
     weighted_tree_count,
 )
 
 EXIT_OK = 0
 EXIT_NOT_RIGID = 1
 EXIT_ERROR = 2
+EXIT_TRUNCATED = 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,7 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decide", help="exit 0 iff the graph is edge-rigid")
     add_common(p)
-    p.add_argument("--max-power", type=int, default=None, help="walk test depth (default n-1)")
+    p.add_argument(
+        "--max-power", type=int, default=None,
+        help="walk test depth (default n-1); a smaller depth that passes exits 3",
+    )
 
     p = sub.add_parser("optimize", help="optimize one extreme eigenvalue sum")
     add_common(p, tol_default=1e-5)
@@ -134,10 +140,9 @@ def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
 def cmd_analyze(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     report = full_report(g, tol=args.tol)
-    s = spectrum(laplacian(g).astype(float))
-    iso = edge_isometry_check(g, s, tol=args.tol)
-    resistances = effective_resistances(g)
-    kf = kirchhoff_index(g)
+    s = report.spectrum
+    resistances = resistances_from_eigh(g, s.evals, np.hstack(s.bases))
+    kf = kirchhoff_from_eigenvalues(g.n, s.evals)
     tau_exact = tree_count_exact(g)
     payload = {
         "graph": {"n": g.n, "m": g.m, "edges": [list(e) for e in g.edges]},
@@ -147,9 +152,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "multiplicities": list(s.multiplicities),
             "group_tol": s.group_tol,
         },
-        "gamma_anomalies": list(iso.gamma_anomalies),
+        "gamma_anomalies": list(report.isometry.gamma_anomalies),
         "kirchhoff_index": kf,
-        "tree_count": float(weighted_tree_count(g)),
+        "tree_count": tree_count_from_eigenvalues(g.n, s.evals),
         "tree_count_exact": tau_exact,
         "effective_resistances": [float(r) for r in resistances],
         "foster_sum": float(np.sum(resistances)),
@@ -160,7 +165,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         f"edge_rigid: {report.edge_rigid}",
         f"verdicts: {report.verdicts}",
         f"degree_class: {report.degree_class.kind} {report.degree_class.degrees}",
-        f"walk_class: {report.walk_class.label if report.walk_class else 'skipped'}",
+        f"walk_class: {report.walk_class.label}",
         f"eigenvalues: {[round(v, 6) for v in s.eigenvalues]} x {list(s.multiplicities)}",
         f"tree_count_exact: {tau_exact}",
         f"kirchhoff_index: {kf}",
@@ -177,6 +182,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_decide(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     res = decide_edge_rigid_exact(g, max_power=args.max_power)
+    if res.rigid and args.max_power is not None and args.max_power < g.n - 1:
+        sys.stdout.write(f"walk constants agree through power {args.max_power} (not a proof)\n")
+        return EXIT_TRUNCATED
     if res.rigid:
         sys.stdout.write("edge-rigid\n")
         return EXIT_OK

@@ -418,7 +418,6 @@ class GaugeProduct:
     dual_gauge: float  # S_k-degree dual gauge at unit weights
     product: float
     product_lo: float
-    product_hi: float
     optimize_result: OptimizeResult
 
     def to_dict(self) -> dict:
@@ -428,7 +427,6 @@ class GaugeProduct:
             "dual_gauge": self.dual_gauge,
             "product": self.product,
             "product_lo": self.product_lo,
-            "product_hi": self.product_hi,
             "optimize": self.optimize_result.to_dict(),
         }
 
@@ -453,7 +451,6 @@ def gauge_product(
         dual_gauge=dual_gauge,
         product=product,
         product_lo=product_lo,
-        product_hi=product,
         optimize_result=res,
     )
 

@@ -150,6 +150,8 @@ class WeightVector:
         w = np.asarray(list(values), dtype=float)
         if w.ndim != 1:
             raise ValueError("weights must be a flat vector")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("edge weights must be finite")
         if np.any(w < 0):
             raise ValueError("edge weights must be nonnegative")
         total = float(w.sum())
@@ -171,6 +173,9 @@ class WeightVector:
             vals = [float(x) for x in entries]
         except ValueError as exc:
             raise ParseError(f"bad weight entry: {exc}") from exc
+        for i, v in enumerate(vals):
+            if not np.isfinite(v):
+                raise ParseError(f"weight entry {i + 1} is not finite: {entries[i]!r}")
         return cls.from_values(vals, normalize=True)
 
     def as_array(self) -> np.ndarray:
@@ -212,7 +217,11 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def parse_graph6(data: bytes | str) -> Graph:
-    """Decode one graph in graph6 format (optional ">>graph6<<" header)."""
+    """Decode exactly one graph in graph6 format (optional ">>graph6<<" header).
+
+    Surrounding whitespace is ignored. A second graph, bytes after the
+    encoded graph and nonzero padding bits raise ParseError.
+    """
     if isinstance(data, str):
         data = data.encode("ascii")
     data = data.strip()
@@ -220,6 +229,8 @@ def parse_graph6(data: bytes | str) -> Graph:
         data = data[len(GRAPH6_HEADER):]
     if not data:
         raise ParseError("empty graph6 input")
+    if len(data.split()) > 1:
+        raise ParseError("graph6 input holds more than one graph")
     n, body = _graph6_order(data)
     if n < 2:
         raise TooSmallError(f"graph6 graph has n={n}")
@@ -227,12 +238,16 @@ def parse_graph6(data: bytes | str) -> Graph:
     need = (nbits + 5) // 6
     if len(body) < need:
         raise ParseError("graph6 data truncated")
+    if len(body) > need:
+        raise ParseError(f"{len(body) - need} unexpected bytes after the graph6 graph")
     bits = []
     for ch in body[:need]:
         v = ch - 63
         if not 0 <= v < 64:
             raise ParseError(f"invalid graph6 byte {ch}")
         bits.extend((v >> k) & 1 for k in range(5, -1, -1))
+    if any(bits[nbits:]):
+        raise ParseError("graph6 padding bits are not zero")
     edges = []
     idx = 0
     for j in range(1, n):

@@ -1,20 +1,34 @@
 """Exact combinatorial deciders for edge-rigidity, cross-checked in one report.
 
-A connected graph is edge-rigid exactly when the adjoint of every Laplacian
-power is a constant vector over edges. Several equivalent tests exist:
-pairwise Laplacian-cospectrality of edges, walk-regularity of any signed
-line graph, 1-walk-(bi)regularity of the graph itself, and the floating
-point edge-isometry check of the spectral embeddings. ``full_report`` runs
-them all and insists they agree; a disagreement is an implementation bug,
-never a mathematical outcome.
+A connected graph is edge-rigid exactly when the walk stream
+w_l = adjoint(L^l) is constant over edges for l = 0..n-1. Two identities
+turn other deciders into functions of that stream:
+
+- char(L - L_e) - char(L) has coefficients sum_{i<=k} c_i w_{k-i}(e), where
+  c_i are those of char(L). The map is unit-triangular, so two edges are
+  Laplacian-cospectral exactly when their profiles (w_0..w_{n-1})(e) agree;
+- diag((2I + A_sigma)^p)_e = w_{p-1}(e) for every orientation sigma, so the
+  signed line graph is walk-regular exactly when the stream is constant.
+
+``full_report`` computes the stream once and takes the walk criterion, the
+cospectrality classes and the signed-line-graph verdict from it. It adds
+1-walk-(bi)regularity (powers of A) and the floating-point edge-isometry
+check, and insists that all five agree; a disagreement is an implementation
+bug, never a mathematical outcome. The independent references,
+``exactmat.adjugate_quadratic_form`` and the m x m power loop of
+``signed_line_graph_walk_regular``, are checked against the stream in
+tests/test_stream_oracles.py on the corpus and on seeded random graphs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import InternalInconsistencyError
-from .exactmat import adjugate_quadratic_form, exact_matrix, identity_exact
+from .exactmat import mat_pow_stream
 from .graphs import (
     DegreeClassification,
     Edge,
@@ -26,7 +40,7 @@ from .graphs import (
     laplacian,
     signed_line_graph,
 )
-from .spectral import edge_isometry_check, spectrum
+from .spectral import IsometryCheck, Spectrum, edge_isometry_check, spectrum
 
 WALK_LABELS = (
     "1-walk-regular",
@@ -64,21 +78,16 @@ class WalkCriterion:
     witness: WalkWitness | None
 
 
-def decide_edge_rigid_exact(g: Graph, max_power: int | None = None) -> WalkCriterion:
-    """Exact integer decider: adjoint(L^l) constant for l = 0..max_power.
+def _walk_stream(g: Graph, lmax: int) -> Iterator[np.ndarray]:
+    """Yield the exact walk vectors w_l = adjoint(L^l) for l = 0..lmax."""
+    for P in mat_pow_stream(laplacian(g), lmax):
+        yield adjoint_apply(g, P)
 
-    max_power defaults to n - 1, which is sufficient because the minimal
-    polynomial of L has degree at most n. Returns the walk constants C_l on
-    success, or the first offending power with a witness edge pair.
-    """
-    lmax = g.n - 1 if max_power is None else max_power
-    L = exact_matrix(laplacian(g))
-    P = identity_exact(g.n)
+
+def _walk_criterion(g: Graph, walks: Iterable[np.ndarray]) -> WalkCriterion:
+    """Constants of the walk vectors, or the first non-constant one's witness."""
     constants = []
-    for power in range(lmax + 1):
-        if power > 0:
-            P = P @ L
-        vals = adjoint_apply(g, P)
+    for power, vals in enumerate(walks):
         lo = min(range(g.m), key=lambda e: vals[e])
         hi = max(range(g.m), key=lambda e: vals[e])
         if vals[lo] != vals[hi]:
@@ -90,18 +99,36 @@ def decide_edge_rigid_exact(g: Graph, max_power: int | None = None) -> WalkCrite
     return WalkCriterion(True, tuple(constants), None)
 
 
-def cospectrality_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Partition edge indices by the characteristic polynomial of L - L_e.
-
-    One class means all edges are pairwise Laplacian-cospectral, which is
-    equivalent to edge-rigidity.
-    """
+def _profile_classes(g: Graph, walks: list[np.ndarray]) -> tuple[tuple[int, ...], ...]:
+    """Group edge indices by their walk profile (w_0(e), .., w_last(e))."""
     buckets: dict[tuple[int, ...], list[int]] = {}
     for e in range(g.m):
-        key = adjugate_quadratic_form(g, e).coeffs
-        buckets.setdefault(key, []).append(e)
-    classes = sorted(buckets.values(), key=lambda c: c[0])
-    return tuple(tuple(c) for c in classes)
+        buckets.setdefault(tuple(int(w[e]) for w in walks), []).append(e)
+    return tuple(tuple(c) for c in sorted(buckets.values(), key=lambda c: c[0]))
+
+
+def decide_edge_rigid_exact(g: Graph, max_power: int | None = None) -> WalkCriterion:
+    """Exact integer decider: adjoint(L^l) constant for l = 0..max_power.
+
+    max_power defaults to n - 1, which is sufficient because the minimal
+    polynomial of L has degree at most n; a smaller value checks only a
+    prefix, which is not a proof of rigidity. Returns the walk constants C_l
+    on success, or the first offending power with a witness edge pair.
+    """
+    if max_power is not None and max_power < 0:
+        raise ValueError(f"max_power must be >= 0, got {max_power}")
+    lmax = g.n - 1 if max_power is None else max_power
+    return _walk_criterion(g, _walk_stream(g, lmax))
+
+
+def cospectrality_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Partition edge indices into Laplacian-cospectrality classes.
+
+    Edges are grouped by their walk profiles, which determine char(L - L_e)
+    and are determined by it. One class means all edges are pairwise
+    Laplacian-cospectral, which is equivalent to edge-rigidity.
+    """
+    return _profile_classes(g, list(_walk_stream(g, g.n - 1)))
 
 
 @dataclass(frozen=True)
@@ -124,7 +151,7 @@ class WalkClassification:
         }
 
 
-def walk_class(g: Graph, max_power: int | None = None) -> WalkClassification:
+def walk_class(g: Graph) -> WalkClassification:
     """Exact walk-regularity classification from adjacency powers A^l.
 
     Checks l = 0..n-1: walk-regular means diag(A^l) is globally constant;
@@ -132,16 +159,11 @@ def walk_class(g: Graph, max_power: int | None = None) -> WalkClassification:
     Walk-biregular graphs have diag(A^l) constant on each side of the
     bipartition; the biregular tests are skipped for non-bipartite input.
     """
-    lmax = g.n - 1 if max_power is None else max_power
     parts = bipartition(g)
-    A = exact_matrix(g.adjacency)
-    P = identity_exact(g.n)
     diag_const = True
     edge_const = True
     part_const = parts is not None
-    for power in range(lmax + 1):
-        if power > 0:
-            P = P @ A
+    for P in mat_pow_stream(g.adjacency, g.n - 1):
         diag = [P[v, v] for v in range(g.n)]
         if len(set(diag)) > 1:
             diag_const = False
@@ -170,37 +192,36 @@ def walk_class(g: Graph, max_power: int | None = None) -> WalkClassification:
     )
 
 
-def signed_line_graph_walk_regular(
-    g: Graph, o: Orientation | None = None, max_power: int | None = None
-) -> bool:
+def signed_line_graph_walk_regular(g: Graph, o: Orientation | None = None) -> bool:
     """True iff diag((2I + A_sigma)^p) is constant for p = 1..m.
 
     The edge count m bounds the degree of the minimal polynomial of B^T B,
     and the verdict is orientation-independent (switching invariance).
     """
-    pmax = g.m if max_power is None else max_power
-    M = exact_matrix(signed_line_graph(g, o) + 2 * identity_exact(g.m))
-    P = M
-    for _ in range(pmax):
-        if len({P[e, e] for e in range(g.m)}) > 1:
-            return False
-        P = P @ M
-    return True
+    M = signed_line_graph(g, o) + 2 * np.eye(g.m, dtype=np.int64)
+    return all(len(set(P.diagonal())) == 1 for P in mat_pow_stream(M, g.m))
 
 
 @dataclass(frozen=True)
 class RigidityReport:
-    """Verdicts from every decider, plus the structural classifications."""
+    """Verdicts from every decider, plus the structural classifications.
+
+    spectrum and isometry (unit weights) back the float_embedding verdict.
+    """
 
     edge_rigid: bool
-    verdicts: dict[str, bool | None]  # None means skipped
+    verdicts: dict[str, bool]
     walk_constants: tuple[int, ...] | None
     witness: WalkWitness | None
-    cospectrality_classes: tuple[tuple[int, ...], ...] | None
+    cospectrality_classes: tuple[tuple[int, ...], ...]
     degree_class: DegreeClassification
-    walk_class: WalkClassification | None
-    gammas: tuple[float, ...] | None
-    float_tol: float
+    walk_class: WalkClassification
+    spectrum: Spectrum
+    isometry: IsometryCheck
+
+    @property
+    def gammas(self) -> tuple[float, ...]:
+        return self.isometry.gammas
 
     def to_dict(self) -> dict:
         return {
@@ -208,68 +229,39 @@ class RigidityReport:
             "verdicts": dict(self.verdicts),
             "walk_constants": list(self.walk_constants) if self.walk_constants else None,
             "witness": self.witness.to_dict() if self.witness else None,
-            "cospectrality_classes": (
-                [list(c) for c in self.cospectrality_classes]
-                if self.cospectrality_classes is not None
-                else None
-            ),
+            "cospectrality_classes": [list(c) for c in self.cospectrality_classes],
             "degree_class": self.degree_class.to_dict(),
-            "walk_class": self.walk_class.to_dict() if self.walk_class else None,
-            "gammas": list(self.gammas) if self.gammas is not None else None,
-            "float_tol": self.float_tol,
+            "walk_class": self.walk_class.to_dict(),
+            "gammas": list(self.gammas),
+            "float_tol": self.isometry.tol,
         }
 
 
-def full_report(g: Graph, tol: float = 1e-8, skip: tuple[str, ...] = ()) -> RigidityReport:
+def full_report(g: Graph, tol: float = 1e-8) -> RigidityReport:
     """Run every decider and assemble the cross-checked report.
 
-    skip may name any of "cospectrality", "signed_line_graph", "walk_class",
-    "float_embedding" to leave that verdict out (reported as None); the
-    exact walk criterion always runs. All computed verdicts must agree or
-    InternalInconsistencyError is raised.
+    The walk stream is computed once, at full depth; the walk criterion,
+    the cospectrality classes and the signed-line-graph verdict all come
+    from it. All five verdicts must agree or InternalInconsistencyError is
+    raised.
     """
-    unknown = set(skip) - {"cospectrality", "signed_line_graph", "walk_class", "float_embedding"}
-    if unknown:
-        raise ValueError(f"unknown skip names: {sorted(unknown)}")
-
-    wc = decide_edge_rigid_exact(g)
-    verdicts: dict[str, bool | None] = {"walk_criterion": wc.rigid}
-
-    classes = None
-    if "cospectrality" not in skip:
-        classes = cospectrality_classes(g)
-        verdicts["cospectrality"] = len(classes) == 1
-    else:
-        verdicts["cospectrality"] = None
-
-    if "signed_line_graph" not in skip:
-        verdicts["signed_line_graph"] = signed_line_graph_walk_regular(g)
-    else:
-        verdicts["signed_line_graph"] = None
-
-    wclass = None
-    if "walk_class" not in skip:
-        wclass = walk_class(g)
-        verdicts["walk_regularity_class"] = wclass.label in (
-            "1-walk-regular",
-            "1-walk-biregular",
-        )
-    else:
-        verdicts["walk_regularity_class"] = None
-
-    gammas = None
-    if "float_embedding" not in skip:
-        s = spectrum(laplacian(g).astype(float))
-        iso = edge_isometry_check(g, s, tol)
-        verdicts["float_embedding"] = iso.all_constant
-        gammas = iso.gammas
-    else:
-        verdicts["float_embedding"] = None
-
-    decided = {k: v for k, v in verdicts.items() if v is not None}
-    if len(set(decided.values())) > 1:
+    walks = list(_walk_stream(g, g.n - 1))
+    wc = _walk_criterion(g, walks)
+    classes = _profile_classes(g, walks)
+    wclass = walk_class(g)
+    s = spectrum(laplacian(g).astype(float))
+    iso = edge_isometry_check(g, s, tol)
+    verdicts = {
+        "walk_criterion": wc.rigid,
+        "cospectrality": len(classes) == 1,
+        # diag((2I + A_sigma)^p) for p = 1..m is w_0..w_{m-1}
+        "signed_line_graph": all(len(set(w)) == 1 for w in walks[: g.m]),
+        "walk_regularity_class": wclass.label in ("1-walk-regular", "1-walk-biregular"),
+        "float_embedding": iso.all_constant,
+    }
+    if len(set(verdicts.values())) > 1:
         raise InternalInconsistencyError(
-            f"equivalent deciders disagree on edge-rigidity: {decided}"
+            f"equivalent deciders disagree on edge-rigidity: {verdicts}"
         )
 
     return RigidityReport(
@@ -280,6 +272,6 @@ def full_report(g: Graph, tol: float = 1e-8, skip: tuple[str, ...] = ()) -> Rigi
         cospectrality_classes=classes,
         degree_class=degree_classification(g),
         walk_class=wclass,
-        gammas=gammas,
-        float_tol=tol,
+        spectrum=s,
+        isometry=iso,
     )

@@ -30,9 +30,11 @@ class Spectrum:
 
     eigenvalues are the r distinct values (ascending, group means),
     projectors the corresponding orthogonal eigenprojectors, and bases
-    orthonormal n x m_i bases of each eigenspace.
+    orthonormal n x m_i bases of each eigenspace. evals holds all n
+    eigenvalues exactly as eigh returned them, ungrouped.
     """
 
+    evals: np.ndarray
     eigenvalues: tuple[float, ...]
     multiplicities: tuple[int, ...]
     projectors: tuple[np.ndarray, ...]
@@ -77,6 +79,7 @@ def spectrum(Lw: np.ndarray, group_tol: float = DEFAULT_GROUP_TOL) -> Spectrum:
         projectors.append(V @ V.T)
         bases.append(V)
     return Spectrum(
+        evals=evals,
         eigenvalues=tuple(values),
         multiplicities=tuple(mults),
         projectors=tuple(projectors),
@@ -165,42 +168,50 @@ def embedding(g: Graph, s: Spectrum, i: int) -> Embedding:
 # resistance / tree-count functionals
 # ---------------------------------------------------------------------------
 
-def _nontrivial_eigenvalues(g: Graph, w: WeightVector | None, tol: float) -> np.ndarray | None:
-    """Ascending eigenvalues lambda_2..lambda_n, or None if w disconnects."""
-    evals = np.linalg.eigvalsh(laplacian(g, w).astype(float))
-    scale = max(1.0, float(evals[-1]))
-    if evals[1] <= tol * scale:
-        return None
-    return evals[1:]
+def _connected(evals: np.ndarray, tol: float) -> bool:
+    """Whether ascending Laplacian eigenvalues have lambda_2 above the kernel."""
+    return bool(evals[1] > tol * max(1.0, float(evals[-1])))
 
 
-def effective_resistances(g: Graph, w: WeightVector | None = None, tol: float = 1e-9) -> np.ndarray:
-    """Per-edge effective resistance z_e^T L(w)^+ z_e in canonical edge order.
+def resistances_from_eigh(
+    g: Graph, evals: np.ndarray, evecs: np.ndarray, tol: float = 1e-9
+) -> np.ndarray:
+    """Per-edge effective resistance z_e^T L(w)^+ z_e from the eigh of L(w).
 
     The pseudoinverse is taken on the complement of the known kernel
-    (the all-ones vector), never by generic singular-value thresholding.
+    (the first eigenvector), never by generic singular-value thresholding.
     """
-    L = laplacian(g, w).astype(float)
-    evals, evecs = np.linalg.eigh(L)
-    scale = max(1.0, float(evals[-1]))
-    if evals[1] <= tol * scale:
+    if not _connected(evals, tol):
         raise DisconnectingWeightsError("weights disconnect the graph (rank < n - 1)")
     pinv = (evecs[:, 1:] / evals[1:]) @ evecs[:, 1:].T
     return adjoint_apply(g, pinv)
 
 
-def kirchhoff_index(g: Graph, w: WeightVector | None = None, tol: float = 1e-9) -> float:
+def effective_resistances(g: Graph, w: WeightVector | None = None, tol: float = 1e-9) -> np.ndarray:
+    """Per-edge effective resistances of the (weighted) graph, in canonical edge order."""
+    return resistances_from_eigh(g, *np.linalg.eigh(laplacian(g, w).astype(float)), tol)
+
+
+def kirchhoff_from_eigenvalues(n: int, evals: np.ndarray, tol: float = 1e-9) -> float:
     """n * sum of reciprocal nontrivial eigenvalues; +inf when disconnected."""
-    evals = _nontrivial_eigenvalues(g, w, tol)
-    if evals is None:
+    if not _connected(evals, tol):
         return math.inf
-    return float(g.n * np.sum(1.0 / evals))
+    return float(n * np.sum(1.0 / evals[1:]))
+
+
+def kirchhoff_index(g: Graph, w: WeightVector | None = None, tol: float = 1e-9) -> float:
+    """Kirchhoff index of the (weighted) graph; +inf when w disconnects it."""
+    return kirchhoff_from_eigenvalues(g.n, np.linalg.eigvalsh(laplacian(g, w).astype(float)), tol)
+
+
+def tree_count_from_eigenvalues(n: int, evals: np.ndarray) -> float:
+    """Weighted spanning-tree count (1/n) * prod of nontrivial eigenvalues."""
+    return float(np.prod(evals[1:]) / n)
 
 
 def weighted_tree_count(g: Graph, w: WeightVector | None = None) -> float:
-    """Weighted spanning-tree count (1/n) * prod of nontrivial eigenvalues."""
-    evals = np.linalg.eigvalsh(laplacian(g, w).astype(float))
-    return float(np.prod(evals[1:]) / g.n)
+    """Weighted spanning-tree count of the (weighted) graph."""
+    return tree_count_from_eigenvalues(g.n, np.linalg.eigvalsh(laplacian(g, w).astype(float)))
 
 
 def tree_count_exact(g: Graph) -> int:

@@ -68,6 +68,31 @@ def test_decide_exit_codes(graph_file, capsys):
     assert err
 
 
+def test_decide_truncated_is_not_a_proof(graph_file, capsys):
+    # P4 has constant w_0 and first fails at power 1
+    path = graph_file(fam.path_graph(4))
+    code, out, _ = run(["decide", path, "--max-power", "0"], capsys)
+    assert code == 3
+    assert out == "walk constants agree through power 0 (not a proof)\n"
+    code, out, _ = run(["decide", path, "--max-power", "1"], capsys)
+    assert code == 1
+
+    rigid = graph_file(fam.petersen_graph(), "petersen.txt")
+    code, out, _ = run(["decide", rigid, "--max-power", "3"], capsys)
+    assert code == 3
+    assert "edge-rigid" not in out
+    code, out, _ = run(["decide", rigid, "--max-power", "9"], capsys)
+    assert (code, out) == (0, "edge-rigid\n")
+
+
+def test_decide_negative_max_power_exits_2(graph_file, capsys):
+    path = graph_file(fam.path_graph(4))
+    code, out, err = run(["decide", path, "--max-power", "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "max_power" in err
+
+
 def test_graph6_input(tmp_path, capsys):
     path = tmp_path / "k4.g6"
     path.write_bytes(fam.complete_graph(4).to_graph6())
@@ -134,6 +159,17 @@ def test_tau_with_weights(graph_file, tmp_path, capsys):
     code, out, _ = run(["tau", path, "--weights", str(wpath), "--format", "json"], capsys)
     assert code == 0
     assert abs(json.loads(out)["tree_count"] - 4.0) < 1e-8
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_tau_non_finite_weight_exits_2(graph_file, tmp_path, capsys, bad):
+    path = graph_file(fam.path_graph(4))
+    wpath = tmp_path / "w.txt"
+    wpath.write_text(f"1.0\n{bad}\n1.0\n")
+    code, out, err = run(["tau", path, "--weights", str(wpath)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "weight entry 2" in err
 
 
 def test_tau_unit_reports_exact(graph_file, capsys):

@@ -259,7 +259,7 @@ def test_gauge_product_at_least_edge_count(corpus_case):
     for k in range(1, g.n):
         gp = gauge_product(g, k, iters=300)
         assert gp.product >= g.m - 1e-9
-        assert gp.product_lo <= gp.product_hi + 1e-12
+        assert gp.product_lo <= gp.product + 1e-12
 
 
 def test_gauge_p4_witness_exceeds():

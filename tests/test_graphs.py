@@ -53,6 +53,28 @@ def test_parse_graph6_header_and_bytes():
     assert g.m == 6
 
 
+def test_parse_graph6_trailing_newline():
+    assert parse_graph6(b"Dhc\n").m == 5
+    assert parse_graph6(b">>graph6<<Dhc\n").m == 5
+
+
+def test_parse_graph6_trailing_bytes_rejected():
+    # "Dhc" is C5; the parser used to ignore what follows it
+    with pytest.raises(ParseError):
+        parse_graph6(b"DhcXYZ")
+
+
+def test_parse_graph6_second_graph_rejected():
+    with pytest.raises(ParseError):
+        parse_graph6(b"Dhc\nC~\n")
+
+
+def test_parse_graph6_nonzero_padding_rejected():
+    # n = 5 has 10 adjacency bits in two 6-bit bytes; "d" sets a padding bit
+    with pytest.raises(ParseError):
+        parse_graph6(b"Dhd")
+
+
 def test_self_loop_rejected():
     with pytest.raises(NotSimpleError):
         parse_edge_list("2 1\n0 0")
@@ -277,3 +299,17 @@ def test_weights_from_text():
     assert abs(sum(w.values) - 3) < 1e-12
     with pytest.raises(DimensionMismatchError):
         WeightVector.from_text("1.0\n2.0\n", 3)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_weight_non_finite_rejected(bad):
+    with pytest.raises(ValueError):
+        WeightVector.from_values([bad, 1.0, 1.0])
+    with pytest.raises(ValueError):
+        WeightVector.from_values([1.0, bad, 1.0], normalize=False)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_weights_from_text_non_finite_rejected(bad):
+    with pytest.raises(ParseError, match=f"entry 2 .*{bad}"):
+        WeightVector.from_text(f"1.0\n{bad}\n1.0\n", 3)

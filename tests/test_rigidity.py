@@ -63,6 +63,11 @@ def test_max_power_override():
     assert res.witness.power == 2
 
 
+def test_negative_max_power_rejected():
+    with pytest.raises(ValueError):
+        decide_edge_rigid_exact(fam.path_graph(4), max_power=-1)
+
+
 # ---------------------------------------------------------------------------
 # cospectrality classes
 # ---------------------------------------------------------------------------
@@ -181,16 +186,6 @@ def test_full_report_c6():
     rep = full_report(fam.cycle_graph(6))
     assert rep.edge_rigid
     assert rep.walk_class.label == "1-walk-regular"
-
-
-def test_full_report_skip():
-    rep = full_report(fam.complete_graph(4), skip=("cospectrality", "float_embedding"))
-    assert rep.verdicts["cospectrality"] is None
-    assert rep.verdicts["float_embedding"] is None
-    assert rep.cospectrality_classes is None
-    assert rep.edge_rigid
-    with pytest.raises(ValueError):
-        full_report(fam.complete_graph(4), skip=("nope",))
 
 
 def test_full_report_serializes(corpus_case):

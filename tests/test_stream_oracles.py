@@ -1,0 +1,97 @@
+"""Seeded cross-checks of the walk-stream deciders against independent references.
+
+``cospectrality_classes`` and ``full_report`` derive their verdicts from the
+walk stream w_l = adjoint(L^l). Here they are compared with the exact
+characteristic polynomials of ``adjugate_quadratic_form`` and with the m x m
+signed-line-graph power loop, on the corpus and on seeded random graphs
+(numpy RNG only).
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from conftest import CORPUS
+
+from edgerigid import families as fam
+from edgerigid.exactmat import adjugate_quadratic_form
+from edgerigid.graphs import Graph, Orientation
+from edgerigid.rigidity import (
+    cospectrality_classes,
+    decide_edge_rigid_exact,
+    full_report,
+    signed_line_graph_walk_regular,
+)
+
+
+def random_connected_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
+    """A random spanning tree plus each remaining pair with probability p."""
+    order = [int(v) for v in rng.permutation(n)]
+    edges = set()
+    for i in range(1, n):
+        a, b = order[i], order[int(rng.integers(i))]
+        edges.add((min(a, b), max(a, b)))
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.random() < p:
+                edges.add((a, b))
+    return Graph(n, tuple(sorted(edges)))
+
+
+def random_circulant(rng: np.random.Generator, n: int) -> Graph:
+    """C_n(S) for a random nonempty jump set S, made connected by adding 1."""
+    jumps = [j for j in range(1, n // 2 + 1) if rng.random() < 0.4] or [1]
+    if math.gcd(n, *jumps) != 1:
+        jumps.append(1)
+    return fam.circulant_graph(n, tuple(sorted(set(jumps))))
+
+
+def random_graphs(seed: int = 20240611) -> list[tuple[str, Graph]]:
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for i in range(28):
+        n = int(rng.integers(4, 13))
+        graphs.append((f"gnp{i}", random_connected_graph(rng, n, float(rng.uniform(0.1, 0.45)))))
+    for i in range(12):
+        graphs.append((f"circ{i}", random_circulant(rng, int(rng.integers(5, 13)))))
+    return graphs
+
+
+CASES = [(name, g) for name, g, _ in CORPUS] + random_graphs()
+
+
+@pytest.fixture(params=CASES, ids=[name for name, _ in CASES])
+def case(request):
+    return request.param[1]
+
+
+def char_poly_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Edge classes by the exact polynomial char(L - L_e) - char(L)."""
+    buckets: dict[tuple[int, ...], list[int]] = {}
+    for e in range(g.m):
+        buckets.setdefault(adjugate_quadratic_form(g, e).coeffs, []).append(e)
+    return tuple(tuple(c) for c in sorted(buckets.values()))
+
+
+def test_random_graphs_cover_both_verdicts():
+    verdicts = [decide_edge_rigid_exact(g).rigid for _, g in random_graphs()]
+    assert len(verdicts) == 40
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_cospectrality_classes_match_char_polys(case):
+    assert cospectrality_classes(case) == char_poly_classes(case)
+
+
+def test_full_report_matches_references(case):
+    g = case
+    rep = full_report(g)
+    rng = np.random.default_rng(g.m)
+    assert rep.verdicts["signed_line_graph"] is signed_line_graph_walk_regular(
+        g, Orientation.random(g.m, rng)
+    )
+    assert rep.cospectrality_classes == char_poly_classes(g)
+    wc = decide_edge_rigid_exact(g)
+    assert rep.walk_constants == wc.constants
+    assert rep.witness == wc.witness
