@@ -2,7 +2,9 @@
 
 Exact matrices are numpy arrays of dtype=object holding Python ints, so
 products never overflow. Entries of L^l grow like (2 * max degree)^l, which
-is why fixed-width integers are never used on these paths.
+is why fixed-width integers are never used on these paths. Matrix powers
+multiply by the nonzeros of the base matrix only, so a power of a graph
+Laplacian costs O(n (n + m)) big-int operations, not O(n^3).
 """
 
 from __future__ import annotations
@@ -28,14 +30,25 @@ def identity_exact(n: int) -> np.ndarray:
 
 
 def mat_pow_stream(M, l_max: int) -> Iterator[np.ndarray]:
-    """Yield exact powers M^0, M^1, ..., M^l_max."""
+    """Yield exact powers M^0, M^1, ..., M^l_max.
+
+    Each step is the sparse product M @ P over the nonzeros of M only,
+    O(n * nnz(M)) big-int operations; powers of M commute, so this equals
+    P @ M. Nonzeros come row-sorted from np.nonzero, so one np.add.reduceat
+    sums each nonzero row's terms; all-zero rows of M stay zero.
+    """
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
     A = exact_matrix(M)
     P = identity_exact(A.shape[0])
     yield P
+    rows, cols = np.nonzero(A)
+    vals = A[rows, cols][:, None]
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
     for _ in range(l_max):
-        P = P @ A
+        Q = np.zeros(A.shape, dtype=object)
+        Q[rows[starts]] = np.add.reduceat(vals * P[cols], starts, axis=0)
+        P = Q
         yield P
 
 

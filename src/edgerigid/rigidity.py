@@ -1,8 +1,14 @@
 """Exact combinatorial deciders for edge-rigidity, cross-checked in one report.
 
 A connected graph is edge-rigid exactly when the walk stream
-w_l = adjoint(L^l) is constant over edges for l = 0..n-1. Two identities
-turn other deciders into functions of that stream:
+w_l = adjoint(L^l) is constant over edges for l = 0..n-1. L is symmetric,
+so with U_j = L^j B (B the incidence matrix, column z_e per edge)
+
+    w_{2j}(e) = |U_j e|^2,    w_{2j+1}(e) = (U_j e) . (U_{j+1} e),
+
+and the stream to depth n-1 takes ceil((n-1)/2) sparse products with L,
+about O(n^2 (n + m)) big-int operations. Two identities turn other deciders
+into functions of that stream:
 
 - char(L - L_e) - char(L) has coefficients sum_{i<=k} c_i w_{k-i}(e), where
   c_i are those of char(L). The map is unit-triangular, so two edges are
@@ -34,7 +40,6 @@ from .graphs import (
     Edge,
     Graph,
     Orientation,
-    adjoint_apply,
     bipartition,
     degree_classification,
     laplacian,
@@ -79,18 +84,30 @@ class WalkCriterion:
 
 
 def _walk_stream(g: Graph, lmax: int) -> Iterator[np.ndarray]:
-    """Yield the exact walk vectors w_l = adjoint(L^l) for l = 0..lmax."""
-    for P in mat_pow_stream(laplacian(g), lmax):
-        yield adjoint_apply(g, P)
+    """Yield the exact walk vectors w_l = adjoint(L^l) for l = 0..lmax.
+
+    Powers L^j are consumed lazily, ceil(lmax / 2) products in all:
+    U_j = L^j B gives w_{2j-1} (with U_{j-1}) and w_{2j}, so w_0 costs no
+    product and w_1 costs one.
+    """
+    a, b = np.transpose(g.edges)
+    prev = None
+    for j, P in enumerate(mat_pow_stream(laplacian(g), (lmax + 1) // 2)):
+        U = P[:, a] - P[:, b]
+        if prev is not None:
+            yield (prev * U).sum(axis=0)
+        if 2 * j <= lmax:
+            yield (U * U).sum(axis=0)
+        prev = U
 
 
 def _walk_criterion(g: Graph, walks: Iterable[np.ndarray]) -> WalkCriterion:
     """Constants of the walk vectors, or the first non-constant one's witness."""
     constants = []
     for power, vals in enumerate(walks):
-        lo = min(range(g.m), key=lambda e: vals[e])
-        hi = max(range(g.m), key=lambda e: vals[e])
-        if vals[lo] != vals[hi]:
+        if not (vals == vals[0]).all():
+            lo = min(range(g.m), key=lambda e: vals[e])
+            hi = max(range(g.m), key=lambda e: vals[e])
             witness = WalkWitness(
                 power, g.edges[lo], g.edges[hi], int(vals[lo]), int(vals[hi])
             )

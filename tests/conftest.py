@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from edgerigid import families as fam
+from edgerigid.exactmat import exact_matrix, identity_exact
 from edgerigid.graphs import Graph
 
 # Corpus: (name, graph, expected edge-rigidity). Rigid graphs here are
@@ -44,3 +46,14 @@ def rigid_graph(request):
 @pytest.fixture(params=NONRIGID, ids=[c[0] for c in NONRIGID])
 def nonrigid_graph(request):
     return request.param[1]
+
+
+def dense_powers(M, l_max: int) -> list[np.ndarray]:
+    """Reference M^0..M^l_max from dense object-dtype products P @ M."""
+    A = exact_matrix(M)
+    P = identity_exact(A.shape[0])
+    powers = [P]
+    for _ in range(l_max):
+        P = P @ A
+        powers.append(P)
+    return powers

@@ -3,6 +3,8 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from conftest import dense_powers
+
 from edgerigid import families as fam
 from edgerigid.exactmat import (
     IntPolynomial,
@@ -125,6 +127,53 @@ def test_entries_stay_python_ints():
     g = fam.complete_graph(5)
     P = list(mat_pow_stream(laplacian(g), 40))[-1]
     assert isinstance(P[0, 0], int)
+    assert max(abs(x) for x in P.ravel()) > 2**63
+
+
+def random_square_matrices(seed: int = 31337) -> list[np.ndarray]:
+    """Non-symmetric integer matrices with negative entries, some zero rows/columns."""
+    rng = np.random.default_rng(seed)
+    mats = [
+        np.zeros((1, 1), dtype=np.int64),
+        np.array([[-3]]),
+        np.zeros((4, 4), dtype=np.int64),
+        np.array([[0, 0, 0], [2, -1, 0], [0, 0, 0]]),
+        np.array([[0, 5, -2], [0, 0, 0], [0, 1, 0]]),
+    ]
+    for _ in range(30):
+        n = int(rng.integers(2, 9))
+        M = rng.integers(-4, 5, size=(n, n))
+        M[rng.random(n) < 0.25, :] = 0
+        M[:, rng.random(n) < 0.25] = 0
+        mats.append(M)
+    return mats
+
+
+MATRICES = random_square_matrices()
+
+
+def test_random_matrices_cover_sparse_shapes():
+    assert any(not np.array_equal(M, M.T) for M in MATRICES)
+    assert any((M < 0).any() for M in MATRICES)
+    assert any(M.shape[0] > 1 and (~M.any(axis=1)).any() and M.any() for M in MATRICES)
+    assert any(M.shape[0] > 1 and (~M.any(axis=0)).any() and M.any() for M in MATRICES)
+
+
+@pytest.mark.parametrize("M", MATRICES, ids=[f"mat{i}" for i in range(len(MATRICES))])
+@pytest.mark.parametrize("l_max", [0, 1, 7])
+def test_pow_stream_matches_dense_reference(M, l_max):
+    powers = list(mat_pow_stream(M, l_max))
+    assert len(powers) == l_max + 1
+    for P, Q in zip(powers, dense_powers(M, l_max)):
+        assert P.dtype == object and P.shape == M.shape
+        assert np.array_equal(P, Q)
+        assert all(type(x) is int for x in P.flat)
+
+
+def test_pow_stream_exact_beyond_int64():
+    M = np.array([[3, -4, 0, 1], [0, 0, 0, 0], [4, 2, -1, 0], [-2, 0, 4, 3]])
+    P = list(mat_pow_stream(M, 40))[-1]
+    assert np.array_equal(P, dense_powers(M, 40)[-1])
     assert max(abs(x) for x in P.ravel()) > 2**63
 
 

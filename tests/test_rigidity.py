@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from edgerigid import families as fam
+from edgerigid import rigidity
 from edgerigid.errors import InternalInconsistencyError
 from edgerigid.graphs import Graph, Orientation, degree_classification
 from edgerigid.rigidity import (
@@ -66,6 +69,34 @@ def test_max_power_override():
 def test_negative_max_power_rejected():
     with pytest.raises(ValueError):
         decide_edge_rigid_exact(fam.path_graph(4), max_power=-1)
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """Count the matrix products (yields after M^0) that rigidity takes."""
+    count = [0]
+    stream = rigidity.mat_pow_stream
+
+    def counted(M, l_max):
+        for i, P in enumerate(stream(M, l_max)):
+            count[0] += i > 0
+            yield P
+
+    monkeypatch.setattr(rigidity, "mat_pow_stream", counted)
+    return count
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 13, 30])
+def test_full_depth_takes_half_the_products(products, n):
+    assert decide_edge_rigid_exact(fam.cycle_graph(n)).rigid
+    assert products[0] == math.ceil((n - 1) / 2)
+
+
+@pytest.mark.parametrize("n", [4, 5, 10, 50])
+def test_witness_at_power_one_takes_one_product(products, n):
+    res = decide_edge_rigid_exact(fam.path_graph(n))
+    assert res.witness.power == 1
+    assert products[0] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 ``cospectrality_classes`` and ``full_report`` derive their verdicts from the
 walk stream w_l = adjoint(L^l). Here they are compared with the exact
 characteristic polynomials of ``adjugate_quadratic_form`` and with the m x m
-signed-line-graph power loop, on the corpus and on seeded random graphs
-(numpy RNG only).
+signed-line-graph power loop, and the halved stream itself with dense
+adjoint(L^l) and with the traces of L, on the corpus and on seeded random
+graphs (numpy RNG only).
 """
 
 import math
@@ -12,12 +13,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import CORPUS
+from conftest import CORPUS, dense_powers
 
 from edgerigid import families as fam
 from edgerigid.exactmat import adjugate_quadratic_form
-from edgerigid.graphs import Graph, Orientation
+from edgerigid.graphs import Graph, Orientation, adjoint_apply, laplacian
 from edgerigid.rigidity import (
+    _walk_stream,
     cospectrality_classes,
     decide_edge_rigid_exact,
     full_report,
@@ -95,3 +97,35 @@ def test_full_report_matches_references(case):
     wc = decide_edge_rigid_exact(g)
     assert rep.walk_constants == wc.constants
     assert rep.witness == wc.witness
+
+
+def reference_criterion(g: Graph, walks: list[np.ndarray]):
+    """(rigid, constants, witness fields) with the first-min / first-max rule."""
+    for power, w in enumerate(walks):
+        vals = [int(x) for x in w]
+        lo, hi = vals.index(min(vals)), vals.index(max(vals))
+        if vals[lo] != vals[hi]:
+            return False, None, (power, g.edges[lo], g.edges[hi], vals[lo], vals[hi])
+    return True, tuple(int(w[0]) for w in walks), None
+
+
+def test_halved_stream_matches_dense_adjoint(case):
+    g = case
+    powers = dense_powers(laplacian(g), g.n + 1)
+    walks = [adjoint_apply(g, P) for P in powers[: g.n + 1]]
+    stream = list(_walk_stream(g, g.n))
+    assert len(stream) == len(walks)
+    for w, ref, P in zip(stream, walks, powers[1:]):
+        assert np.array_equal(w, ref)
+        assert sum(w) == P.trace()  # sum_e w_l(e) = tr(B^T L^l B) = tr(L^(l+1))
+    for P in range(g.n + 1):
+        wc = decide_edge_rigid_exact(g, max_power=P)
+        rigid, constants, witness = reference_criterion(g, walks[: P + 1])
+        assert wc.rigid is rigid
+        assert wc.constants == constants
+        w = wc.witness
+        assert (w and (w.power, w.edge_a, w.edge_b, w.value_a, w.value_b)) == witness
+        if wc.rigid:
+            assert [c * g.m for c in wc.constants] == [
+                powers[l + 1].trace() for l in range(P + 1)
+            ]
