@@ -256,27 +256,28 @@ def _lower_via_trace(
     group_tol: float,
     record_history: bool,
 ) -> OptimizeResult:
-    n, m = g.n, g.m
-    two_m = 2.0 * m
-    kk = n - 1 - k
-    if kk == 0:
-        # s_{n-1}(w) = tr L(w) = 2|E| identically on the simplex
-        return OptimizeResult(
-            k=k,
-            objective="lower",
-            verdict=VERDICT_RIGID,
-            baseline=two_m,
-            best_primal=two_m,
-            best_dual=two_m,
-            gap=0.0,
-            best_w=(1.0,) * m,
-            iterations=0,
-            seed=seed,
-            tol=tol,
+    if k == g.n - 1:
+        up = _zero_upper(g, tol, seed, record_history)
+    else:
+        up = _optimize_upper(
+            g, g.n - 1 - k, iters, tol, seed, step_scale, gap_tol, group_tol, record_history
         )
-    up = _optimize_upper(
-        g, kk, iters, tol, seed, step_scale, gap_tol, group_tol, record_history
+    return _lower_from_upper(g, k, up, tol, seed)
+
+
+def _zero_upper(g: Graph, tol: float, seed: int, record_history: bool) -> OptimizeResult:
+    """Zero-iteration stand-in for S_0 = 0, so s_{n-1} = tr L(w) = 2|E|."""
+    hist = () if record_history else None
+    return OptimizeResult(
+        0, "upper", VERDICT_RIGID, 0.0, 0.0, 0.0, 0.0, (1.0,) * g.m, 0, seed, tol, hist, hist
     )
+
+
+def _lower_from_upper(
+    g: Graph, k: int, up: OptimizeResult, tol: float, seed: int
+) -> OptimizeResult:
+    """Lower result at k from the upper run at n-1-k: s_k(w) = 2|E| - S_{n-1-k}(w)."""
+    two_m = 2.0 * g.m
     baseline = two_m - up.baseline
     best_primal = two_m - up.best_primal
     best_dual = two_m - up.best_dual
@@ -300,10 +301,10 @@ def _lower_via_trace(
         seed=seed,
         tol=tol,
         primal_history=(
-            tuple(two_m - p for p in up.primal_history) if up.primal_history else None
+            None if up.primal_history is None else tuple(two_m - p for p in up.primal_history)
         ),
         dual_history=(
-            tuple(two_m - d for d in up.dual_history) if up.dual_history else None
+            None if up.dual_history is None else tuple(two_m - d for d in up.dual_history)
         ),
     )
 
@@ -509,13 +510,18 @@ def k_rigidity_profile(
     trace_samples: int = 25,
     gap_tol: float = 1e-9,
 ) -> RigidityProfile:
-    """Run optimize for every k and both objectives, with consistency checks."""
+    """Run optimize for every k and both objectives, with consistency checks.
+
+    Each of the n-1 upper runs is made once: the lower entry at k reuses
+    the upper run at n-1-k through the trace identity s_k + S_{n-1-k} = 2|E|,
+    exactly as optimize(g, k, "lower") would compute it.
+    """
+    uppers = [_zero_upper(g, tol, seed, False)] + [
+        optimize(g, k, "upper", iters=iters, tol=tol, seed=seed, gap_tol=gap_tol)
+        for k in range(1, g.n)
+    ]
     entries = tuple(
-        ProfileEntry(
-            k=k,
-            upper=optimize(g, k, "upper", iters=iters, tol=tol, seed=seed, gap_tol=gap_tol),
-            lower=optimize(g, k, "lower", iters=iters, tol=tol, seed=seed, gap_tol=gap_tol),
-        )
+        ProfileEntry(k, uppers[k], _lower_from_upper(g, k, uppers[g.n - 1 - k], tol, seed))
         for k in range(1, g.n)
     )
     residual = 0.0

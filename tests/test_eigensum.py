@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from edgerigid import eigensum
 from edgerigid import families as fam
 from edgerigid.eigensum import (
     VERDICT_REFUTED,
@@ -289,3 +291,68 @@ def test_profile_interpolation_on_rigid_graph():
     prof = k_rigidity_profile(fam.petersen_graph())
     verdicts = [e.upper.verdict for e in prof.entries]
     assert all(v == VERDICT_RIGID for v in verdicts)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        fam.path_graph(2),
+        fam.path_graph(3),
+        fam.path_graph(7),
+        fam.cycle_graph(7),
+        fam.complete_graph(5),
+        fam.petersen_graph(),
+        fam.random_tree(6, seed=3),
+        fam.random_tree(8, seed=5),
+        fam.random_tree(9, seed=7),
+    ],
+    ids=["P2", "P3", "P7", "C7", "K5", "petersen", "tree6", "tree8", "tree9"],
+)
+def test_profile_equals_standalone_runs(g):
+    tol, seed, gap_tol = 1e-5, 3, 1e-9
+    prof = k_rigidity_profile(g, iters=1500, tol=tol, seed=seed, gap_tol=gap_tol)
+    assert [e.k for e in prof.entries] == list(range(1, g.n))
+    for e in prof.entries:
+        for objective, res in (("upper", e.upper), ("lower", e.lower)):
+            alone = optimize(g, e.k, objective, iters=1500, tol=tol, seed=seed, gap_tol=gap_tol)
+            assert res.to_dict() == alone.to_dict(), (e.k, objective)
+
+
+@pytest.fixture
+def upper_runs(monkeypatch):
+    """Count the mirror-descent runs (_optimize_upper calls) eigensum makes."""
+    count = [0]
+    run = eigensum._optimize_upper
+
+    def counted(*args):
+        count[0] += 1
+        return run(*args)
+
+    monkeypatch.setattr(eigensum, "_optimize_upper", counted)
+    return count
+
+
+@pytest.mark.parametrize("n", [2, 4, 7, 12])
+def test_profile_runs_each_upper_once(upper_runs, n):
+    prof = k_rigidity_profile(fam.path_graph(n), iters=20)
+    assert len(prof.entries) == n - 1
+    assert upper_runs[0] == n - 1
+
+
+def test_lower_history_at_trivial_k_is_empty_not_none():
+    g = fam.path_graph(5)
+    res = optimize(g, g.n - 1, "lower", record_history=True)
+    assert res.iterations == 0
+    assert res.primal_history == () and res.dual_history == ()
+    assert optimize(g, g.n - 1, "lower").primal_history is None
+
+
+def test_lower_keeps_an_empty_upper_history():
+    g = fam.path_graph(5)
+    up = optimize(g, 2, "upper", iters=30, record_history=True)
+    low = optimize(g, 2, "lower", iters=30, record_history=True)
+    assert low.primal_history == tuple(2 * g.m - p for p in up.primal_history)
+    assert len(low.dual_history) == low.iterations
+    empty = dataclasses.replace(up, primal_history=(), dual_history=())
+    low = eigensum._lower_from_upper(g, 2, empty, up.tol, up.seed)
+    assert low.primal_history == () and low.dual_history == ()
