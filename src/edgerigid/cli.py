@@ -12,8 +12,12 @@ embed      write the spectral embedding of one eigenspace as CSV
 tau        (weighted) spanning-tree count
 kf         Kirchhoff index
 
-Results go to stdout (or --output), diagnostics to stderr. With the same
-input, flags and seed, JSON output is byte-identical across runs.
+Each subcommand accepts only the options it reads. Every one takes the
+graph path and --input-format. analyze, optimize, profile, certify, tau
+and kf write text or JSON (--format) to stdout or --output; embed writes
+CSV to stdout or --output; decide answers with one line of text on stdout
+and its exit code. Diagnostics go to stderr. With the same input and
+flags, JSON output is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -54,7 +58,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, tol_default: float = 1e-8) -> None:
+    def add_common(
+        p: argparse.ArgumentParser, report: bool = True, tol: float | None = None
+    ) -> None:
+        """The input options; report adds --format/--output, tol adds --tol."""
         p.add_argument("path", help="input graph file (edge list or graph6)")
         p.add_argument(
             "--input-format",
@@ -62,42 +69,41 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="override format auto-detection (.g6 means graph6)",
         )
-        p.add_argument("--format", choices=["text", "json"], default="text")
-        p.add_argument("--output", default=None, help="write results here instead of stdout")
-        p.add_argument(
-            "--tol",
-            type=float,
-            default=tol_default,
-            help=f"tolerance (default {tol_default:g})",
-        )
-        p.add_argument("--seed", type=int, default=0)
+        if report:
+            p.add_argument("--format", choices=["text", "json"], default="text")
+            p.add_argument("--output", default=None, help="write results here instead of stdout")
+        if tol is not None:
+            p.add_argument("--tol", type=float, default=tol, help=f"tolerance (default {tol:g})")
 
     p = sub.add_parser("analyze", help="full rigidity report with spectral invariants")
-    add_common(p)
+    add_common(p, tol=1e-8)
+    p.add_argument("--seed", type=int, default=0, help="echoed in the JSON parameters")
 
     p = sub.add_parser("decide", help="exit 0 iff the graph is edge-rigid")
-    add_common(p)
+    add_common(p, report=False)
     p.add_argument(
         "--max-power", type=int, default=None,
         help="walk test depth (default n-1); a smaller depth that passes exits 3",
     )
 
     p = sub.add_parser("optimize", help="optimize one extreme eigenvalue sum")
-    add_common(p, tol_default=1e-5)
+    add_common(p, tol=1e-5)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--objective", choices=["upper", "lower"], default="upper")
     p.add_argument("--iters", type=int, default=5000)
 
     p = sub.add_parser("profile", help="optimize for every k and both objectives")
-    add_common(p, tol_default=1e-5)
+    add_common(p, tol=1e-5)
+    p.add_argument("--seed", type=int, default=0, help="seed of the trace-identity samples")
     p.add_argument("--iters", type=int, default=5000)
 
     p = sub.add_parser("certify", help="primal-dual certificate at one level")
-    add_common(p)
+    add_common(p, tol=1e-8)
     p.add_argument("--j", type=int, required=True, help="eigenvalue level, 1..r-1")
 
     p = sub.add_parser("embed", help="CSV spectral embedding of one eigenspace")
-    add_common(p)
+    add_common(p, report=False)
+    p.add_argument("--output", default=None, help="write the CSV here instead of stdout")
     p.add_argument("--eigenspace", type=int, default=2, help="eigenvalue group index, 2..r")
 
     p = sub.add_parser("tau", help="spanning-tree count")
@@ -198,9 +204,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    res = optimize(
-        g, args.k, args.objective, iters=args.iters, tol=args.tol, seed=args.seed
-    )
+    res = optimize(g, args.k, args.objective, iters=args.iters, tol=args.tol)
     text = (
         f"k={res.k} objective={res.objective} verdict={res.verdict}\n"
         f"baseline={res.baseline!r} best_primal={res.best_primal!r} "

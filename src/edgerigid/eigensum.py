@@ -29,6 +29,9 @@ VERDICT_RIGID = "rigid-within-tol"
 VERDICT_REFUTED = "refuted"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
+# Random simplex points at which k_rigidity_profile checks the trace identity.
+TRACE_SAMPLES = 25
+
 
 @dataclass(frozen=True)
 class KyFanValue:
@@ -63,9 +66,7 @@ def kyfan(g: Graph, w: WeightVector | None, k: int) -> KyFanValue:
     )
 
 
-def fractional_top_projector(
-    evals: np.ndarray, evecs: np.ndarray, k: int, group_tol: float = DEFAULT_GROUP_TOL
-) -> np.ndarray:
+def fractional_top_projector(evals: np.ndarray, evecs: np.ndarray, k: int) -> np.ndarray:
     """Trace-k matrix 0 <= X <= I filling eigenvalue groups from the top.
 
     A group that does not fit entirely contributes a fractional multiple of
@@ -75,7 +76,7 @@ def fractional_top_projector(
     n = len(evals)
     X = np.zeros((n, n))
     remaining = float(k)
-    for sl in reversed(group_eigenvalues(evals, group_tol)):
+    for sl in reversed(group_eigenvalues(evals, DEFAULT_GROUP_TOL)):
         if remaining <= 0:
             break
         V = evecs[:, sl]
@@ -109,7 +110,6 @@ class OptimizeResult:
     gap: float
     best_w: tuple[float, ...]
     iterations: int
-    seed: int
     tol: float
     primal_history: tuple[float, ...] | None = None
     dual_history: tuple[float, ...] | None = None
@@ -125,7 +125,6 @@ class OptimizeResult:
             "gap": self.gap,
             "best_w": list(self.best_w),
             "iterations": self.iterations,
-            "seed": self.seed,
             "tol": self.tol,
         }
 
@@ -136,18 +135,16 @@ def optimize(
     objective: str = "upper",
     iters: int = 5000,
     tol: float = 1e-5,
-    seed: int = 0,
-    step_scale: float | None = None,
     gap_tol: float = 1e-9,
-    group_tol: float = DEFAULT_GROUP_TOL,
     record_history: bool = False,
 ) -> OptimizeResult:
     """Optimize one extreme eigenvalue sum over the weight simplex.
 
-    upper approximately minimizes S_k by mirror descent with step
-    step_scale / sqrt(t) (default step_scale = m / ||g_1||_inf), warm
-    started at unit weights; every iterate also yields a certified dual
-    bound, and the run stops early once the relative gap is below gap_tol.
+    upper approximately minimizes S_k by entropic mirror descent, warm
+    started at unit weights, with step c / sqrt(t). The scale is fixed at
+    c = m / ||g_1||_inf, where g_1 = adjoint(X_1) is the edge gradient of
+    the first iterate. Every iterate also yields a certified dual bound,
+    and the run stops early once the relative gap is below gap_tol.
     lower maximizes s_k, reduced to the upper objective at n-1-k through
     the trace identity s_k(w) + S_{n-1-k}(w) = 2|E| on the simplex.
 
@@ -161,26 +158,18 @@ def optimize(
     if iters < 1:
         raise ValueError("iters must be >= 1")
     if objective == "upper":
-        return _optimize_upper(
-            g, k, iters, tol, seed, step_scale, gap_tol, group_tol, record_history
-        )
+        return _optimize_upper(g, k, iters, tol, gap_tol, record_history)
     if objective == "lower":
-        return _lower_via_trace(
-            g, k, iters, tol, seed, step_scale, gap_tol, group_tol, record_history
-        )
+        if k == g.n - 1:
+            up = _zero_upper(g, tol, record_history)
+        else:
+            up = _optimize_upper(g, g.n - 1 - k, iters, tol, gap_tol, record_history)
+        return _lower_from_upper(g, k, up)
     raise ValueError(f"objective must be 'upper' or 'lower', got {objective!r}")
 
 
 def _optimize_upper(
-    g: Graph,
-    k: int,
-    iters: int,
-    tol: float,
-    seed: int,
-    step_scale: float | None,
-    gap_tol: float,
-    group_tol: float,
-    record_history: bool,
+    g: Graph, k: int, iters: int, tol: float, gap_tol: float, record_history: bool
 ) -> OptimizeResult:
     n, m = g.n, g.m
     B = incidence(g).astype(float)
@@ -192,17 +181,17 @@ def _optimize_upper(
     primal_hist: list[float] = []
     dual_hist: list[float] = []
     iterations = 0
-    c = step_scale
 
     for t in range(1, iters + 1):
         L = (B * w) @ B.T
         evals, evecs = np.linalg.eigh(L)
         primal = float(evals[n - k:].sum())
-        X = fractional_top_projector(evals, evecs, k, group_tol)
+        X = fractional_top_projector(evals, evecs, k)
         gvec = adjoint_apply(g, X)
         dual = m * float(gvec.min())
         if t == 1:
             baseline = primal
+            c = m / max(float(np.abs(gvec).max()), 1e-12)
         if primal < best_primal:
             best_primal = primal
             best_w = w.copy()
@@ -214,8 +203,6 @@ def _optimize_upper(
         iterations = t
         if best_primal - best_dual <= gap_tol * max(1.0, abs(baseline)):
             break
-        if c is None:
-            c = m / max(float(np.abs(gvec).max()), 1e-12)
         expo = -(c / math.sqrt(t)) * (gvec - gvec.mean())
         expo -= expo.max()
         w = w * np.exp(expo)
@@ -238,53 +225,30 @@ def _optimize_upper(
         gap=best_primal - best_dual,
         best_w=tuple(float(x) for x in best_w),
         iterations=iterations,
-        seed=seed,
         tol=tol,
         primal_history=tuple(primal_hist) if record_history else None,
         dual_history=tuple(dual_hist) if record_history else None,
     )
 
 
-def _lower_via_trace(
-    g: Graph,
-    k: int,
-    iters: int,
-    tol: float,
-    seed: int,
-    step_scale: float | None,
-    gap_tol: float,
-    group_tol: float,
-    record_history: bool,
-) -> OptimizeResult:
-    if k == g.n - 1:
-        up = _zero_upper(g, tol, seed, record_history)
-    else:
-        up = _optimize_upper(
-            g, g.n - 1 - k, iters, tol, seed, step_scale, gap_tol, group_tol, record_history
-        )
-    return _lower_from_upper(g, k, up, tol, seed)
-
-
-def _zero_upper(g: Graph, tol: float, seed: int, record_history: bool) -> OptimizeResult:
+def _zero_upper(g: Graph, tol: float, record_history: bool) -> OptimizeResult:
     """Zero-iteration stand-in for S_0 = 0, so s_{n-1} = tr L(w) = 2|E|."""
     hist = () if record_history else None
     return OptimizeResult(
-        0, "upper", VERDICT_RIGID, 0.0, 0.0, 0.0, 0.0, (1.0,) * g.m, 0, seed, tol, hist, hist
+        0, "upper", VERDICT_RIGID, 0.0, 0.0, 0.0, 0.0, (1.0,) * g.m, 0, tol, hist, hist
     )
 
 
-def _lower_from_upper(
-    g: Graph, k: int, up: OptimizeResult, tol: float, seed: int
-) -> OptimizeResult:
+def _lower_from_upper(g: Graph, k: int, up: OptimizeResult) -> OptimizeResult:
     """Lower result at k from the upper run at n-1-k: s_k(w) = 2|E| - S_{n-1-k}(w)."""
     two_m = 2.0 * g.m
     baseline = two_m - up.baseline
     best_primal = two_m - up.best_primal
     best_dual = two_m - up.best_dual
     scale = max(1.0, abs(baseline))
-    if best_dual - baseline <= tol * scale:
+    if best_dual - baseline <= up.tol * scale:
         verdict = VERDICT_RIGID
-    elif best_primal > baseline + tol * scale:
+    elif best_primal > baseline + up.tol * scale:
         verdict = VERDICT_REFUTED
     else:
         verdict = VERDICT_INCONCLUSIVE
@@ -298,8 +262,7 @@ def _lower_from_upper(
         gap=best_dual - best_primal,
         best_w=up.best_w,
         iterations=up.iterations,
-        seed=seed,
-        tol=tol,
+        tol=up.tol,
         primal_history=(
             None if up.primal_history is None else tuple(two_m - p for p in up.primal_history)
         ),
@@ -352,9 +315,7 @@ class KCertificate:
         }
 
 
-def certificate(
-    g: Graph, j: int, tol: float = 1e-8, group_tol: float = DEFAULT_GROUP_TOL
-) -> KCertificate:
+def certificate(g: Graph, j: int, tol: float = 1e-8) -> KCertificate:
     """Build and check the level-j certificate from the unit spectrum.
 
     The three complementary-slackness residuals (stationarity, projection,
@@ -364,7 +325,7 @@ def certificate(
     is reported through the residuals, not raised.
     """
     L = laplacian(g).astype(float)
-    s = spectrum(L, group_tol)
+    s = spectrum(L)
     r = s.r
     if not 1 <= j <= r - 1:
         raise IndexError(f"level j must be in 1..{r - 1}, got {j}")
@@ -472,7 +433,6 @@ class RigidityProfile:
 
     entries: tuple[ProfileEntry, ...]
     seed: int
-    trace_samples: int
     trace_residual: float  # max |s_{n-1-k}(w) + S_k(w) - 2|E|| over samples
 
     @property
@@ -495,7 +455,7 @@ class RigidityProfile:
         return {
             "entries": [e.to_dict() for e in self.entries],
             "seed": self.seed,
-            "trace_samples": self.trace_samples,
+            "trace_samples": TRACE_SAMPLES,
             "trace_residual": self.trace_residual,
             "all_rigid": self.all_rigid,
             "refuted": [list(t) for t in self.refuted_entries()],
@@ -507,7 +467,6 @@ def k_rigidity_profile(
     iters: int = 5000,
     tol: float = 1e-5,
     seed: int = 0,
-    trace_samples: int = 25,
     gap_tol: float = 1e-9,
 ) -> RigidityProfile:
     """Run optimize for every k and both objectives, with consistency checks.
@@ -516,17 +475,17 @@ def k_rigidity_profile(
     the upper run at n-1-k through the trace identity s_k + S_{n-1-k} = 2|E|,
     exactly as optimize(g, k, "lower") would compute it.
     """
-    uppers = [_zero_upper(g, tol, seed, False)] + [
-        optimize(g, k, "upper", iters=iters, tol=tol, seed=seed, gap_tol=gap_tol)
+    uppers = [_zero_upper(g, tol, False)] + [
+        optimize(g, k, "upper", iters=iters, tol=tol, gap_tol=gap_tol)
         for k in range(1, g.n)
     ]
     entries = tuple(
-        ProfileEntry(k, uppers[k], _lower_from_upper(g, k, uppers[g.n - 1 - k], tol, seed))
+        ProfileEntry(k, uppers[k], _lower_from_upper(g, k, uppers[g.n - 1 - k]))
         for k in range(1, g.n)
     )
     residual = 0.0
     n, m = g.n, g.m
-    for w in random_simplex(m, seed=seed, count=trace_samples):
+    for w in random_simplex(m, seed=seed, count=TRACE_SAMPLES):
         evals = np.linalg.eigvalsh(laplacian(g, w))
         for k in range(1, n - 1):
             s_small = float(evals[1:n - k].sum())  # s_{n-1-k}(w)
@@ -535,6 +494,5 @@ def k_rigidity_profile(
     return RigidityProfile(
         entries=entries,
         seed=seed,
-        trace_samples=trace_samples,
         trace_residual=residual,
     )

@@ -8,6 +8,7 @@ package (weights, adjoint values, resistances, incidence columns).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -138,6 +139,8 @@ class WeightVector:
     normalized: bool
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in self.values):
+            raise ValueError("edge weights must be finite")
         if any(v < 0 for v in self.values):
             raise ValueError("edge weights must be nonnegative")
 
@@ -150,10 +153,7 @@ class WeightVector:
         w = np.asarray(list(values), dtype=float)
         if w.ndim != 1:
             raise ValueError("weights must be a flat vector")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("edge weights must be finite")
-        if np.any(w < 0):
-            raise ValueError("edge weights must be nonnegative")
+        raw = cls(tuple(float(x) for x in w), normalized=False)  # checks every entry
         total = float(w.sum())
         if normalize:
             if total <= 0:
@@ -161,7 +161,7 @@ class WeightVector:
             w = w * (len(w) / total)
             return cls(tuple(float(x) for x in w), normalized=True)
         is_norm = abs(total - len(w)) <= 1e-12 * max(1, len(w))
-        return cls(tuple(float(x) for x in w), normalized=is_norm)
+        return cls(raw.values, normalized=is_norm)
 
     @classmethod
     def from_text(cls, text: str, m: int) -> "WeightVector":
@@ -223,7 +223,10 @@ def parse_graph6(data: bytes | str) -> Graph:
     encoded graph and nonzero padding bits raise ParseError.
     """
     if isinstance(data, str):
-        data = data.encode("ascii")
+        try:
+            data = data.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise ParseError("input is not ASCII") from exc
     data = data.strip()
     if data.startswith(GRAPH6_HEADER):
         data = data[len(GRAPH6_HEADER):]

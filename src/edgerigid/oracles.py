@@ -20,8 +20,6 @@ from .graphs import Graph, WeightVector
 class OracleBudget:
     max_edges_for_tree_enum: int = 20
     max_walk_length: int = 10
-    sample_count: int = 100
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_edges_for_tree_enum <= 0 or self.max_walk_length <= 0:

@@ -101,11 +101,15 @@ def _walk_stream(g: Graph, lmax: int) -> Iterator[np.ndarray]:
         prev = U
 
 
+def _constant(vals: np.ndarray) -> bool:
+    return bool((vals == vals[0]).all())
+
+
 def _walk_criterion(g: Graph, walks: Iterable[np.ndarray]) -> WalkCriterion:
     """Constants of the walk vectors, or the first non-constant one's witness."""
     constants = []
     for power, vals in enumerate(walks):
-        if not (vals == vals[0]).all():
+        if not _constant(vals):
             lo = min(range(g.m), key=lambda e: vals[e])
             hi = max(range(g.m), key=lambda e: vals[e])
             witness = WalkWitness(
@@ -177,19 +181,16 @@ def walk_class(g: Graph) -> WalkClassification:
     bipartition; the biregular tests are skipped for non-bipartite input.
     """
     parts = bipartition(g)
+    sides = [np.asarray(side) for side in parts or ()]
+    a, b = np.transpose(g.edges)
     diag_const = True
     edge_const = True
     part_const = parts is not None
     for P in mat_pow_stream(g.adjacency, g.n - 1):
-        diag = [P[v, v] for v in range(g.n)]
-        if len(set(diag)) > 1:
-            diag_const = False
-        if len({P[a, b] for a, b in g.edges}) > 1:
-            edge_const = False
-        if parts is not None and part_const:
-            for side in parts:
-                if len({diag[v] for v in side}) > 1:
-                    part_const = False
+        diag = P.diagonal()
+        diag_const = diag_const and _constant(diag)
+        edge_const = edge_const and _constant(P[a, b])
+        part_const = part_const and all(_constant(diag[s]) for s in sides)
         if not diag_const and not part_const and not edge_const:
             break
 

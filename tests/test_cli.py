@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -194,3 +195,43 @@ def test_analyze_deterministic_bytes(graph_file, tmp_path, capsys):
     assert cli.main(["analyze", path, "--format", "json", "--seed", "0", "--output", str(out2)]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# The options each subcommand reads, by argparse dest (positional path included).
+SUBCOMMAND_OPTIONS = {
+    "analyze": {"path", "input_format", "format", "output", "tol", "seed"},
+    "decide": {"path", "input_format", "max_power"},
+    "optimize": {"path", "input_format", "format", "output", "tol", "k", "objective", "iters"},
+    "profile": {"path", "input_format", "format", "output", "tol", "seed", "iters"},
+    "certify": {"path", "input_format", "format", "output", "tol", "j"},
+    "embed": {"path", "input_format", "output", "eigenspace"},
+    "tau": {"path", "input_format", "format", "output", "weights"},
+    "kf": {"path", "input_format", "format", "output", "weights"},
+}
+
+
+def subcommand_parsers():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_OPTIONS))
+def test_subcommand_takes_only_the_options_it_reads(command):
+    p = subcommand_parsers()[command]
+    dests = {a.dest for a in p._actions if not isinstance(a, argparse._HelpAction)}
+    assert dests == SUBCOMMAND_OPTIONS[command]
+
+
+def test_parser_has_only_these_subcommands():
+    assert set(subcommand_parsers()) == set(SUBCOMMAND_OPTIONS)
+
+
+def test_decide_output_is_an_argparse_error(graph_file, tmp_path, capsys):
+    path = graph_file(fam.path_graph(4))
+    out_path = tmp_path / "out.txt"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["decide", path, "--output", str(out_path)])
+    assert exc.value.code == 2
+    assert not out_path.exists()
+    assert capsys.readouterr().out == ""

@@ -136,7 +136,7 @@ def test_optimize_p4_refutes():
     found = []
     for k in (1, 2, 3):
         for obj in ("upper", "lower"):
-            res = optimize(g, k, obj, seed=0)
+            res = optimize(g, k, obj)
             if res.verdict == VERDICT_REFUTED:
                 found.append((k, obj, res))
     assert found
@@ -314,7 +314,7 @@ def test_profile_equals_standalone_runs(g):
     assert [e.k for e in prof.entries] == list(range(1, g.n))
     for e in prof.entries:
         for objective, res in (("upper", e.upper), ("lower", e.lower)):
-            alone = optimize(g, e.k, objective, iters=1500, tol=tol, seed=seed, gap_tol=gap_tol)
+            alone = optimize(g, e.k, objective, iters=1500, tol=tol, gap_tol=gap_tol)
             assert res.to_dict() == alone.to_dict(), (e.k, objective)
 
 
@@ -354,5 +354,5 @@ def test_lower_keeps_an_empty_upper_history():
     assert low.primal_history == tuple(2 * g.m - p for p in up.primal_history)
     assert len(low.dual_history) == low.iterations
     empty = dataclasses.replace(up, primal_history=(), dual_history=())
-    low = eigensum._lower_from_upper(g, 2, empty, up.tol, up.seed)
+    low = eigensum._lower_from_upper(g, 2, empty)
     assert low.primal_history == () and low.dual_history == ()

@@ -75,6 +75,12 @@ def test_parse_graph6_nonzero_padding_rejected():
         parse_graph6(b"Dhd")
 
 
+@pytest.mark.parametrize("parse", [parse_graph6, parse_graph])
+def test_non_ascii_text_is_a_parse_error(parse):
+    with pytest.raises(ParseError, match="not ASCII"):
+        parse("C\u00e9")
+
+
 def test_self_loop_rejected():
     with pytest.raises(NotSimpleError):
         parse_edge_list("2 1\n0 0")
@@ -307,6 +313,12 @@ def test_weight_non_finite_rejected(bad):
         WeightVector.from_values([bad, 1.0, 1.0])
     with pytest.raises(ValueError):
         WeightVector.from_values([1.0, bad, 1.0], normalize=False)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_weight_constructor_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        WeightVector((bad, 1.0), True)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
