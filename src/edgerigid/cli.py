@@ -77,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full rigidity report with spectral invariants")
     add_common(p, tol=1e-8)
-    p.add_argument("--seed", type=int, default=0, help="echoed in the JSON parameters")
 
     p = sub.add_parser("decide", help="exit 0 iff the graph is edge-rigid")
     add_common(p, report=False)
@@ -164,7 +163,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "tree_count_exact": tau_exact,
         "effective_resistances": [float(r) for r in resistances],
         "foster_sum": float(np.sum(resistances)),
-        "parameters": {"tol": args.tol, "seed": args.seed},
+        "parameters": {"tol": args.tol},
     }
     lines = [
         f"graph: n={g.n} m={g.m}",

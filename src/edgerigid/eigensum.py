@@ -2,11 +2,20 @@
 
 S_k(w) is the sum of the k largest eigenvalues of the weighted Laplacian,
 s_k(w) the sum of the k smallest nontrivial ones. ``optimize`` minimizes
-S_k (or maximizes s_k) over normalized nonnegative edge weights with
-entropic mirror descent, and certifies progress with a dual bound that is
-sound at every iterate: for any matrix X with 0 <= X <= I and tr X = k,
-the pair (X, x = min_e adjoint(X)_e) is feasible for the dual program, so
+S_k (or maximizes s_k) over normalized nonnegative edge weights and
+certifies progress with a dual bound that is sound at every iterate: for
+any matrix X with 0 <= X <= I and tr X = k, the pair
+(X, x = min_e adjoint(X)_e) is feasible for the dual program, so
 |E| * x lower-bounds S_k everywhere on the simplex.
+
+A run stops as soon as its verdict is settled. S_k is convex, so unit
+weights are optimal iff some subgradient adjoint(X), X in dS_k(1), is
+constant (Overton-Womersley 1993). When the first iterate's edge energies
+g_1 = adjoint(X_1) are not constant, a backtracking line search along
+d = -(g_1 - mean g_1) from unit weights usually finds, within a few
+eigendecompositions, a w with S_k(w) below S_k(1) by more than the
+tolerance, which refutes rigidity. Only when that search fails does
+entropic mirror descent run on with the rest of the budget.
 
 At eigenvalue crossings the top-k slot is filled group by group, splitting
 the boundary eigenspace fractionally (X gains (t/mult) * E_boundary). The
@@ -66,6 +75,21 @@ def kyfan(g: Graph, w: WeightVector | None, k: int) -> KyFanValue:
     )
 
 
+def _top_groups(evals: np.ndarray, k: int):
+    """(slice, weight) of each eigenvalue group that fills the top k slots.
+
+    Groups are taken from the top; the first one that does not fit entirely
+    gets the fractional weight (slots left) / (group size).
+    """
+    remaining = float(k)
+    for sl in reversed(group_eigenvalues(evals, DEFAULT_GROUP_TOL)):
+        if remaining <= 0:
+            return
+        size = sl.stop - sl.start
+        yield sl, min(1.0, remaining / size)
+        remaining -= size
+
+
 def fractional_top_projector(evals: np.ndarray, evecs: np.ndarray, k: int) -> np.ndarray:
     """Trace-k matrix 0 <= X <= I filling eigenvalue groups from the top.
 
@@ -75,19 +99,33 @@ def fractional_top_projector(evals: np.ndarray, evecs: np.ndarray, k: int) -> np
     """
     n = len(evals)
     X = np.zeros((n, n))
-    remaining = float(k)
-    for sl in reversed(group_eigenvalues(evals, DEFAULT_GROUP_TOL)):
-        if remaining <= 0:
-            break
+    for sl, weight in _top_groups(evals, k):
         V = evecs[:, sl]
-        size = V.shape[1]
-        if size <= remaining:
-            X += V @ V.T
-            remaining -= size
-        else:
-            X += (remaining / size) * (V @ V.T)
-            remaining = 0.0
+        X += weight * (V @ V.T)
     return X
+
+
+def _top_energies(evals: np.ndarray, evecs: np.ndarray, ends, k: int) -> np.ndarray:
+    """adjoint(fractional_top_projector(evals, evecs, k)) in O(|E| k).
+
+    adjoint(V V^T)_e = |V_a - V_b|^2 for the edge e = ab, so the edge
+    energies come from eigenvector differences on the edge ends and no
+    n x n matrix is built.
+    """
+    a, b = ends
+    energy = np.zeros(len(a))
+    for sl, weight in _top_groups(evals, k):
+        D = evecs[a, sl] - evecs[b, sl]
+        energy += weight * np.einsum("ij,ij->i", D, D)
+    return energy
+
+
+def _mirror_step(w: np.ndarray, gvec: np.ndarray, step: float) -> np.ndarray:
+    """Entropic mirror step w * exp(-step (g - mean g)), rescaled to sum |E|."""
+    expo = -step * (gvec - gvec.mean())
+    expo -= expo.max()
+    w = w * np.exp(expo)
+    return w * (len(w) / w.sum())
 
 
 @dataclass(frozen=True)
@@ -98,7 +136,11 @@ class OptimizeResult:
     and best_dual the largest certified lower bound on min S_k, so
     gap = best_primal - best_dual >= 0. For the lower objective the roles
     mirror: best_primal is the largest s_k found, best_dual a certified
-    upper bound on max s_k, gap = best_dual - best_primal.
+    upper bound on max s_k, gap = best_dual - best_primal. A refuted run
+    stops at its first witness, so its best_primal and best_dual are
+    certified bounds, not the optimum. iterations counts the evaluated
+    weight vectors, one eigendecomposition each (k_rigidity_profile makes
+    the unit-weight one once for all its runs).
     """
 
     k: int
@@ -140,18 +182,24 @@ def optimize(
 ) -> OptimizeResult:
     """Optimize one extreme eigenvalue sum over the weight simplex.
 
-    upper approximately minimizes S_k by entropic mirror descent, warm
-    started at unit weights, with step c / sqrt(t). The scale is fixed at
-    c = m / ||g_1||_inf, where g_1 = adjoint(X_1) is the edge gradient of
-    the first iterate. Every iterate also yields a certified dual bound,
-    and the run stops early once the relative gap is below gap_tol.
+    upper starts at unit weights. Its first iterate gives the edge
+    gradient g_1 = adjoint(X_1) and the scale c = m / ||g_1||_inf. If g_1
+    is not constant, the run backtracks from unit weights along the mirror
+    path w(alpha) ~ exp(-alpha (g_1 - mean g_1)), alpha = c, c/2, ..., while
+    the predicted decrease alpha |g_1 - mean g_1|^2 / 2 is at least
+    tol * max(1, S_k(1)). After that it runs entropic mirror descent from
+    unit weights with step c / sqrt(t) on the rest of the budget. Every
+    iterate costs one eigendecomposition and yields a certified dual bound.
+    The run stops as soon as S_k is below S_k(1) by more than
+    tol * max(1, S_k(1)), or once the relative gap is below gap_tol.
     lower maximizes s_k, reduced to the upper objective at n-1-k through
     the trace identity s_k(w) + S_{n-1-k}(w) = 2|E| on the simplex.
 
     Verdict: rigid-within-tol when the dual bound shows unit weights are
-    optimal to relative tol; refuted when a strictly better w was found;
-    inconclusive when the iteration budget ran out before either. A spent
-    budget is a verdict, never an exception.
+    optimal to relative tol; refuted when a w better by more than tol was
+    found (best_w, a checkable witness); inconclusive when the iteration
+    budget ran out before either. A spent budget is a verdict, never an
+    exception.
     """
     if not 1 <= k <= g.n - 1:
         raise ValueError(f"k must be in 1..{g.n - 1}, got {k}")
@@ -169,46 +217,67 @@ def optimize(
 
 
 def _optimize_upper(
-    g: Graph, k: int, iters: int, tol: float, gap_tol: float, record_history: bool
+    g: Graph,
+    k: int,
+    iters: int,
+    tol: float,
+    gap_tol: float,
+    record_history: bool,
+    unit: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> OptimizeResult:
+    """Minimize S_k from unit weights; unit is eigh(L(1)) when the caller has it."""
     n, m = g.n, g.m
     B = incidence(g).astype(float)
+    ends = np.transpose(g.edges)
     w = np.ones(m)
-    baseline = math.nan
     best_primal = math.inf
     best_dual = -math.inf
-    best_w = w.copy()
+    best_w = w
     primal_hist: list[float] = []
     dual_hist: list[float] = []
-    iterations = 0
+    # step: the line-search step alpha that produced w; 0.0 for unit weights,
+    # for mirror-descent iterates and once the search is over
+    step = 0.0
+    md_t = 0
 
     for t in range(1, iters + 1):
-        L = (B * w) @ B.T
-        evals, evecs = np.linalg.eigh(L)
+        if t == 1 and unit is not None:
+            evals, evecs = unit
+        else:
+            evals, evecs = np.linalg.eigh((B * w) @ B.T)
         primal = float(evals[n - k:].sum())
-        X = fractional_top_projector(evals, evecs, k)
-        gvec = adjoint_apply(g, X)
+        gvec = _top_energies(evals, evecs, ends, k)
         dual = m * float(gvec.min())
         if t == 1:
             baseline = primal
+            scale = max(1.0, abs(baseline))
             c = m / max(float(np.abs(gvec).max()), 1e-12)
+            g1 = gvec
+            slope = float(np.sum((gvec - gvec.mean()) ** 2))  # |d|^2, d = -(g_1 - mean g_1)
+        if step in (0.0, c):  # the search's first point is mirror descent's first step
+            md_w, md_g, md_t = w, gvec, md_t + 1
         if primal < best_primal:
             best_primal = primal
-            best_w = w.copy()
+            best_w = w
         if dual > best_dual:
             best_dual = dual
         if record_history:
             primal_hist.append(primal)
             dual_hist.append(dual)
         iterations = t
-        if best_primal - best_dual <= gap_tol * max(1.0, abs(baseline)):
+        if best_primal - best_dual <= gap_tol * scale or best_primal < baseline - tol * scale:
             break
-        expo = -(c / math.sqrt(t)) * (gvec - gvec.mean())
-        expo -= expo.max()
-        w = w * np.exp(expo)
-        w = w * (m / w.sum())
+        # Backtrack along d from unit weights while the predicted decrease
+        # alpha |d|^2 / 2 is at least tol * scale: an Armijo point would then
+        # already be a refutation. Below that, mirror descent takes over.
+        step = c if t == 1 else step / 2
+        if step * slope / 2 < tol * scale:
+            step = 0.0
+        if step:
+            w = _mirror_step(np.ones(m), g1, step)
+        else:
+            w = _mirror_step(md_w, md_g, c / math.sqrt(md_t))
 
-    scale = max(1.0, abs(baseline))
     if baseline - best_dual <= tol * scale:
         verdict = VERDICT_RIGID
     elif best_primal < baseline - tol * scale:
@@ -400,7 +469,12 @@ def gauge_product(
     tol: float = 1e-5,
     gap_tol: float = 1e-9,
 ) -> GaugeProduct:
-    """Evaluate the gauge identity product S_k(1) * dual_gauge(1)."""
+    """Evaluate the gauge identity product S_k(1) * dual_gauge(1).
+
+    The product comes from one upper optimize run. A refuted run stops at
+    its first witness, so product and product_lo then bracket the true
+    value loosely; product_lo > |E| already shows that k is not rigid.
+    """
     res = optimize(g, k, "upper", iters=iters, tol=tol, gap_tol=gap_tol)
     m = g.m
     s1 = res.baseline
@@ -473,11 +547,15 @@ def k_rigidity_profile(
 
     Each of the n-1 upper runs is made once: the lower entry at k reuses
     the upper run at n-1-k through the trace identity s_k + S_{n-1-k} = 2|E|,
-    exactly as optimize(g, k, "lower") would compute it.
+    exactly as optimize(g, k, "lower") would compute it. The runs share
+    one eigendecomposition of L(1), their common first iterate.
     """
+    if iters < 1:
+        raise ValueError("iters must be >= 1")
+    B = incidence(g).astype(float)
+    unit = np.linalg.eigh(B @ B.T)
     uppers = [_zero_upper(g, tol, False)] + [
-        optimize(g, k, "upper", iters=iters, tol=tol, gap_tol=gap_tol)
-        for k in range(1, g.n)
+        _optimize_upper(g, k, iters, tol, gap_tol, False, unit) for k in range(1, g.n)
     ]
     entries = tuple(
         ProfileEntry(k, uppers[k], _lower_from_upper(g, k, uppers[g.n - 1 - k]))

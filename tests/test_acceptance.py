@@ -179,8 +179,7 @@ def test_criterion_8_determinism(tmp_path):
         for run in range(2):
             out = tmp_path / f"{name}_{run}.json"
             code = cli.main(
-                ["analyze", str(path), "--format", "json", "--seed", "0",
-                 "--output", str(out)]
+                ["analyze", str(path), "--format", "json", "--output", str(out)]
             )
             assert code == 0
             outputs.append(out.read_bytes())

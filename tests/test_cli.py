@@ -191,15 +191,15 @@ def test_analyze_deterministic_bytes(graph_file, tmp_path, capsys):
     path = graph_file(fam.petersen_graph())
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
-    assert cli.main(["analyze", path, "--format", "json", "--seed", "0", "--output", str(out1)]) == 0
-    assert cli.main(["analyze", path, "--format", "json", "--seed", "0", "--output", str(out2)]) == 0
+    assert cli.main(["analyze", path, "--format", "json", "--output", str(out1)]) == 0
+    assert cli.main(["analyze", path, "--format", "json", "--output", str(out2)]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
 
 
 # The options each subcommand reads, by argparse dest (positional path included).
 SUBCOMMAND_OPTIONS = {
-    "analyze": {"path", "input_format", "format", "output", "tol", "seed"},
+    "analyze": {"path", "input_format", "format", "output", "tol"},
     "decide": {"path", "input_format", "max_power"},
     "optimize": {"path", "input_format", "format", "output", "tol", "k", "objective", "iters"},
     "profile": {"path", "input_format", "format", "output", "tol", "seed", "iters"},

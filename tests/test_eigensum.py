@@ -18,6 +18,7 @@ from edgerigid.eigensum import (
 )
 from edgerigid.graphs import WeightVector, adjoint_apply, incidence, laplacian
 from edgerigid.oracles import random_simplex
+from edgerigid.rigidity import decide_edge_rigid_exact
 
 
 def eigensums(g, w, k):
@@ -356,3 +357,95 @@ def test_lower_keeps_an_empty_upper_history():
     empty = dataclasses.replace(up, primal_history=(), dual_history=())
     low = eigensum._lower_from_upper(g, 2, empty)
     assert low.primal_history == () and low.dual_history == ()
+
+
+# ---------------------------------------------------------------------------
+# first-order exit: a refuted run stops at its first checked witness
+# ---------------------------------------------------------------------------
+
+def assert_witness(g, res):
+    """A refuted result's best_w beats unit weights by more than tol, recomputed."""
+    w = WeightVector.from_values(res.best_w, normalize=False)
+    S_k, s_k = eigensums(g, w, res.k)
+    margin = res.tol * max(1.0, abs(res.baseline))
+    if res.objective == "upper":
+        assert S_k < res.baseline - margin, (res.k, S_k, res.baseline)
+    else:
+        assert s_k > res.baseline + margin, (res.k, s_k, res.baseline)
+
+
+def test_optimize_p30_k5_is_refuted():
+    # mirror descent alone needs thousands of steps here; the line search a few
+    g = fam.path_graph(30)
+    res = optimize(g, 5)
+    assert res.verdict == VERDICT_REFUTED
+    assert res.iterations <= 20
+    assert_witness(g, res)
+
+
+def test_refuted_run_stops_at_its_first_witness():
+    res = optimize(fam.path_graph(30), 5, record_history=True)
+    assert res.verdict == VERDICT_REFUTED
+    assert len(res.primal_history) == len(res.dual_history) == res.iterations <= 5000
+    margin = res.tol * max(1.0, abs(res.baseline))
+    *before, last = res.primal_history
+    assert last == res.best_primal < res.baseline - margin
+    assert all(p >= res.baseline - margin for p in before)
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Count the np.linalg.eigh calls made."""
+    count = [0]
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return count
+
+
+def test_iters_caps_eigh_calls(eigh_calls):
+    res = optimize(fam.path_graph(12), 3, iters=3)
+    assert 1 <= eigh_calls[0] <= 3
+    assert res.iterations == eigh_calls[0]
+
+
+def test_profile_shares_the_unit_spectrum(eigh_calls):
+    # every run on an edge-rigid graph stops at unit weights
+    prof = k_rigidity_profile(fam.petersen_graph())
+    assert prof.all_rigid
+    assert eigh_calls[0] == 1
+
+
+def test_edge_energies_equal_projector_adjoint(corpus_case):
+    _, g, _ = corpus_case
+    evals, evecs = np.linalg.eigh(laplacian(g).astype(float))
+    ends = np.transpose(g.edges)
+    for k in range(1, g.n):
+        X = fractional_top_projector(evals, evecs, k)
+        energy = eigensum._top_energies(evals, evecs, ends, k)
+        assert np.max(np.abs(energy - adjoint_apply(g, X))) <= 1e-12, k
+
+
+SEEDED = {f"tree{n}-{s}": fam.random_tree(n, seed=s) for n in (6, 9, 12, 16) for s in range(3)}
+SEEDED |= {
+    f"C{n}-{jumps[0]}-{jumps[1]}": fam.circulant_graph(n, jumps)
+    for n in range(7, 17)
+    for jumps in ((1, 2), (1, 3))
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED))
+def test_profile_on_seeded_graphs(name):
+    # 500 iterations: rigid graphs stop at the first, refutations within a few
+    g = SEEDED[name]
+    prof = k_rigidity_profile(g, iters=500)
+    for e in prof.entries:
+        for res in (e.upper, e.lower):
+            if res.verdict == VERDICT_REFUTED:
+                assert_witness(g, res)
+    if decide_edge_rigid_exact(g).rigid:
+        assert prof.all_rigid
