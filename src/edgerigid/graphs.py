@@ -49,7 +49,9 @@ class Graph:
             if e == f:
                 raise NotSimpleError(f"duplicate edge {e}")
         object.__setattr__(self, "edges", tuple(canon))
-        if not self._connected():
+        # a connected graph has m >= n - 1; failing fast keeps a huge n from
+        # allocating n neighbour lists
+        if len(canon) < self.n - 1 or not self._connected():
             raise DisconnectedError("graph is not connected")
 
     def _connected(self) -> bool:

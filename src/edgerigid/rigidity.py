@@ -7,8 +7,12 @@ so with U_j = L^j B (B the incidence matrix, column z_e per edge)
     w_{2j}(e) = |U_j e|^2,    w_{2j+1}(e) = (U_j e) . (U_{j+1} e),
 
 and the stream to depth n-1 takes ceil((n-1)/2) sparse products with L,
-about O(n^2 (n + m)) big-int operations. Two identities turn other deciders
-into functions of that stream:
+about O(n^2 (n + m)) big-int operations. ``decide_edge_rigid_exact`` often
+stops sooner: a monic integer q of degree D that annihilates the constants
+C_0..C_{2D} gives q^T H q = sum_t m_t t q(t)^2 = 0 for the Hankel matrix
+H = [m C_{i+k}] = [tr L^{i+k+1}], so q vanishes on every nonzero eigenvalue t
+of L, and its recurrence carries constancy to every power. Two identities
+turn other deciders into functions of that stream:
 
 - char(L - L_e) - char(L) has coefficients sum_{i<=k} c_i w_{k-i}(e), where
   c_i are those of char(L). The map is unit-triangular, so two edges are
@@ -105,9 +109,64 @@ def _constant(vals: np.ndarray) -> bool:
     return bool((vals == vals[0]).all())
 
 
-def _walk_criterion(g: Graph, walks: Iterable[np.ndarray]) -> WalkCriterion:
-    """Constants of the walk vectors, or the first non-constant one's witness."""
-    constants = []
+# Modulus of the Berlekamp-Massey run on the walk constants, a Mersenne prime.
+# Its candidates are only trusted after an exact integer check.
+_PRIME = 2**521 - 1
+
+
+class _Recurrence:
+    """Berlekamp-Massey modulo _PRIME, fed one term at a time.
+
+    coeffs() lifts the shortest recurrence
+    x_l = -(lambda_1 x_{l-1} + .. + lambda_D x_{l-D}) of the residues pushed
+    so far to symmetric integer residues lambda_1..lambda_D.
+    """
+
+    def __init__(self) -> None:
+        self.residues: list[int] = []
+        self.conn, self.prev = [1], [1]  # connection polynomials 1 + lambda_1 z + ..
+        self.length, self.shift, self.last = 0, 1, 1
+
+    def push(self, x: int) -> None:
+        p = _PRIME
+        self.residues.append(x % p)
+        d = sum(c * r for c, r in zip(self.conn, reversed(self.residues))) % p
+        if d == 0:
+            self.shift += 1
+            return
+        f = d * pow(self.last, -1, p) % p
+        conn = self.conn + [0] * (len(self.prev) + self.shift - len(self.conn))
+        for i, b in enumerate(self.prev, self.shift):
+            conn[i] = (conn[i] - f * b) % p
+        if 2 * self.length < len(self.residues):
+            self.prev, self.last = self.conn, d
+            self.length, self.shift = len(self.residues) - self.length, 1
+        else:
+            self.shift += 1
+        self.conn = conn
+
+    def coeffs(self) -> list[int]:
+        p = _PRIME
+        lam = (self.conn + [0] * self.length)[1 : self.length + 1]
+        return [c - p if c > p // 2 else c for c in lam]
+
+
+def _predict(terms: list[int], lam: list[int], l: int) -> int:
+    return -sum(c * terms[l - 1 - k] for k, c in enumerate(lam))
+
+
+def _walk_criterion(
+    g: Graph, walks: Iterable[np.ndarray], lmax: int | None = None
+) -> WalkCriterion:
+    """Constants of the walk vectors, or the first non-constant one's witness.
+
+    Given lmax, reading stops as soon as the recurrence of D lifted
+    Berlekamp-Massey coefficients exactly generates the 2D + 1 or more
+    constants read so far; the constants are then extended to power lmax by
+    that recurrence. This is a proof (see decide_edge_rigid_exact).
+    """
+    constants: list[int] = []
+    rec = _Recurrence()
     for power, vals in enumerate(walks):
         if not _constant(vals):
             lo = min(range(g.m), key=lambda e: vals[e])
@@ -117,6 +176,16 @@ def _walk_criterion(g: Graph, walks: Iterable[np.ndarray]) -> WalkCriterion:
             )
             return WalkCriterion(False, None, witness)
         constants.append(int(vals[0]))
+        if lmax is None or power == lmax:
+            continue
+        rec.push(constants[-1])
+        if 2 * rec.length >= len(constants):
+            continue
+        lam = rec.coeffs()
+        if all(_predict(constants, lam, l) == constants[l] for l in range(len(lam), power + 1)):
+            while len(constants) <= lmax:
+                constants.append(_predict(constants, lam, len(constants)))
+            return WalkCriterion(True, tuple(constants), None)
     return WalkCriterion(True, tuple(constants), None)
 
 
@@ -135,11 +204,19 @@ def decide_edge_rigid_exact(g: Graph, max_power: int | None = None) -> WalkCrite
     polynomial of L has degree at most n; a smaller value checks only a
     prefix, which is not a proof of rigidity. Returns the walk constants C_l
     on success, or the first offending power with a witness edge pair.
+
+    The stream stops early when a monic integer q of degree D annihilates
+    C_0..C_N with N >= 2D. Then H q = 0 for H = [tr L^{i+k+1}]_{i,k<=D}, and
+    q^T H q = sum_t m_t t q(t)^2 = 0 over the nonzero eigenvalues t of L
+    (multiplicity m_t), so q(t) = 0 and q(L) z_e = 0 for every edge e: every
+    w_l(e) follows q's recurrence, and the constant w_0..w_{D-1} make every
+    power constant. A rigid graph with d' distinct nonzero eigenvalues thus
+    costs min(d', ceil((n-1)/2)) sparse products.
     """
     if max_power is not None and max_power < 0:
         raise ValueError(f"max_power must be >= 0, got {max_power}")
     lmax = g.n - 1 if max_power is None else max_power
-    return _walk_criterion(g, _walk_stream(g, lmax))
+    return _walk_criterion(g, _walk_stream(g, lmax), lmax)
 
 
 def cospectrality_classes(g: Graph) -> tuple[tuple[int, ...], ...]:

@@ -48,6 +48,11 @@ def nonrigid_graph(request):
     return request.param[1]
 
 
+def hypercube(d: int) -> Graph:
+    """The d-cube Q_d: vertices 0..2^d - 1, adjacent when they differ in one bit."""
+    return Graph(1 << d, tuple((v, v ^ (1 << i)) for v in range(1 << d) for i in range(d) if not v >> i & 1))
+
+
 def dense_powers(M, l_max: int) -> list[np.ndarray]:
     """Reference M^0..M^l_max from dense object-dtype products P @ M."""
     A = exact_matrix(M)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from edgerigid import cli
 from edgerigid import families as fam
 from edgerigid.errors import (
     DimensionMismatchError,
@@ -94,6 +95,29 @@ def test_duplicate_edge_rejected():
 def test_disconnected_rejected():
     with pytest.raises(DisconnectedError):
         parse_edge_list("4 2\n0 1\n2 3")
+
+
+@pytest.fixture
+def no_traversal(monkeypatch):
+    """Fail the test if the connectivity traversal (n neighbour lists) runs."""
+
+    def fail(self):
+        pytest.fail(f"connectivity traversal ran for n={self.n}, m={self.m}")
+
+    monkeypatch.setattr(Graph, "_connected", fail)
+
+
+@pytest.mark.parametrize("n", [3, 2_000_000, 10**9])
+def test_too_few_edges_rejected_before_traversal(no_traversal, n):
+    with pytest.raises(DisconnectedError):
+        parse_edge_list(f"{n} 1\n0 1\n")
+
+
+def test_huge_header_exits_2(no_traversal, tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("1000000000 1\n0 1\n")
+    assert cli.main(["decide", str(path)]) == 2
+    assert "not connected" in capsys.readouterr().err
 
 
 def test_too_small_rejected():

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import hypercube
+
 from edgerigid import families as fam
 from edgerigid import rigidity
 from edgerigid.errors import InternalInconsistencyError
@@ -88,8 +90,30 @@ def products(monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 13, 30])
 def test_full_depth_takes_half_the_products(products, n):
+    # C_n has floor(n/2) distinct nonzero eigenvalues, too many to stop early
     assert decide_edge_rigid_exact(fam.cycle_graph(n)).rigid
     assert products[0] == math.ceil((n - 1) / 2)
+
+
+# d' distinct nonzero Laplacian eigenvalues: Q_d has 2, 4, .., 2d; K_n has n;
+# K_{a,b} has a, b, a + b; Petersen has 2 and 5
+D_PRIME_CASES = (
+    [(f"Q{d}", hypercube(d), d) for d in range(2, 7)]
+    + [(f"K{n}", fam.complete_graph(n), 1) for n in (4, 5, 9, 20)]
+    + [(f"K{a}_{a}", fam.complete_bipartite_graph(a, a), 2) for a in (3, 4, 20)]
+    + [(f"K{a}_{b}", fam.complete_bipartite_graph(a, b), 3) for a, b in ((2, 5), (3, 4), (5, 9))]
+    + [("petersen", fam.petersen_graph(), 2)]
+)
+
+
+@pytest.mark.parametrize(
+    "g, d_prime", [c[1:] for c in D_PRIME_CASES], ids=[c[0] for c in D_PRIME_CASES]
+)
+def test_rigid_graph_takes_d_prime_products(products, g, d_prime):
+    assert d_prime <= math.ceil((g.n - 1) / 2)
+    res = decide_edge_rigid_exact(g)
+    assert res.rigid and len(res.constants) == g.n
+    assert products[0] == d_prime
 
 
 @pytest.mark.parametrize("n", [4, 5, 10, 50])

@@ -13,9 +13,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import CORPUS, dense_powers
+from conftest import CORPUS, dense_powers, hypercube
 
 from edgerigid import families as fam
+from edgerigid import rigidity
 from edgerigid.exactmat import adjugate_quadratic_form
 from edgerigid.graphs import Graph, Orientation, adjoint_apply, laplacian
 from edgerigid.rigidity import (
@@ -60,7 +61,17 @@ def random_graphs(seed: int = 20240611) -> list[tuple[str, Graph]]:
     return graphs
 
 
-CASES = [(name, g) for name, g, _ in CORPUS] + random_graphs()
+# Rigid graphs with few distinct Laplacian eigenvalues, where
+# decide_edge_rigid_exact stops early on a recurrence certificate.
+FEW_EIGENVALUES = [
+    ("Q3", hypercube(3)),
+    ("Q4", hypercube(4)),
+    ("K3_4", fam.complete_bipartite_graph(3, 4)),
+    ("K6", fam.complete_graph(6)),
+    ("paley13", fam.circulant_graph(13, (1, 3, 4))),
+]
+
+CASES = [(name, g) for name, g, _ in CORPUS] + random_graphs() + FEW_EIGENVALUES
 
 
 @pytest.fixture(params=CASES, ids=[name for name, _ in CASES])
@@ -109,23 +120,44 @@ def reference_criterion(g: Graph, walks: list[np.ndarray]):
     return True, tuple(int(w[0]) for w in walks), None
 
 
+def dense_walks(g: Graph) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Reference walk vectors adjoint(L^l), l = 0..n, and powers L^0..L^(n+1)."""
+    powers = dense_powers(laplacian(g), g.n + 1)
+    return [adjoint_apply(g, P) for P in powers[: g.n + 1]], powers
+
+
+def assert_decide_matches(g: Graph, walks: list[np.ndarray], P: int):
+    """decide_edge_rigid_exact(g, P) against reference_criterion; returns it."""
+    wc = decide_edge_rigid_exact(g, max_power=P)
+    rigid, constants, witness = reference_criterion(g, walks[: P + 1])
+    assert wc.rigid is rigid
+    assert wc.constants == constants
+    w = wc.witness
+    assert (w and (w.power, w.edge_a, w.edge_b, w.value_a, w.value_b)) == witness
+    return wc
+
+
 def test_halved_stream_matches_dense_adjoint(case):
     g = case
-    powers = dense_powers(laplacian(g), g.n + 1)
-    walks = [adjoint_apply(g, P) for P in powers[: g.n + 1]]
+    walks, powers = dense_walks(g)
     stream = list(_walk_stream(g, g.n))
     assert len(stream) == len(walks)
     for w, ref, P in zip(stream, walks, powers[1:]):
         assert np.array_equal(w, ref)
         assert sum(w) == P.trace()  # sum_e w_l(e) = tr(B^T L^l B) = tr(L^(l+1))
     for P in range(g.n + 1):
-        wc = decide_edge_rigid_exact(g, max_power=P)
-        rigid, constants, witness = reference_criterion(g, walks[: P + 1])
-        assert wc.rigid is rigid
-        assert wc.constants == constants
-        w = wc.witness
-        assert (w and (w.power, w.edge_a, w.edge_b, w.value_a, w.value_b)) == witness
+        wc = assert_decide_matches(g, walks, P)
         if wc.rigid:
             assert [c * g.m for c in wc.constants] == [
                 powers[l + 1].trace() for l in range(P + 1)
             ]
+
+
+@pytest.mark.parametrize("g", [g for _, g in FEW_EIGENVALUES], ids=[n for n, _ in FEW_EIGENVALUES])
+def test_wrong_recurrence_lifts_fall_back_to_the_stream(monkeypatch, g):
+    # modulo 3, Berlekamp-Massey proposes recurrences whose integer lifts do
+    # not generate the walk constants; only the exact check may reject them
+    monkeypatch.setattr(rigidity, "_PRIME", 3)
+    walks, _ = dense_walks(g)
+    for P in range(g.n + 1):
+        assert_decide_matches(g, walks, P)
