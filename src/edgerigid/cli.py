@@ -187,7 +187,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_decide(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     res = decide_edge_rigid_exact(g, max_power=args.max_power)
-    if res.rigid and args.max_power is not None and args.max_power < g.n - 1:
+    if res.rigid and not res.proved:
         sys.stdout.write(f"walk constants agree through power {args.max_power} (not a proof)\n")
         return EXIT_TRUNCATED
     if res.rigid:

@@ -1,14 +1,21 @@
 """Exact combinatorial deciders for edge-rigidity, cross-checked in one report.
 
 A connected graph is edge-rigid exactly when the walk stream
-w_l = adjoint(L^l) is constant over edges for l = 0..n-1. L is symmetric,
-so with U_j = L^j B (B the incidence matrix, column z_e per edge)
+w_l = adjoint(L^l) is constant over edges for l = 0..n-1. With B the
+incidence matrix (column z_e per edge) and V_l = L^l B,
 
-    w_{2j}(e) = |U_j e|^2,    w_{2j+1}(e) = (U_j e) . (U_{j+1} e),
+    w_l(e) = z_e^T L^l z_e = (V_l)_ae - (V_l)_be    for e = (a, b).
 
-and the stream to depth n-1 takes ceil((n-1)/2) sparse products with L,
-about O(n^2 (n + m)) big-int operations. ``decide_edge_rigid_exact`` often
-stops sooner: a monic integer q of degree D that annihilates the constants
+The stream holds V_l as packed rows: row u is one Python int whose slot e,
+a signed field of k bits, holds (L^l z_e)_u, so CPython's limb loops do the
+inner dimension. A power is one application of L, R_u <- deg(u) R_u -
+sum_{v ~ u} R_v, nnz(L) big-int operations, and masks of the slots whose
+edge has its smaller or larger end at u pick w_l out of the rows. Every
+entry is at most (2 max-degree)^l and |w_l(e)| <= 2 (2 max-degree)^l, so
+slots of k >= bitlen(2 (2 max-degree)^l) + 1 bits decode uniquely; k grows
+with l. The stream to depth n-1 takes n-1 applications of L, on ints of
+O(m n log(max-degree)) bits. ``decide_edge_rigid_exact`` often stops
+sooner: a monic integer q of degree D that annihilates the constants
 C_0..C_{2D} gives q^T H q = sum_t m_t t q(t)^2 = 0 for the Hankel matrix
 H = [m C_{i+k}] = [tr L^{i+k+1}], so q vanishes on every nonzero eigenvalue t
 of L, and its recurrence carries constancy to every power. Two identities
@@ -82,31 +89,148 @@ class WalkWitness:
 
 @dataclass(frozen=True)
 class WalkCriterion:
+    """Walk constants C_0..C_lmax, or the witness of the first failing power.
+
+    proved says whether the verdict is a proof: a witness always is; constants
+    are when they reach power n - 1 or a recurrence certificate produced them.
+    """
+
     rigid: bool
     constants: tuple[int, ...] | None
     witness: WalkWitness | None
+    proved: bool
 
 
-def _walk_stream(g: Graph, lmax: int) -> Iterator[np.ndarray]:
+def _split(raw: bytes, count: int) -> list[int]:
+    """The count little-endian unsigned slots of equal size that make up raw."""
+    size = len(raw) // count
+    return [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+
+
+def _constant(raw: bytes, count: int) -> bool:
+    size = len(raw) // count
+    return raw == raw[:size] * count
+
+
+def _repeat(x: int, size: int, count: int) -> int:
+    """count slots of size bytes, each holding 0 <= x < 2^(8 size)."""
+    return int.from_bytes(x.to_bytes(size, "little") * count, "little")
+
+
+def _slot(x: int, i: int, size: int) -> int:
+    """Slot i of size bytes of x >= 0."""
+    return (x >> 8 * size * i) & ((1 << 8 * size) - 1)
+
+
+def _slot_masks(n: int, rows, slots, count: int, size: int) -> list[int]:
+    """For each u < n, all ones in the slots slots[i] with rows[i] == u."""
+    M = np.zeros((n, count, size), dtype=np.uint8)
+    M[rows, slots] = 0xFF
+    return _split(M.tobytes(), n)
+
+
+def _widen(rows: list[int], count: int, size: int, new_size: int) -> list[int]:
+    """Re-pack rows of count signed slots from size to new_size bytes.
+
+    Adding 2^(8 size - 1) to every slot makes them all nonnegative without a
+    carry between slots, so the bytes of each slot can be copied as they are.
+    """
+    half = 1 << 8 * size - 1
+    off = _repeat(half, size, count)
+    buf = b"".join((r + off).to_bytes(count * size, "little") for r in rows)
+    wide = np.zeros((len(rows), count, new_size), dtype=np.uint8)
+    wide[..., :size] = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), count, size)
+    off = _repeat(half, new_size, count)
+    return [r - off for r in _split(wide.tobytes(), len(rows))]
+
+
+def _neighbor_sums(rows: list[int], neighbors: tuple[tuple[int, ...], ...]) -> list[int]:
+    """Row u of A X for packed rows of X: the sum of rows[v] over v ~ u."""
+    sums = []
+    for nb in neighbors:
+        s = rows[nb[0]]
+        for v in nb[1:]:
+            s += rows[v]
+        sums.append(s)
+    return sums
+
+
+def _slot_bytes(r: int, l: int) -> int:
+    """Bytes per slot for signed values up to 2 r^l in absolute value."""
+    return ((2 * r**l).bit_length() + 8) // 8
+
+
+def _packed_powers(
+    g: Graph, rows: list[int], count: int, lmax: int, laplacian: bool
+) -> Iterator[tuple[list[int], int]]:
+    """Yield (rows of M^l X, slot size in bytes) for l = 0..lmax; M is L or A.
+
+    Row u of X is one int with X_ui in signed slot i (bit 8 size i), entries
+    in {-1, 0, 1}, starting at one-byte slots. Entries of M^l X are at most
+    r^l in absolute value, r = 2 max-degree for L and max-degree for A (the
+    row-sum norm of M), so slots of k >= bitlen(2 r^l) + 1 bits hold them
+    and the difference of any two of them. Sums in between may overflow a
+    slot: the packed ints are exact, only the decoded slots need the bound.
+    When the next power needs more, the slots grow before the application,
+    to twice their size or to what power lmax needs if that is less. Row u
+    of L X is deg(u) X_u - (A X)_u, nnz(L) big-int operations in all, and
+    M^(l+1) X is computed only once the power l has been consumed.
+    """
+    r = max(g.degrees) * (1 + laplacian)
+    size = 1
+    for l in range(lmax + 1):
+        if l:
+            need = _slot_bytes(r, l)
+            if need > size:
+                new_size = min(max(need, 2 * size), _slot_bytes(r, lmax))
+                rows = _widen(rows, count, size, new_size)
+                size = new_size
+            sums = _neighbor_sums(rows, g.neighbors)
+            rows = [d * x - s for d, x, s in zip(g.degrees, rows, sums)] if laplacian else sums
+        yield rows, size
+
+
+def _edge_differences(
+    rows: list[int], plus: list[int], minus: list[int], count: int, size: int
+) -> int:
+    """Sum over e = (a, b) of (X_ae - X_be) 2^(8 size e), for packed rows of X.
+
+    plus[u] and minus[u] mask the slots e with a = u and with b = u. With
+    2^(8 size - 1) added to every slot, the masked slots are the entries
+    offset by that amount, and the offsets cancel in the difference.
+    """
+    off = _repeat(1 << 8 * size - 1, size, count)
+    P = Q = 0
+    for r, p, q in zip(rows, plus, minus):
+        r += off
+        P |= r & p
+        Q |= r & q
+    return P - Q
+
+
+def _walk_stream(g: Graph, lmax: int) -> Iterator[bytes]:
     """Yield the exact walk vectors w_l = adjoint(L^l) for l = 0..lmax.
 
-    Powers L^j are consumed lazily, ceil(lmax / 2) products in all:
-    U_j = L^j B gives w_{2j-1} (with U_{j-1}) and w_{2j}, so w_0 costs no
-    product and w_1 costs one.
+    V_l = L^l B is held as packed rows (_packed_powers), so power l costs
+    one application of L. For e = (a, b), w_l(e) = z_e^T L^l z_e =
+    (V_l)_ae - (V_l)_be, which _edge_differences picks out of the rows with
+    the masks of the slots whose edge has its smaller (plus) or larger
+    (minus) end at u. Each w_l is yielded as m little-endian unsigned slots
+    of equal size (w_l >= 0: L is positive semidefinite).
     """
     a, b = np.transpose(g.edges)
-    prev = None
-    for j, P in enumerate(mat_pow_stream(laplacian(g), (lmax + 1) // 2)):
-        U = P[:, a] - P[:, b]
-        if prev is not None:
-            yield (prev * U).sum(axis=0)
-        if 2 * j <= lmax:
-            yield (U * U).sum(axis=0)
-        prev = U
-
-
-def _constant(vals: np.ndarray) -> bool:
-    return bool((vals == vals[0]).all())
+    slots = np.arange(g.m)
+    B = [0] * g.n
+    for e, (u, v) in enumerate(g.edges):
+        B[u] += 1 << 8 * e
+        B[v] -= 1 << 8 * e
+    mask_size = 0
+    for rows, size in _packed_powers(g, B, g.m, lmax, laplacian=True):
+        if size != mask_size:
+            mask_size = size
+            plus = _slot_masks(g.n, a, slots, g.m, size)
+            minus = _slot_masks(g.n, b, slots, g.m, size)
+        yield _edge_differences(rows, plus, minus, g.m, size).to_bytes(g.m * size, "little")
 
 
 # Modulus of the Berlekamp-Massey run on the walk constants, a Mersenne prime.
@@ -156,7 +280,7 @@ def _predict(terms: list[int], lam: list[int], l: int) -> int:
 
 
 def _walk_criterion(
-    g: Graph, walks: Iterable[np.ndarray], lmax: int | None = None
+    g: Graph, walks: Iterable[bytes], lmax: int | None = None
 ) -> WalkCriterion:
     """Constants of the walk vectors, or the first non-constant one's witness.
 
@@ -167,16 +291,14 @@ def _walk_criterion(
     """
     constants: list[int] = []
     rec = _Recurrence()
-    for power, vals in enumerate(walks):
-        if not _constant(vals):
-            lo = min(range(g.m), key=lambda e: vals[e])
-            hi = max(range(g.m), key=lambda e: vals[e])
-            witness = WalkWitness(
-                power, g.edges[lo], g.edges[hi], int(vals[lo]), int(vals[hi])
-            )
-            return WalkCriterion(False, None, witness)
-        constants.append(int(vals[0]))
-        if lmax is None or power == lmax:
+    for power, raw in enumerate(walks):
+        if not _constant(raw, g.m):
+            vals = _split(raw, g.m)
+            lo, hi = vals.index(min(vals)), vals.index(max(vals))
+            witness = WalkWitness(power, g.edges[lo], g.edges[hi], vals[lo], vals[hi])
+            return WalkCriterion(False, None, witness, True)
+        constants.append(int.from_bytes(raw[: len(raw) // g.m], "little"))
+        if lmax is None:
             continue
         rec.push(constants[-1])
         if 2 * rec.length >= len(constants):
@@ -185,15 +307,15 @@ def _walk_criterion(
         if all(_predict(constants, lam, l) == constants[l] for l in range(len(lam), power + 1)):
             while len(constants) <= lmax:
                 constants.append(_predict(constants, lam, len(constants)))
-            return WalkCriterion(True, tuple(constants), None)
-    return WalkCriterion(True, tuple(constants), None)
+            return WalkCriterion(True, tuple(constants), None, True)
+    return WalkCriterion(True, tuple(constants), None, len(constants) >= g.n)
 
 
-def _profile_classes(g: Graph, walks: list[np.ndarray]) -> tuple[tuple[int, ...], ...]:
+def _profile_classes(g: Graph, walks: list[bytes]) -> tuple[tuple[int, ...], ...]:
     """Group edge indices by their walk profile (w_0(e), .., w_last(e))."""
     buckets: dict[tuple[int, ...], list[int]] = {}
-    for e in range(g.m):
-        buckets.setdefault(tuple(int(w[e]) for w in walks), []).append(e)
+    for e, profile in enumerate(zip(*(_split(raw, g.m) for raw in walks))):
+        buckets.setdefault(profile, []).append(e)
     return tuple(tuple(c) for c in sorted(buckets.values(), key=lambda c: c[0]))
 
 
@@ -211,7 +333,7 @@ def decide_edge_rigid_exact(g: Graph, max_power: int | None = None) -> WalkCrite
     (multiplicity m_t), so q(t) = 0 and q(L) z_e = 0 for every edge e: every
     w_l(e) follows q's recurrence, and the constant w_0..w_{D-1} make every
     power constant. A rigid graph with d' distinct nonzero eigenvalues thus
-    costs min(d', ceil((n-1)/2)) sparse products.
+    costs min(2d', n - 1) applications of L, one per power read.
     """
     if max_power is not None and max_power < 0:
         raise ValueError(f"max_power must be >= 0, got {max_power}")
@@ -256,18 +378,41 @@ def walk_class(g: Graph) -> WalkClassification:
     1-walk-regular additionally has (A^l)_ab constant over edges.
     Walk-biregular graphs have diag(A^l) constant on each side of the
     bipartition; the biregular tests are skipped for non-bipartite input.
+    The rows of A^l are packed into vertex slots (_packed_powers, without
+    negative entries): the masked slots u of the rows u give the diagonal,
+    and the masked slots b of the rows a give the edge entries.
     """
     parts = bipartition(g)
-    sides = [np.asarray(side) for side in parts or ()]
+    n = g.n
     a, b = np.transpose(g.edges)
+    vertices = np.arange(n)
+    side = np.zeros(n, dtype=np.intp)
+    if parts:
+        side[list(parts[1])] = 1
+    a0, b0 = g.edges[0]
     diag_const = True
     edge_const = True
     part_const = parts is not None
-    for P in mat_pow_stream(g.adjacency, g.n - 1):
-        diag = P.diagonal()
-        diag_const = diag_const and _constant(diag)
-        edge_const = edge_const and _constant(P[a, b])
-        part_const = part_const and all(_constant(diag[s]) for s in sides)
+    mask_size = 0
+    identity = [1 << 8 * u for u in range(n)]
+    for rows, size in _packed_powers(g, identity, n, n - 1, laplacian=False):
+        if size != mask_size:
+            mask_size = size
+            diag_masks = _slot_masks(n, vertices, vertices, n, size)
+            upper = _slot_masks(n, a, b, n, size)  # row a, slots b > a of its edges
+            side_masks = _slot_masks(2, side, vertices, n, size)
+        D = 0
+        for r, d in zip(rows, diag_masks):
+            D |= r & d
+        diag_const = diag_const and _constant(D.to_bytes(n * size, "little"), n)
+        if part_const:
+            part_const = all(
+                (D ^ _repeat(_slot(D, part[0], size), size, n)) & mask == 0
+                for part, mask in zip(parts, side_masks)
+            )
+        if edge_const:
+            C = _repeat(_slot(rows[a0], b0, size), size, n)
+            edge_const = all((r ^ C) & u == 0 for r, u in zip(rows, upper))
         if not diag_const and not part_const and not edge_const:
             break
 
@@ -350,7 +495,7 @@ def full_report(g: Graph, tol: float = 1e-8) -> RigidityReport:
         "walk_criterion": wc.rigid,
         "cospectrality": len(classes) == 1,
         # diag((2I + A_sigma)^p) for p = 1..m is w_0..w_{m-1}
-        "signed_line_graph": all(len(set(w)) == 1 for w in walks[: g.m]),
+        "signed_line_graph": all(_constant(raw, g.m) for raw in walks[: g.m]),
         "walk_regularity_class": wclass.label in ("1-walk-regular", "1-walk-biregular"),
         "float_embedding": iso.all_constant,
     }

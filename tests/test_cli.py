@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+from conftest import hypercube
+
 from edgerigid import cli
 from edgerigid import families as fam
 
@@ -84,6 +86,19 @@ def test_decide_truncated_is_not_a_proof(graph_file, capsys):
     assert "edge-rigid" not in out
     code, out, _ = run(["decide", rigid, "--max-power", "9"], capsys)
     assert (code, out) == (0, "edge-rigid\n")
+
+
+def test_decide_certificate_within_max_power_is_a_proof(graph_file, capsys):
+    # Q6: the recurrence certificate proves rigidity at power 12 <= 20
+    cube = graph_file(hypercube(6), "q6.txt")
+    code, out, _ = run(["decide", cube, "--max-power", "20"], capsys)
+    assert (code, out) == (0, "edge-rigid\n")
+    code, out, _ = run(["decide", cube, "--max-power", "11"], capsys)
+    assert (code, out) == (3, "walk constants agree through power 11 (not a proof)\n")
+    # C12 has no certificate within powers 0..5
+    cycle = graph_file(fam.cycle_graph(12), "c12.txt")
+    code, out, _ = run(["decide", cycle, "--max-power", "5"], capsys)
+    assert (code, out) == (3, "walk constants agree through power 5 (not a proof)\n")
 
 
 def test_decide_negative_max_power_exits_2(graph_file, capsys):

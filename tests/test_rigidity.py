@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -75,24 +73,25 @@ def test_negative_max_power_rejected():
 
 @pytest.fixture
 def products(monkeypatch):
-    """Count the matrix products (yields after M^0) that rigidity takes."""
+    """Count the applications of L (packed neighbour sums) that rigidity takes."""
     count = [0]
-    stream = rigidity.mat_pow_stream
+    sums = rigidity._neighbor_sums
 
-    def counted(M, l_max):
-        for i, P in enumerate(stream(M, l_max)):
-            count[0] += i > 0
-            yield P
+    def counted(rows, neighbors):
+        count[0] += 1
+        return sums(rows, neighbors)
 
-    monkeypatch.setattr(rigidity, "mat_pow_stream", counted)
+    monkeypatch.setattr(rigidity, "_neighbor_sums", counted)
     return count
 
 
+# These tests keep their names from the halved stream, which took one
+# product per two powers; the packed stream takes one application per power.
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 13, 30])
 def test_full_depth_takes_half_the_products(products, n):
     # C_n has floor(n/2) distinct nonzero eigenvalues, too many to stop early
     assert decide_edge_rigid_exact(fam.cycle_graph(n)).rigid
-    assert products[0] == math.ceil((n - 1) / 2)
+    assert products[0] == n - 1
 
 
 # d' distinct nonzero Laplacian eigenvalues: Q_d has 2, 4, .., 2d; K_n has n;
@@ -110,10 +109,10 @@ D_PRIME_CASES = (
     "g, d_prime", [c[1:] for c in D_PRIME_CASES], ids=[c[0] for c in D_PRIME_CASES]
 )
 def test_rigid_graph_takes_d_prime_products(products, g, d_prime):
-    assert d_prime <= math.ceil((g.n - 1) / 2)
+    # the certificate reads powers 0..2d', one application of L each
     res = decide_edge_rigid_exact(g)
-    assert res.rigid and len(res.constants) == g.n
-    assert products[0] == d_prime
+    assert res.rigid and res.proved and len(res.constants) == g.n
+    assert products[0] == min(2 * d_prime, g.n - 1)
 
 
 @pytest.mark.parametrize("n", [4, 5, 10, 50])
@@ -121,6 +120,39 @@ def test_witness_at_power_one_takes_one_product(products, n):
     res = decide_edge_rigid_exact(fam.path_graph(n))
     assert res.witness.power == 1
     assert products[0] == 1
+
+
+def test_widen_keeps_signed_slots_at_their_limits():
+    half = 1 << 15  # two-byte slots hold -2^15 .. 2^15 - 1
+    rows = [[-half, half - 1, 0, -1, 1], [half - 1, -half, -1, 1, 0]]
+
+    def pack(vals, size):
+        return sum(v << 8 * size * i for i, v in enumerate(vals))
+
+    wide = rigidity._widen([pack(r, 2) for r in rows], 5, 2, 5)
+    assert wide == [pack(r, 5) for r in rows]
+
+
+def test_edge_differences_at_the_slot_limits():
+    # the path 0 - 1 - 2 in one-byte slots: edge 0 is (0, 1), edge 1 is (1, 2)
+    X = [[127, 0], [-128, -128], [0, 127]]
+    rows = [sum(v << 8 * e for e, v in enumerate(row)) for row in X]
+    plus = [0xFF, 0xFF00, 0]
+    minus = [0, 0xFF, 0xFF00]
+    got = rigidity._edge_differences(rows, plus, minus, 2, 1)
+    assert got == (127 + 128) + ((-128 - 127) << 8)
+
+
+def test_proved_only_by_full_depth_or_certificate():
+    # C12 has 6 distinct nonzero eigenvalues: powers 0..5 prove nothing;
+    # Q6 has 6, and its certificate fires at power 12
+    res = decide_edge_rigid_exact(fam.cycle_graph(12), max_power=5)
+    assert res.rigid and not res.proved
+    assert decide_edge_rigid_exact(fam.cycle_graph(12), max_power=11).proved
+    res = decide_edge_rigid_exact(hypercube(6), max_power=20)
+    assert res.rigid and res.proved and len(res.constants) == 21
+    assert not decide_edge_rigid_exact(hypercube(6), max_power=11).proved
+    assert decide_edge_rigid_exact(fam.path_graph(4), max_power=1).proved
 
 
 # ---------------------------------------------------------------------------

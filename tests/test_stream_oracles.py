@@ -3,7 +3,7 @@
 ``cospectrality_classes`` and ``full_report`` derive their verdicts from the
 walk stream w_l = adjoint(L^l). Here they are compared with the exact
 characteristic polynomials of ``adjugate_quadratic_form`` and with the m x m
-signed-line-graph power loop, and the halved stream itself with dense
+signed-line-graph power loop, and the packed stream itself with dense
 adjoint(L^l) and with the traces of L, on the corpus and on seeded random
 graphs (numpy RNG only).
 """
@@ -20,6 +20,7 @@ from edgerigid import rigidity
 from edgerigid.exactmat import adjugate_quadratic_form
 from edgerigid.graphs import Graph, Orientation, adjoint_apply, laplacian
 from edgerigid.rigidity import (
+    _split,
     _walk_stream,
     cospectrality_classes,
     decide_edge_rigid_exact,
@@ -72,6 +73,15 @@ FEW_EIGENVALUES = [
 ]
 
 CASES = [(name, g) for name, g, _ in CORPUS] + random_graphs() + FEW_EIGENVALUES
+
+# The packed stream widens its slots as the powers grow; at full depth these
+# pass through every slot size from one byte up. W20 is a hub joined to C20.
+WIDTH_CASES = [
+    ("K1_30", fam.star_graph(30)),
+    ("K2_25", fam.complete_bipartite_graph(2, 25)),
+    ("W20", Graph(21, tuple((0, v) for v in range(1, 21)) + tuple((v, v % 20 + 1) for v in range(1, 21)))),
+    ("C40", fam.cycle_graph(40)),
+]
 
 
 @pytest.fixture(params=CASES, ids=[name for name, _ in CASES])
@@ -137,14 +147,19 @@ def assert_decide_matches(g: Graph, walks: list[np.ndarray], P: int):
     return wc
 
 
-def test_halved_stream_matches_dense_adjoint(case):
-    g = case
+# keeps its name from the halved stream it first checked
+@pytest.mark.parametrize("g", [g for _, g in CASES + WIDTH_CASES], ids=[n for n, _ in CASES + WIDTH_CASES])
+def test_halved_stream_matches_dense_adjoint(g):
     walks, powers = dense_walks(g)
     stream = list(_walk_stream(g, g.n))
     assert len(stream) == len(walks)
-    for w, ref, P in zip(stream, walks, powers[1:]):
-        assert np.array_equal(w, ref)
+    r = 2 * max(g.degrees)
+    for l, (raw, ref, P) in enumerate(zip(stream, walks, powers[1:])):
+        w = _split(raw, g.m)
+        assert w == [int(x) for x in ref]
         assert sum(w) == P.trace()  # sum_e w_l(e) = tr(B^T L^l B) = tr(L^(l+1))
+        # |w_l(e)| <= 2 (2 max-degree)^l fits a signed slot of this width
+        assert 8 * len(raw) // g.m >= (2 * r**l).bit_length() + 1
     for P in range(g.n + 1):
         wc = assert_decide_matches(g, walks, P)
         if wc.rigid:
