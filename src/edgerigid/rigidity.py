@@ -1,20 +1,23 @@
 """Exact combinatorial deciders for edge-rigidity, cross-checked in one report.
 
 A connected graph is edge-rigid exactly when the walk stream
-w_l = adjoint(L^l) is constant over edges for l = 0..n-1. With B the
-incidence matrix (column z_e per edge) and V_l = L^l B,
+w_l = adjoint(L^l) is constant over edges for l = 0..n-1. With z_e the
+incidence vector of edge e = (a, b),
 
-    w_l(e) = z_e^T L^l z_e = (V_l)_ae - (V_l)_be    for e = (a, b).
+    w_l(e) = z_e^T L^l z_e = (L^l)_aa + (L^l)_bb - 2 (L^l)_ab.
 
-The stream holds V_l as packed rows: row u is one Python int whose slot e,
-a signed field of k bits, holds (L^l z_e)_u, so CPython's limb loops do the
+The stream holds L^l as packed rows: row u is one Python int whose slot v,
+a signed field of k bits, holds (L^l)_uv, so CPython's limb loops do the
 inner dimension. A power is one application of L, R_u <- deg(u) R_u -
-sum_{v ~ u} R_v, nnz(L) big-int operations, and masks of the slots whose
-edge has its smaller or larger end at u pick w_l out of the rows. Every
-entry is at most (2 max-degree)^l and |w_l(e)| <= 2 (2 max-degree)^l, so
-slots of k >= bitlen(2 (2 max-degree)^l) + 1 bits decode uniquely; k grows
-with l. The stream to depth n-1 takes n-1 applications of L, on ints of
-O(m n log(max-degree)) bits. ``decide_edge_rigid_exact`` often stops
+sum_{v ~ u} R_v, nnz(L) big-int operations on ints of n slots. Masks keep
+the diagonal slots and the slots b of the rows a of the edges (a, b); rows
+whose kept slots are disjoint are merged into one int before it is turned
+into bytes, and the three entries of every edge combine into w_l as one sum
+of packed ints. Every entry of L^l is at most (2 max-degree)^l in absolute
+value and 0 <= w_l(e) <= 2 (2 max-degree)^l, so slots of
+k >= bitlen(2 (2 max-degree)^l) + 1 bits decode uniquely; k grows with l.
+The stream to depth n-1 takes n-1 applications of L, on ints of
+O(n^2 log(max-degree)) bits. ``decide_edge_rigid_exact`` often stops
 sooner: a monic integer q of degree D that annihilates the constants
 C_0..C_{2D} gives q^T H q = sum_t m_t t q(t)^2 = 0 for the Hankel matrix
 H = [m C_{i+k}] = [tr L^{i+k+1}], so q vanishes on every nonzero eigenvalue t
@@ -117,11 +120,6 @@ def _repeat(x: int, size: int, count: int) -> int:
     return int.from_bytes(x.to_bytes(size, "little") * count, "little")
 
 
-def _slot(x: int, i: int, size: int) -> int:
-    """Slot i of size bytes of x >= 0."""
-    return (x >> 8 * size * i) & ((1 << 8 * size) - 1)
-
-
 def _slot_masks(n: int, rows, slots, count: int, size: int) -> list[int]:
     """For each u < n, all ones in the slots slots[i] with rows[i] == u."""
     M = np.zeros((n, count, size), dtype=np.uint8)
@@ -160,77 +158,119 @@ def _slot_bytes(r: int, l: int) -> int:
     return ((2 * r**l).bit_length() + 8) // 8
 
 
-def _packed_powers(
-    g: Graph, rows: list[int], count: int, lmax: int, laplacian: bool
-) -> Iterator[tuple[list[int], int]]:
-    """Yield (rows of M^l X, slot size in bytes) for l = 0..lmax; M is L or A.
+def _packed_powers(g: Graph, lmax: int, laplacian: bool) -> Iterator[tuple[list[int], int]]:
+    """Yield (rows of M^l, slot size in bytes) for l = 0..lmax; M is L or A.
 
-    Row u of X is one int with X_ui in signed slot i (bit 8 size i), entries
-    in {-1, 0, 1}, starting at one-byte slots. Entries of M^l X are at most
+    Row u of M^l is one int with (M^l)_uv in signed slot v (bit 8 size v),
+    starting from the identity in one-byte slots. Entries of M^l are at most
     r^l in absolute value, r = 2 max-degree for L and max-degree for A (the
     row-sum norm of M), so slots of k >= bitlen(2 r^l) + 1 bits hold them
-    and the difference of any two of them. Sums in between may overflow a
-    slot: the packed ints are exact, only the decoded slots need the bound.
-    When the next power needs more, the slots grow before the application,
-    to twice their size or to what power lmax needs if that is less. Row u
-    of L X is deg(u) X_u - (A X)_u, nnz(L) big-int operations in all, and
-    M^(l+1) X is computed only once the power l has been consumed.
+    and any value up to 2 r^l. Sums in between may overflow a slot: the
+    packed ints are exact, only the decoded slots need the bound. When the
+    next power needs more, the slots grow before the application, to twice
+    their size or to what power lmax needs if that is less. Row u of L^(l+1)
+    is deg(u) R_u - sum_{v ~ u} R_v for the rows R of L^l, nnz(L) big-int
+    operations on ints of n slots in all, and M^(l+1) is computed only once
+    the power l has been consumed.
     """
     r = max(g.degrees) * (1 + laplacian)
+    rows = [1 << 8 * u for u in range(g.n)]
     size = 1
     for l in range(lmax + 1):
         if l:
             need = _slot_bytes(r, l)
             if need > size:
                 new_size = min(max(need, 2 * size), _slot_bytes(r, lmax))
-                rows = _widen(rows, count, size, new_size)
+                rows = _widen(rows, g.n, size, new_size)
                 size = new_size
             sums = _neighbor_sums(rows, g.neighbors)
             rows = [d * x - s for d, x, s in zip(g.degrees, rows, sums)] if laplacian else sums
         yield rows, size
 
 
-def _edge_differences(
-    rows: list[int], plus: list[int], minus: list[int], count: int, size: int
-) -> int:
-    """Sum over e = (a, b) of (X_ae - X_be) 2^(8 size e), for packed rows of X.
+def _row_colors(g: Graph) -> list[int]:
+    """Colours of the rows u of an n x n matrix; rows of one colour need distinct slots.
 
-    plus[u] and minus[u] mask the slots e with a = u and with b = u. With
-    2^(8 size - 1) added to every slot, the masked slots are the entries
-    offset by that amount, and the offsets cancel in the difference.
+    Row u needs slot u (its diagonal entry) and the slots b > u of its edges
+    (u, b), so slot s is needed by row s and by the neighbours of s below
+    it. Rows are coloured greedily in vertex order, with the colours taken
+    at each slot kept as a bit set: a cycle takes 3 colours, K_n takes n.
     """
-    off = _repeat(1 << 8 * size - 1, size, count)
-    P = Q = 0
-    for r, p, q in zip(rows, plus, minus):
-        r += off
-        P |= r & p
-        Q |= r & q
-    return P - Q
+    taken = [0] * g.n
+    colors = []
+    for u, nb in enumerate(g.neighbors):
+        need = [u] + [v for v in nb if v > u]
+        busy = 0
+        for s in need:
+            busy |= taken[s]
+        c = (~busy & (busy + 1)).bit_length() - 1  # lowest colour not in busy
+        for s in need:
+            taken[s] |= 1 << c
+        colors.append(c)
+    return colors
+
+
+def _masked_slots(rows: list[int], masks: list[int], colors: list[int], size: int) -> np.ndarray:
+    """The slots the masks keep, plus 2^(8 size - 1), as a uint8 array.
+
+    Entry [colors[u], s] holds slot s of rows[u] for every slot s that
+    masks[u] keeps; rows of one colour keep distinct slots, so they are
+    OR-ed into one int, and one int per colour is converted to bytes.
+    Adding 2^(8 size - 1) to every signed slot of a row makes them all
+    nonnegative without a carry between slots.
+    """
+    n = len(rows)
+    off = _repeat(1 << 8 * size - 1, size, n)
+    merged = [0] * (max(colors) + 1)
+    for r, mask, c in zip(rows, masks, colors):
+        merged[c] |= (r + off) & mask
+    buf = b"".join(x.to_bytes(n * size, "little") for x in merged)
+    return np.frombuffer(buf, dtype=np.uint8).reshape(len(merged), n, size)
+
+
+def _matrix_powers(
+    g: Graph, lmax: int, laplacian: bool
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield diag(M^l) and the entries (M^l)_ab of the edges (a, b), l = 0..lmax.
+
+    M is L or A (_packed_powers). Each comes as a uint8 array of n or m
+    little-endian slots of equal size, each holding its entry plus
+    2^(8 size - 1) (_masked_slots). On top of the application of M, a power
+    costs 3n big-int operations and one conversion to bytes per colour.
+    """
+    n = g.n
+    a, b = np.transpose(g.edges)
+    vertices = np.arange(n)
+    colors = _row_colors(g)
+    col = np.array(colors)
+    diag_at, edge_at = col * n + vertices, col[a] * n + b  # rows of E.reshape(-1, size)
+    mask_size = 0
+    for rows, size in _packed_powers(g, lmax, laplacian):
+        if size != mask_size:
+            mask_size = size
+            masks = _slot_masks(
+                n, np.concatenate([vertices, a]), np.concatenate([vertices, b]), n, size
+            )
+        E = _masked_slots(rows, masks, colors, size).reshape(-1, size)
+        yield E.take(diag_at, axis=0), E.take(edge_at, axis=0)
 
 
 def _walk_stream(g: Graph, lmax: int) -> Iterator[bytes]:
     """Yield the exact walk vectors w_l = adjoint(L^l) for l = 0..lmax.
 
-    V_l = L^l B is held as packed rows (_packed_powers), so power l costs
-    one application of L. For e = (a, b), w_l(e) = z_e^T L^l z_e =
-    (V_l)_ae - (V_l)_be, which _edge_differences picks out of the rows with
-    the masks of the slots whose edge has its smaller (plus) or larger
-    (minus) end at u. Each w_l is yielded as m little-endian unsigned slots
-    of equal size (w_l >= 0: L is positive semidefinite).
+    For e = (a, b), w_l(e) = z_e^T L^l z_e = (L^l)_aa + (L^l)_bb - 2 (L^l)_ab.
+    The three entries come from _matrix_powers as m slots each, so one sum of
+    three packed ints gives w_l: the offsets cancel, and 0 <= w_l(e) <=
+    2 (2 max-degree)^l fits the slot (L is positive semidefinite). Each w_l
+    is yielded as m little-endian unsigned slots of equal size.
     """
     a, b = np.transpose(g.edges)
-    slots = np.arange(g.m)
-    B = [0] * g.n
-    for e, (u, v) in enumerate(g.edges):
-        B[u] += 1 << 8 * e
-        B[v] -= 1 << 8 * e
-    mask_size = 0
-    for rows, size in _packed_powers(g, B, g.m, lmax, laplacian=True):
-        if size != mask_size:
-            mask_size = size
-            plus = _slot_masks(g.n, a, slots, g.m, size)
-            minus = _slot_masks(g.n, b, slots, g.m, size)
-        yield _edge_differences(rows, plus, minus, g.m, size).to_bytes(g.m * size, "little")
+    for diag, upper in _matrix_powers(g, lmax, laplacian=True):
+        aa, bb, ab = (
+            int.from_bytes(x.tobytes(), "little")
+            for x in (diag.take(a, axis=0), diag.take(b, axis=0), upper)
+        )
+        yield (aa + bb - 2 * ab).to_bytes(upper.nbytes, "little")
 
 
 # Modulus of the Berlekamp-Massey run on the walk constants, a Mersenne prime.
@@ -378,41 +418,19 @@ def walk_class(g: Graph) -> WalkClassification:
     1-walk-regular additionally has (A^l)_ab constant over edges.
     Walk-biregular graphs have diag(A^l) constant on each side of the
     bipartition; the biregular tests are skipped for non-bipartite input.
-    The rows of A^l are packed into vertex slots (_packed_powers, without
-    negative entries): the masked slots u of the rows u give the diagonal,
-    and the masked slots b of the rows a give the edge entries.
+    The diagonal and the edge entries of A^l come from the same packed
+    powers as the walk stream (_matrix_powers), so each test is one
+    comparison of bytes.
     """
     parts = bipartition(g)
-    n = g.n
-    a, b = np.transpose(g.edges)
-    vertices = np.arange(n)
-    side = np.zeros(n, dtype=np.intp)
-    if parts:
-        side[list(parts[1])] = 1
-    a0, b0 = g.edges[0]
     diag_const = True
     edge_const = True
     part_const = parts is not None
-    mask_size = 0
-    identity = [1 << 8 * u for u in range(n)]
-    for rows, size in _packed_powers(g, identity, n, n - 1, laplacian=False):
-        if size != mask_size:
-            mask_size = size
-            diag_masks = _slot_masks(n, vertices, vertices, n, size)
-            upper = _slot_masks(n, a, b, n, size)  # row a, slots b > a of its edges
-            side_masks = _slot_masks(2, side, vertices, n, size)
-        D = 0
-        for r, d in zip(rows, diag_masks):
-            D |= r & d
-        diag_const = diag_const and _constant(D.to_bytes(n * size, "little"), n)
+    for diag, upper in _matrix_powers(g, g.n - 1, laplacian=False):
+        diag_const = diag_const and _constant(diag.tobytes(), g.n)
         if part_const:
-            part_const = all(
-                (D ^ _repeat(_slot(D, part[0], size), size, n)) & mask == 0
-                for part, mask in zip(parts, side_masks)
-            )
-        if edge_const:
-            C = _repeat(_slot(rows[a0], b0, size), size, n)
-            edge_const = all((r ^ C) & u == 0 for r, u in zip(rows, upper))
+            part_const = all(_constant(diag.take(p, axis=0).tobytes(), len(p)) for p in parts)
+        edge_const = edge_const and _constant(upper.tobytes(), g.m)
         if not diag_const and not part_const and not edge_const:
             break
 

@@ -85,11 +85,10 @@ def products(monkeypatch):
     return count
 
 
-# These tests keep their names from the halved stream, which took one
-# product per two powers; the packed stream takes one application per power.
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 13, 30])
 def test_full_depth_takes_half_the_products(products, n):
-    # C_n has floor(n/2) distinct nonzero eigenvalues, too many to stop early
+    # C_n has floor(n/2) distinct nonzero eigenvalues, too many to stop
+    # early: n - 1 applications of L, one per power after the first
     assert decide_edge_rigid_exact(fam.cycle_graph(n)).rigid
     assert products[0] == n - 1
 
@@ -133,14 +132,36 @@ def test_widen_keeps_signed_slots_at_their_limits():
     assert wide == [pack(r, 5) for r in rows]
 
 
-def test_edge_differences_at_the_slot_limits():
-    # the path 0 - 1 - 2 in one-byte slots: edge 0 is (0, 1), edge 1 is (1, 2)
-    X = [[127, 0], [-128, -128], [0, 127]]
-    rows = [sum(v << 8 * e for e, v in enumerate(row)) for row in X]
-    plus = [0xFF, 0xFF00, 0]
-    minus = [0, 0xFF, 0xFF00]
-    got = rigidity._edge_differences(rows, plus, minus, 2, 1)
-    assert got == (127 + 128) + ((-128 - 127) << 8)
+def test_masked_slots_at_the_slot_limits():
+    # one-byte signed slots hold -128 .. 127 and read back as x + 128
+    X = [[127, -128, -128], [-128, -1, -128], [-128, -128, 5]]
+    rows = [sum(v << 8 * s for s, v in enumerate(row)) for row in X]
+    # rows 0 and 1 share colour 0 and keep slots {0, 2} and {1}; row 2 keeps slot 2
+    masks = [0xFF00FF, 0xFF00, 0xFF0000]
+    E = rigidity._masked_slots(rows, masks, [0, 0, 1], 1)
+    assert E.shape == (2, 3, 1)
+    assert E[..., 0].tolist() == [[255, 127, 0], [0, 0, 133]]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [fam.cycle_graph(7), fam.cycle_graph(12), fam.complete_graph(6), fam.petersen_graph(),
+     fam.complete_bipartite_graph(3, 5), fam.random_tree(30, 4), hypercube(4)],
+    ids=["C7", "C12", "K6", "petersen", "K3_5", "tree30", "Q4"],
+)
+def test_row_colors_keep_the_slots_of_one_colour_apart(g):
+    # row u needs slot u and the slots b > u of its edges (u, b)
+    colors = rigidity._row_colors(g)
+    seen = set()
+    for u, nb in enumerate(g.neighbors):
+        for s in [u] + [v for v in nb if v > u]:
+            assert (colors[u], s) not in seen
+            seen.add((colors[u], s))
+
+
+def test_row_colors_count():
+    assert max(rigidity._row_colors(fam.cycle_graph(100))) == 2
+    assert max(rigidity._row_colors(fam.complete_graph(9))) == 8
 
 
 def test_proved_only_by_full_depth_or_certificate():

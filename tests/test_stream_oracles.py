@@ -147,9 +147,9 @@ def assert_decide_matches(g: Graph, walks: list[np.ndarray], P: int):
     return wc
 
 
-# keeps its name from the halved stream it first checked
 @pytest.mark.parametrize("g", [g for _, g in CASES + WIDTH_CASES], ids=[n for n, _ in CASES + WIDTH_CASES])
 def test_halved_stream_matches_dense_adjoint(g):
+    """The packed walk stream against dense adjoint(L^l) and tr L^(l+1), every power."""
     walks, powers = dense_walks(g)
     stream = list(_walk_stream(g, g.n))
     assert len(stream) == len(walks)
@@ -158,7 +158,7 @@ def test_halved_stream_matches_dense_adjoint(g):
         w = _split(raw, g.m)
         assert w == [int(x) for x in ref]
         assert sum(w) == P.trace()  # sum_e w_l(e) = tr(B^T L^l B) = tr(L^(l+1))
-        # |w_l(e)| <= 2 (2 max-degree)^l fits a signed slot of this width
+        # 0 <= w_l(e) <= 2 (2 max-degree)^l, and the slots hold signed values that large
         assert 8 * len(raw) // g.m >= (2 * r**l).bit_length() + 1
     for P in range(g.n + 1):
         wc = assert_decide_matches(g, walks, P)
