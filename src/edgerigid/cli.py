@@ -186,7 +186,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_decide(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    res = decide_edge_rigid_exact(g, max_power=args.max_power)
+    # powers past n - 1 prove nothing more, and full depth is always a proof
+    max_power = args.max_power if args.max_power is None else min(args.max_power, g.n - 1)
+    res = decide_edge_rigid_exact(g, max_power=max_power)
     if res.rigid and not res.proved:
         sys.stdout.write(f"walk constants agree through power {args.max_power} (not a proof)\n")
         return EXIT_TRUNCATED
@@ -244,7 +246,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 def cmd_embed(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     s = spectrum(laplacian(g).astype(float))
-    emb = embedding(g, s, args.eigenspace)
+    emb = embedding(s, args.eigenspace)
     csv = emb.to_csv()
     if args.output:
         Path(args.output).write_text(csv)

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, WeightVector, adjoint_apply, incidence, laplacian
+from .graphs import Graph, edge_energies, incidence, laplacian
 from .oracles import random_simplex
-from .spectral import DEFAULT_GROUP_TOL, group_eigenvalues, spectrum
+from .spectral import group_eigenvalues, spectrum
 
 VERDICT_RIGID = "rigid-within-tol"
 VERDICT_REFUTED = "refuted"
@@ -41,38 +41,8 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 # Random simplex points at which k_rigidity_profile checks the trace identity.
 TRACE_SAMPLES = 25
 
-
-@dataclass(frozen=True)
-class KyFanValue:
-    """Extreme eigenvalue sums of one weighted Laplacian."""
-
-    k: int
-    top_sum: float  # S_k: sum of the k largest eigenvalues
-    bottom_sum: float  # s_k: sum of the k smallest nontrivial eigenvalues
-    top_projector: np.ndarray
-    bottom_projector: np.ndarray
-
-
-def kyfan(g: Graph, w: WeightVector | None, k: int) -> KyFanValue:
-    """S_k, s_k and their achieving projectors, deterministic tie-breaking.
-
-    Projectors take eigenvectors in eigensolver output order (ascending
-    eigenvalues): the top projector spans the last k columns, the bottom
-    projector columns 2..k+1.
-    """
-    if not 1 <= k <= g.n - 1:
-        raise ValueError(f"k must be in 1..{g.n - 1}, got {k}")
-    L = laplacian(g, w).astype(float)
-    evals, evecs = np.linalg.eigh(L)
-    top = evecs[:, g.n - k:]
-    bottom = evecs[:, 1:k + 1]
-    return KyFanValue(
-        k=k,
-        top_sum=float(evals[g.n - k:].sum()),
-        bottom_sum=float(evals[1:k + 1].sum()),
-        top_projector=top @ top.T,
-        bottom_projector=bottom @ bottom.T,
-    )
+# An upper run also stops once its relative primal-dual gap is this small.
+GAP_TOL = 1e-9
 
 
 def _top_groups(evals: np.ndarray, k: int):
@@ -82,7 +52,7 @@ def _top_groups(evals: np.ndarray, k: int):
     gets the fractional weight (slots left) / (group size).
     """
     remaining = float(k)
-    for sl in reversed(group_eigenvalues(evals, DEFAULT_GROUP_TOL)):
+    for sl in reversed(group_eigenvalues(evals)):
         if remaining <= 0:
             return
         size = sl.stop - sl.start
@@ -105,18 +75,15 @@ def fractional_top_projector(evals: np.ndarray, evecs: np.ndarray, k: int) -> np
     return X
 
 
-def _top_energies(evals: np.ndarray, evecs: np.ndarray, ends, k: int) -> np.ndarray:
+def _top_energies(g: Graph, evals: np.ndarray, evecs: np.ndarray, k: int) -> np.ndarray:
     """adjoint(fractional_top_projector(evals, evecs, k)) in O(|E| k).
 
-    adjoint(V V^T)_e = |V_a - V_b|^2 for the edge e = ab, so the edge
-    energies come from eigenvector differences on the edge ends and no
-    n x n matrix is built.
+    The weighted sum of the edge energies of each group's eigenvectors, so
+    no n x n matrix is built.
     """
-    a, b = ends
-    energy = np.zeros(len(a))
+    energy = np.zeros(g.m)
     for sl, weight in _top_groups(evals, k):
-        D = evecs[a, sl] - evecs[b, sl]
-        energy += weight * np.einsum("ij,ij->i", D, D)
+        energy += weight * edge_energies(g, evecs[:, sl])
     return energy
 
 
@@ -177,7 +144,6 @@ def optimize(
     objective: str = "upper",
     iters: int = 5000,
     tol: float = 1e-5,
-    gap_tol: float = 1e-9,
     record_history: bool = False,
 ) -> OptimizeResult:
     """Optimize one extreme eigenvalue sum over the weight simplex.
@@ -191,7 +157,7 @@ def optimize(
     unit weights with step c / sqrt(t) on the rest of the budget. Every
     iterate costs one eigendecomposition and yields a certified dual bound.
     The run stops as soon as S_k is below S_k(1) by more than
-    tol * max(1, S_k(1)), or once the relative gap is below gap_tol.
+    tol * max(1, S_k(1)), or once the relative gap is below GAP_TOL.
     lower maximizes s_k, reduced to the upper objective at n-1-k through
     the trace identity s_k(w) + S_{n-1-k}(w) = 2|E| on the simplex.
 
@@ -206,12 +172,12 @@ def optimize(
     if iters < 1:
         raise ValueError("iters must be >= 1")
     if objective == "upper":
-        return _optimize_upper(g, k, iters, tol, gap_tol, record_history)
+        return _optimize_upper(g, k, iters, tol, record_history)
     if objective == "lower":
         if k == g.n - 1:
             up = _zero_upper(g, tol, record_history)
         else:
-            up = _optimize_upper(g, g.n - 1 - k, iters, tol, gap_tol, record_history)
+            up = _optimize_upper(g, g.n - 1 - k, iters, tol, record_history)
         return _lower_from_upper(g, k, up)
     raise ValueError(f"objective must be 'upper' or 'lower', got {objective!r}")
 
@@ -221,14 +187,12 @@ def _optimize_upper(
     k: int,
     iters: int,
     tol: float,
-    gap_tol: float,
     record_history: bool,
     unit: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> OptimizeResult:
     """Minimize S_k from unit weights; unit is eigh(L(1)) when the caller has it."""
     n, m = g.n, g.m
     B = incidence(g).astype(float)
-    ends = np.transpose(g.edges)
     w = np.ones(m)
     best_primal = math.inf
     best_dual = -math.inf
@@ -246,7 +210,7 @@ def _optimize_upper(
         else:
             evals, evecs = np.linalg.eigh((B * w) @ B.T)
         primal = float(evals[n - k:].sum())
-        gvec = _top_energies(evals, evecs, ends, k)
+        gvec = _top_energies(g, evals, evecs, k)
         dual = m * float(gvec.min())
         if t == 1:
             baseline = primal
@@ -265,7 +229,7 @@ def _optimize_upper(
             primal_hist.append(primal)
             dual_hist.append(dual)
         iterations = t
-        if best_primal - best_dual <= gap_tol * scale or best_primal < baseline - tol * scale:
+        if best_primal - best_dual <= GAP_TOL * scale or best_primal < baseline - tol * scale:
             break
         # Backtrack along d from unit weights while the predicted decrease
         # alpha |d|^2 / 2 is at least tol * scale: an Armijo point would then
@@ -345,12 +309,13 @@ def _lower_from_upper(g: Graph, k: int, up: OptimizeResult) -> OptimizeResult:
 class KCertificate:
     """Primal-dual optimality certificate for one eigenvalue level j.
 
-    X is the sum of the top j eigenprojectors of the unit Laplacian,
-    x the sum of their mean adjoint values, Y and y the matching primal
-    pair. For edge-rigid graphs all residuals vanish and |E| * x equals
-    S_{k_j}(1), certifying upper k_j-conformal rigidity; otherwise the
-    dual feasibility residual is positive because adjoint(X) is not
-    constant.
+    The dual matrix X is the projector onto the top j eigenspaces of the
+    unit Laplacian and x the sum of their mean edge energies (gammas); Y
+    and y are the matching primal pair. X and Y exist only while the
+    residuals are computed. For edge-rigid graphs all residuals vanish and
+    |E| * x equals S_{k_j}(1), certifying upper k_j-conformal rigidity;
+    otherwise the dual feasibility residual is positive because
+    adjoint(X) is not constant.
     """
 
     j: int
@@ -361,8 +326,6 @@ class KCertificate:
     residuals: dict[str, float]
     bound: float  # |E| * x
     top_eigensum: float  # S_{k_j}(1)
-    X: np.ndarray
-    Y: np.ndarray
     tol: float
 
     @property
@@ -398,21 +361,17 @@ def certificate(g: Graph, j: int, tol: float = 1e-8) -> KCertificate:
     r = s.r
     if not 1 <= j <= r - 1:
         raise IndexError(f"level j must be in 1..{r - 1}, got {j}")
-    top = range(r - j, r)
-    X = np.zeros((g.n, g.n))
-    Y = np.zeros((g.n, g.n))
+    top = slice(r - j, r)
     y = s.eigenvalues[r - j - 1]
-    gammas = []
-    k_j = 0
-    top_eigensum = 0.0
-    for i in top:
-        X += s.projectors[i]
-        Y += (s.eigenvalues[i] - y) * s.projectors[i]
-        gammas.append(float(np.mean(adjoint_apply(g, s.projectors[i]))))
-        k_j += s.multiplicities[i]
-        top_eigensum += s.eigenvalues[i] * s.multiplicities[i]
+    energies = [edge_energies(g, U) for U in s.bases[top]]
+    gammas = tuple(float(np.mean(e)) for e in energies)
     x = float(sum(gammas))
-    adj = adjoint_apply(g, X)
+    adj = sum(energies)
+    # X = U U^T and Y = U diag(lambda - y) U^T for the stacked top bases U
+    U = np.hstack(s.bases[top])
+    lam = np.repeat(s.eigenvalues[top], s.multiplicities[top])
+    X = U @ U.T
+    Y = (U * (lam - y)) @ U.T
     residuals = {
         "stationarity": float(np.linalg.norm(X @ (Y + y * np.eye(g.n) - L))),
         "projection": float(np.linalg.norm(X @ Y - Y)),
@@ -421,15 +380,13 @@ def certificate(g: Graph, j: int, tol: float = 1e-8) -> KCertificate:
     }
     return KCertificate(
         j=j,
-        k_j=k_j,
+        k_j=len(lam),
         x=x,
         y=float(y),
-        gammas=tuple(gammas),
+        gammas=gammas,
         residuals=residuals,
         bound=g.m * x,
-        top_eigensum=float(top_eigensum),
-        X=X,
-        Y=Y,
+        top_eigensum=float(lam.sum()),
         tol=tol,
     )
 
@@ -467,7 +424,6 @@ def gauge_product(
     k: int,
     iters: int = 5000,
     tol: float = 1e-5,
-    gap_tol: float = 1e-9,
 ) -> GaugeProduct:
     """Evaluate the gauge identity product S_k(1) * dual_gauge(1).
 
@@ -475,7 +431,7 @@ def gauge_product(
     its first witness, so product and product_lo then bracket the true
     value loosely; product_lo > |E| already shows that k is not rigid.
     """
-    res = optimize(g, k, "upper", iters=iters, tol=tol, gap_tol=gap_tol)
+    res = optimize(g, k, "upper", iters=iters, tol=tol)
     m = g.m
     s1 = res.baseline
     dual_gauge = m / res.best_dual if res.best_dual > 0 else math.inf
@@ -541,7 +497,6 @@ def k_rigidity_profile(
     iters: int = 5000,
     tol: float = 1e-5,
     seed: int = 0,
-    gap_tol: float = 1e-9,
 ) -> RigidityProfile:
     """Run optimize for every k and both objectives, with consistency checks.
 
@@ -555,7 +510,7 @@ def k_rigidity_profile(
     B = incidence(g).astype(float)
     unit = np.linalg.eigh(B @ B.T)
     uppers = [_zero_upper(g, tol, False)] + [
-        _optimize_upper(g, k, iters, tol, gap_tol, False, unit) for k in range(1, g.n)
+        _optimize_upper(g, k, iters, tol, False, unit) for k in range(1, g.n)
     ]
     entries = tuple(
         ProfileEntry(k, uppers[k], _lower_from_upper(g, k, uppers[g.n - 1 - k]))

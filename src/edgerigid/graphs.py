@@ -356,6 +356,20 @@ def adjoint_apply(g: Graph, X) -> np.ndarray:
     return X[a, a] + X[b, b] - 2 * X[a, b]
 
 
+def edge_energies(g: Graph, V) -> np.ndarray:
+    """adjoint(V V^T) without forming V V^T: per edge (a, b), |V_a - V_b|^2.
+
+    V is n x p, one row per vertex; for an orthonormal basis of an
+    eigenspace these are the squared edge lengths of its embedding.
+    """
+    V = np.asarray(V)
+    if V.ndim != 2 or V.shape[0] != g.n:
+        raise DimensionMismatchError(f"expected {g.n} rows, got shape {V.shape}")
+    a, b = g._edge_ends
+    D = V[a] - V[b]
+    return np.einsum("ij,ij->i", D, D)
+
+
 def incidence(g: Graph, o: Orientation | None = None) -> np.ndarray:
     """Oriented incidence matrix B with column o_e (e_a - e_b) per edge."""
     if o is None:

@@ -2,8 +2,11 @@
 
 Grouped eigendecompositions, spectral embeddings and the edge-isometry
 check, effective resistances, Kirchhoff index, spanning-tree counts and
-majorization. Everything here is numeric; the exact deciders in
-``rigidity`` are the ground truth whenever both apply.
+majorization. Each eigenspace is held as an orthonormal basis U, and
+every edge quantity is an edge energy |U_a - U_b|^2 (graphs.edge_energies),
+so no n x n projector or pseudoinverse is formed. Everything here is
+numeric; the exact deciders in ``rigidity`` are the ground truth whenever
+both apply.
 """
 
 from __future__ import annotations
@@ -19,25 +22,26 @@ from .errors import (
     LengthMismatchError,
 )
 from .exactmat import det_exact
-from .graphs import Graph, WeightVector, adjoint_apply, laplacian
+from .graphs import Graph, WeightVector, edge_energies, laplacian
 
-DEFAULT_GROUP_TOL = 1e-6
+# Consecutive eigenvalues closer than this, relative to the largest, form one group.
+GROUP_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class Spectrum:
     """Grouped eigendecomposition of a symmetric PSD matrix.
 
-    eigenvalues are the r distinct values (ascending, group means),
-    projectors the corresponding orthogonal eigenprojectors, and bases
-    orthonormal n x m_i bases of each eigenspace. evals holds all n
-    eigenvalues exactly as eigh returned them, ungrouped.
+    eigenvalues are the r distinct values (ascending, group means) and
+    bases orthonormal n x m_i bases of each eigenspace. An eigenspace is
+    its basis U: its eigenprojector U U^T is never formed, and the edge
+    energies adjoint(U U^T) come from graphs.edge_energies. evals holds all
+    n eigenvalues exactly as eigh returned them, ungrouped.
     """
 
     evals: np.ndarray
     eigenvalues: tuple[float, ...]
     multiplicities: tuple[int, ...]
-    projectors: tuple[np.ndarray, ...]
     bases: tuple[np.ndarray, ...]
     group_tol: float
 
@@ -45,14 +49,10 @@ class Spectrum:
     def r(self) -> int:
         return len(self.eigenvalues)
 
-    @property
-    def n(self) -> int:
-        return self.projectors[0].shape[0]
 
-
-def group_eigenvalues(evals: np.ndarray, group_tol: float) -> list[slice]:
+def group_eigenvalues(evals: np.ndarray) -> list[slice]:
     """Slices of consecutive (ascending) eigenvalues within the group gap."""
-    gap = group_tol * max(1.0, float(np.max(np.abs(evals))) if len(evals) else 1.0)
+    gap = GROUP_TOL * max(1.0, float(np.max(np.abs(evals))) if len(evals) else 1.0)
     slices = []
     start = 0
     for i in range(1, len(evals)):
@@ -63,34 +63,26 @@ def group_eigenvalues(evals: np.ndarray, group_tol: float) -> list[slice]:
     return slices
 
 
-def spectrum(Lw: np.ndarray, group_tol: float = DEFAULT_GROUP_TOL) -> Spectrum:
+def spectrum(Lw: np.ndarray) -> Spectrum:
     """Full symmetric eigendecomposition with eigenvalue grouping."""
     Lw = np.asarray(Lw, dtype=float)
     try:
         evals, evecs = np.linalg.eigh(Lw)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailureError(str(exc)) from exc
-    groups = group_eigenvalues(evals, group_tol)
-    values, mults, projectors, bases = [], [], [], []
-    for sl in groups:
-        V = evecs[:, sl]
-        values.append(float(np.mean(evals[sl])))
-        mults.append(V.shape[1])
-        projectors.append(V @ V.T)
-        bases.append(V)
+    groups = group_eigenvalues(evals)
     return Spectrum(
         evals=evals,
-        eigenvalues=tuple(values),
-        multiplicities=tuple(mults),
-        projectors=tuple(projectors),
-        bases=tuple(bases),
-        group_tol=group_tol,
+        eigenvalues=tuple(float(np.mean(evals[sl])) for sl in groups),
+        multiplicities=tuple(sl.stop - sl.start for sl in groups),
+        bases=tuple(evecs[:, sl] for sl in groups),
+        group_tol=GROUP_TOL,
     )
 
 
 @dataclass(frozen=True)
 class IsometryCheck:
-    """Per nontrivial eigenspace: mean adjoint value and whether it is constant."""
+    """Per nontrivial eigenspace: mean edge energy and whether it is constant."""
 
     gammas: tuple[float, ...]
     constant: tuple[bool, ...]
@@ -112,21 +104,17 @@ class IsometryCheck:
 
 
 def edge_isometry_check(g: Graph, s: Spectrum, tol: float = 1e-8) -> IsometryCheck:
-    """Check adjoint(E_i) for constancy on every nontrivial eigenspace.
+    """Check the edge energies adjoint(E_i) of every nontrivial eigenspace for constancy.
 
-    An eigenspace passes when max - min of its adjoint vector is at most
+    An eigenspace passes when max - min of its edge energies is at most
     tol * max(1, mean); gamma_i is the mean. The overall verdict (every
     eigenspace constant) is the floating-point edge-rigidity test.
     """
-    gammas, constant, spreads = [], [], []
-    for i in range(1, s.r):
-        vec = adjoint_apply(g, s.projectors[i])
-        mean = float(np.mean(vec))
-        spread = float(np.max(vec) - np.min(vec))
-        gammas.append(mean)
-        spreads.append(spread)
-        constant.append(spread <= tol * max(1.0, mean))
-    return IsometryCheck(tuple(gammas), tuple(constant), tuple(spreads), tol)
+    energies = [edge_energies(g, U) for U in s.bases[1:]]
+    gammas = tuple(float(np.mean(vec)) for vec in energies)
+    spreads = tuple(float(np.max(vec) - np.min(vec)) for vec in energies)
+    constant = tuple(spread <= tol * max(1.0, mean) for mean, spread in zip(gammas, spreads))
+    return IsometryCheck(gammas, constant, spreads, tol)
 
 
 @dataclass(frozen=True)
@@ -148,20 +136,16 @@ class Embedding:
         return "\n".join(rows) + "\n"
 
 
-def embedding(g: Graph, s: Spectrum, i: int) -> Embedding:
+def embedding(s: Spectrum, i: int) -> Embedding:
     """Rows of an orthonormal eigenbasis of the i-th eigenvalue group.
 
     i is 1-based with 2 <= i <= r (the trivial kernel group is excluded).
-    The squared edge lengths of the embedding equal adjoint(E_i).
+    The squared edge lengths of the embedding are edge_energies of the
+    basis, adjoint(E_i).
     """
     if not 2 <= i <= s.r:
         raise IndexError(f"eigenspace index {i} out of range 2..{s.r}")
-    U = s.bases[i - 1]
-    lengths = np.sum((U[[a for a, _ in g.edges]] - U[[b for _, b in g.edges]]) ** 2, axis=1)
-    target = adjoint_apply(g, s.projectors[i - 1])
-    if np.max(np.abs(lengths - target)) > 1e-8 * max(1.0, float(np.max(np.abs(target)))):
-        raise ConvergenceFailureError("embedding lengths disagree with projector adjoint")
-    return Embedding(index=i, coordinates=U)
+    return Embedding(index=i, coordinates=s.bases[i - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +162,14 @@ def resistances_from_eigh(
 ) -> np.ndarray:
     """Per-edge effective resistance z_e^T L(w)^+ z_e from the eigh of L(w).
 
-    The pseudoinverse is taken on the complement of the known kernel
-    (the first eigenvector), never by generic singular-value thresholding.
+    L(w)^+ = V V^T for V = U / sqrt(lambda) on the complement of the known
+    kernel (the first eigenvector), never by generic singular-value
+    thresholding, so the resistances are the edge energies of V and no
+    n x n pseudoinverse is built.
     """
     if not _connected(evals, tol):
         raise DisconnectingWeightsError("weights disconnect the graph (rank < n - 1)")
-    pinv = (evecs[:, 1:] / evals[1:]) @ evecs[:, 1:].T
-    return adjoint_apply(g, pinv)
+    return edge_energies(g, evecs[:, 1:] / np.sqrt(evals[1:]))
 
 
 def effective_resistances(g: Graph, w: WeightVector | None = None, tol: float = 1e-9) -> np.ndarray:

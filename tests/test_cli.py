@@ -1,5 +1,6 @@
 import argparse
 import json
+import time
 
 import pytest
 
@@ -99,6 +100,19 @@ def test_decide_certificate_within_max_power_is_a_proof(graph_file, capsys):
     cycle = graph_file(fam.cycle_graph(12), "c12.txt")
     code, out, _ = run(["decide", cycle, "--max-power", "5"], capsys)
     assert (code, out) == (3, "walk constants agree through power 5 (not a proof)\n")
+
+
+def test_decide_max_power_past_n_minus_1_is_full_depth(graph_file, capsys):
+    # powers past n - 1 prove nothing more, so a huge P costs what P = n - 1 does
+    cycle = graph_file(fam.cycle_graph(8), "c8.txt")
+    t0 = time.perf_counter()
+    code, out, _ = run(["decide", cycle, "--max-power", str(10**9)], capsys)
+    assert (code, out) == (0, "edge-rigid\n")
+    assert time.perf_counter() - t0 < 5
+    path = graph_file(fam.path_graph(4), "p4.txt")
+    expected = run(["decide", path], capsys)
+    assert expected[0] == 1
+    assert run(["decide", path, "--max-power", str(10**9)], capsys) == expected
 
 
 def test_decide_negative_max_power_exits_2(graph_file, capsys):

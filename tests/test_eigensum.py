@@ -13,59 +13,41 @@ from edgerigid.eigensum import (
     fractional_top_projector,
     gauge_product,
     k_rigidity_profile,
-    kyfan,
     optimize,
 )
-from edgerigid.graphs import WeightVector, adjoint_apply, incidence, laplacian
+from edgerigid.graphs import WeightVector, adjoint_apply, edge_energies, incidence, laplacian
 from edgerigid.oracles import random_simplex
 from edgerigid.rigidity import decide_edge_rigid_exact
 
 
 def eigensums(g, w, k):
-    """Direct eigencomputation of (S_k, s_k), independent of kyfan internals."""
+    """Direct eigencomputation of (S_k, s_k), independent of eigensum internals."""
     evals = np.linalg.eigvalsh(laplacian(g, w))
     return float(evals[g.n - k:].sum()), float(evals[1:k + 1].sum())
 
 
 # ---------------------------------------------------------------------------
-# kyfan
+# Ky Fan sums
 # ---------------------------------------------------------------------------
-
-def test_kyfan_k4():
-    kv = kyfan(fam.complete_graph(4), None, 2)
-    assert abs(kv.top_sum - 8) < 1e-9
-    assert abs(kv.bottom_sum - 8) < 1e-9
-
-
-def test_kyfan_c4():
-    kv = kyfan(fam.cycle_graph(4), None, 1)
-    assert abs(kv.top_sum - 4) < 1e-9
-    assert abs(kv.bottom_sum - 2) < 1e-9
-
 
 def test_kyfan_full_range_is_trace(corpus_case):
     _, g, _ = corpus_case
-    kv = kyfan(g, None, g.n - 1)
-    assert abs(kv.top_sum - 2 * g.m) < 1e-9
-    assert abs(kv.bottom_sum - 2 * g.m) < 1e-9
-
-
-def test_kyfan_k_range_checked():
-    with pytest.raises(ValueError):
-        kyfan(fam.complete_graph(4), None, 0)
-    with pytest.raises(ValueError):
-        kyfan(fam.complete_graph(4), None, 4)
+    w = random_simplex(g.m, seed=4, count=1)[0]
+    for weights in (None, w):
+        S_k, s_k = eigensums(g, weights, g.n - 1)
+        assert abs(S_k - 2 * g.m) < 1e-9
+        assert abs(s_k - 2 * g.m) < 1e-9
 
 
 def test_kyfan_projector_properties(corpus_case):
     _, g, _ = corpus_case
+    evals, evecs = np.linalg.eigh(laplacian(g).astype(float))
     for k in (1, g.n - 1):
-        kv = kyfan(g, None, k)
-        for P in (kv.top_projector, kv.bottom_projector):
-            assert abs(np.trace(P) - k) < 1e-9
-            evals = np.linalg.eigvalsh(P)
-            assert evals.min() > -1e-9 and evals.max() < 1 + 1e-9
-        assert np.linalg.norm(kv.bottom_projector @ np.ones(g.n)) < 1e-8
+        X = fractional_top_projector(evals, evecs, k)
+        assert abs(np.trace(X) - k) < 1e-9
+        xe = np.linalg.eigvalsh(X)
+        assert xe.min() > -1e-9 and xe.max() < 1 + 1e-9
+        assert np.linalg.norm(X @ np.ones(g.n)) < 1e-8
 
 
 def test_kyfan_trace_identity(corpus_case):
@@ -80,7 +62,7 @@ def test_kyfan_trace_identity(corpus_case):
 def test_kyfan_monotone_in_k(corpus_case):
     _, g, _ = corpus_case
     w = random_simplex(g.m, seed=13, count=1)[0]
-    tops = [kyfan(g, w, k).top_sum for k in range(1, g.n)]
+    tops = [eigensums(g, w, k)[0] for k in range(1, g.n)]
     assert all(a <= b + 1e-12 for a, b in zip(tops, tops[1:]))
 
 
@@ -118,6 +100,10 @@ def test_optimize_k4_upper():
     assert abs(res.best_primal - 4) < 1e-9
     assert abs(res.best_dual - 4) < 1e-8
     assert res.gap >= 0
+    # S_k and s_k at unit weights: K4 at k = 2, C4 at k = 1
+    for g, k, top, bottom in ((fam.complete_graph(4), 2, 8, 8), (fam.cycle_graph(4), 1, 4, 2)):
+        assert abs(optimize(g, k, "upper").baseline - top) < 1e-9
+        assert abs(optimize(g, k, "lower").baseline - bottom) < 1e-9
 
 
 def test_optimize_trivial_top_k(corpus_case):
@@ -195,11 +181,14 @@ def test_optimize_rejects_bad_arguments():
         optimize(g, 0, "upper")
     with pytest.raises(ValueError):
         optimize(g, 1, "sideways")
+    for objective in ("upper", "lower"):
+        with pytest.raises(ValueError):
+            optimize(g, g.n, objective)
 
 
 def test_optimize_budget_is_inconclusive_not_crash():
     # one iteration and an absurd tolerance cannot certify or refute
-    res = optimize(fam.path_graph(4), 1, "upper", iters=1, tol=1e-14, gap_tol=0.0)
+    res = optimize(fam.path_graph(4), 1, "upper", iters=1, tol=1e-14)
     assert res.verdict == "inconclusive"
 
 
@@ -310,12 +299,12 @@ def test_profile_interpolation_on_rigid_graph():
     ids=["P2", "P3", "P7", "C7", "K5", "petersen", "tree6", "tree8", "tree9"],
 )
 def test_profile_equals_standalone_runs(g):
-    tol, seed, gap_tol = 1e-5, 3, 1e-9
-    prof = k_rigidity_profile(g, iters=1500, tol=tol, seed=seed, gap_tol=gap_tol)
+    tol, seed = 1e-5, 3
+    prof = k_rigidity_profile(g, iters=1500, tol=tol, seed=seed)
     assert [e.k for e in prof.entries] == list(range(1, g.n))
     for e in prof.entries:
         for objective, res in (("upper", e.upper), ("lower", e.lower)):
-            alone = optimize(g, e.k, objective, iters=1500, tol=tol, gap_tol=gap_tol)
+            alone = optimize(g, e.k, objective, iters=1500, tol=tol)
             assert res.to_dict() == alone.to_dict(), (e.k, objective)
 
 
@@ -423,11 +412,15 @@ def test_profile_shares_the_unit_spectrum(eigh_calls):
 def test_edge_energies_equal_projector_adjoint(corpus_case):
     _, g, _ = corpus_case
     evals, evecs = np.linalg.eigh(laplacian(g).astype(float))
-    ends = np.transpose(g.edges)
     for k in range(1, g.n):
         X = fractional_top_projector(evals, evecs, k)
-        energy = eigensum._top_energies(evals, evecs, ends, k)
+        energy = eigensum._top_energies(g, evals, evecs, k)
         assert np.max(np.abs(energy - adjoint_apply(g, X))) <= 1e-12, k
+    rng = np.random.default_rng(5)
+    for p in (1, 3, g.n):
+        V = rng.normal(size=(g.n, p))
+        ref = adjoint_apply(g, V @ V.T)
+        assert np.max(np.abs(edge_energies(g, V) - ref)) <= 1e-12 * max(1.0, float(ref.max()))
 
 
 SEEDED = {f"tree{n}-{s}": fam.random_tree(n, seed=s) for n in (6, 9, 12, 16) for s in range(3)}

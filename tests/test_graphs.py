@@ -17,6 +17,7 @@ from edgerigid.graphs import (
     adjoint_apply,
     bipartition,
     degree_classification,
+    edge_energies,
     incidence,
     laplacian,
     parse_edge_list,
@@ -197,6 +198,10 @@ def test_adjoint_of_laplacian_k3():
 def test_adjoint_shape_checked():
     with pytest.raises(DimensionMismatchError):
         adjoint_apply(fam.complete_graph(3), np.eye(4))
+    with pytest.raises(DimensionMismatchError):
+        edge_energies(fam.complete_graph(3), np.eye(4))
+    with pytest.raises(DimensionMismatchError):
+        edge_energies(fam.complete_graph(3), np.ones(3))
 
 
 def test_adjointness_property(corpus_case):

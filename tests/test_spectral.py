@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,15 +53,34 @@ def test_spectrum_invariants(corpus_case):
     s = unit_spectrum(g)
     n = g.n
     assert sum(s.multiplicities) == n
-    total = sum(s.projectors)
+    assert [U.shape for U in s.bases] == [(n, mult) for mult in s.multiplicities]
+    projectors = [U @ U.T for U in s.bases]
+    total = sum(projectors)
     assert np.linalg.norm(total - np.eye(n)) < 1e-8 * math.sqrt(n)
     for i in range(s.r):
         for j in range(i + 1, s.r):
-            assert np.linalg.norm(s.projectors[i] @ s.projectors[j]) < 1e-8
-    rebuilt = sum(v * P for v, P in zip(s.eigenvalues, s.projectors))
+            assert np.linalg.norm(projectors[i] @ projectors[j]) < 1e-8
+    rebuilt = sum(v * P for v, P in zip(s.eigenvalues, projectors))
     assert np.linalg.norm(rebuilt - L) < 1e-8
     assert abs(s.eigenvalues[0]) < 1e-9
-    assert np.linalg.norm(s.projectors[0] - np.ones((n, n)) / n) < 1e-8
+    assert np.linalg.norm(projectors[0] - np.ones((n, n)) / n) < 1e-8
+
+
+def test_spectrum_holds_only_its_bases():
+    # eigenspaces are kept as bases: n eigenvalues and n^2 basis entries,
+    # not one n x n projector per eigenvalue group
+    L = laplacian(fam.cycle_graph(200)).astype(float)
+    n = 200
+    tracemalloc.start()
+    try:
+        s = spectrum(L)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s.r == 101
+    assert sum(a.nbytes for a in (s.evals, *s.bases)) <= (n * n + n) * 8
+    # what else is held is Python objects: the tuples and the basis views
+    assert held <= (n * n + n) * 8 + 64 * 1024
 
 
 def test_trace_identity(corpus_case):
@@ -111,7 +131,7 @@ def test_float_verdict_matches_exact(corpus_case):
 
 def test_embedding_c4_middle_eigenspace():
     g = fam.cycle_graph(4)
-    emb = embedding(g, unit_spectrum(g), 2)  # eigenvalue 2
+    emb = embedding(unit_spectrum(g), 2)  # eigenvalue 2
     assert emb.coordinates.shape == (4, 2)
     for a, b in g.edges:
         d2 = np.sum((emb.coordinates[a] - emb.coordinates[b]) ** 2)
@@ -122,7 +142,7 @@ def test_embedding_properties(rigid_graph):
     g = rigid_graph
     s = unit_spectrum(g)
     for i in range(2, s.r + 1):
-        emb = embedding(g, s, i)
+        emb = embedding(s, i)
         U = emb.coordinates
         assert np.linalg.norm(U.sum(axis=0)) < 1e-9  # centered
         assert np.linalg.norm(U.T @ U - np.eye(emb.dimension)) < 1e-9
@@ -134,9 +154,9 @@ def test_embedding_index_checked():
     g = fam.complete_graph(4)
     s = unit_spectrum(g)
     with pytest.raises(IndexError):
-        embedding(g, s, 1)
+        embedding(s, 1)
     with pytest.raises(IndexError):
-        embedding(g, s, s.r + 1)
+        embedding(s, s.r + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +175,16 @@ def test_resistances_c4():
 def test_foster_identity(corpus_case):
     _, g, _ = corpus_case
     assert abs(effective_resistances(g).sum() - (g.n - 1)) < 1e-9
+
+
+def test_resistances_equal_pseudoinverse_adjoint(corpus_case):
+    # the edge energies of U / sqrt(lambda) are adjoint(L^+)
+    _, g, _ = corpus_case
+    w = random_simplex(g.m, seed=2, count=1)[0]
+    evals, evecs = np.linalg.eigh(laplacian(g, w).astype(float))
+    pinv = (evecs[:, 1:] / evals[1:]) @ evecs[:, 1:].T
+    ref = adjoint_apply(g, pinv)
+    assert np.max(np.abs(effective_resistances(g, w) - ref)) <= 1e-10 * max(1.0, float(ref.max()))
 
 
 def test_resistances_disconnecting_weights():
