@@ -30,6 +30,29 @@ def eigensums(g, w, k):
 # Ky Fan sums
 # ---------------------------------------------------------------------------
 
+def test_kyfan_k4():
+    # S_2 and s_2 at unit weights, as eigensums and as the optimizer's baselines
+    g = fam.complete_graph(4)
+    assert np.allclose(eigensums(g, None, 2), (8, 8), atol=1e-9)
+    assert abs(optimize(g, 2, "upper").baseline - 8) < 1e-9
+    assert abs(optimize(g, 2, "lower").baseline - 8) < 1e-9
+
+
+def test_kyfan_c4():
+    g = fam.cycle_graph(4)
+    assert np.allclose(eigensums(g, None, 1), (4, 2), atol=1e-9)
+    assert abs(optimize(g, 1, "upper").baseline - 4) < 1e-9
+    assert abs(optimize(g, 1, "lower").baseline - 2) < 1e-9
+
+
+def test_kyfan_k_range_checked():
+    g = fam.complete_graph(4)
+    for objective in ("upper", "lower"):
+        for k in (0, g.n):
+            with pytest.raises(ValueError):
+                optimize(g, k, objective)
+
+
 def test_kyfan_full_range_is_trace(corpus_case):
     _, g, _ = corpus_case
     w = random_simplex(g.m, seed=4, count=1)[0]
@@ -100,10 +123,6 @@ def test_optimize_k4_upper():
     assert abs(res.best_primal - 4) < 1e-9
     assert abs(res.best_dual - 4) < 1e-8
     assert res.gap >= 0
-    # S_k and s_k at unit weights: K4 at k = 2, C4 at k = 1
-    for g, k, top, bottom in ((fam.complete_graph(4), 2, 8, 8), (fam.cycle_graph(4), 1, 4, 2)):
-        assert abs(optimize(g, k, "upper").baseline - top) < 1e-9
-        assert abs(optimize(g, k, "lower").baseline - bottom) < 1e-9
 
 
 def test_optimize_trivial_top_k(corpus_case):
@@ -181,9 +200,6 @@ def test_optimize_rejects_bad_arguments():
         optimize(g, 0, "upper")
     with pytest.raises(ValueError):
         optimize(g, 1, "sideways")
-    for objective in ("upper", "lower"):
-        with pytest.raises(ValueError):
-            optimize(g, g.n, objective)
 
 
 def test_optimize_budget_is_inconclusive_not_crash():
