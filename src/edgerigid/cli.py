@@ -35,6 +35,7 @@ from .errors import EdgeRigidError
 from .graphs import Graph, WeightVector, laplacian, parse_graph
 from .rigidity import decide_edge_rigid_exact, full_report
 from .spectral import (
+    check_tol,
     embedding,
     kirchhoff_from_eigenvalues,
     kirchhoff_index,
@@ -49,6 +50,22 @@ EXIT_OK = 0
 EXIT_NOT_RIGID = 1
 EXIT_ERROR = 2
 EXIT_TRUNCATED = 3
+
+
+def _tol(text: str) -> float:
+    """argparse type of --tol: a finite float > 0."""
+    try:
+        return check_tol(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _seed(text: str) -> int:
+    """argparse type of --seed: an integer >= 0."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,7 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=["text", "json"], default="text")
             p.add_argument("--output", default=None, help="write results here instead of stdout")
         if tol is not None:
-            p.add_argument("--tol", type=float, default=tol, help=f"tolerance (default {tol:g})")
+            p.add_argument(
+                "--tol", type=_tol, default=tol, help=f"tolerance, finite and > 0 (default {tol:g})"
+            )
 
     p = sub.add_parser("analyze", help="full rigidity report with spectral invariants")
     add_common(p, tol=1e-8)
@@ -93,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="optimize for every k and both objectives")
     add_common(p, tol=1e-5)
-    p.add_argument("--seed", type=int, default=0, help="seed of the trace-identity samples")
+    p.add_argument("--seed", type=_seed, default=0, help="seed (>= 0) of the trace-identity samples")
     p.add_argument("--iters", type=int, default=5000)
 
     p = sub.add_parser("certify", help="primal-dual certificate at one level")

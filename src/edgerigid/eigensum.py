@@ -21,18 +21,26 @@ At eigenvalue crossings the top-k slot is filled group by group, splitting
 the boundary eigenspace fractionally (X gains (t/mult) * E_boundary). The
 fractional choice is what makes the dual bound tight for rigid graphs at
 every k, not just at multiplicity boundaries, and it is deterministic.
+
+At unit weights every k fills its top slots from the same r eigenvalue
+groups of L(1). So k_rigidity_profile computes each group's edge energies
+once, and each of its n - 1 runs takes g_1 from a running sum of them. On
+an edge-rigid graph every run stops there: the whole profile costs one
+eigh of L(1), r edge-energy passes and the TRACE_SAMPLES eigvalsh of its
+trace-identity check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .graphs import Graph, edge_energies, incidence, laplacian
 from .oracles import random_simplex
-from .spectral import group_eigenvalues, spectrum
+from .spectral import check_tol, group_eigenvalues, spectrum
 
 VERDICT_RIGID = "rigid-within-tol"
 VERDICT_REFUTED = "refuted"
@@ -45,14 +53,15 @@ TRACE_SAMPLES = 25
 GAP_TOL = 1e-9
 
 
-def _top_groups(evals: np.ndarray, k: int):
+def _top_groups(groups: list[slice], k: int):
     """(slice, weight) of each eigenvalue group that fills the top k slots.
 
-    Groups are taken from the top; the first one that does not fit entirely
-    gets the fractional weight (slots left) / (group size).
+    groups are the ascending group slices of group_eigenvalues. They are
+    taken from the top; the first one that does not fit entirely gets the
+    fractional weight (slots left) / (group size).
     """
     remaining = float(k)
-    for sl in reversed(group_eigenvalues(evals)):
+    for sl in reversed(groups):
         if remaining <= 0:
             return
         size = sl.stop - sl.start
@@ -69,7 +78,7 @@ def fractional_top_projector(evals: np.ndarray, evecs: np.ndarray, k: int) -> np
     """
     n = len(evals)
     X = np.zeros((n, n))
-    for sl, weight in _top_groups(evals, k):
+    for sl, weight in _top_groups(group_eigenvalues(evals), k):
         V = evecs[:, sl]
         X += weight * (V @ V.T)
     return X
@@ -82,7 +91,7 @@ def _top_energies(g: Graph, evals: np.ndarray, evecs: np.ndarray, k: int) -> np.
     no n x n matrix is built.
     """
     energy = np.zeros(g.m)
-    for sl, weight in _top_groups(evals, k):
+    for sl, weight in _top_groups(group_eigenvalues(evals), k):
         energy += weight * edge_energies(g, evecs[:, sl])
     return energy
 
@@ -165,34 +174,41 @@ def optimize(
     optimal to relative tol; refuted when a w better by more than tol was
     found (best_w, a checkable witness); inconclusive when the iteration
     budget ran out before either. A spent budget is a verdict, never an
-    exception.
+    exception. tol must be finite and > 0.
     """
     if not 1 <= k <= g.n - 1:
         raise ValueError(f"k must be in 1..{g.n - 1}, got {k}")
     if iters < 1:
         raise ValueError("iters must be >= 1")
+    check_tol(tol)
+    if objective not in ("upper", "lower"):
+        raise ValueError(f"objective must be 'upper' or 'lower', got {objective!r}")
+    if objective == "lower" and k == g.n - 1:
+        return _lower_from_upper(g, k, _zero_upper(g, tol, record_history))
+    B = incidence(g).astype(float)
     if objective == "upper":
-        return _optimize_upper(g, k, iters, tol, record_history)
-    if objective == "lower":
-        if k == g.n - 1:
-            up = _zero_upper(g, tol, record_history)
-        else:
-            up = _optimize_upper(g, g.n - 1 - k, iters, tol, record_history)
-        return _lower_from_upper(g, k, up)
-    raise ValueError(f"objective must be 'upper' or 'lower', got {objective!r}")
+        return _optimize_upper(g, B, k, iters, tol, record_history)
+    return _lower_from_upper(
+        g, k, _optimize_upper(g, B, g.n - 1 - k, iters, tol, record_history)
+    )
 
 
 def _optimize_upper(
     g: Graph,
+    B: np.ndarray,
     k: int,
     iters: int,
     tol: float,
     record_history: bool,
     unit: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> OptimizeResult:
-    """Minimize S_k from unit weights; unit is eigh(L(1)) when the caller has it."""
+    """Minimize S_k from unit weights; B is the float incidence matrix of g.
+
+    unit is (evals, g_1) when the caller has the first iterate: the
+    eigenvalues of L(1) and the edge energies adjoint(X_1) of its top k
+    slots, equal to _top_energies(g, evals, evecs, k).
+    """
     n, m = g.n, g.m
-    B = incidence(g).astype(float)
     w = np.ones(m)
     best_primal = math.inf
     best_dual = -math.inf
@@ -206,11 +222,11 @@ def _optimize_upper(
 
     for t in range(1, iters + 1):
         if t == 1 and unit is not None:
-            evals, evecs = unit
+            evals, gvec = unit
         else:
             evals, evecs = np.linalg.eigh((B * w) @ B.T)
+            gvec = _top_energies(g, evals, evecs, k)
         primal = float(evals[n - k:].sum())
-        gvec = _top_energies(g, evals, evecs, k)
         dual = m * float(gvec.min())
         if t == 1:
             baseline = primal
@@ -354,8 +370,10 @@ def certificate(g: Graph, j: int, tol: float = 1e-8) -> KCertificate:
     complementarity at unit weights) are identities of the spectral
     decomposition; the discriminating quantity is dual feasibility
     adjoint(X) >= x * 1, which fails exactly on non-rigid graphs. Failure
-    is reported through the residuals, not raised.
+    is reported through the residuals, not raised. tol must be finite
+    and > 0.
     """
+    check_tol(tol)
     L = laplacian(g).astype(float)
     s = spectrum(L)
     r = s.r
@@ -503,27 +521,42 @@ def k_rigidity_profile(
     Each of the n-1 upper runs is made once: the lower entry at k reuses
     the upper run at n-1-k through the trace identity s_k + S_{n-1-k} = 2|E|,
     exactly as optimize(g, k, "lower") would compute it. The runs share
-    one eigendecomposition of L(1), their common first iterate.
+    their first iterate: one eigendecomposition of L(1) and one edge-energy
+    pass per eigenvalue group. g_1 at k is the running sum of the group
+    energies from the top plus the fractional boundary group, the same
+    additions in the same order as _top_energies, so each run is
+    bit-identical to a standalone one, and one that stops at unit weights
+    costs O(|E|) more. The trace identity is checked for every k at once
+    at TRACE_SAMPLES random weight vectors drawn from seed, one eigvalsh
+    each. tol must be finite and > 0, seed >= 0.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
+    check_tol(tol)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    n, m = g.n, g.m
     B = incidence(g).astype(float)
-    unit = np.linalg.eigh(B @ B.T)
-    uppers = [_zero_upper(g, tol, False)] + [
-        _optimize_upper(g, k, iters, tol, False, unit) for k in range(1, g.n)
-    ]
+    evals, evecs = np.linalg.eigh(B @ B.T)
+    groups = group_eigenvalues(evals)
+    energies = [edge_energies(g, evecs[:, sl]) for sl in reversed(groups)]
+    # summed[j] = 0 + the energies of the top j groups, added as _top_energies adds them
+    summed = list(accumulate(energies, initial=np.zeros(m)))
+    uppers = [_zero_upper(g, tol, False)]
+    for k in range(1, n):
+        *full, (_, weight) = _top_groups(groups, k)
+        g1 = summed[len(full)] + weight * energies[len(full)]
+        uppers.append(_optimize_upper(g, B, k, iters, tol, False, (evals, g1)))
     entries = tuple(
-        ProfileEntry(k, uppers[k], _lower_from_upper(g, k, uppers[g.n - 1 - k]))
-        for k in range(1, g.n)
+        ProfileEntry(k, uppers[k], _lower_from_upper(g, k, uppers[n - 1 - k]))
+        for k in range(1, n)
     )
     residual = 0.0
-    n, m = g.n, g.m
     for w in random_simplex(m, seed=seed, count=TRACE_SAMPLES):
-        evals = np.linalg.eigvalsh(laplacian(g, w))
-        for k in range(1, n - 1):
-            s_small = float(evals[1:n - k].sum())  # s_{n-1-k}(w)
-            s_top = float(evals[n - k:].sum())  # S_k(w)
-            residual = max(residual, abs(s_small + s_top - 2.0 * m))
+        x = np.linalg.eigvalsh(laplacian(g, w))[1:]
+        # s_{n-1-k}(w) + S_k(w) for k = 1..n-2
+        sums = np.cumsum(x)[:n - 2][::-1] + np.cumsum(x[::-1])[:n - 2]
+        residual = max(residual, float(np.max(np.abs(sums - 2.0 * m), initial=0.0)))
     return RigidityProfile(
         entries=entries,
         seed=seed,

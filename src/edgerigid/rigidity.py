@@ -59,7 +59,7 @@ from .graphs import (
     laplacian,
     signed_line_graph,
 )
-from .spectral import IsometryCheck, Spectrum, edge_isometry_check, spectrum
+from .spectral import IsometryCheck, Spectrum, check_tol, edge_isometry_check, spectrum
 
 WALK_LABELS = (
     "1-walk-regular",
@@ -501,8 +501,10 @@ def full_report(g: Graph, tol: float = 1e-8) -> RigidityReport:
     The walk stream is computed once, at full depth; the walk criterion,
     the cospectrality classes and the signed-line-graph verdict all come
     from it. All five verdicts must agree or InternalInconsistencyError is
-    raised.
+    raised. tol, the float embedding test's tolerance, must be finite and
+    > 0.
     """
+    check_tol(tol)
     walks = list(_walk_stream(g, g.n - 1))
     wc = _walk_criterion(g, walks)
     classes = _profile_classes(g, walks)

@@ -28,6 +28,17 @@ from .graphs import Graph, WeightVector, edge_energies, laplacian
 GROUP_TOL = 1e-6
 
 
+def check_tol(tol: float) -> float:
+    """tol if it is finite and > 0, else ValueError.
+
+    A negative tolerance fails every check, an infinite one passes every
+    check and NaN fails every comparison, so none of them gives a verdict.
+    """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    return tol
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Grouped eigendecomposition of a symmetric PSD matrix.

@@ -172,6 +172,37 @@ def test_profile_p4(graph_file, capsys):
     assert payload["refuted"]
 
 
+TOL_COMMANDS = {
+    "analyze": [],
+    "optimize": ["--k", "1"],
+    "profile": [],
+    "certify": ["--j", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(TOL_COMMANDS))
+@pytest.mark.parametrize("tol", ["-1", "0", "inf", "nan"])
+def test_bad_tol_is_a_usage_error(graph_file, capsys, command, tol):
+    # -1 would refute every k of the rigid C4, inf certify any graph, nan decide nothing
+    path = graph_file(fam.cycle_graph(4))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, path, *TOL_COMMANDS[command], "--tol", tol])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--tol" in out.err
+
+
+def test_negative_seed_is_a_usage_error(graph_file, capsys):
+    path = graph_file(fam.path_graph(4))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["profile", path, "--seed", "-1"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--seed" in out.err
+
+
 def test_embed_csv(graph_file, tmp_path, capsys):
     path = graph_file(fam.cycle_graph(4))
     out_path = tmp_path / "emb.csv"

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import CORPUS, hypercube
+
 from edgerigid import eigensum
 from edgerigid import families as fam
 from edgerigid.eigensum import (
@@ -202,6 +204,24 @@ def test_optimize_rejects_bad_arguments():
         optimize(g, 1, "sideways")
 
 
+BAD_TOLS = [-1.0, 0.0, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_bad_tol_is_rejected(tol):
+    # a tol <= 0 refutes rigid graphs, inf certifies anything, NaN decides nothing
+    g = fam.cycle_graph(4)
+    for objective in ("upper", "lower"):
+        with pytest.raises(ValueError, match="tol"):
+            optimize(g, 1, objective, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        k_rigidity_profile(g, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        certificate(g, 1, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        gauge_product(g, 1, tol=tol)
+
+
 def test_optimize_budget_is_inconclusive_not_crash():
     # one iteration and an absurd tolerance cannot certify or refute
     res = optimize(fam.path_graph(4), 1, "upper", iters=1, tol=1e-14)
@@ -311,8 +331,13 @@ def test_profile_interpolation_on_rigid_graph():
         fam.random_tree(6, seed=3),
         fam.random_tree(8, seed=5),
         fam.random_tree(9, seed=7),
+        # repeated eigenvalues: the boundary group is split at some k
+        hypercube(4),
+        fam.complete_bipartite_graph(3, 3),
+        fam.circulant_graph(12, (1, 2)),
     ],
-    ids=["P2", "P3", "P7", "C7", "K5", "petersen", "tree6", "tree8", "tree9"],
+    ids=["P2", "P3", "P7", "C7", "K5", "petersen", "tree6", "tree8", "tree9", "Q4", "K3_3",
+         "C12-1-2"],
 )
 def test_profile_equals_standalone_runs(g):
     tol, seed = 1e-5, 3
@@ -343,6 +368,52 @@ def test_profile_runs_each_upper_once(upper_runs, n):
     prof = k_rigidity_profile(fam.path_graph(n), iters=20)
     assert len(prof.entries) == n - 1
     assert upper_runs[0] == n - 1
+
+
+def test_profile_rejects_a_negative_seed_before_any_run(upper_runs):
+    with pytest.raises(ValueError, match="seed"):
+        k_rigidity_profile(fam.path_graph(6), seed=-1)
+    assert upper_runs[0] == 0
+
+
+@pytest.fixture
+def energy_calls(monkeypatch):
+    """Count the edge_energies calls eigensum makes."""
+    count = [0]
+    energies = eigensum.edge_energies
+
+    def counted(*args):
+        count[0] += 1
+        return energies(*args)
+
+    monkeypatch.setattr(eigensum, "edge_energies", counted)
+    return count
+
+
+@pytest.mark.parametrize(
+    "g, r",
+    [(fam.cycle_graph(60), 31), (fam.petersen_graph(), 3), (hypercube(4), 5)],
+    ids=["C60", "petersen", "Q4"],
+)
+def test_rigid_profile_makes_one_energy_pass_per_group(energy_calls, g, r):
+    # every run stops at its first iterate, whose energies are sums of the r groups'
+    prof = k_rigidity_profile(g)
+    assert prof.all_rigid
+    assert energy_calls[0] == r
+
+
+@pytest.mark.parametrize("name, g", [(name, g) for name, g, _ in CORPUS], ids=[c[0] for c in CORPUS])
+def test_profile_trace_residual_matches_per_k_sums(name, g):
+    seed = 5
+    prof = k_rigidity_profile(g, iters=50, seed=seed)
+    ref = 0.0
+    for w in random_simplex(g.m, seed=seed, count=eigensum.TRACE_SAMPLES):
+        for k in range(1, g.n - 1):
+            S_k, _ = eigensums(g, w, k)
+            _, s_rest = eigensums(g, w, g.n - 1 - k)
+            ref = max(ref, abs(S_k + s_rest - 2.0 * g.m))
+    assert abs(prof.trace_residual - ref) <= 1e-12 * g.m
+    assert prof.trace_residual <= 1e-9 * 2 * g.m
 
 
 def test_lower_history_at_trivial_k_is_empty_not_none():
