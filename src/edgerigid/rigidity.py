@@ -6,36 +6,42 @@ incidence vector of edge e = (a, b),
 
     w_l(e) = z_e^T L^l z_e = (L^l)_aa + (L^l)_bb - 2 (L^l)_ab.
 
-The stream holds L^l as packed rows: row u is one Python int whose slot v,
-a signed field of k bits, holds (L^l)_uv, so CPython's limb loops do the
-inner dimension. A power is one application of L, R_u <- deg(u) R_u -
-sum_{v ~ u} R_v, nnz(L) big-int operations on ints of n slots. Masks keep
-the diagonal slots and the slots b of the rows a of the edges (a, b); rows
-whose kept slots are disjoint are merged into one int before it is turned
-into bytes, and the three entries of every edge combine into w_l as one sum
-of packed ints. Every entry of L^l is at most (2 max-degree)^l in absolute
-value and 0 <= w_l(e) <= 2 (2 max-degree)^l, so slots of
-k >= bitlen(2 (2 max-degree)^l) + 1 bits decode uniquely; k grows with l.
-The stream to depth n-1 takes n-1 applications of L, on ints of
-O(n^2 log(max-degree)) bits. ``decide_edge_rigid_exact`` often stops
-sooner: a monic integer q of degree D that annihilates the constants
-C_0..C_{2D} gives q^T H q = sum_t m_t t q(t)^2 = 0 for the Hankel matrix
+It is computed from powers of M = Delta I - L = A + diag(Delta - deg), Delta
+the maximum degree, as c_l(e) = z_e^T M^l z_e; L = Delta I - M gives
+w_l = sum_{i<=l} C(l, i) Delta^(l-i) (-1)^i c_i, a unit-triangular map, so
+c_0..c_l are constant exactly when w_0..w_l are. The stream holds M^l as
+packed rows: row u is one Python int whose slot v, an unsigned field of k
+bits, holds (M^l)_uv, so CPython's limb loops do the inner dimension. A
+power is one application of M, R_u <- sum_{v ~ u} R_v + (Delta - deg u) R_u:
+additions, and a multiplication only where deg u < Delta (none on a regular
+graph). Masks keep the diagonal slots and the slots b of the rows a of the
+edges (a, b); rows whose kept slots are disjoint are merged into one int
+before it is turned into bytes, and the three entries of every edge combine
+into c_l as one sum of packed ints. M is nonnegative with row sums at most
+Delta, so 0 <= (M^l)_uv <= Delta^l and |c_l(e)| <= 2 Delta^l: slots of
+k >= bitlen(2 Delta^l) + 1 bits decode uniquely; k grows with l. The
+stream to depth n-1 takes n-1 applications of M, on ints of
+O(n^2 log(max-degree)) bits. ``decide_edge_rigid_exact`` often
+stops sooner: a monic integer q of degree D that annihilates the constants
+C_0..C_{2D} of w gives q^T H q = sum_t m_t t q(t)^2 = 0 for the Hankel matrix
 H = [m C_{i+k}] = [tr L^{i+k+1}], so q vanishes on every nonzero eigenvalue t
 of L, and its recurrence carries constancy to every power. Two identities
 turn other deciders into functions of that stream:
 
-- char(L - L_e) - char(L) has coefficients sum_{i<=k} c_i w_{k-i}(e), where
-  c_i are those of char(L). The map is unit-triangular, so two edges are
-  Laplacian-cospectral exactly when their profiles (w_0..w_{n-1})(e) agree;
+- char(L - L_e) - char(L) has coefficients sum_{i<=k} p_i w_{k-i}(e), where
+  p_i are those of char(L). The map is unit-triangular, so two edges are
+  Laplacian-cospectral exactly when their profiles (w_0..w_{n-1})(e), or
+  equally (c_0..c_{n-1})(e), agree;
 - diag((2I + A_sigma)^p)_e = w_{p-1}(e) for every orientation sigma, so the
   signed line graph is walk-regular exactly when the stream is constant.
 
 ``full_report`` computes the stream once and takes the walk criterion, the
 cospectrality classes and the signed-line-graph verdict from it. It adds
-1-walk-(bi)regularity (powers of A) and the floating-point edge-isometry
-check, and insists that all five agree; a disagreement is an implementation
-bug, never a mathematical outcome. The independent references,
-``exactmat.adjugate_quadratic_form`` and the m x m power loop of
+1-walk-(bi)regularity (powers of A: the stream's own on a regular graph,
+where M = A, a second exact loop otherwise) and the floating-point
+edge-isometry check, and insists that all five agree; a disagreement is an
+implementation bug, never a mathematical outcome. The independent
+references, ``exactmat.adjugate_quadratic_form`` and the m x m power loop of
 ``signed_line_graph_walk_regular``, are checked against the stream in
 tests/test_stream_oracles.py on the corpus and on seeded random graphs.
 """
@@ -110,6 +116,12 @@ def _split(raw: bytes, count: int) -> list[int]:
     return [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
 
 
+def _signed_slots(raw: bytes, count: int) -> list[int]:
+    """The count slots of raw, each holding its signed value plus 2^(8 size - 1)."""
+    half = 1 << 8 * (len(raw) // count) - 1
+    return [x - half for x in _split(raw, count)]
+
+
 def _constant(raw: bytes, count: int) -> bool:
     size = len(raw) // count
     return raw == raw[:size] * count
@@ -128,18 +140,11 @@ def _slot_masks(n: int, rows, slots, count: int, size: int) -> list[int]:
 
 
 def _widen(rows: list[int], count: int, size: int, new_size: int) -> list[int]:
-    """Re-pack rows of count signed slots from size to new_size bytes.
-
-    Adding 2^(8 size - 1) to every slot makes them all nonnegative without a
-    carry between slots, so the bytes of each slot can be copied as they are.
-    """
-    half = 1 << 8 * size - 1
-    off = _repeat(half, size, count)
-    buf = b"".join((r + off).to_bytes(count * size, "little") for r in rows)
+    """Re-pack rows of count unsigned slots from size to new_size bytes."""
+    buf = b"".join(r.to_bytes(count * size, "little") for r in rows)
     wide = np.zeros((len(rows), count, new_size), dtype=np.uint8)
     wide[..., :size] = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), count, size)
-    off = _repeat(half, new_size, count)
-    return [r - off for r in _split(wide.tobytes(), len(rows))]
+    return _split(wide.tobytes(), len(rows))
 
 
 def _neighbor_sums(rows: list[int], neighbors: tuple[tuple[int, ...], ...]) -> list[int]:
@@ -158,33 +163,35 @@ def _slot_bytes(r: int, l: int) -> int:
     return ((2 * r**l).bit_length() + 8) // 8
 
 
-def _packed_powers(g: Graph, lmax: int, laplacian: bool) -> Iterator[tuple[list[int], int]]:
-    """Yield (rows of M^l, slot size in bytes) for l = 0..lmax; M is L or A.
+def _packed_powers(g: Graph, lmax: int, shifted: bool) -> Iterator[tuple[list[int], int]]:
+    """Yield (rows of M^l, slot size in bytes) for l = 0..lmax; M is Delta I - L or A.
 
-    Row u of M^l is one int with (M^l)_uv in signed slot v (bit 8 size v),
-    starting from the identity in one-byte slots. Entries of M^l are at most
-    r^l in absolute value, r = 2 max-degree for L and max-degree for A (the
-    row-sum norm of M), so slots of k >= bitlen(2 r^l) + 1 bits hold them
-    and any value up to 2 r^l. Sums in between may overflow a slot: the
-    packed ints are exact, only the decoded slots need the bound. When the
-    next power needs more, the slots grow before the application, to twice
-    their size or to what power lmax needs if that is less. Row u of L^(l+1)
-    is deg(u) R_u - sum_{v ~ u} R_v for the rows R of L^l, nnz(L) big-int
-    operations on ints of n slots in all, and M^(l+1) is computed only once
-    the power l has been consumed.
+    Row u of M^l is one int with (M^l)_uv in unsigned slot v (bit 8 size v),
+    starting from the identity in one-byte slots. Row u of M^(l+1) is
+    sum_{v ~ u} R_v + (Delta - deg u) R_u for the rows R of M^l, nnz(A)
+    big-int additions on ints of n slots, and a multiplication for each u
+    with deg u < Delta when M is shifted. The entries of M^l, and the partial
+    sums that compute them, lie in [0, Delta^l]; slots of
+    k >= bitlen(2 Delta^l) + 1 bits also hold the signed walk values of
+    _walk_stream. When the next power needs more, the slots grow before the
+    application, to twice their size or to what power lmax needs if that is
+    less. M^(l+1) is computed only once the power l has been consumed.
     """
-    r = max(g.degrees) * (1 + laplacian)
+    delta = max(g.degrees)
+    lifted = [(u, delta - d) for u, d in enumerate(g.degrees) if shifted and d < delta]
     rows = [1 << 8 * u for u in range(g.n)]
     size = 1
     for l in range(lmax + 1):
         if l:
-            need = _slot_bytes(r, l)
+            need = _slot_bytes(delta, l)
             if need > size:
-                new_size = min(max(need, 2 * size), _slot_bytes(r, lmax))
+                new_size = min(max(need, 2 * size), _slot_bytes(delta, lmax))
                 rows = _widen(rows, g.n, size, new_size)
                 size = new_size
             sums = _neighbor_sums(rows, g.neighbors)
-            rows = [d * x - s for d, x, s in zip(g.degrees, rows, sums)] if laplacian else sums
+            for u, d in lifted:
+                sums[u] += d * rows[u]
+            rows = sums
         yield rows, size
 
 
@@ -211,32 +218,29 @@ def _row_colors(g: Graph) -> list[int]:
 
 
 def _masked_slots(rows: list[int], masks: list[int], colors: list[int], size: int) -> np.ndarray:
-    """The slots the masks keep, plus 2^(8 size - 1), as a uint8 array.
+    """The slots the masks keep, as a uint8 array.
 
     Entry [colors[u], s] holds slot s of rows[u] for every slot s that
     masks[u] keeps; rows of one colour keep distinct slots, so they are
     OR-ed into one int, and one int per colour is converted to bytes.
-    Adding 2^(8 size - 1) to every signed slot of a row makes them all
-    nonnegative without a carry between slots.
     """
     n = len(rows)
-    off = _repeat(1 << 8 * size - 1, size, n)
     merged = [0] * (max(colors) + 1)
     for r, mask, c in zip(rows, masks, colors):
-        merged[c] |= (r + off) & mask
+        merged[c] |= r & mask
     buf = b"".join(x.to_bytes(n * size, "little") for x in merged)
     return np.frombuffer(buf, dtype=np.uint8).reshape(len(merged), n, size)
 
 
 def _matrix_powers(
-    g: Graph, lmax: int, laplacian: bool
+    g: Graph, lmax: int, shifted: bool
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield diag(M^l) and the entries (M^l)_ab of the edges (a, b), l = 0..lmax.
 
-    M is L or A (_packed_powers). Each comes as a uint8 array of n or m
-    little-endian slots of equal size, each holding its entry plus
-    2^(8 size - 1) (_masked_slots). On top of the application of M, a power
-    costs 3n big-int operations and one conversion to bytes per colour.
+    M is Delta I - L or A (_packed_powers). Each comes as a uint8 array of n
+    or m little-endian unsigned slots of equal size. On top of the
+    application of M, a power costs 2n big-int operations and one conversion
+    to bytes per colour.
     """
     n = g.n
     a, b = np.transpose(g.edges)
@@ -245,7 +249,7 @@ def _matrix_powers(
     col = np.array(colors)
     diag_at, edge_at = col * n + vertices, col[a] * n + b  # rows of E.reshape(-1, size)
     mask_size = 0
-    for rows, size in _packed_powers(g, lmax, laplacian):
+    for rows, size in _packed_powers(g, lmax, shifted):
         if size != mask_size:
             mask_size = size
             masks = _slot_masks(
@@ -255,22 +259,23 @@ def _matrix_powers(
         yield E.take(diag_at, axis=0), E.take(edge_at, axis=0)
 
 
-def _walk_stream(g: Graph, lmax: int) -> Iterator[bytes]:
-    """Yield the exact walk vectors w_l = adjoint(L^l) for l = 0..lmax.
+def _walk_stream(g: Graph, lmax: int, powers: list | None = None) -> Iterator[bytes]:
+    """Yield the shifted walk vectors c_l(e) = z_e^T M^l z_e, l = 0..lmax, M = Delta I - L.
 
-    For e = (a, b), w_l(e) = z_e^T L^l z_e = (L^l)_aa + (L^l)_bb - 2 (L^l)_ab.
-    The three entries come from _matrix_powers as m slots each, so one sum of
-    three packed ints gives w_l: the offsets cancel, and 0 <= w_l(e) <=
-    2 (2 max-degree)^l fits the slot (L is positive semidefinite). Each w_l
-    is yielded as m little-endian unsigned slots of equal size.
+    For e = (a, b), c_l(e) = (M^l)_aa + (M^l)_bb - 2 (M^l)_ab. The three
+    entries come from _matrix_powers (or powers, its output for M at depth
+    lmax) as m slots each, so one sum of three packed ints and 2^(8 size - 1)
+    per slot gives c_l: |c_l(e)| <= 2 Delta^l fits the slot. Each c_l is
+    yielded as m little-endian slots of equal size (_signed_slots).
     """
     a, b = np.transpose(g.edges)
-    for diag, upper in _matrix_powers(g, lmax, laplacian=True):
+    for diag, upper in powers or _matrix_powers(g, lmax, shifted=True):
         aa, bb, ab = (
             int.from_bytes(x.tobytes(), "little")
             for x in (diag.take(a, axis=0), diag.take(b, axis=0), upper)
         )
-        yield (aa + bb - 2 * ab).to_bytes(upper.nbytes, "little")
+        half = _repeat(1 << 8 * upper.shape[1] - 1, upper.shape[1], g.m)
+        yield (aa + bb + half - 2 * ab).to_bytes(upper.nbytes, "little")
 
 
 # Modulus of the Berlekamp-Massey run on the walk constants, a Mersenne prime.
@@ -322,22 +327,33 @@ def _predict(terms: list[int], lam: list[int], l: int) -> int:
 def _walk_criterion(
     g: Graph, walks: Iterable[bytes], lmax: int | None = None
 ) -> WalkCriterion:
-    """Constants of the walk vectors, or the first non-constant one's witness.
+    """Walk constants C_l, or the first non-constant power's witness, from the c_l of _walk_stream.
 
+    Each constant becomes C_l = sum_{i<=l} C(l, i) Delta^(l-i) (-1)^i c_i as
+    it is read, in O(l) scalar operations; at the first non-constant power l
+    the walk values are w_l(e) = (-1)^l c_l(e) + K_l, K_l the sum over i < l.
     Given lmax, reading stops as soon as the recurrence of D lifted
     Berlekamp-Massey coefficients exactly generates the 2D + 1 or more
     constants read so far; the constants are then extended to power lmax by
     that recurrence. This is a proof (see decide_edge_rigid_exact).
     """
+    delta = max(g.degrees)
     constants: list[int] = []
+    signed: list[int] = []  # (-1)^i c_i for the constants read
+    binom = [1]  # C(power, i) Delta^(power - i), i = 0..power
     rec = _Recurrence()
     for power, raw in enumerate(walks):
+        if power:
+            binom = [delta * x + y for x, y in zip(binom + [0], [0] + binom)]
+        sign = -1 if power % 2 else 1
+        k = sum(x * c for x, c in zip(binom, signed))
         if not _constant(raw, g.m):
-            vals = _split(raw, g.m)
+            vals = [k + sign * c for c in _signed_slots(raw, g.m)]
             lo, hi = vals.index(min(vals)), vals.index(max(vals))
             witness = WalkWitness(power, g.edges[lo], g.edges[hi], vals[lo], vals[hi])
             return WalkCriterion(False, None, witness, True)
-        constants.append(int.from_bytes(raw[: len(raw) // g.m], "little"))
+        signed.append(sign * _signed_slots(raw[: len(raw) // g.m], 1)[0])
+        constants.append(k + signed[-1])
         if lmax is None:
             continue
         rec.push(constants[-1])
@@ -367,13 +383,15 @@ def decide_edge_rigid_exact(g: Graph, max_power: int | None = None) -> WalkCrite
     prefix, which is not a proof of rigidity. Returns the walk constants C_l
     on success, or the first offending power with a witness edge pair.
 
-    The stream stops early when a monic integer q of degree D annihilates
+    The stream is that of M = Delta I - L, whose walk vectors c_l map to
+    w_l unit-triangularly (_walk_criterion); the constants C_l are those of
+    w. The stream stops early when a monic integer q of degree D annihilates
     C_0..C_N with N >= 2D. Then H q = 0 for H = [tr L^{i+k+1}]_{i,k<=D}, and
     q^T H q = sum_t m_t t q(t)^2 = 0 over the nonzero eigenvalues t of L
     (multiplicity m_t), so q(t) = 0 and q(L) z_e = 0 for every edge e: every
     w_l(e) follows q's recurrence, and the constant w_0..w_{D-1} make every
     power constant. A rigid graph with d' distinct nonzero eigenvalues thus
-    costs min(2d', n - 1) applications of L, one per power read.
+    costs min(2d', n - 1) applications of M, one per power read.
     """
     if max_power is not None and max_power < 0:
         raise ValueError(f"max_power must be >= 0, got {max_power}")
@@ -411,7 +429,7 @@ class WalkClassification:
         }
 
 
-def walk_class(g: Graph) -> WalkClassification:
+def walk_class(g: Graph, powers: list | None = None) -> WalkClassification:
     """Exact walk-regularity classification from adjacency powers A^l.
 
     Checks l = 0..n-1: walk-regular means diag(A^l) is globally constant;
@@ -420,13 +438,14 @@ def walk_class(g: Graph) -> WalkClassification:
     bipartition; the biregular tests are skipped for non-bipartite input.
     The diagonal and the edge entries of A^l come from the same packed
     powers as the walk stream (_matrix_powers), so each test is one
-    comparison of bytes.
+    comparison of bytes. powers, when given, is that output for A at depth
+    n - 1; on a regular graph the walk stream's own powers are those of A.
     """
     parts = bipartition(g)
     diag_const = True
     edge_const = True
     part_const = parts is not None
-    for diag, upper in _matrix_powers(g, g.n - 1, laplacian=False):
+    for diag, upper in powers or _matrix_powers(g, g.n - 1, shifted=False):
         diag_const = diag_const and _constant(diag.tobytes(), g.n)
         if part_const:
             part_const = all(_constant(diag.take(p, axis=0).tobytes(), len(p)) for p in parts)
@@ -500,15 +519,18 @@ def full_report(g: Graph, tol: float = 1e-8) -> RigidityReport:
 
     The walk stream is computed once, at full depth; the walk criterion,
     the cospectrality classes and the signed-line-graph verdict all come
-    from it. All five verdicts must agree or InternalInconsistencyError is
+    from it, and on a regular graph, where Delta I - L = A, so does
+    walk_class. All five verdicts must agree or InternalInconsistencyError is
     raised. tol, the float embedding test's tolerance, must be finite and
     > 0.
     """
     check_tol(tol)
-    walks = list(_walk_stream(g, g.n - 1))
+    regular = min(g.degrees) == max(g.degrees)
+    powers = list(_matrix_powers(g, g.n - 1, shifted=True)) if regular else None
+    walks = list(_walk_stream(g, g.n - 1, powers))
     wc = _walk_criterion(g, walks)
     classes = _profile_classes(g, walks)
-    wclass = walk_class(g)
+    wclass = walk_class(g, powers)
     s = spectrum(laplacian(g).astype(float))
     iso = edge_isometry_check(g, s, tol)
     verdicts = {

@@ -75,7 +75,7 @@ def test_negative_max_power_rejected():
 
 @pytest.fixture
 def products(monkeypatch):
-    """Count the applications of L (packed neighbour sums) that rigidity takes."""
+    """Count the applications of M (packed neighbour sums) that rigidity takes."""
     count = [0]
     sums = rigidity._neighbor_sums
 
@@ -90,7 +90,7 @@ def products(monkeypatch):
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 13, 30])
 def test_full_depth_takes_half_the_products(products, n):
     # C_n has floor(n/2) distinct nonzero eigenvalues, too many to stop
-    # early: n - 1 applications of L, one per power after the first
+    # early: n - 1 applications of M, one per power after the first
     assert decide_edge_rigid_exact(fam.cycle_graph(n)).rigid
     assert products[0] == n - 1
 
@@ -110,7 +110,7 @@ D_PRIME_CASES = (
     "g, d_prime", [c[1:] for c in D_PRIME_CASES], ids=[c[0] for c in D_PRIME_CASES]
 )
 def test_rigid_graph_takes_d_prime_products(products, g, d_prime):
-    # the certificate reads powers 0..2d', one application of L each
+    # the certificate reads powers 0..2d', one application of M each
     res = decide_edge_rigid_exact(g)
     assert res.rigid and res.proved and len(res.constants) == g.n
     assert products[0] == min(2 * d_prime, g.n - 1)
@@ -123,26 +123,37 @@ def test_witness_at_power_one_takes_one_product(products, n):
     assert products[0] == 1
 
 
-def test_widen_keeps_signed_slots_at_their_limits():
-    half = 1 << 15  # two-byte slots hold -2^15 .. 2^15 - 1
-    rows = [[-half, half - 1, 0, -1, 1], [half - 1, -half, -1, 1, 0]]
+def test_full_report_takes_one_exact_loop_on_a_regular_graph(products):
+    # on C12 the walk stream's powers are those of A; P12 adds a loop on A
+    full_report(fam.cycle_graph(12))
+    assert products[0] == 11
+    products[0] = 0
+    full_report(fam.path_graph(12))
+    assert products[0] > 11
 
+
+def test_widen_keeps_unsigned_slots_at_their_limits():
     def pack(vals, size):
         return sum(v << 8 * size * i for i, v in enumerate(vals))
 
-    wide = rigidity._widen([pack(r, 2) for r in rows], 5, 2, 5)
-    assert wide == [pack(r, 5) for r in rows]
+    # one-byte slots hold 0 .. 255, two-byte slots 0 .. 2^16 - 1; a full slot
+    # must not carry into the next byte once it is wider
+    for size, new_size in ((1, 2), (2, 5)):
+        top = (1 << 8 * size) - 1
+        rows = [[0, top, 0, top, 1], [top, 0, top - 1, 1, 0], [top] * 5]
+        wide = rigidity._widen([pack(r, size) for r in rows], 5, size, new_size)
+        assert wide == [pack(r, new_size) for r in rows]
 
 
 def test_masked_slots_at_the_slot_limits():
-    # one-byte signed slots hold -128 .. 127 and read back as x + 128
-    X = [[127, -128, -128], [-128, -1, -128], [-128, -128, 5]]
+    # one-byte unsigned slots hold 0 .. 255 and read back as they are
+    X = [[255, 0, 255], [255, 255, 255], [0, 255, 5]]
     rows = [sum(v << 8 * s for s, v in enumerate(row)) for row in X]
     # rows 0 and 1 share colour 0 and keep slots {0, 2} and {1}; row 2 keeps slot 2
     masks = [0xFF00FF, 0xFF00, 0xFF0000]
     E = rigidity._masked_slots(rows, masks, [0, 0, 1], 1)
     assert E.shape == (2, 3, 1)
-    assert E[..., 0].tolist() == [[255, 127, 0], [0, 0, 133]]
+    assert E[..., 0].tolist() == [[255, 255, 255], [0, 0, 5]]
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,12 @@
 """Seeded cross-checks of the walk-stream deciders against independent references.
 
 ``cospectrality_classes`` and ``full_report`` derive their verdicts from the
-walk stream w_l = adjoint(L^l). Here they are compared with the exact
-characteristic polynomials of ``adjugate_quadratic_form`` and with the m x m
-signed-line-graph power loop, and the packed stream itself with dense
-adjoint(L^l) and with the traces of L, on the corpus and on seeded random
-graphs (numpy RNG only).
+walk stream w_l = adjoint(L^l), which is computed from powers of
+M = max-degree I - L. Here they are compared with the exact characteristic
+polynomials of ``adjugate_quadratic_form`` and with the m x m
+signed-line-graph power loop, the packed stream itself with dense
+adjoint(M^l) and with the traces of M^l L, and ``walk_class`` with dense
+powers of A, on the corpus and on seeded random graphs (numpy RNG only).
 """
 
 import math
@@ -17,15 +18,19 @@ from conftest import CORPUS, dense_powers, hypercube
 
 from edgerigid import families as fam
 from edgerigid import rigidity
-from edgerigid.exactmat import adjugate_quadratic_form
-from edgerigid.graphs import Graph, Orientation, adjoint_apply, laplacian
+from edgerigid.exactmat import adjugate_quadratic_form, exact_matrix
+from edgerigid.errors import DisconnectedError
+from edgerigid.graphs import Graph, Orientation, adjoint_apply, bipartition, laplacian
 from edgerigid.rigidity import (
-    _split,
+    WalkClassification,
+    _matrix_powers,
+    _signed_slots,
     _walk_stream,
     cospectrality_classes,
     decide_edge_rigid_exact,
     full_report,
     signed_line_graph_walk_regular,
+    walk_class,
 )
 
 
@@ -149,17 +154,19 @@ def assert_decide_matches(g: Graph, walks: list[np.ndarray], P: int):
 
 @pytest.mark.parametrize("g", [g for _, g in CASES + WIDTH_CASES], ids=[n for n, _ in CASES + WIDTH_CASES])
 def test_halved_stream_matches_dense_adjoint(g):
-    """The packed walk stream against dense adjoint(L^l) and tr L^(l+1), every power."""
+    """The packed stream against dense adjoint(M^l), M = max-degree I - L, and tr(M^l L), every power."""
     walks, powers = dense_walks(g)
+    delta = max(g.degrees)
+    L = laplacian(g)
+    shifted = dense_powers(delta * np.eye(g.n, dtype=np.int64) - L, g.n)
     stream = list(_walk_stream(g, g.n))
-    assert len(stream) == len(walks)
-    r = 2 * max(g.degrees)
-    for l, (raw, ref, P) in enumerate(zip(stream, walks, powers[1:])):
-        w = _split(raw, g.m)
-        assert w == [int(x) for x in ref]
-        assert sum(w) == P.trace()  # sum_e w_l(e) = tr(B^T L^l B) = tr(L^(l+1))
-        # 0 <= w_l(e) <= 2 (2 max-degree)^l, and the slots hold signed values that large
-        assert 8 * len(raw) // g.m >= (2 * r**l).bit_length() + 1
+    assert len(stream) == len(shifted) == len(walks)
+    for l, (raw, P) in enumerate(zip(stream, shifted)):
+        c = _signed_slots(raw, g.m)
+        assert c == [int(x) for x in adjoint_apply(g, P)]
+        assert sum(c) == (P @ exact_matrix(L)).trace()  # sum_e c_l(e) = tr(B^T M^l B)
+        # |c_l(e)| <= 2 max-degree^l, and the slots hold signed values that large
+        assert 8 * len(raw) // g.m >= (2 * delta**l).bit_length() + 1
     for P in range(g.n + 1):
         wc = assert_decide_matches(g, walks, P)
         if wc.rigid:
@@ -176,3 +183,103 @@ def test_wrong_recurrence_lifts_fall_back_to_the_stream(monkeypatch, g):
     walks, _ = dense_walks(g)
     for P in range(g.n + 1):
         assert_decide_matches(g, walks, P)
+
+
+def relabel(rng: np.random.Generator, g: Graph) -> Graph:
+    p = [int(v) for v in rng.permutation(g.n)]
+    return Graph(g.n, tuple((p[a], p[b]) for a, b in g.edges))
+
+
+def odd_witness_graphs(seed: int = 20261018) -> list[Graph]:
+    """Relabelled random circulants whose first non-constant power is odd and >= 3.
+
+    There the walk values are w_l = K_l - c_l for the shifted stream c_l, so
+    the first-min edge of w_l is the first-max edge of c_l.
+    """
+    rng = np.random.default_rng(seed)
+    found = []
+    while len(found) < 8:
+        n = int(rng.integers(8, 25))
+        jumps = sorted({int(j) for j in rng.integers(1, n // 2 + 1, size=int(rng.integers(2, 4)))})
+        if math.gcd(n, *jumps) != 1:
+            continue
+        g = relabel(rng, fam.circulant_graph(n, tuple(jumps)))
+        w = decide_edge_rigid_exact(g).witness
+        if w and w.power % 2 and w.power >= 3:
+            found.append(g)
+    return found
+
+
+ODD_WITNESS = odd_witness_graphs()
+
+
+def test_odd_witness_search_reaches_powers_three_and_five():
+    assert {decide_edge_rigid_exact(g).witness.power for g in ODD_WITNESS} >= {3, 5}
+
+
+@pytest.mark.parametrize("g", ODD_WITNESS, ids=[f"odd{i}" for i in range(len(ODD_WITNESS))])
+def test_witness_at_an_odd_power_matches_dense_walks(g):
+    walks, _ = dense_walks(g)
+    w = assert_decide_matches(g, walks, g.n - 1).witness
+    assert w.value_a < w.value_b
+    assert full_report(g).witness == w
+
+
+def random_regular(rng: np.random.Generator, n: int, d: int) -> Graph:
+    """A connected simple d-regular graph: random stub pairings until one is."""
+    while True:
+        pairs = rng.permutation(np.repeat(np.arange(n), d)).reshape(-1, 2)
+        edges = {(int(min(a, b)), int(max(a, b))) for a, b in pairs if a != b}
+        if len(edges) == len(pairs):
+            try:
+                return Graph(n, tuple(sorted(edges)))
+            except DisconnectedError:
+                continue
+
+
+def random_regular_graphs(seed: int = 20261019) -> list[tuple[str, Graph]]:
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for i in range(12):
+        d = int(rng.integers(3, 6))
+        n = int(rng.integers(d + 2, 17))
+        n += n * d % 2
+        graphs.append((f"reg{d}_{n}_{i}", random_regular(rng, n, d)))
+    return graphs
+
+
+def dense_walk_class(g: Graph) -> WalkClassification:
+    """walk_class from dense A^0..A^(n-1), every power read."""
+    L = laplacian(g)
+    powers = dense_powers(np.diag(np.diag(L)) - L, g.n - 1)
+    a, b = np.transpose(g.edges)
+    parts = bipartition(g)
+    diag = all(len(set(P.diagonal())) == 1 for P in powers)
+    edge = all(len(set(P[a, b])) == 1 for P in powers)
+    part = parts is not None and all(
+        len(set(P.diagonal()[list(p)])) == 1 for P in powers for p in parts
+    )
+    if diag:
+        label = "1-walk-regular" if edge else "walk-regular-only"
+    elif part:
+        label = "1-walk-biregular" if edge else "walk-biregular-only"
+    else:
+        label = "neither"
+    bip = parts is not None
+    return WalkClassification(
+        label, diag, diag and edge, bip, part if bip else None, (part and edge) if bip else None
+    )
+
+
+WALK_CASES = CASES + random_regular_graphs()
+
+
+@pytest.mark.parametrize("g", [g for _, g in WALK_CASES], ids=[n for n, _ in WALK_CASES])
+def test_walk_class_matches_dense_powers(g):
+    # on a regular graph max-degree I - L = A, so full_report reads the walk
+    # stream's powers; a non-regular graph takes its own loop on A
+    ref = dense_walk_class(g)
+    assert walk_class(g) == ref
+    assert full_report(g).walk_class == ref
+    if len(set(g.degrees)) == 1:
+        assert walk_class(g, list(_matrix_powers(g, g.n - 1, shifted=True))) == ref
