@@ -60,14 +60,6 @@ def _tol(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _seed(text: str) -> int:
-    """argparse type of --seed: an integer >= 0."""
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
-    return seed
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="edgerigid",
@@ -112,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="optimize for every k and both objectives")
     add_common(p, tol=1e-5)
-    p.add_argument("--seed", type=_seed, default=0, help="seed (>= 0) of the trace-identity samples")
     p.add_argument("--iters", type=int, default=5000)
 
     p = sub.add_parser("certify", help="primal-dual certificate at one level")
@@ -237,14 +228,14 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    prof = k_rigidity_profile(g, iters=args.iters, tol=args.tol, seed=args.seed)
+    prof = k_rigidity_profile(g, iters=args.iters, tol=args.tol)
     lines = []
     for e in prof.entries:
         lines.append(
             f"k={e.k} upper={e.upper.verdict} (gap={e.upper.gap:.3e}) "
             f"lower={e.lower.verdict} (gap={e.lower.gap:.3e})"
         )
-    lines.append(f"all_rigid={prof.all_rigid} trace_residual={prof.trace_residual:.3e}")
+    lines.append(f"all_rigid={prof.all_rigid}")
     _emit(args, prof.to_dict(), "\n".join(lines) + "\n")
     return EXIT_OK
 

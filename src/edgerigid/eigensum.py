@@ -22,12 +22,14 @@ the boundary eigenspace fractionally (X gains (t/mult) * E_boundary). The
 fractional choice is what makes the dual bound tight for rigid graphs at
 every k, not just at multiplicity boundaries, and it is deterministic.
 
-At unit weights every k fills its top slots from the same r eigenvalue
-groups of L(1). So k_rigidity_profile computes each group's edge energies
-once, and each of its n - 1 runs takes g_1 from a running sum of them. On
-an edge-rigid graph every run stops there: the whole profile costs one
-eigh of L(1), r edge-energy passes and the TRACE_SAMPLES eigvalsh of its
-trace-identity check.
+Every run gets its first iterate, the spectrum of L(1) and g_1, from its
+caller. At unit weights every k fills its top slots from the same r
+eigenvalue groups of L(1). So k_rigidity_profile computes each group's
+edge energies once, and each of its n - 1 runs takes g_1 from a running
+sum of them. On an edge-rigid graph every run stops there: the whole
+profile costs one eigh of L(1) and r edge-energy passes. The trace
+identity that gives the lower entries is exact, so it is not re-checked
+at run time.
 """
 
 from __future__ import annotations
@@ -39,15 +41,11 @@ from itertools import accumulate
 import numpy as np
 
 from .graphs import Graph, edge_energies, incidence, laplacian
-from .oracles import random_simplex
 from .spectral import check_tol, group_eigenvalues, spectrum
 
 VERDICT_RIGID = "rigid-within-tol"
 VERDICT_REFUTED = "refuted"
 VERDICT_INCONCLUSIVE = "inconclusive"
-
-# Random simplex points at which k_rigidity_profile checks the trace identity.
-TRACE_SAMPLES = 25
 
 # An upper run also stops once its relative primal-dual gap is this small.
 GAP_TOL = 1e-9
@@ -185,12 +183,12 @@ def optimize(
         raise ValueError(f"objective must be 'upper' or 'lower', got {objective!r}")
     if objective == "lower" and k == g.n - 1:
         return _lower_from_upper(g, k, _zero_upper(g, tol, record_history))
+    top = k if objective == "upper" else g.n - 1 - k
     B = incidence(g).astype(float)
-    if objective == "upper":
-        return _optimize_upper(g, B, k, iters, tol, record_history)
-    return _lower_from_upper(
-        g, k, _optimize_upper(g, B, g.n - 1 - k, iters, tol, record_history)
-    )
+    evals, evecs = np.linalg.eigh(B @ B.T)
+    g1 = _top_energies(g, evals, evecs, top)
+    up = _optimize_upper(g, B, top, iters, tol, record_history, evals, g1)
+    return up if objective == "upper" else _lower_from_upper(g, k, up)
 
 
 def _optimize_upper(
@@ -200,13 +198,14 @@ def _optimize_upper(
     iters: int,
     tol: float,
     record_history: bool,
-    unit: tuple[np.ndarray, np.ndarray] | None = None,
+    evals: np.ndarray,
+    g1: np.ndarray,
 ) -> OptimizeResult:
     """Minimize S_k from unit weights; B is the float incidence matrix of g.
 
-    unit is (evals, g_1) when the caller has the first iterate: the
-    eigenvalues of L(1) and the edge energies adjoint(X_1) of its top k
-    slots, equal to _top_energies(g, evals, evecs, k).
+    evals and g1 are the first iterate: the eigenvalues of L(1) = B B^T and
+    the edge energies adjoint(X_1) of its top k slots, equal to
+    _top_energies(g, evals, evecs, k).
     """
     n, m = g.n, g.m
     w = np.ones(m)
@@ -220,10 +219,9 @@ def _optimize_upper(
     step = 0.0
     md_t = 0
 
+    gvec = g1
     for t in range(1, iters + 1):
-        if t == 1 and unit is not None:
-            evals, gvec = unit
-        else:
+        if t > 1:
             evals, evecs = np.linalg.eigh((B * w) @ B.T)
             gvec = _top_energies(g, evals, evecs, k)
         primal = float(evals[n - k:].sum())
@@ -232,7 +230,6 @@ def _optimize_upper(
             baseline = primal
             scale = max(1.0, abs(baseline))
             c = m / max(float(np.abs(gvec).max()), 1e-12)
-            g1 = gvec
             slope = float(np.sum((gvec - gvec.mean()) ** 2))  # |d|^2, d = -(g_1 - mean g_1)
         if step in (0.0, c):  # the search's first point is mirror descent's first step
             md_w, md_g, md_t = w, gvec, md_t + 1
@@ -477,11 +474,9 @@ class ProfileEntry:
 
 @dataclass(frozen=True)
 class RigidityProfile:
-    """Per-k verdicts for both objectives plus a trace-identity self check."""
+    """Per-k verdicts for both objectives; entries[k - 1] holds k."""
 
     entries: tuple[ProfileEntry, ...]
-    seed: int
-    trace_residual: float  # max |s_{n-1-k}(w) + S_k(w) - 2|E|| over samples
 
     @property
     def all_rigid(self) -> bool:
@@ -502,9 +497,6 @@ class RigidityProfile:
     def to_dict(self) -> dict:
         return {
             "entries": [e.to_dict() for e in self.entries],
-            "seed": self.seed,
-            "trace_samples": TRACE_SAMPLES,
-            "trace_residual": self.trace_residual,
             "all_rigid": self.all_rigid,
             "refuted": [list(t) for t in self.refuted_entries()],
         }
@@ -514,9 +506,8 @@ def k_rigidity_profile(
     g: Graph,
     iters: int = 5000,
     tol: float = 1e-5,
-    seed: int = 0,
 ) -> RigidityProfile:
-    """Run optimize for every k and both objectives, with consistency checks.
+    """Run optimize for every k and both objectives.
 
     Each of the n-1 upper runs is made once: the lower entry at k reuses
     the upper run at n-1-k through the trace identity s_k + S_{n-1-k} = 2|E|,
@@ -526,15 +517,11 @@ def k_rigidity_profile(
     energies from the top plus the fractional boundary group, the same
     additions in the same order as _top_energies, so each run is
     bit-identical to a standalone one, and one that stops at unit weights
-    costs O(|E|) more. The trace identity is checked for every k at once
-    at TRACE_SAMPLES random weight vectors drawn from seed, one eigvalsh
-    each. tol must be finite and > 0, seed >= 0.
+    costs O(|E|) more. tol must be finite and > 0.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
     check_tol(tol)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
     n, m = g.n, g.m
     B = incidence(g).astype(float)
     evals, evecs = np.linalg.eigh(B @ B.T)
@@ -546,19 +533,8 @@ def k_rigidity_profile(
     for k in range(1, n):
         *full, (_, weight) = _top_groups(groups, k)
         g1 = summed[len(full)] + weight * energies[len(full)]
-        uppers.append(_optimize_upper(g, B, k, iters, tol, False, (evals, g1)))
-    entries = tuple(
+        uppers.append(_optimize_upper(g, B, k, iters, tol, False, evals, g1))
+    return RigidityProfile(tuple(
         ProfileEntry(k, uppers[k], _lower_from_upper(g, k, uppers[n - 1 - k]))
         for k in range(1, n)
-    )
-    residual = 0.0
-    for w in random_simplex(m, seed=seed, count=TRACE_SAMPLES):
-        x = np.linalg.eigvalsh(laplacian(g, w))[1:]
-        # s_{n-1-k}(w) + S_k(w) for k = 1..n-2
-        sums = np.cumsum(x)[:n - 2][::-1] + np.cumsum(x[::-1])[:n - 2]
-        residual = max(residual, float(np.max(np.abs(sums - 2.0 * m), initial=0.0)))
-    return RigidityProfile(
-        entries=entries,
-        seed=seed,
-        trace_residual=residual,
-    )
+    ))

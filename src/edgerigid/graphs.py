@@ -264,14 +264,21 @@ def parse_graph6(data: bytes | str) -> Graph:
 
 
 def _graph6_order(data: bytes) -> tuple[int, bytes]:
+    """(n, body) from the size bytes: one byte, or 126 and three more."""
     if data[0] != 126:
-        return data[0] - 63, data[1:]
-    if len(data) >= 2 and data[1] == 126:
+        size, body = data[:1], data[1:]
+    elif len(data) >= 2 and data[1] == 126:
         raise ParseError("graph6 graphs with n > 258047 are not supported")
-    if len(data) < 4:
+    elif len(data) < 4:
         raise ParseError("graph6 data truncated")
-    n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
-    return n, data[4:]
+    else:
+        size, body = data[1:4], data[4:]
+    n = 0
+    for ch in size:
+        if not 63 <= ch <= 126:
+            raise ParseError(f"invalid graph6 size byte {ch}")
+        n = (n << 6) | (ch - 63)
+    return n, body
 
 
 def graph6_bytes(g: Graph) -> bytes:

@@ -193,16 +193,6 @@ def test_bad_tol_is_a_usage_error(graph_file, capsys, command, tol):
     assert "--tol" in out.err
 
 
-def test_negative_seed_is_a_usage_error(graph_file, capsys):
-    path = graph_file(fam.path_graph(4))
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["profile", path, "--seed", "-1"])
-    assert exc.value.code == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert "--seed" in out.err
-
-
 def test_embed_csv(graph_file, tmp_path, capsys):
     path = graph_file(fam.cycle_graph(4))
     out_path = tmp_path / "emb.csv"
@@ -262,7 +252,7 @@ SUBCOMMAND_OPTIONS = {
     "analyze": {"path", "input_format", "format", "output", "tol"},
     "decide": {"path", "input_format", "max_power"},
     "optimize": {"path", "input_format", "format", "output", "tol", "k", "objective", "iters"},
-    "profile": {"path", "input_format", "format", "output", "tol", "seed", "iters"},
+    "profile": {"path", "input_format", "format", "output", "tol", "iters"},
     "certify": {"path", "input_format", "format", "output", "tol", "j"},
     "embed": {"path", "input_format", "output", "eigenspace"},
     "tau": {"path", "input_format", "format", "output", "weights"},

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import CORPUS, hypercube
+from conftest import hypercube
 
 from edgerigid import eigensum
 from edgerigid import families as fam
@@ -302,7 +302,6 @@ def test_gauge_p4_witness_exceeds():
 def test_profile_k4_all_rigid():
     prof = k_rigidity_profile(fam.complete_graph(4))
     assert prof.all_rigid
-    assert prof.trace_residual <= 1e-9 * 2 * 6
     assert not prof.refuted_entries()
 
 
@@ -340,8 +339,8 @@ def test_profile_interpolation_on_rigid_graph():
          "C12-1-2"],
 )
 def test_profile_equals_standalone_runs(g):
-    tol, seed = 1e-5, 3
-    prof = k_rigidity_profile(g, iters=1500, tol=tol, seed=seed)
+    tol = 1e-5
+    prof = k_rigidity_profile(g, iters=1500, tol=tol)
     assert [e.k for e in prof.entries] == list(range(1, g.n))
     for e in prof.entries:
         for objective, res in (("upper", e.upper), ("lower", e.lower)):
@@ -349,18 +348,23 @@ def test_profile_equals_standalone_runs(g):
             assert res.to_dict() == alone.to_dict(), (e.k, objective)
 
 
+def count_calls(monkeypatch, owner, name):
+    """A one-item list holding the number of owner.name calls made from now on."""
+    count = [0]
+    func = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return func(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return count
+
+
 @pytest.fixture
 def upper_runs(monkeypatch):
     """Count the mirror-descent runs (_optimize_upper calls) eigensum makes."""
-    count = [0]
-    run = eigensum._optimize_upper
-
-    def counted(*args):
-        count[0] += 1
-        return run(*args)
-
-    monkeypatch.setattr(eigensum, "_optimize_upper", counted)
-    return count
+    return count_calls(monkeypatch, eigensum, "_optimize_upper")
 
 
 @pytest.mark.parametrize("n", [2, 4, 7, 12])
@@ -370,24 +374,10 @@ def test_profile_runs_each_upper_once(upper_runs, n):
     assert upper_runs[0] == n - 1
 
 
-def test_profile_rejects_a_negative_seed_before_any_run(upper_runs):
-    with pytest.raises(ValueError, match="seed"):
-        k_rigidity_profile(fam.path_graph(6), seed=-1)
-    assert upper_runs[0] == 0
-
-
 @pytest.fixture
 def energy_calls(monkeypatch):
     """Count the edge_energies calls eigensum makes."""
-    count = [0]
-    energies = eigensum.edge_energies
-
-    def counted(*args):
-        count[0] += 1
-        return energies(*args)
-
-    monkeypatch.setattr(eigensum, "edge_energies", counted)
-    return count
+    return count_calls(monkeypatch, eigensum, "edge_energies")
 
 
 @pytest.mark.parametrize(
@@ -400,20 +390,6 @@ def test_rigid_profile_makes_one_energy_pass_per_group(energy_calls, g, r):
     prof = k_rigidity_profile(g)
     assert prof.all_rigid
     assert energy_calls[0] == r
-
-
-@pytest.mark.parametrize("name, g", [(name, g) for name, g, _ in CORPUS], ids=[c[0] for c in CORPUS])
-def test_profile_trace_residual_matches_per_k_sums(name, g):
-    seed = 5
-    prof = k_rigidity_profile(g, iters=50, seed=seed)
-    ref = 0.0
-    for w in random_simplex(g.m, seed=seed, count=eigensum.TRACE_SAMPLES):
-        for k in range(1, g.n - 1):
-            S_k, _ = eigensums(g, w, k)
-            _, s_rest = eigensums(g, w, g.n - 1 - k)
-            ref = max(ref, abs(S_k + s_rest - 2.0 * g.m))
-    assert abs(prof.trace_residual - ref) <= 1e-12 * g.m
-    assert prof.trace_residual <= 1e-9 * 2 * g.m
 
 
 def test_lower_history_at_trivial_k_is_empty_not_none():
@@ -472,15 +448,7 @@ def test_refuted_run_stops_at_its_first_witness():
 @pytest.fixture
 def eigh_calls(monkeypatch):
     """Count the np.linalg.eigh calls made."""
-    count = [0]
-    eigh = np.linalg.eigh
-
-    def counted(*args, **kwargs):
-        count[0] += 1
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    return count
+    return count_calls(monkeypatch, np.linalg, "eigh")
 
 
 def test_iters_caps_eigh_calls(eigh_calls):
@@ -489,11 +457,19 @@ def test_iters_caps_eigh_calls(eigh_calls):
     assert res.iterations == eigh_calls[0]
 
 
-def test_profile_shares_the_unit_spectrum(eigh_calls):
-    # every run on an edge-rigid graph stops at unit weights
-    prof = k_rigidity_profile(fam.petersen_graph())
-    assert prof.all_rigid
-    assert eigh_calls[0] == 1
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Count the np.linalg.eigvalsh calls made."""
+    return count_calls(monkeypatch, np.linalg, "eigvalsh")
+
+
+def test_profile_shares_the_unit_spectrum(eigh_calls, eigvalsh_calls):
+    # every run on an edge-rigid graph stops at unit weights; nothing else is solved
+    for g in (fam.petersen_graph(), fam.cycle_graph(60)):
+        eigh_calls[0] = eigvalsh_calls[0] = 0
+        prof = k_rigidity_profile(g)
+        assert prof.all_rigid
+        assert (eigh_calls[0], eigvalsh_calls[0]) == (1, 0), g.n
 
 
 def test_edge_energies_equal_projector_adjoint(corpus_case):

@@ -77,6 +77,17 @@ def test_parse_graph6_nonzero_padding_rejected():
         parse_graph6(b"Dhd")
 
 
+@pytest.mark.parametrize(
+    "data, byte",
+    [(b"!", 33), (b"~!??", 33), (b"\x7f" + b"~" * 336, 127)],
+    ids=["short", "long", "del"],
+)
+def test_parse_graph6_size_byte_out_of_range_rejected(data, byte):
+    # size bytes lie in 63..126; these used to read as n=-30, n=-122880 and K64
+    with pytest.raises(ParseError, match=f"size byte {byte}$"):
+        parse_graph6(data)
+
+
 @pytest.mark.parametrize("parse", [parse_graph6, parse_graph])
 def test_non_ascii_text_is_a_parse_error(parse):
     with pytest.raises(ParseError, match="not ASCII"):

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import edgerigid
 from edgerigid import families as fam
 from edgerigid.errors import BudgetExceededError
 from edgerigid.oracles import (
@@ -83,3 +87,28 @@ def test_random_simplex_count_validated():
 def test_budget_validation():
     with pytest.raises(ValueError):
         OracleBudget(max_edges_for_tree_enum=0)
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """Every dotted name an import statement in tree can bind or load."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names.add(base)
+            names |= {f"{base}.{alias.name}" for alias in node.names}
+    return names
+
+
+PRODUCTION = sorted(
+    p for p in Path(edgerigid.__file__).parent.glob("*.py") if p.name != "oracles.py"
+)
+
+
+@pytest.mark.parametrize("path", PRODUCTION, ids=[p.name for p in PRODUCTION])
+def test_production_code_never_imports_oracles(path):
+    # the oracles check the fast paths, so the fast paths must not use them
+    names = imported_modules(ast.parse(path.read_text()))
+    assert not [name for name in names if "oracles" in name.split(".")], path.name
