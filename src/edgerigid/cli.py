@@ -17,12 +17,18 @@ graph path and --input-format. analyze, optimize, profile, certify, tau
 and kf write text or JSON (--format) to stdout or --output; embed writes
 CSV to stdout or --output; decide answers with one line of text on stdout
 and its exit code. Diagnostics go to stderr. With the same input and
-flags, JSON output is byte-identical across runs.
+flags, JSON output is byte-identical across runs: it is exactly
+json.dumps(payload, indent=2, sort_keys=True) plus a newline. _dumps writes
+those bytes with the C encoder, which the stdlib uses only without indent.
+
+main builds the argument parser once per process (build_parser is cached),
+so in-process callers pay for it once; importing the package builds none.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -60,7 +66,9 @@ def _tol(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; callers share it and must not change it."""
     parser = argparse.ArgumentParser(
         prog="edgerigid",
         description="Edge-rigidity and conformal rigidity of graphs.",
@@ -141,9 +149,39 @@ def _load_weights(args: argparse.Namespace, m: int) -> WeightVector | None:
     return WeightVector.from_text(Path(args.weights).read_text(), m)
 
 
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _dumps(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte; keys must be str.
+
+    pad is the newline and indentation before obj's closing bracket. A list
+    of plain floats and ints is one compact C-encoder call, re-indented:
+    no number's text holds a comma.
+    """
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = ("," + inner).join(
+            json.encoder.encode_basestring_ascii(k) + ": " + _dumps(v, inner)
+            for k, v in sorted(obj.items())
+        )
+        return "{" + inner + body + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(type(v) is float or type(v) is int for v in obj):
+            body = _compact(obj)[1:-1].replace(",", "," + inner)
+        else:
+            body = ("," + inner).join(_dumps(v, inner) for v in obj)
+        return "[" + inner + body + pad + "]"
+    return _compact(obj)
+
+
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
     if args.format == "json":
-        out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        out = _dumps(payload) + "\n"
     else:
         out = text
     if args.output:
@@ -305,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (EdgeRigidError, OSError, ValueError, IndexError) as exc:
+    except (EdgeRigidError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -40,6 +40,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from .errors import LevelOutOfRangeError
 from .graphs import Graph, edge_energies, incidence, laplacian
 from .spectral import check_tol, group_eigenvalues, spectrum
 
@@ -375,7 +376,7 @@ def certificate(g: Graph, j: int, tol: float = 1e-8) -> KCertificate:
     s = spectrum(L)
     r = s.r
     if not 1 <= j <= r - 1:
-        raise IndexError(f"level j must be in 1..{r - 1}, got {j}")
+        raise LevelOutOfRangeError(f"level j must be in 1..{r - 1}, got {j}")
     top = slice(r - j, r)
     y = s.eigenvalues[r - j - 1]
     energies = [edge_energies(g, U) for U in s.bases[top]]

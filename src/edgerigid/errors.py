@@ -29,6 +29,10 @@ class LengthMismatchError(EdgeRigidError, ValueError):
     """Two vectors that must have equal length do not."""
 
 
+class LevelOutOfRangeError(EdgeRigidError, IndexError):
+    """An eigenvalue group or level index is outside the graph's spectrum."""
+
+
 class DisconnectingWeightsError(EdgeRigidError):
     """The weighted Laplacian has rank below n - 1."""
 

@@ -20,6 +20,7 @@ from .errors import (
     ConvergenceFailureError,
     DisconnectingWeightsError,
     LengthMismatchError,
+    LevelOutOfRangeError,
 )
 from .exactmat import det_exact
 from .graphs import Graph, WeightVector, edge_energies, laplacian
@@ -155,7 +156,7 @@ def embedding(s: Spectrum, i: int) -> Embedding:
     basis, adjoint(E_i).
     """
     if not 2 <= i <= s.r:
-        raise IndexError(f"eigenspace index {i} out of range 2..{s.r}")
+        raise LevelOutOfRangeError(f"eigenspace index {i} out of range 2..{s.r}")
     return Embedding(index=i, coordinates=s.bases[i - 1])
 
 

@@ -1,13 +1,22 @@
 import argparse
 import json
+import math
+import os
+import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from conftest import hypercube
+from conftest import CORPUS, hypercube
 
 from edgerigid import cli
 from edgerigid import families as fam
+from edgerigid.errors import EdgeRigidError
+from edgerigid.graphs import Graph
 
 
 @pytest.fixture
@@ -285,3 +294,155 @@ def test_decide_output_is_an_argparse_error(graph_file, tmp_path, capsys):
     assert exc.value.code == 2
     assert not out_path.exists()
     assert capsys.readouterr().out == ""
+
+
+def test_bare_index_error_propagates_out_of_main(graph_file, monkeypatch):
+    # an indexing bug is not bad input: it must not become "error: ..." and exit 2
+    def broken(args):
+        return [][0]
+
+    monkeypatch.setitem(cli.COMMANDS, "decide", broken)
+    with pytest.raises(IndexError):
+        cli.main(["decide", graph_file(fam.path_graph(4))])
+
+
+# ---------------------------------------------------------------------------
+# JSON writer: the same bytes as json.dumps(payload, indent=2, sort_keys=True)
+# ---------------------------------------------------------------------------
+
+
+def stdlib_json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+WRITER_CASES = {
+    "empty dict": {},
+    "empty list": [],
+    "nested empties": {"a": {}, "b": [], "c": [[], {}, [[]]], "d": [{}]},
+    "bool int float": [True, 1, 1.0],
+    "non-finite": [math.nan, math.inf, -math.inf],
+    "non-finite leaves": {"x": math.nan, "y": [1, {"z": -math.inf}]},
+    "negative zero": [-0.0, 0.0, 0],
+    "small float": [1e-05, 5e-324],
+    "large float": [1e16, 1.7976931348623157e308, 1e16 + 2],
+    "ints above 2**64": [2**64 + 1, -(2**70), 3 * 10**40],
+    "big int leaf": {"tree_count_exact": 2**100},
+    "np.float64 leaves": [np.float64(0.1), np.float64(1) / 3, 2.5],
+    "np.float64 scalar": {"gap": np.float64(-0.0), "bound": np.float64(1e16)},
+    "non-ascii strings": {"\u00e9": "\u00fc\u2603\U0001f600", "k": ["\u00e9"]},
+    "escaped strings": ["quote \" backslash \\ tab \t", "nl\n cr\r nul\x00 \x7f"],
+    "mixed list": ["x", None, False, 1, [1, [2.5, {"z": 1, "a": [True, None]}]]],
+    "tuples": [(1, 2), (3.5,), ()],
+    "sorted keys": {"b": 1, "a": {"d": [1.5, 2], "c": "s"}, "B": None, "": 0},
+    "scalar": 7,
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_CASES))
+def test_writer_matches_stdlib(name):
+    payload = WRITER_CASES[name]
+    assert cli._dumps(payload) == stdlib_json(payload)
+
+
+def test_writer_rejects_unknown_types():
+    for payload in ({"a": object()}, [{1, 2}], [np.int64(3)]):
+        with pytest.raises(TypeError):
+            stdlib_json(payload)
+        with pytest.raises(TypeError):
+            cli._dumps(payload)
+
+
+def seeded_graphs(count: int = 6, seed: int = 13):
+    rng = random.Random(seed)
+    graphs = []
+    while len(graphs) < count:
+        n = rng.randint(4, 12)
+        edges = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(n, 3 * n))}
+        try:
+            graphs.append((f"random{len(graphs)}", Graph(n, tuple(sorted(edges)))))
+        except EdgeRigidError:  # disconnected; draw again
+            pass
+    return graphs
+
+
+JSON_GRAPHS = [(name, g) for name, g, _ in CORPUS] + seeded_graphs()
+
+
+@pytest.mark.parametrize("name,g", JSON_GRAPHS, ids=[c[0] for c in JSON_GRAPHS])
+def test_json_stdout_is_the_stdlib_serialization(graph_file, tmp_path, capsys, name, g):
+    path = graph_file(g)
+    weights = tmp_path / "w.txt"
+    weights.write_text("".join(f"{1 + (i % 3) / 2}\n" for i in range(g.m)))
+    commands = [
+        ["analyze"],
+        ["optimize", "--k", "1", "--objective", "upper"],
+        ["optimize", "--k", "1", "--objective", "lower"],
+        ["profile"],
+        ["certify", "--j", "1"],
+        ["tau"],
+        ["tau", "--weights", str(weights)],
+        ["kf"],
+    ]
+    for command in commands:
+        code, out, _ = run([command[0], path, *command[1:], "--format", "json"], capsys)
+        assert code == 0, command
+        assert out == stdlib_json(json.loads(out)) + "\n", command
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def in_process(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def fresh_process(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "edgerigid.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_reused_parser_gives_fresh_process_results(graph_file, tmp_path, capsys):
+    path = graph_file(fam.path_graph(5))
+    out_file = tmp_path / "report.json"
+    sequences = [
+        # --output must not stick: the second analyze writes to stdout
+        [["analyze", path, "--format", "json", "--output", str(out_file)],
+         ["analyze", path, "--format", "json"]],
+        # a usage error leaves nothing behind
+        [["profile", path, "--tol", "-1"], ["profile", path, "--format", "json"]],
+        [["decide", path], ["profile", path]],
+    ]
+
+    def run_sequence(runner, sequence):
+        got = []
+        for argv in sequence:
+            got.append(runner(argv))
+            if "--output" in argv:
+                got.append(out_file.read_bytes())
+                out_file.unlink()
+        return got
+
+    results = []
+    for sequence in sequences:
+        got = run_sequence(lambda argv: in_process(argv, capsys), sequence)
+        assert got == run_sequence(fresh_process, sequence)
+        results.append(got)
+    to_file, written, to_stdout = results[0]
+    assert to_file == (0, "", "") and to_stdout[1].encode() == written
+    usage_error, good = results[1]
+    assert usage_error[0] == 2 and "--tol" in usage_error[2] and good[0] == 0
+    assert [code for code, _, _ in results[2]] == [1, 0]
