@@ -152,6 +152,27 @@ def _load_weights(args: argparse.Namespace, m: int) -> WeightVector | None:
 _compact = json.JSONEncoder(separators=(",", ":")).encode
 
 
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# The JSON text of a scalar whose type is exactly one of these, as the
+# C encoder writes it; subclasses (np.float64, IntEnum) go to _compact.
+_SCALARS = {
+    float: _float_text,
+    int: int.__repr__,
+    bool: lambda x: "true" if x else "false",
+    type(None): lambda x: "null",
+    str: json.encoder.encode_basestring_ascii,
+}
+
+
 def _dumps(obj, pad: str = "\n") -> str:
     """json.dumps(obj, indent=2, sort_keys=True), byte for byte; keys must be str.
 
@@ -159,6 +180,9 @@ def _dumps(obj, pad: str = "\n") -> str:
     of plain floats and ints is one compact C-encoder call, re-indented:
     no number's text holds a comma.
     """
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
     inner = pad + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -196,7 +220,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     s = report.spectrum
     resistances = resistances_from_eigh(g, s.evals, np.hstack(s.bases))
     kf = kirchhoff_from_eigenvalues(g.n, s.evals)
-    tau_exact = tree_count_exact(g)
+    tau_exact = report.tree_count
     payload = {
         "graph": {"n": g.n, "m": g.m, "edges": [list(e) for e in g.edges]},
         "report": report.to_dict(),

@@ -36,7 +36,17 @@ turn other deciders into functions of that stream:
   signed line graph is walk-regular exactly when the stream is constant.
 
 ``full_report`` computes the stream once and takes the walk criterion, the
-cospectrality classes and the signed-line-graph verdict from it. It adds
+cospectrality classes and the signed-line-graph verdict from it, and the
+exact spanning-tree count from the traces p_l = tr(M^l), l = 0..n-1, the
+sums of the diagonal slots it already extracts. Newton's identities,
+k a_k = -sum_{i=1..k} a_{k-i} p_i with exact divisions, give the
+coefficients a_k of x^(n-k) in char_M(x) = det(xI - M). As
+char_L(x) = (-1)^n char_M(Delta - x) and the coefficient of x in char_L is
+(-1)^(n-1) n tau,
+
+    n tau = char_M'(Delta) = sum_{k<n} (n - k) a_k Delta^(n-1-k),
+
+one Horner pass; a_n = (-1)^n det M is never needed. It adds
 1-walk-(bi)regularity (powers of A: the stream's own on a regular graph,
 where M = A, a second exact loop otherwise) and the floating-point
 edge-isometry check, and insists that all five agree; a disagreement is an
@@ -259,14 +269,15 @@ def _matrix_powers(
         yield E.take(diag_at, axis=0), E.take(edge_at, axis=0)
 
 
-def _walk_stream(g: Graph, lmax: int, powers: list | None = None) -> Iterator[bytes]:
+def _walk_stream(g: Graph, lmax: int, powers: Iterable | None = None) -> Iterator[bytes]:
     """Yield the shifted walk vectors c_l(e) = z_e^T M^l z_e, l = 0..lmax, M = Delta I - L.
 
     For e = (a, b), c_l(e) = (M^l)_aa + (M^l)_bb - 2 (M^l)_ab. The three
     entries come from _matrix_powers (or powers, its output for M at depth
-    lmax) as m slots each, so one sum of three packed ints and 2^(8 size - 1)
-    per slot gives c_l: |c_l(e)| <= 2 Delta^l fits the slot. Each c_l is
-    yielded as m little-endian slots of equal size (_signed_slots).
+    lmax, read once) as m slots each, so one sum of three packed ints and
+    2^(8 size - 1) per slot gives c_l: |c_l(e)| <= 2 Delta^l fits the slot.
+    Each c_l is yielded as m little-endian slots of equal size
+    (_signed_slots).
     """
     a, b = np.transpose(g.edges)
     for diag, upper in powers or _matrix_powers(g, lmax, shifted=True):
@@ -276,6 +287,48 @@ def _walk_stream(g: Graph, lmax: int, powers: list | None = None) -> Iterator[by
         )
         half = _repeat(1 << 8 * upper.shape[1] - 1, upper.shape[1], g.m)
         yield (aa + bb + half - 2 * ab).to_bytes(upper.nbytes, "little")
+
+
+def _record_traces(
+    powers: Iterable, traces: list[int]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Pass the (diag, upper) of _matrix_powers through, appending tr(M^l) to traces.
+
+    The trace is the sum of diag's n unsigned slots: its byte columns are
+    summed in int64 (each sum is below 256 n) and shifted into place.
+    """
+    for diag, upper in powers:
+        cols = diag.sum(axis=0, dtype=np.int64).tolist()
+        traces.append(sum(c << 8 * j for j, c in enumerate(cols)))
+        yield diag, upper
+
+
+def _char_coeffs(traces: list[int]) -> list[int]:
+    """Coefficients a_0..a_(N-1) of x^n, .., x^(n-N+1) in det(xI - M) from p_l = tr(M^l), l < N.
+
+    Newton's identities: a_0 = 1 and k a_k = -sum_{i=1..k} a_{k-i} p_i. The
+    division is exact for the traces of an integer matrix; a remainder means
+    the traces are wrong and raises InternalInconsistencyError.
+    """
+    a = [1]
+    for k in range(1, len(traces)):
+        q, r = divmod(-sum(x * p for x, p in zip(reversed(a), traces[1:])), k)
+        if r:
+            raise InternalInconsistencyError(f"Newton's identity at k={k} left remainder {r}")
+        a.append(q)
+    return a
+
+
+def _tree_count(traces: list[int], delta: int) -> int:
+    """Spanning-tree count tau from p_l = tr(M^l), l < n: n tau = char_M'(Delta), by Horner."""
+    n = len(traces)
+    acc = 0
+    for k, a in enumerate(_char_coeffs(traces)):
+        acc = acc * delta + (n - k) * a
+    tau, r = divmod(acc, n)
+    if r:
+        raise InternalInconsistencyError(f"n tau = {acc} is not a multiple of n = {n}")
+    return tau
 
 
 # Modulus of the Berlekamp-Massey run on the walk constants, a Mersenne prime.
@@ -368,9 +421,17 @@ def _walk_criterion(
 
 
 def _profile_classes(g: Graph, walks: list[bytes]) -> tuple[tuple[int, ...], ...]:
-    """Group edge indices by their walk profile (w_0(e), .., w_last(e))."""
+    """Group edge indices by their walk profile (w_0(e), .., w_last(e)).
+
+    A power constant over the edges separates none of them, so the profiles
+    are keyed on the other powers only; when every power is constant there
+    is one class.
+    """
+    varying = [raw for raw in walks if not _constant(raw, g.m)]
+    if not varying:
+        return (tuple(range(g.m)),)
     buckets: dict[tuple[int, ...], list[int]] = {}
-    for e, profile in enumerate(zip(*(_split(raw, g.m) for raw in walks))):
+    for e, profile in enumerate(zip(*(_split(raw, g.m) for raw in varying))):
         buckets.setdefault(profile, []).append(e)
     return tuple(tuple(c) for c in sorted(buckets.values(), key=lambda c: c[0]))
 
@@ -484,6 +545,8 @@ class RigidityReport:
     """Verdicts from every decider, plus the structural classifications.
 
     spectrum and isometry (unit weights) back the float_embedding verdict.
+    tree_count, the exact spanning-tree count from the walk stream's traces,
+    is not part of to_dict.
     """
 
     edge_rigid: bool
@@ -495,6 +558,7 @@ class RigidityReport:
     walk_class: WalkClassification
     spectrum: Spectrum
     isometry: IsometryCheck
+    tree_count: int
 
     @property
     def gammas(self) -> tuple[float, ...]:
@@ -518,19 +582,24 @@ def full_report(g: Graph, tol: float = 1e-8) -> RigidityReport:
     """Run every decider and assemble the cross-checked report.
 
     The walk stream is computed once, at full depth; the walk criterion,
-    the cospectrality classes and the signed-line-graph verdict all come
-    from it, and on a regular graph, where Delta I - L = A, so does
-    walk_class. All five verdicts must agree or InternalInconsistencyError is
-    raised. tol, the float embedding test's tolerance, must be finite and
-    > 0.
+    the cospectrality classes, the signed-line-graph verdict and the exact
+    tree count (from the traces of its powers) all come from it, and on a
+    regular graph, where Delta I - L = A, so does walk_class; only then are
+    the powers kept in a list. All five verdicts must agree or
+    InternalInconsistencyError is raised. tol, the float embedding test's
+    tolerance, must be finite and > 0.
     """
     check_tol(tol)
-    regular = min(g.degrees) == max(g.degrees)
-    powers = list(_matrix_powers(g, g.n - 1, shifted=True)) if regular else None
-    walks = list(_walk_stream(g, g.n - 1, powers))
+    delta = max(g.degrees)
+    regular = min(g.degrees) == delta
+    powers = _matrix_powers(g, g.n - 1, shifted=True)
+    if regular:
+        powers = list(powers)
+    traces: list[int] = []
+    walks = list(_walk_stream(g, g.n - 1, _record_traces(powers, traces)))
     wc = _walk_criterion(g, walks)
     classes = _profile_classes(g, walks)
-    wclass = walk_class(g, powers)
+    wclass = walk_class(g, powers if regular else None)
     s = spectrum(laplacian(g).astype(float))
     iso = edge_isometry_check(g, s, tol)
     verdicts = {
@@ -556,4 +625,5 @@ def full_report(g: Graph, tol: float = 1e-8) -> RigidityReport:
         walk_class=wclass,
         spectrum=s,
         isometry=iso,
+        tree_count=_tree_count(traces, delta),
     )

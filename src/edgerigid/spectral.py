@@ -202,8 +202,13 @@ def kirchhoff_index(g: Graph, w: WeightVector | None = None, tol: float = 1e-9) 
 
 
 def tree_count_from_eigenvalues(n: int, evals: np.ndarray) -> float:
-    """Weighted spanning-tree count (1/n) * prod of nontrivial eigenvalues."""
-    return float(np.prod(evals[1:]) / n)
+    """Weighted spanning-tree count (1/n) * prod of nontrivial eigenvalues.
+
+    A product beyond the float range is inf, without an overflow warning
+    (K150 has 150^148 trees); tree_count_exact gives the exact count.
+    """
+    with np.errstate(over="ignore"):
+        return float(np.prod(evals[1:]) / n)
 
 
 def weighted_tree_count(g: Graph, w: WeightVector | None = None) -> float:

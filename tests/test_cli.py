@@ -1,4 +1,5 @@
 import argparse
+import enum
 import json
 import math
 import os
@@ -315,6 +316,11 @@ def stdlib_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 3
+
+
 WRITER_CASES = {
     "empty dict": {},
     "empty list": [],
@@ -335,6 +341,13 @@ WRITER_CASES = {
     "tuples": [(1, 2), (3.5,), ()],
     "sorted keys": {"b": 1, "a": {"d": [1.5, 2], "c": "s"}, "B": None, "": 0},
     "scalar": 7,
+    "true scalar": True,
+    "false scalar": False,
+    "None scalar": None,
+    "NaN scalar": math.nan,
+    "inf scalar": math.inf,
+    "-inf scalar": -math.inf,
+    "IntEnum leaves": {"a": Level.HIGH, "b": [Level.LOW, 2, Level.HIGH], "c": [Level.LOW]},
 }
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from edgerigid.spectral import (
     majorization_check,
     spectrum,
     tree_count_exact,
+    tree_count_from_eigenvalues,
     weighted_tree_count,
 )
 
@@ -239,6 +241,14 @@ def test_tree_count_values():
     assert tree_count_exact(fam.complete_graph(4)) == 16
     assert tree_count_exact(fam.cycle_graph(4)) == 4
     assert tree_count_exact(fam.path_graph(4)) == 1
+
+
+def test_tree_count_beyond_the_float_range_is_inf_without_a_warning():
+    # K150 has 150^148 spanning trees, more than the largest float
+    evals = np.linalg.eigvalsh(laplacian(fam.complete_graph(150)).astype(float))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tree_count_from_eigenvalues(150, evals) == math.inf
 
 
 def test_weighted_tree_count_matches_enum():

@@ -5,8 +5,11 @@ walk stream w_l = adjoint(L^l), which is computed from powers of
 M = max-degree I - L. Here they are compared with the exact characteristic
 polynomials of ``adjugate_quadratic_form`` and with the m x m
 signed-line-graph power loop, the packed stream itself with dense
-adjoint(M^l) and with the traces of M^l L, and ``walk_class`` with dense
-powers of A, on the corpus and on seeded random graphs (numpy RNG only).
+adjoint(M^l) and with the traces of M^l L, ``walk_class`` with dense
+powers of A, the char(M) coefficients that Newton's identities take from
+the stream's traces with ``char_poly``, and ``full_report``'s tree count
+with the Bareiss ``tree_count_exact`` and closed forms, on the corpus and
+on seeded random graphs (numpy RNG only).
 """
 
 import math
@@ -18,13 +21,17 @@ from conftest import CORPUS, dense_powers, hypercube
 
 from edgerigid import families as fam
 from edgerigid import rigidity
-from edgerigid.exactmat import adjugate_quadratic_form, exact_matrix
-from edgerigid.errors import DisconnectedError
+from edgerigid.exactmat import adjugate_quadratic_form, char_poly, exact_matrix
+from edgerigid.errors import DisconnectedError, InternalInconsistencyError
 from edgerigid.graphs import Graph, Orientation, adjoint_apply, bipartition, laplacian
 from edgerigid.rigidity import (
     WalkClassification,
+    _char_coeffs,
     _matrix_powers,
+    _profile_classes,
+    _record_traces,
     _signed_slots,
+    _split,
     _walk_stream,
     cospectrality_classes,
     decide_edge_rigid_exact,
@@ -32,6 +39,7 @@ from edgerigid.rigidity import (
     signed_line_graph_walk_regular,
     walk_class,
 )
+from edgerigid.spectral import tree_count_exact
 
 
 def random_connected_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
@@ -283,3 +291,59 @@ def test_walk_class_matches_dense_powers(g):
     assert full_report(g).walk_class == ref
     if len(set(g.degrees)) == 1:
         assert walk_class(g, list(_matrix_powers(g, g.n - 1, shifted=True))) == ref
+
+
+def all_power_classes(g: Graph, walks: list[bytes]) -> tuple[tuple[int, ...], ...]:
+    """Edge classes by the values of every power of the stream, constant or not."""
+    buckets: dict[tuple[int, ...], list[int]] = {}
+    for e, profile in enumerate(zip(*(_split(raw, g.m) for raw in walks))):
+        buckets.setdefault(profile, []).append(e)
+    return tuple(tuple(c) for c in sorted(buckets.values()))
+
+
+def test_classes_keyed_on_varying_powers_match_all_powers(case):
+    walks = list(_walk_stream(case, case.n - 1))
+    assert _profile_classes(case, walks) == all_power_classes(case, walks)
+
+
+def test_newton_coefficients_match_char_poly(case):
+    g = case
+    M = max(g.degrees) * np.eye(g.n, dtype=np.int64) - laplacian(g)
+    traces: list[int] = []
+    for _ in _record_traces(_matrix_powers(g, g.n - 1, shifted=True), traces):
+        pass
+    assert traces == [P.trace() for P in dense_powers(M, g.n - 1)]
+    # coefficients of x^n..x^1 of det(xI - M), against char_poly's ascending degrees 1..n
+    assert _char_coeffs(traces)[::-1] == list(char_poly(M).coeffs[1:])
+
+
+def test_newton_remainder_is_an_internal_inconsistency():
+    # 2 a_2 = -(a_1 p_1 + a_0 p_2) = 1 for the traces (3, 1, 0) of no integer matrix
+    with pytest.raises(InternalInconsistencyError):
+        _char_coeffs([3, 1, 0])
+
+
+def random_trees(seed: int = 20261020) -> list[tuple[str, Graph]]:
+    rng = np.random.default_rng(seed)
+    return [
+        (f"tree{i}", fam.random_tree(int(rng.integers(2, 31)), seed=int(rng.integers(2**31))))
+        for i in range(10)
+    ]
+
+
+TREE_CASES = CASES + WIDTH_CASES + random_trees() + random_regular_graphs()
+
+
+@pytest.mark.parametrize("g", [g for _, g in TREE_CASES], ids=[n for n, _ in TREE_CASES])
+def test_stream_tree_count_matches_bareiss(g):
+    assert full_report(g).tree_count == tree_count_exact(g)
+
+
+@pytest.mark.parametrize("g", [g for _, g in random_trees()], ids=[n for n, _ in random_trees()])
+def test_stream_tree_count_of_a_tree_is_one(g):
+    assert full_report(g).tree_count == 1
+
+
+@pytest.mark.parametrize("a, b", [(1, 6), (2, 5), (3, 4), (3, 7), (5, 8)])
+def test_stream_tree_count_of_complete_bipartite(a, b):
+    assert full_report(fam.complete_bipartite_graph(a, b)).tree_count == a ** (b - 1) * b ** (a - 1)
