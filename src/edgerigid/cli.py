@@ -173,12 +173,21 @@ _SCALARS = {
 }
 
 
-def _dumps(obj, pad: str = "\n") -> str:
+def _dumps(obj) -> str:
     """json.dumps(obj, indent=2, sort_keys=True), byte for byte; keys must be str.
 
-    pad is the newline and indentation before obj's closing bracket. A list
-    of plain floats and ints is one compact C-encoder call, re-indented:
-    no number's text holds a comma.
+    A tuple held more than once at one depth, such as a weight vector shared
+    by several results, is encoded once: each call keeps its own memo of
+    tuple texts, keyed on (id, pad), and the payload keeps those ids valid.
+    """
+    return _encode(obj, "\n", {})
+
+
+def _encode(obj, pad: str, memo: dict[tuple[int, str], str]) -> str:
+    """_dumps for obj nested at pad, the newline and indentation before its closing bracket.
+
+    A list of plain floats and ints is one compact C-encoder call,
+    re-indented: no number's text holds a comma.
     """
     scalar = _SCALARS.get(type(obj))
     if scalar is not None:
@@ -188,18 +197,24 @@ def _dumps(obj, pad: str = "\n") -> str:
         if not obj:
             return "{}"
         body = ("," + inner).join(
-            json.encoder.encode_basestring_ascii(k) + ": " + _dumps(v, inner)
+            json.encoder.encode_basestring_ascii(k) + ": " + _encode(v, inner, memo)
             for k, v in sorted(obj.items())
         )
         return "{" + inner + body + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        key = (id(obj), pad)
+        if key in memo:
+            return memo[key]
         if all(type(v) is float or type(v) is int for v in obj):
             body = _compact(obj)[1:-1].replace(",", "," + inner)
         else:
-            body = ("," + inner).join(_dumps(v, inner) for v in obj)
-        return "[" + inner + body + pad + "]"
+            body = ("," + inner).join(_encode(v, inner, memo) for v in obj)
+        text = "[" + inner + body + pad + "]"
+        if type(obj) is tuple:
+            memo[key] = text
+        return text
     return _compact(obj)
 
 

@@ -22,21 +22,22 @@ the boundary eigenspace fractionally (X gains (t/mult) * E_boundary). The
 fractional choice is what makes the dual bound tight for rigid graphs at
 every k, not just at multiplicity boundaries, and it is deterministic.
 
-Every run gets its first iterate, the spectrum of L(1) and g_1, from its
-caller. At unit weights every k fills its top slots from the same r
-eigenvalue groups of L(1). So k_rigidity_profile computes each group's
-edge energies once, and each of its n - 1 runs takes g_1 from a running
-sum of them. On an edge-rigid graph every run stops there: the whole
-profile costs one eigh of L(1) and r edge-energy passes. The trace
-identity that gives the lower entries is exact, so it is not re-checked
-at run time.
+Runs start from a stack of first iterates, the spectrum of L(1) and one
+g_1 per k: one array minimum gives every dual bound, and only the runs
+whose gap stays open go on. optimize stacks one k. k_rigidity_profile
+stacks all n - 1: each k fills its top slots from the same r eigenvalue
+groups of L(1), so every g_1 is a running sum of r group energies plus a
+fraction of one, built in one array pass. On an edge-rigid graph every
+run stops there: the profile costs one eigh of L(1), r edge-energy passes
+and O(n |E|) array work, and its runs share one unit-weight best_w tuple.
+The trace identity that gives the lower entries is exact, so it is not
+re-checked at run time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -115,7 +116,8 @@ class OptimizeResult:
     stops at its first witness, so its best_primal and best_dual are
     certified bounds, not the optimum. iterations counts the evaluated
     weight vectors, one eigendecomposition each (k_rigidity_profile makes
-    the unit-weight one once for all its runs).
+    the unit-weight one once for all its runs). Runs that stop at unit
+    weights may share one best_w tuple, and to_dict returns it as is.
     """
 
     k: int
@@ -140,7 +142,7 @@ class OptimizeResult:
             "best_primal": self.best_primal,
             "best_dual": self.best_dual,
             "gap": self.gap,
-            "best_w": list(self.best_w),
+            "best_w": self.best_w,
             "iterations": self.iterations,
             "tol": self.tol,
         }
@@ -182,108 +184,98 @@ def optimize(
     check_tol(tol)
     if objective not in ("upper", "lower"):
         raise ValueError(f"objective must be 'upper' or 'lower', got {objective!r}")
+    unit_w = (1.0,) * g.m
     if objective == "lower" and k == g.n - 1:
-        return _lower_from_upper(g, k, _zero_upper(g, tol, record_history))
+        return _lower_from_upper(g, k, _zero_upper(tol, record_history, unit_w))
     top = k if objective == "upper" else g.n - 1 - k
     B = incidence(g).astype(float)
     evals, evecs = np.linalg.eigh(B @ B.T)
-    g1 = _top_energies(g, evals, evecs, top)
-    up = _optimize_upper(g, B, top, iters, tol, record_history, evals, g1)
+    G = _top_energies(g, evals, evecs, top)[None, :]
+    (up,) = _upper_runs(g, B, evals, [top], G, iters, tol, record_history, unit_w)
     return up if objective == "upper" else _lower_from_upper(g, k, up)
 
 
-def _optimize_upper(
-    g: Graph,
-    B: np.ndarray,
-    k: int,
-    iters: int,
-    tol: float,
-    record_history: bool,
-    evals: np.ndarray,
-    g1: np.ndarray,
-) -> OptimizeResult:
-    """Minimize S_k from unit weights; B is the float incidence matrix of g.
+def _upper_runs(
+    g: Graph, B: np.ndarray, evals: np.ndarray, ks, G: np.ndarray,
+    iters: int, tol: float, record_history: bool, unit_w: tuple[float, ...],
+) -> list[OptimizeResult]:
+    """The upper runs at the levels ks; B is the float incidence matrix of g.
 
-    evals and g1 are the first iterate: the eigenvalues of L(1) = B B^T and
-    the edge energies adjoint(X_1) of its top k slots, equal to
-    _top_energies(g, evals, evecs, k).
+    evals are the eigenvalues of L(1) = B B^T and row i of G is
+    _top_energies(g, evals, evecs, ks[i]). A run whose gap closes at unit
+    weights, or whose budget is one iterate, ends with best_w = unit_w.
+    """
+    out = []
+    for k, g1, dual in zip(ks, G, (g.m * G.min(axis=1)).tolist()):
+        baseline = float(evals[g.n - k:].sum())
+        scale = max(1.0, abs(baseline))
+        run = baseline, dual, unit_w, 1, [baseline], [dual]
+        if iters > 1 and baseline - dual > GAP_TOL * scale:
+            run = _optimize_upper(g, B, k, iters, tol, g1, baseline, dual)
+        best_primal, best_dual, best_w, iterations, primal_hist, dual_hist = run
+        if baseline - best_dual <= tol * scale:
+            verdict = VERDICT_RIGID
+        elif best_primal < baseline - tol * scale:
+            verdict = VERDICT_REFUTED
+        else:
+            verdict = VERDICT_INCONCLUSIVE
+        out.append(OptimizeResult(
+            k, "upper", verdict, baseline, best_primal, best_dual, best_primal - best_dual,
+            best_w, iterations, tol,
+            *((tuple(primal_hist), tuple(dual_hist)) if record_history else (None, None)),
+        ))
+    return out
+
+
+def _optimize_upper(
+    g: Graph, B: np.ndarray, k: int, iters: int, tol: float,
+    g1: np.ndarray, baseline: float, dual: float,
+) -> tuple:
+    """Go on from an open first iterate g1 = adjoint(X_1), baseline = S_k(1), dual = m min g1.
+
+    Returns best_primal, best_dual, best_w, the iteration count (iters >= 2
+    includes the first) and the primal and dual histories.
     """
     n, m = g.n, g.m
-    w = np.ones(m)
-    best_primal = math.inf
-    best_dual = -math.inf
-    best_w = w
-    primal_hist: list[float] = []
-    dual_hist: list[float] = []
-    # step: the line-search step alpha that produced w; 0.0 for unit weights,
-    # for mirror-descent iterates and once the search is over
-    step = 0.0
-    md_t = 0
-
-    gvec = g1
-    for t in range(1, iters + 1):
-        if t > 1:
-            evals, evecs = np.linalg.eigh((B * w) @ B.T)
-            gvec = _top_energies(g, evals, evecs, k)
-        primal = float(evals[n - k:].sum())
-        dual = m * float(gvec.min())
-        if t == 1:
-            baseline = primal
-            scale = max(1.0, abs(baseline))
-            c = m / max(float(np.abs(gvec).max()), 1e-12)
-            slope = float(np.sum((gvec - gvec.mean()) ** 2))  # |d|^2, d = -(g_1 - mean g_1)
-        if step in (0.0, c):  # the search's first point is mirror descent's first step
-            md_w, md_g, md_t = w, gvec, md_t + 1
-        if primal < best_primal:
-            best_primal = primal
-            best_w = w
-        if dual > best_dual:
-            best_dual = dual
-        if record_history:
-            primal_hist.append(primal)
-            dual_hist.append(dual)
-        iterations = t
-        if best_primal - best_dual <= GAP_TOL * scale or best_primal < baseline - tol * scale:
-            break
-        # Backtrack along d from unit weights while the predicted decrease
+    scale = max(1.0, abs(baseline))
+    c = m / max(float(np.abs(g1).max()), 1e-12)
+    slope = float(np.sum((g1 - g1.mean()) ** 2))  # |d|^2, d = -(g_1 - mean g_1)
+    best_primal, best_dual, best_w = baseline, dual, np.ones(m)
+    primal_hist, dual_hist = [baseline], [dual]
+    md_w, md_g, md_t = best_w, g1, 1  # mirror descent's last iterate, its g and count
+    for t in range(2, iters + 1):
+        # step: the line-search step alpha that gives w, 0.0 once the search is
+        # over. Backtrack along d from unit weights while the predicted decrease
         # alpha |d|^2 / 2 is at least tol * scale: an Armijo point would then
         # already be a refutation. Below that, mirror descent takes over.
-        step = c if t == 1 else step / 2
+        step = c if t == 2 else step / 2
         if step * slope / 2 < tol * scale:
             step = 0.0
         if step:
             w = _mirror_step(np.ones(m), g1, step)
         else:
             w = _mirror_step(md_w, md_g, c / math.sqrt(md_t))
-
-    if baseline - best_dual <= tol * scale:
-        verdict = VERDICT_RIGID
-    elif best_primal < baseline - tol * scale:
-        verdict = VERDICT_REFUTED
-    else:
-        verdict = VERDICT_INCONCLUSIVE
-    return OptimizeResult(
-        k=k,
-        objective="upper",
-        verdict=verdict,
-        baseline=baseline,
-        best_primal=best_primal,
-        best_dual=best_dual,
-        gap=best_primal - best_dual,
-        best_w=tuple(float(x) for x in best_w),
-        iterations=iterations,
-        tol=tol,
-        primal_history=tuple(primal_hist) if record_history else None,
-        dual_history=tuple(dual_hist) if record_history else None,
-    )
+        evals, evecs = np.linalg.eigh((B * w) @ B.T)
+        gvec = _top_energies(g, evals, evecs, k)
+        primal = float(evals[n - k:].sum())
+        dual = m * float(gvec.min())
+        if step in (0.0, c):  # the search's first point is mirror descent's first step
+            md_w, md_g, md_t = w, gvec, md_t + 1
+        if primal < best_primal:
+            best_primal = primal
+            best_w = w
+        best_dual = max(best_dual, dual)
+        primal_hist.append(primal)
+        dual_hist.append(dual)
+        if best_primal - best_dual <= GAP_TOL * scale or best_primal < baseline - tol * scale:
+            break
+    return best_primal, best_dual, tuple(best_w.tolist()), t, primal_hist, dual_hist
 
 
-def _zero_upper(g: Graph, tol: float, record_history: bool) -> OptimizeResult:
+def _zero_upper(tol: float, record_history: bool, unit_w: tuple[float, ...]) -> OptimizeResult:
     """Zero-iteration stand-in for S_0 = 0, so s_{n-1} = tr L(w) = 2|E|."""
     hist = () if record_history else None
-    return OptimizeResult(
-        0, "upper", VERDICT_RIGID, 0.0, 0.0, 0.0, 0.0, (1.0,) * g.m, 0, tol, hist, hist
-    )
+    return OptimizeResult(0, "upper", VERDICT_RIGID, 0.0, 0.0, 0.0, 0.0, unit_w, 0, tol, hist, hist)
 
 
 def _lower_from_upper(g: Graph, k: int, up: OptimizeResult) -> OptimizeResult:
@@ -512,13 +504,13 @@ def k_rigidity_profile(
 
     Each of the n-1 upper runs is made once: the lower entry at k reuses
     the upper run at n-1-k through the trace identity s_k + S_{n-1-k} = 2|E|,
-    exactly as optimize(g, k, "lower") would compute it. The runs share
-    their first iterate: one eigendecomposition of L(1) and one edge-energy
-    pass per eigenvalue group. g_1 at k is the running sum of the group
-    energies from the top plus the fractional boundary group, the same
-    additions in the same order as _top_energies, so each run is
-    bit-identical to a standalone one, and one that stops at unit weights
-    costs O(|E|) more. tol must be finite and > 0.
+    exactly as optimize(g, k, "lower") would compute it. One eigh of L(1)
+    and one edge-energy pass per eigenvalue group give every k's g_1: the
+    running sum of the group energies from the top plus the fractional
+    boundary group, the additions of _top_energies in its order, so each
+    run is bit-identical to a standalone one. A rigid profile then costs one
+    array pass, and the per-k Python work is one eigenvalue sum and two
+    results. tol must be finite and > 0.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
@@ -526,15 +518,18 @@ def k_rigidity_profile(
     n, m = g.n, g.m
     B = incidence(g).astype(float)
     evals, evecs = np.linalg.eigh(B @ B.T)
-    groups = group_eigenvalues(evals)
-    energies = [edge_energies(g, evecs[:, sl]) for sl in reversed(groups)]
-    # summed[j] = 0 + the energies of the top j groups, added as _top_energies adds them
-    summed = list(accumulate(energies, initial=np.zeros(m)))
-    uppers = [_zero_upper(g, tol, False)]
-    for k in range(1, n):
-        *full, (_, weight) = _top_groups(groups, k)
-        g1 = summed[len(full)] + weight * energies[len(full)]
-        uppers.append(_optimize_upper(g, B, k, iters, tol, False, evals, g1))
+    groups = group_eigenvalues(evals)[::-1]
+    E = np.array([edge_energies(g, evecs[:, sl]) for sl in groups])
+    # S[j] = 0 + the energies of the top j groups, added as _top_energies adds them
+    S = np.cumsum(np.vstack([np.zeros(m), E]), axis=0)
+    # slot k, counted from the top, lies in group J[k - 1], which gets weight W[k - 1]
+    sizes = np.array([sl.stop - sl.start for sl in groups])
+    J = np.repeat(np.arange(len(groups)), sizes)[: n - 1]
+    W = (np.arange(1, n) - (np.cumsum(sizes) - sizes)[J]) / sizes[J]
+    G = S[J] + W[:, None] * E[J]
+    unit_w = (1.0,) * m
+    uppers = [_zero_upper(tol, False, unit_w)]
+    uppers += _upper_runs(g, B, evals, range(1, n), G, iters, tol, False, unit_w)
     return RigidityProfile(tuple(
         ProfileEntry(k, uppers[k], _lower_from_upper(g, k, uppers[n - 1 - k]))
         for k in range(1, n)

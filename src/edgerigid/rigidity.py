@@ -490,7 +490,22 @@ class WalkClassification:
         }
 
 
-def walk_class(g: Graph, powers: list | None = None) -> WalkClassification:
+def _record_walk_flags(g: Graph, powers: Iterable, flags: list[bool]) -> Iterator[tuple]:
+    """Pass the (diag, upper) of _matrix_powers through, keeping walk_class's flags in flags.
+
+    flags: diag, upper, and diag on each side of the bipartition (False if
+    none) were constant in every power so far; each test compares bytes.
+    """
+    parts = bipartition(g)
+    flags[:] = True, True, parts is not None
+    for diag, upper in powers:
+        flags[0] = flags[0] and _constant(diag.tobytes(), g.n)
+        flags[1] = flags[1] and _constant(upper.tobytes(), g.m)
+        flags[2] = flags[2] and all(_constant(diag.take(p, 0).tobytes(), len(p)) for p in parts)
+        yield diag, upper
+
+
+def walk_class(g: Graph, flags: list[bool] | None = None) -> WalkClassification:
     """Exact walk-regularity classification from adjacency powers A^l.
 
     Checks l = 0..n-1: walk-regular means diag(A^l) is globally constant;
@@ -498,21 +513,17 @@ def walk_class(g: Graph, powers: list | None = None) -> WalkClassification:
     Walk-biregular graphs have diag(A^l) constant on each side of the
     bipartition; the biregular tests are skipped for non-bipartite input.
     The diagonal and the edge entries of A^l come from the same packed
-    powers as the walk stream (_matrix_powers), so each test is one
-    comparison of bytes. powers, when given, is that output for A at depth
-    n - 1; on a regular graph the walk stream's own powers are those of A.
+    powers as the walk stream (_matrix_powers). flags, when given, are
+    _record_walk_flags's for A at depth n - 1; on a regular graph the walk
+    stream's own powers are those of A.
     """
+    if flags is None:
+        flags = []
+        for _ in _record_walk_flags(g, _matrix_powers(g, g.n - 1, shifted=False), flags):
+            if not any(flags):
+                break
+    diag_const, edge_const, part_const = flags
     parts = bipartition(g)
-    diag_const = True
-    edge_const = True
-    part_const = parts is not None
-    for diag, upper in powers or _matrix_powers(g, g.n - 1, shifted=False):
-        diag_const = diag_const and _constant(diag.tobytes(), g.n)
-        if part_const:
-            part_const = all(_constant(diag.take(p, axis=0).tobytes(), len(p)) for p in parts)
-        edge_const = edge_const and _constant(upper.tobytes(), g.m)
-        if not diag_const and not part_const and not edge_const:
-            break
 
     if diag_const:
         label = "1-walk-regular" if edge_const else "walk-regular-only"
@@ -584,22 +595,23 @@ def full_report(g: Graph, tol: float = 1e-8) -> RigidityReport:
     The walk stream is computed once, at full depth; the walk criterion,
     the cospectrality classes, the signed-line-graph verdict and the exact
     tree count (from the traces of its powers) all come from it, and on a
-    regular graph, where Delta I - L = A, so does walk_class; only then are
-    the powers kept in a list. All five verdicts must agree or
+    regular graph, where Delta I - L = A, so do walk_class's flags, taken
+    as the powers pass; no power is kept. All five verdicts must agree or
     InternalInconsistencyError is raised. tol, the float embedding test's
     tolerance, must be finite and > 0.
     """
     check_tol(tol)
     delta = max(g.degrees)
     regular = min(g.degrees) == delta
-    powers = _matrix_powers(g, g.n - 1, shifted=True)
-    if regular:
-        powers = list(powers)
     traces: list[int] = []
-    walks = list(_walk_stream(g, g.n - 1, _record_traces(powers, traces)))
+    flags: list[bool] = []
+    powers = _record_traces(_matrix_powers(g, g.n - 1, shifted=True), traces)
+    if regular:
+        powers = _record_walk_flags(g, powers, flags)
+    walks = list(_walk_stream(g, g.n - 1, powers))
     wc = _walk_criterion(g, walks)
     classes = _profile_classes(g, walks)
-    wclass = walk_class(g, powers if regular else None)
+    wclass = walk_class(g, flags if regular else None)
     s = spectrum(laplacian(g).astype(float))
     iso = edge_isometry_check(g, s, tol)
     verdicts = {

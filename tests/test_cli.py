@@ -357,6 +357,38 @@ def test_writer_matches_stdlib(name):
     assert cli._dumps(payload) == stdlib_json(payload)
 
 
+def test_writer_encodes_one_tuple_at_two_depths():
+    w = (1.0, 0.5, 2)
+    payload = {"a": w, "b": {"c": w, "d": [w, ("x", w)]}, "e": w}
+    assert cli._dumps(payload) == stdlib_json(payload)
+
+
+def test_writer_encodes_equal_tuples_that_are_distinct_objects():
+    u, v = tuple([1.0, 0.25]), tuple([1.0, 0.25])
+    assert u is not v
+    payload = {"a": u, "b": v, "c": [u, v, tuple([0.25, 1.0])]}
+    assert cli._dumps(payload) == stdlib_json(payload)
+
+
+def test_writer_memo_does_not_outlive_its_call(monkeypatch):
+    # every call starts from an empty memo of its own, so a tuple freed with
+    # one payload cannot be read back through a reused id in the next call
+    encode, memos = cli._encode, []
+
+    def spy(obj, pad, memo):
+        if pad == "\n":
+            memos.append((memo, len(memo)))
+        return encode(obj, pad, memo)
+
+    monkeypatch.setattr(cli, "_encode", spy)
+    for i in range(50):
+        payload = {"w": tuple([float(i)] * 4), "v": [tuple([i, i + 1])]}
+        assert cli._dumps(payload) == stdlib_json(payload)
+        del payload
+    assert [size for _, size in memos] == [0] * 50
+    assert len({id(memo) for memo, _ in memos}) == 50
+
+
 def test_writer_rejects_unknown_types():
     for payload in ({"a": object()}, [{1, 2}], [np.int64(3)]):
         with pytest.raises(TypeError):

@@ -9,6 +9,7 @@ from conftest import hypercube
 from edgerigid import eigensum
 from edgerigid import families as fam
 from edgerigid.eigensum import (
+    VERDICT_INCONCLUSIVE,
     VERDICT_REFUTED,
     VERDICT_RIGID,
     certificate,
@@ -318,34 +319,57 @@ def test_profile_interpolation_on_rigid_graph():
     assert all(v == VERDICT_RIGID for v in verdicts)
 
 
+SEEDED = {f"tree{n}-{s}": fam.random_tree(n, seed=s) for n in (6, 9, 12, 16) for s in range(3)}
+SEEDED |= {
+    f"C{n}-{jumps[0]}-{jumps[1]}": fam.circulant_graph(n, jumps)
+    for n in range(7, 17)
+    for jumps in ((1, 2), (1, 3))
+}
+
+
+STANDALONE_CASES = {
+    "P2": fam.path_graph(2),
+    "P3": fam.path_graph(3),
+    "P7": fam.path_graph(7),
+    "C7": fam.cycle_graph(7),
+    "K5": fam.complete_graph(5),
+    "petersen": fam.petersen_graph(),
+    "tree6": fam.random_tree(6, seed=3),
+    "tree8": fam.random_tree(8, seed=5),
+    "tree9": fam.random_tree(9, seed=7),
+    # repeated eigenvalues: the boundary group is split at some k
+    "Q4": hypercube(4),
+    "K3_3": fam.complete_bipartite_graph(3, 3),
+    "C12-1-2": fam.circulant_graph(12, (1, 2)),
+}
+STANDALONE_CASES |= {f"seeded-{n}": g for n, g in SEEDED.items() if n not in STANDALONE_CASES}
+
+
 @pytest.mark.parametrize(
-    "g",
-    [
-        fam.path_graph(2),
-        fam.path_graph(3),
-        fam.path_graph(7),
-        fam.cycle_graph(7),
-        fam.complete_graph(5),
-        fam.petersen_graph(),
-        fam.random_tree(6, seed=3),
-        fam.random_tree(8, seed=5),
-        fam.random_tree(9, seed=7),
-        # repeated eigenvalues: the boundary group is split at some k
-        hypercube(4),
-        fam.complete_bipartite_graph(3, 3),
-        fam.circulant_graph(12, (1, 2)),
-    ],
-    ids=["P2", "P3", "P7", "C7", "K5", "petersen", "tree6", "tree8", "tree9", "Q4", "K3_3",
-         "C12-1-2"],
+    "g, tol",
+    [(g, 1e-5) for g in STANDALONE_CASES.values()]
+    # a tol below GAP_TOL: a run that stops at unit weights takes its verdict from the rule
+    + [(fam.circulant_graph(12, (1, 2)), 1e-12), (fam.cycle_graph(60), 1e-14)],
+    ids=[*STANDALONE_CASES, "C12-1-2-tol1e-12", "C60-tol1e-14"],
 )
-def test_profile_equals_standalone_runs(g):
-    tol = 1e-5
+def test_profile_equals_standalone_runs(g, tol):
     prof = k_rigidity_profile(g, iters=1500, tol=tol)
     assert [e.k for e in prof.entries] == list(range(1, g.n))
     for e in prof.entries:
         for objective, res in (("upper", e.upper), ("lower", e.lower)):
             alone = optimize(g, e.k, objective, iters=1500, tol=tol)
             assert res.to_dict() == alone.to_dict(), (e.k, objective)
+            assert res.verdict == verdict_of_bounds(res), (e.k, objective)
+
+
+def verdict_of_bounds(res):
+    """The verdict that res's baseline, best bounds and tol give."""
+    base, margin = res.baseline, res.tol * max(1.0, abs(res.baseline))
+    if res.objective == "upper":
+        rigid, refuted = base - res.best_dual <= margin, res.best_primal < base - margin
+    else:
+        rigid, refuted = res.best_dual - base <= margin, res.best_primal > base + margin
+    return VERDICT_RIGID if rigid else VERDICT_REFUTED if refuted else VERDICT_INCONCLUSIVE
 
 
 def count_calls(monkeypatch, owner, name):
@@ -361,17 +385,22 @@ def count_calls(monkeypatch, owner, name):
     return count
 
 
-@pytest.fixture
-def upper_runs(monkeypatch):
-    """Count the mirror-descent runs (_optimize_upper calls) eigensum makes."""
-    return count_calls(monkeypatch, eigensum, "_optimize_upper")
-
-
-@pytest.mark.parametrize("n", [2, 4, 7, 12])
-def test_profile_runs_each_upper_once(upper_runs, n):
-    prof = k_rigidity_profile(fam.path_graph(n), iters=20)
-    assert len(prof.entries) == n - 1
-    assert upper_runs[0] == n - 1
+@pytest.mark.parametrize(
+    "g, open_runs",
+    [(fam.path_graph(n), n - 2) for n in (2, 4, 7, 12)]
+    + [(fam.cycle_graph(60), 0), (hypercube(4), 0), (fam.petersen_graph(), 0)],
+    ids=["2", "4", "7", "12", "C60", "Q4", "petersen"],
+)
+def test_profile_runs_each_upper_once(monkeypatch, g, open_runs):
+    # one upper result per k = 0..n-1 and one lower per k = 1..n-1; only the k
+    # left open at unit weights (on P_n all but k = n - 1, where S_k = 2|E|)
+    # go on to _optimize_upper
+    results = count_calls(monkeypatch, eigensum, "OptimizeResult")
+    upper_runs = count_calls(monkeypatch, eigensum, "_optimize_upper")
+    prof = k_rigidity_profile(g, iters=20)
+    assert [(e.k, e.upper.k, e.lower.k) for e in prof.entries] == [(k, k, k) for k in range(1, g.n)]
+    assert results[0] == g.n + g.n - 1
+    assert upper_runs[0] == open_runs
 
 
 @pytest.fixture
@@ -484,14 +513,6 @@ def test_edge_energies_equal_projector_adjoint(corpus_case):
         V = rng.normal(size=(g.n, p))
         ref = adjoint_apply(g, V @ V.T)
         assert np.max(np.abs(edge_energies(g, V) - ref)) <= 1e-12 * max(1.0, float(ref.max()))
-
-
-SEEDED = {f"tree{n}-{s}": fam.random_tree(n, seed=s) for n in (6, 9, 12, 16) for s in range(3)}
-SEEDED |= {
-    f"C{n}-{jumps[0]}-{jumps[1]}": fam.circulant_graph(n, jumps)
-    for n in range(7, 17)
-    for jumps in ((1, 2), (1, 3))
-}
 
 
 @pytest.mark.parametrize("name", sorted(SEEDED))

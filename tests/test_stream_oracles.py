@@ -30,6 +30,7 @@ from edgerigid.rigidity import (
     _matrix_powers,
     _profile_classes,
     _record_traces,
+    _record_walk_flags,
     _signed_slots,
     _split,
     _walk_stream,
@@ -284,13 +285,16 @@ WALK_CASES = CASES + random_regular_graphs()
 
 @pytest.mark.parametrize("g", [g for _, g in WALK_CASES], ids=[n for n, _ in WALK_CASES])
 def test_walk_class_matches_dense_powers(g):
-    # on a regular graph max-degree I - L = A, so full_report reads the walk
-    # stream's powers; a non-regular graph takes its own loop on A
+    # on a regular graph max-degree I - L = A, so full_report takes the flags
+    # from the walk stream's powers; a non-regular graph takes its own loop on A
     ref = dense_walk_class(g)
     assert walk_class(g) == ref
     assert full_report(g).walk_class == ref
     if len(set(g.degrees)) == 1:
-        assert walk_class(g, list(_matrix_powers(g, g.n - 1, shifted=True))) == ref
+        flags: list[bool] = []
+        for _ in _record_walk_flags(g, _matrix_powers(g, g.n - 1, shifted=True), flags):
+            pass
+        assert walk_class(g, flags) == ref
 
 
 def all_power_classes(g: Graph, walks: list[bytes]) -> tuple[tuple[int, ...], ...]:
