@@ -7,11 +7,11 @@ multiply by the nonzeros of the base matrix only, so a power of a graph
 Laplacian costs O(n (n + m)) big-int operations, not O(n^3).
 
 The walk stream of ``rigidity`` does not use these arrays: it holds each row
-of L^l in one Python int of n slots, each wide enough for the bound
-0 <= w_l(e) <= 2 (2 max-degree)^l, so a power costs nnz(L) big-int
-operations, and a rigid graph with d' distinct nonzero Laplacian eigenvalues
-is decided after min(2d', n - 1) applications of L. ``mat_pow_stream``
-serves the signed-line-graph reference and the tests.
+of M^l, M = max-degree I - L, in one Python int of n slots, each wide enough
+for the bound |c_l(e)| <= 2 max-degree^l, so a power is one application of
+M, nnz(A) big-int additions, and a rigid graph with d' distinct nonzero
+Laplacian eigenvalues is decided after min(2d', n - 1) applications of M.
+``mat_pow_stream`` serves the signed-line-graph reference and the tests.
 """
 
 from __future__ import annotations

@@ -47,11 +47,18 @@ char_L(x) = (-1)^n char_M(Delta - x) and the coefficient of x in char_L is
     n tau = char_M'(Delta) = sum_{k<n} (n - k) a_k Delta^(n-1-k),
 
 one Horner pass; a_n = (-1)^n det M is never needed. It adds
-1-walk-(bi)regularity (powers of A: the stream's own on a regular graph,
-where M = A, a second exact loop otherwise) and the floating-point
-edge-isometry check, and insists that all five agree; a disagreement is an
-implementation bug, never a mathematical outcome. The independent
-references, ``exactmat.adjugate_quadratic_form`` and the m x m power loop of
+1-walk-(bi)regularity and the floating-point edge-isometry check, and insists
+that all five agree; a disagreement is an implementation bug, never a
+mathematical outcome. walk_class's flags, defined on powers of A, are read
+from those of M. On a regular graph M = A. On a bipartite biregular graph
+with degrees d_1 < Delta, M = [[cI, B], [B^T, 0]] with c = Delta - d_1 >= 1;
+the diagonal blocks of M^(2j) are monic of degree j in BB^T or B^T B, the
+edge block of M^(2j+1) is (monic of degree j in BB^T) B, and other blocks are
+integer polynomials of no higher degree, such as c^3 + 2c BB^T in M^3:
+constancy through l = n - 1 is the same on M and A. Any other graph fails
+both diagonal flags at l <= 2 on either stream, and then the edge flag
+reaches no field of WalkClassification. The independent references,
+``exactmat.adjugate_quadratic_form`` and the m x m power loop of
 ``signed_line_graph_walk_regular``, are checked against the stream in
 tests/test_stream_oracles.py on the corpus and on seeded random graphs.
 """
@@ -173,22 +180,22 @@ def _slot_bytes(r: int, l: int) -> int:
     return ((2 * r**l).bit_length() + 8) // 8
 
 
-def _packed_powers(g: Graph, lmax: int, shifted: bool) -> Iterator[tuple[list[int], int]]:
-    """Yield (rows of M^l, slot size in bytes) for l = 0..lmax; M is Delta I - L or A.
+def _packed_powers(g: Graph, lmax: int) -> Iterator[tuple[list[int], int]]:
+    """Yield (rows of M^l, slot size in bytes) for l = 0..lmax, M = Delta I - L.
 
     Row u of M^l is one int with (M^l)_uv in unsigned slot v (bit 8 size v),
     starting from the identity in one-byte slots. Row u of M^(l+1) is
     sum_{v ~ u} R_v + (Delta - deg u) R_u for the rows R of M^l, nnz(A)
     big-int additions on ints of n slots, and a multiplication for each u
-    with deg u < Delta when M is shifted. The entries of M^l, and the partial
-    sums that compute them, lie in [0, Delta^l]; slots of
+    with deg u < Delta. The entries of M^l, and the partial sums that
+    compute them, lie in [0, Delta^l]; slots of
     k >= bitlen(2 Delta^l) + 1 bits also hold the signed walk values of
     _walk_stream. When the next power needs more, the slots grow before the
     application, to twice their size or to what power lmax needs if that is
     less. M^(l+1) is computed only once the power l has been consumed.
     """
     delta = max(g.degrees)
-    lifted = [(u, delta - d) for u, d in enumerate(g.degrees) if shifted and d < delta]
+    lifted = [(u, delta - d) for u, d in enumerate(g.degrees) if d < delta]
     rows = [1 << 8 * u for u in range(g.n)]
     size = 1
     for l in range(lmax + 1):
@@ -242,12 +249,10 @@ def _masked_slots(rows: list[int], masks: list[int], colors: list[int], size: in
     return np.frombuffer(buf, dtype=np.uint8).reshape(len(merged), n, size)
 
 
-def _matrix_powers(
-    g: Graph, lmax: int, shifted: bool
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _matrix_powers(g: Graph, lmax: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield diag(M^l) and the entries (M^l)_ab of the edges (a, b), l = 0..lmax.
 
-    M is Delta I - L or A (_packed_powers). Each comes as a uint8 array of n
+    M is Delta I - L (_packed_powers). Each comes as a uint8 array of n
     or m little-endian unsigned slots of equal size. On top of the
     application of M, a power costs 2n big-int operations and one conversion
     to bytes per colour.
@@ -259,7 +264,7 @@ def _matrix_powers(
     col = np.array(colors)
     diag_at, edge_at = col * n + vertices, col[a] * n + b  # rows of E.reshape(-1, size)
     mask_size = 0
-    for rows, size in _packed_powers(g, lmax, shifted):
+    for rows, size in _packed_powers(g, lmax):
         if size != mask_size:
             mask_size = size
             masks = _slot_masks(
@@ -280,7 +285,7 @@ def _walk_stream(g: Graph, lmax: int, powers: Iterable | None = None) -> Iterato
     (_signed_slots).
     """
     a, b = np.transpose(g.edges)
-    for diag, upper in powers or _matrix_powers(g, lmax, shifted=True):
+    for diag, upper in powers or _matrix_powers(g, lmax):
         aa, bb, ab = (
             int.from_bytes(x.tobytes(), "little")
             for x in (diag.take(a, axis=0), diag.take(b, axis=0), upper)
@@ -506,21 +511,21 @@ def _record_walk_flags(g: Graph, powers: Iterable, flags: list[bool]) -> Iterato
 
 
 def walk_class(g: Graph, flags: list[bool] | None = None) -> WalkClassification:
-    """Exact walk-regularity classification from adjacency powers A^l.
+    """Exact walk-regularity classification, defined on adjacency powers A^l.
 
     Checks l = 0..n-1: walk-regular means diag(A^l) is globally constant;
     1-walk-regular additionally has (A^l)_ab constant over edges.
     Walk-biregular graphs have diag(A^l) constant on each side of the
     bipartition; the biregular tests are skipped for non-bipartite input.
-    The diagonal and the edge entries of A^l come from the same packed
-    powers as the walk stream (_matrix_powers). flags, when given, are
-    _record_walk_flags's for A at depth n - 1; on a regular graph the walk
-    stream's own powers are those of A.
+    The flags come from the walk stream's powers of M = Delta I - L, which
+    give those of A (module docstring). flags, when given, are
+    _record_walk_flags's at depth n - 1; otherwise the loop stops once both
+    diagonal flags fail, after one power unless g is (bi)regular.
     """
     if flags is None:
         flags = []
-        for _ in _record_walk_flags(g, _matrix_powers(g, g.n - 1, shifted=False), flags):
-            if not any(flags):
+        for _ in _record_walk_flags(g, _matrix_powers(g, g.n - 1), flags):
+            if not (flags[0] or flags[2]):
                 break
     diag_const, edge_const, part_const = flags
     parts = bipartition(g)
@@ -593,25 +598,20 @@ def full_report(g: Graph, tol: float = 1e-8) -> RigidityReport:
     """Run every decider and assemble the cross-checked report.
 
     The walk stream is computed once, at full depth; the walk criterion,
-    the cospectrality classes, the signed-line-graph verdict and the exact
-    tree count (from the traces of its powers) all come from it, and on a
-    regular graph, where Delta I - L = A, so do walk_class's flags, taken
-    as the powers pass; no power is kept. All five verdicts must agree or
-    InternalInconsistencyError is raised. tol, the float embedding test's
-    tolerance, must be finite and > 0.
+    the cospectrality classes, the signed-line-graph verdict, walk_class's
+    flags and the exact tree count (from its traces) all come from it, the
+    last two as the powers pass; no power is kept. All five verdicts must
+    agree or InternalInconsistencyError is raised. tol, the float embedding
+    test's tolerance, must be finite and > 0.
     """
     check_tol(tol)
-    delta = max(g.degrees)
-    regular = min(g.degrees) == delta
     traces: list[int] = []
     flags: list[bool] = []
-    powers = _record_traces(_matrix_powers(g, g.n - 1, shifted=True), traces)
-    if regular:
-        powers = _record_walk_flags(g, powers, flags)
+    powers = _record_walk_flags(g, _record_traces(_matrix_powers(g, g.n - 1), traces), flags)
     walks = list(_walk_stream(g, g.n - 1, powers))
     wc = _walk_criterion(g, walks)
     classes = _profile_classes(g, walks)
-    wclass = walk_class(g, flags if regular else None)
+    wclass = walk_class(g, flags)
     s = spectrum(laplacian(g).astype(float))
     iso = edge_isometry_check(g, s, tol)
     verdicts = {
@@ -637,5 +637,5 @@ def full_report(g: Graph, tol: float = 1e-8) -> RigidityReport:
         walk_class=wclass,
         spectrum=s,
         isometry=iso,
-        tree_count=_tree_count(traces, delta),
+        tree_count=_tree_count(traces, max(g.degrees)),
     )

@@ -123,13 +123,31 @@ def test_witness_at_power_one_takes_one_product(products, n):
     assert products[0] == 1
 
 
-def test_full_report_takes_one_exact_loop_on_a_regular_graph(products):
-    # on C12 the walk stream's powers are those of A; P12 adds a loop on A
-    full_report(fam.cycle_graph(12))
-    assert products[0] == 11
-    products[0] = 0
-    full_report(fam.path_graph(12))
-    assert products[0] > 11
+@pytest.mark.parametrize(
+    "g",
+    [fam.cycle_graph(12), fam.path_graph(12), fam.complete_bipartite_graph(3, 5),
+     fam.random_tree(30, 4)],
+    ids=["C12", "P12", "K3_5", "tree30"],
+)
+def test_full_report_takes_one_exact_loop_on_every_graph(products, g):
+    # regular, irregular and biregular graphs alike: walk_class's flags are
+    # read from the walk stream's powers, one application of M per power
+    full_report(g)
+    assert products[0] == g.n - 1
+
+
+@pytest.mark.parametrize(
+    "g, applications",
+    [(fam.path_graph(12), 1), (fam.random_tree(30, 4), 1),
+     (fam.complete_bipartite_graph(3, 5), 7), (fam.cycle_graph(12), 11)],
+    ids=["P12", "tree30", "K3_5", "C12"],
+)
+def test_walk_class_stops_once_both_diagonal_flags_fail(products, g, applications):
+    # diag(M) = max-degree - deg is constant overall only on a regular graph
+    # and on each side only on a biregular one; after that the edge flag
+    # cannot change the classification
+    walk_class(g)
+    assert products[0] == applications
 
 
 def test_widen_keeps_unsigned_slots_at_their_limits():

@@ -280,21 +280,71 @@ def dense_walk_class(g: Graph) -> WalkClassification:
     )
 
 
-WALK_CASES = CASES + random_regular_graphs()
+def random_biregular(rng: np.random.Generator, p: int, q: int, d: int) -> Graph:
+    """A connected bipartite graph, p vertices of degree q d / p and q of degree d.
+
+    Vertex j of the q side starts joined to j d, .., j d + d - 1 mod p; random
+    swaps {ab, ce} -> {ae, cb} that keep it simple then mix it until it is
+    connected, and the vertices are relabelled.
+    """
+    edges = sorted({((j * d + t) % p, p + j) for j in range(q) for t in range(d)})
+    present = set(edges)
+    while True:
+        for _ in range(10 * len(edges)):
+            i, k = (int(x) for x in rng.integers(len(edges), size=2))
+            (a, b), (c, e) = edges[i], edges[k]
+            if (a, e) not in present and (c, b) not in present:
+                present -= {edges[i], edges[k]}
+                edges[i], edges[k] = (a, e), (c, b)
+                present |= {edges[i], edges[k]}
+        try:
+            return relabel(rng, Graph(p + q, tuple(sorted(edges))))
+        except DisconnectedError:
+            continue
+
+
+def random_biregular_graphs(seed: int = 20261021) -> list[tuple[str, Graph]]:
+    """50 connected biregular bipartite graphs, sides p < q <= 12, so not regular.
+
+    (p, q, d) is drawn uniformly from the shapes with 1 < d < p: d = p is
+    K_{p,q}, and d = 1 < p splits the graph into stars.
+    """
+    shapes = [(p, q, d) for q in range(13) for p in range(q) for d in range(2, p) if q * d % p == 0]
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for i in range(50):
+        p, q, d = shapes[int(rng.integers(len(shapes)))]
+        graphs.append((f"bireg{p}_{q}_{d}_{i}", random_biregular(rng, p, q, d)))
+    return graphs
+
+
+BIREGULAR = random_biregular_graphs()
+
+
+def test_biregular_set_holds_both_verdicts():
+    labels = {dense_walk_class(g).label for _, g in BIREGULAR}
+    assert "1-walk-biregular" in labels
+    assert labels - {"1-walk-biregular"}
+
+
+WALK_CASES = (
+    CASES
+    + random_regular_graphs()
+    + [("K3_5", fam.complete_bipartite_graph(3, 5)), ("K4_6", fam.complete_bipartite_graph(4, 6))]
+    + BIREGULAR
+)
 
 
 @pytest.mark.parametrize("g", [g for _, g in WALK_CASES], ids=[n for n, _ in WALK_CASES])
 def test_walk_class_matches_dense_powers(g):
-    # on a regular graph max-degree I - L = A, so full_report takes the flags
-    # from the walk stream's powers; a non-regular graph takes its own loop on A
+    # the flags are read from powers of max-degree I - L, not of A, on every graph
     ref = dense_walk_class(g)
     assert walk_class(g) == ref
     assert full_report(g).walk_class == ref
-    if len(set(g.degrees)) == 1:
-        flags: list[bool] = []
-        for _ in _record_walk_flags(g, _matrix_powers(g, g.n - 1, shifted=True), flags):
-            pass
-        assert walk_class(g, flags) == ref
+    flags: list[bool] = []
+    for _ in _record_walk_flags(g, _matrix_powers(g, g.n - 1), flags):
+        pass
+    assert walk_class(g, flags) == ref
 
 
 def all_power_classes(g: Graph, walks: list[bytes]) -> tuple[tuple[int, ...], ...]:
@@ -314,7 +364,7 @@ def test_newton_coefficients_match_char_poly(case):
     g = case
     M = max(g.degrees) * np.eye(g.n, dtype=np.int64) - laplacian(g)
     traces: list[int] = []
-    for _ in _record_traces(_matrix_powers(g, g.n - 1, shifted=True), traces):
+    for _ in _record_traces(_matrix_powers(g, g.n - 1), traces):
         pass
     assert traces == [P.trace() for P in dense_powers(M, g.n - 1)]
     # coefficients of x^n..x^1 of det(xI - M), against char_poly's ascending degrees 1..n
