@@ -14,19 +14,27 @@ packed rows: row u is one Python int whose slot v, an unsigned field of k
 bits, holds (M^l)_uv, so CPython's limb loops do the inner dimension. A
 power is one application of M, R_u <- sum_{v ~ u} R_v + (Delta - deg u) R_u:
 additions, and a multiplication only where deg u < Delta (none on a regular
-graph). Masks keep the diagonal slots and the slots b of the rows a of the
-edges (a, b); rows whose kept slots are disjoint are merged into one int
-before it is turned into bytes, and the three entries of every edge combine
-into c_l as one sum of packed ints. M is nonnegative with row sums at most
-Delta, so 0 <= (M^l)_uv <= Delta^l and |c_l(e)| <= 2 Delta^l: slots of
-k >= bitlen(2 Delta^l) + 1 bits decode uniquely; k grows with l. The
-stream to depth n-1 takes n-1 applications of M, on ints of
-O(n^2 log(max-degree)) bits. ``decide_edge_rigid_exact`` often
-stops sooner: a monic integer q of degree D that annihilates the constants
-C_0..C_{2D} of w gives q^T H q = sum_t m_t t q(t)^2 = 0 for the Hankel matrix
-H = [m C_{i+k}] = [tr L^{i+k+1}], so q vanishes on every nonzero eigenvalue t
-of L, and its recurrence carries constancy to every power. Two identities
-turn other deciders into functions of that stream:
+graph). Twins, vertices with one neighbourhood, share one sum, so K_{a,b}
+takes a + b - 2 additions per application, not 2ab - a - b. Masks keep the
+diagonal slots and the slots b of the rows a of the edges (a, b); rows whose
+kept slots are disjoint are merged into one int before it is turned into
+bytes, one gather per power takes (M^l)_ab, (M^l)_aa and (M^l)_bb from them,
+and the three combine into c_l as one sum of packed ints. M is nonnegative
+with row sums at most Delta, so 0 <= (M^l)_uv <= Delta^l and
+|c_l(e)| <= 2 Delta^l: slots of k >= bitlen(2 Delta^l) + 1 bits decode
+uniquely; k grows with l. The stream to depth n-1 takes n-1 applications of
+M, on ints of O(n^2 log(max-degree)) bits. ``decide_edge_rigid_exact``
+often stops sooner, on a certificate read from the c_l themselves. Over the
+eigenvalues t of L with multiplicities m_t, m c_l = tr(M^l L) =
+sum_t m_t t (Delta - t)^l. A monic integer q of degree D that annihilates
+the constants c_0..c_{2D} gives H q = 0 for the Hankel matrix
+H = [m c_{i+k}] = [tr(M^(i+k) L)], so q^T H q = sum_t m_t t q(Delta - t)^2 = 0
+and q(Delta - t) = 0 at every nonzero t. z_e is orthogonal to the kernel of
+L, so q(M) z_e = 0 and every c_l(e) follows q's recurrence, which carries
+constancy to every power. The roots Delta - t are distinct exactly when the
+t are, so a rigid graph with d' distinct nonzero eigenvalues is certified
+after min(2d', n - 1) applications. The C_l are formed only when read. Two
+identities turn other deciders into functions of that stream:
 
 - char(L - L_e) - char(L) has coefficients sum_{i<=k} p_i w_{k-i}(e), where
   p_i are those of char(L). The map is unit-triangular, so two edges are
@@ -66,6 +74,8 @@ tests/test_stream_oracles.py on the corpus and on seeded random graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import comb
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -115,16 +125,31 @@ class WalkWitness:
 
 @dataclass(frozen=True)
 class WalkCriterion:
-    """Walk constants C_0..C_lmax, or the witness of the first failing power.
+    """Constants c_0..c_lmax of c_l = z_e^T M^l z_e, M = delta I - L, or a witness.
 
-    proved says whether the verdict is a proof: a witness always is; constants
-    are when they reach power n - 1 or a recurrence certificate produced them.
+    constants, the C_l of w_l = adjoint(L^l), is formed on first read. proved
+    says whether the verdict is a proof: a witness always is; constants are
+    when they reach power n - 1 or a recurrence certificate produced them.
     """
 
     rigid: bool
-    constants: tuple[int, ...] | None
+    shifted: tuple[int, ...] | None
+    delta: int
     witness: WalkWitness | None
     proved: bool
+
+    @cached_property
+    def constants(self) -> tuple[int, ...] | None:
+        return None if self.shifted is None else _unshift(self.shifted, self.delta)
+
+
+def _unshift(shifted: tuple[int, ...], delta: int) -> tuple[int, ...]:
+    """C_l = sum_{i<=l} C(l, i) delta^(l-i) (-1)^i c_i for every l, O(l) operations each."""
+    row, constants = [1], []  # coefficients of (delta - x)^l
+    for _ in shifted:
+        constants.append(sum(x * c for x, c in zip(row, shifted)))
+        row = [delta * x - y for x, y in zip(row + [0], [0] + row)]
+    return tuple(constants)
 
 
 def _split(raw: bytes, count: int) -> list[int]:
@@ -164,10 +189,10 @@ def _widen(rows: list[int], count: int, size: int, new_size: int) -> list[int]:
     return _split(wide.tobytes(), len(rows))
 
 
-def _neighbor_sums(rows: list[int], neighbors: tuple[tuple[int, ...], ...]) -> list[int]:
-    """Row u of A X for packed rows of X: the sum of rows[v] over v ~ u."""
+def _neighbor_sums(rows: list[int], hoods: tuple[tuple[int, ...], ...]) -> list[int]:
+    """For packed rows of X, the sum of rows[v] over v in each neighbourhood of hoods."""
     sums = []
-    for nb in neighbors:
+    for nb in hoods:
         s = rows[nb[0]]
         for v in nb[1:]:
             s += rows[v]
@@ -185,17 +210,21 @@ def _packed_powers(g: Graph, lmax: int) -> Iterator[tuple[list[int], int]]:
 
     Row u of M^l is one int with (M^l)_uv in unsigned slot v (bit 8 size v),
     starting from the identity in one-byte slots. Row u of M^(l+1) is
-    sum_{v ~ u} R_v + (Delta - deg u) R_u for the rows R of M^l, nnz(A)
-    big-int additions on ints of n slots, and a multiplication for each u
-    with deg u < Delta. The entries of M^l, and the partial sums that
-    compute them, lie in [0, Delta^l]; slots of
-    k >= bitlen(2 Delta^l) + 1 bits also hold the signed walk values of
-    _walk_stream. When the next power needs more, the slots grow before the
-    application, to twice their size or to what power lmax needs if that is
-    less. M^(l+1) is computed only once the power l has been consumed.
+    sum_{v ~ u} R_v + (Delta - deg u) R_u for the rows R of M^l. Twins,
+    vertices with one neighbourhood, are grouped once per graph and share one
+    sum: at most nnz(A) - n big-int additions on ints of n slots, a + b - 2
+    on K_{a,b}, and a multiplication for each u with deg u < Delta. The
+    entries of M^l, and the partial sums that compute them, lie in
+    [0, Delta^l]; slots of k >= bitlen(2 Delta^l) + 1 bits also hold the
+    signed walk values of _walk_stream. When the next power needs more, the
+    slots grow before the application, to twice their size or to what power
+    lmax needs if that is less. M^(l+1) is computed once power l is consumed.
     """
     delta = max(g.degrees)
     lifted = [(u, delta - d) for u, d in enumerate(g.degrees) if d < delta]
+    twins: dict[tuple[int, ...], int] = {}  # neighbourhood -> twin class, in vertex order
+    classes = [twins.setdefault(nb, len(twins)) for nb in g.neighbors]
+    hoods = tuple(twins)
     rows = [1 << 8 * u for u in range(g.n)]
     size = 1
     for l in range(lmax + 1):
@@ -205,7 +234,9 @@ def _packed_powers(g: Graph, lmax: int) -> Iterator[tuple[list[int], int]]:
                 new_size = min(max(need, 2 * size), _slot_bytes(delta, lmax))
                 rows = _widen(rows, g.n, size, new_size)
                 size = new_size
-            sums = _neighbor_sums(rows, g.neighbors)
+            sums = _neighbor_sums(rows, hoods)
+            if len(hoods) < g.n:
+                sums = [sums[c] for c in classes]
             for u, d in lifted:
                 sums[u] += d * rows[u]
             rows = sums
@@ -250,19 +281,20 @@ def _masked_slots(rows: list[int], masks: list[int], colors: list[int], size: in
 
 
 def _matrix_powers(g: Graph, lmax: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield diag(M^l) and the entries (M^l)_ab of the edges (a, b), l = 0..lmax.
+    """Yield diag(M^l) and, over the edges (a, b), (M^l)_ab, (M^l)_aa and (M^l)_bb, l <= lmax.
 
-    M is Delta I - L (_packed_powers). Each comes as a uint8 array of n
-    or m little-endian unsigned slots of equal size. On top of the
-    application of M, a power costs 2n big-int operations and one conversion
-    to bytes per colour.
+    M is Delta I - L (_packed_powers). Both are views of one gather, uint8
+    arrays of n and 3m little-endian unsigned slots of equal size. On top of
+    the application of M, a power costs 2n big-int operations, one
+    conversion to bytes per colour and one take.
     """
     n = g.n
     a, b = np.transpose(g.edges)
     vertices = np.arange(n)
     colors = _row_colors(g)
     col = np.array(colors)
-    diag_at, edge_at = col * n + vertices, col[a] * n + b  # rows of E.reshape(-1, size)
+    diag_at = col * n + vertices  # rows of the merged slots, reshaped to (-1, size)
+    at = np.concatenate([diag_at, col[a] * n + b, diag_at[a], diag_at[b]])
     mask_size = 0
     for rows, size in _packed_powers(g, lmax):
         if size != mask_size:
@@ -270,42 +302,42 @@ def _matrix_powers(g: Graph, lmax: int) -> Iterator[tuple[np.ndarray, np.ndarray
             masks = _slot_masks(
                 n, np.concatenate([vertices, a]), np.concatenate([vertices, b]), n, size
             )
-        E = _masked_slots(rows, masks, colors, size).reshape(-1, size)
-        yield E.take(diag_at, axis=0), E.take(edge_at, axis=0)
+        G = _masked_slots(rows, masks, colors, size).reshape(-1, size).take(at, axis=0)
+        yield G[:n], G[n:]
 
 
 def _walk_stream(g: Graph, lmax: int, powers: Iterable | None = None) -> Iterator[bytes]:
     """Yield the shifted walk vectors c_l(e) = z_e^T M^l z_e, l = 0..lmax, M = Delta I - L.
 
     For e = (a, b), c_l(e) = (M^l)_aa + (M^l)_bb - 2 (M^l)_ab. The three
-    entries come from _matrix_powers (or powers, its output for M at depth
-    lmax, read once) as m slots each, so one sum of three packed ints and
-    2^(8 size - 1) per slot gives c_l: |c_l(e)| <= 2 Delta^l fits the slot.
-    Each c_l is yielded as m little-endian slots of equal size
-    (_signed_slots).
+    entries are the three blocks of m slots of _matrix_powers's edge array
+    (or of powers, its output at depth lmax, read once), so one sum of three
+    packed ints and the offset 2^(8 size - 1) per slot, built once per slot
+    size, gives c_l: |c_l(e)| <= 2 Delta^l fits the slot. Each c_l is yielded
+    as m little-endian slots of equal size (_signed_slots).
     """
-    a, b = np.transpose(g.edges)
-    for diag, upper in powers or _matrix_powers(g, lmax):
-        aa, bb, ab = (
-            int.from_bytes(x.tobytes(), "little")
-            for x in (diag.take(a, axis=0), diag.take(b, axis=0), upper)
-        )
-        half = _repeat(1 << 8 * upper.shape[1] - 1, upper.shape[1], g.m)
-        yield (aa + bb + half - 2 * ab).to_bytes(upper.nbytes, "little")
+    half_size = 0
+    for _, ends in powers or _matrix_powers(g, lmax):
+        size = ends.shape[1]
+        if size != half_size:
+            half_size, half = size, _repeat(1 << 8 * size - 1, size, g.m)
+        raw, k = ends.tobytes(), g.m * size
+        ab, aa, bb = (int.from_bytes(raw[i : i + k], "little") for i in (0, k, 2 * k))
+        yield (aa + bb + half - 2 * ab).to_bytes(k, "little")
 
 
 def _record_traces(
     powers: Iterable, traces: list[int]
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Pass the (diag, upper) of _matrix_powers through, appending tr(M^l) to traces.
+    """Pass the (diag, ends) of _matrix_powers through, appending tr(M^l) to traces.
 
     The trace is the sum of diag's n unsigned slots: its byte columns are
     summed in int64 (each sum is below 256 n) and shifted into place.
     """
-    for diag, upper in powers:
+    for diag, ends in powers:
         cols = diag.sum(axis=0, dtype=np.int64).tolist()
         traces.append(sum(c << 8 * j for j, c in enumerate(cols)))
-        yield diag, upper
+        yield diag, ends
 
 
 def _char_coeffs(traces: list[int]) -> list[int]:
@@ -385,44 +417,38 @@ def _predict(terms: list[int], lam: list[int], l: int) -> int:
 def _walk_criterion(
     g: Graph, walks: Iterable[bytes], lmax: int | None = None
 ) -> WalkCriterion:
-    """Walk constants C_l, or the first non-constant power's witness, from the c_l of _walk_stream.
+    """Constants c_l of _walk_stream, or the first non-constant power's witness.
 
-    Each constant becomes C_l = sum_{i<=l} C(l, i) Delta^(l-i) (-1)^i c_i as
-    it is read, in O(l) scalar operations; at the first non-constant power l
-    the walk values are w_l(e) = (-1)^l c_l(e) + K_l, K_l the sum over i < l.
-    Given lmax, reading stops as soon as the recurrence of D lifted
-    Berlekamp-Massey coefficients exactly generates the 2D + 1 or more
-    constants read so far; the constants are then extended to power lmax by
-    that recurrence. This is a proof (see decide_edge_rigid_exact).
+    At the first non-constant power l, w_l(e) = (-1)^l c_l(e) + K_l with
+    K_l = sum_{i<l} C(l, i) Delta^(l-i) (-1)^i c_i, one O(l) sum. Given lmax,
+    reading stops as soon as the recurrence of D lifted Berlekamp-Massey
+    coefficients exactly generates the 2D + 1 or more c_l read so far, which
+    it then extends to power lmax. This is a proof (module docstring).
     """
     delta = max(g.degrees)
-    constants: list[int] = []
-    signed: list[int] = []  # (-1)^i c_i for the constants read
-    binom = [1]  # C(power, i) Delta^(power - i), i = 0..power
+    shifted: list[int] = []
     rec = _Recurrence()
     for power, raw in enumerate(walks):
-        if power:
-            binom = [delta * x + y for x, y in zip(binom + [0], [0] + binom)]
-        sign = -1 if power % 2 else 1
-        k = sum(x * c for x, c in zip(binom, signed))
         if not _constant(raw, g.m):
+            sign = -1 if power % 2 else 1
+            k = sum(comb(power, i) * (-1) ** i * delta ** (power - i) * c
+                    for i, c in enumerate(shifted))
             vals = [k + sign * c for c in _signed_slots(raw, g.m)]
             lo, hi = vals.index(min(vals)), vals.index(max(vals))
             witness = WalkWitness(power, g.edges[lo], g.edges[hi], vals[lo], vals[hi])
-            return WalkCriterion(False, None, witness, True)
-        signed.append(sign * _signed_slots(raw[: len(raw) // g.m], 1)[0])
-        constants.append(k + signed[-1])
+            return WalkCriterion(False, None, delta, witness, True)
+        shifted.append(_signed_slots(raw[: len(raw) // g.m], 1)[0])
         if lmax is None:
             continue
-        rec.push(constants[-1])
-        if 2 * rec.length >= len(constants):
+        rec.push(shifted[-1])
+        if 2 * rec.length >= len(shifted):
             continue
         lam = rec.coeffs()
-        if all(_predict(constants, lam, l) == constants[l] for l in range(len(lam), power + 1)):
-            while len(constants) <= lmax:
-                constants.append(_predict(constants, lam, len(constants)))
-            return WalkCriterion(True, tuple(constants), None, True)
-    return WalkCriterion(True, tuple(constants), None, len(constants) >= g.n)
+        if all(_predict(shifted, lam, l) == shifted[l] for l in range(len(lam), power + 1)):
+            while len(shifted) <= lmax:
+                shifted.append(_predict(shifted, lam, len(shifted)))
+            return WalkCriterion(True, tuple(shifted), delta, None, True)
+    return WalkCriterion(True, tuple(shifted), delta, None, len(shifted) >= g.n)
 
 
 def _profile_classes(g: Graph, walks: list[bytes]) -> tuple[tuple[int, ...], ...]:
@@ -446,18 +472,12 @@ def decide_edge_rigid_exact(g: Graph, max_power: int | None = None) -> WalkCrite
 
     max_power defaults to n - 1, which is sufficient because the minimal
     polynomial of L has degree at most n; a smaller value checks only a
-    prefix, which is not a proof of rigidity. Returns the walk constants C_l
-    on success, or the first offending power with a witness edge pair.
-
-    The stream is that of M = Delta I - L, whose walk vectors c_l map to
-    w_l unit-triangularly (_walk_criterion); the constants C_l are those of
-    w. The stream stops early when a monic integer q of degree D annihilates
-    C_0..C_N with N >= 2D. Then H q = 0 for H = [tr L^{i+k+1}]_{i,k<=D}, and
-    q^T H q = sum_t m_t t q(t)^2 = 0 over the nonzero eigenvalues t of L
-    (multiplicity m_t), so q(t) = 0 and q(L) z_e = 0 for every edge e: every
-    w_l(e) follows q's recurrence, and the constant w_0..w_{D-1} make every
-    power constant. A rigid graph with d' distinct nonzero eigenvalues thus
-    costs min(2d', n - 1) applications of M, one per power read.
+    prefix, which is not a proof of rigidity. Returns the constants c_l of
+    the stream of M = Delta I - L on success, or the first offending power
+    with a witness edge pair of w. The walk constants C_l of w are formed
+    only if .constants is read. The stream stops early on the recurrence
+    certificate of the module docstring, so a rigid graph with d' distinct
+    nonzero eigenvalues costs min(2d', n - 1) applications of M.
     """
     if max_power is not None and max_power < 0:
         raise ValueError(f"max_power must be >= 0, got {max_power}")
@@ -496,18 +516,18 @@ class WalkClassification:
 
 
 def _record_walk_flags(g: Graph, powers: Iterable, flags: list[bool]) -> Iterator[tuple]:
-    """Pass the (diag, upper) of _matrix_powers through, keeping walk_class's flags in flags.
+    """Pass the (diag, ends) of _matrix_powers through, keeping walk_class's flags in flags.
 
-    flags: diag, upper, and diag on each side of the bipartition (False if
-    none) were constant in every power so far; each test compares bytes.
+    flags: diag, (M^l)_ab, and diag on each side of the bipartition (False
+    if none) were constant in every power so far; each test compares bytes.
     """
     parts = bipartition(g)
     flags[:] = True, True, parts is not None
-    for diag, upper in powers:
+    for diag, ends in powers:
         flags[0] = flags[0] and _constant(diag.tobytes(), g.n)
-        flags[1] = flags[1] and _constant(upper.tobytes(), g.m)
+        flags[1] = flags[1] and _constant(ends[: g.m].tobytes(), g.m)
         flags[2] = flags[2] and all(_constant(diag.take(p, 0).tobytes(), len(p)) for p in parts)
-        yield diag, upper
+        yield diag, ends
 
 
 def walk_class(g: Graph, flags: list[bool] | None = None) -> WalkClassification:

@@ -19,6 +19,7 @@ import pytest
 
 from conftest import CORPUS, dense_powers, hypercube
 
+from edgerigid import cli
 from edgerigid import families as fam
 from edgerigid import rigidity
 from edgerigid.exactmat import adjugate_quadratic_form, char_poly, exact_matrix
@@ -88,6 +89,23 @@ FEW_EIGENVALUES = [
 
 CASES = [(name, g) for name, g, _ in CORPUS] + random_graphs() + FEW_EIGENVALUES
 
+
+def complete_multipartite(*sizes: int) -> Graph:
+    part = [i for i, k in enumerate(sizes) for _ in range(k)]
+    n = len(part)
+    return Graph(n, tuple((a, b) for a in range(n) for b in range(a + 1, n) if part[a] != part[b]))
+
+
+# Twins, vertices with one neighbourhood, share one neighbour sum in the
+# packed stream. K2_5+P2 is K_{2,5} with a path of two edges hung from a
+# vertex of the 5-side: twins and vertices without a twin in one graph.
+TWIN_CASES = [
+    ("K1_9", fam.complete_bipartite_graph(1, 9)),
+    ("K2_7", fam.complete_bipartite_graph(2, 7)),
+    ("K3_3_3", complete_multipartite(3, 3, 3)),
+    ("K2_5+P2", Graph(9, fam.complete_bipartite_graph(2, 5).edges + ((6, 7), (7, 8)))),
+]
+
 # The packed stream widens its slots as the powers grow; at full depth these
 # pass through every slot size from one byte up. W20 is a hub joined to C20.
 WIDTH_CASES = [
@@ -95,7 +113,7 @@ WIDTH_CASES = [
     ("K2_25", fam.complete_bipartite_graph(2, 25)),
     ("W20", Graph(21, tuple((0, v) for v in range(1, 21)) + tuple((v, v % 20 + 1) for v in range(1, 21)))),
     ("C40", fam.cycle_graph(40)),
-]
+] + TWIN_CASES
 
 
 @pytest.fixture(params=CASES, ids=[name for name, _ in CASES])
@@ -192,6 +210,48 @@ def test_wrong_recurrence_lifts_fall_back_to_the_stream(monkeypatch, g):
     walks, _ = dense_walks(g)
     for P in range(g.n + 1):
         assert_decide_matches(g, walks, P)
+
+
+@pytest.mark.parametrize("g, code", [(fam.cycle_graph(12), 0), (fam.path_graph(12), 1)], ids=["C12", "P12"])
+def test_decide_never_forms_the_walk_constants(monkeypatch, tmp_path, capsys, g, code):
+    def refuse(shifted, delta):
+        raise AssertionError("decide formed the walk constants C_l")
+
+    monkeypatch.setattr(rigidity, "_unshift", refuse)
+    path = tmp_path / "g.txt"
+    path.write_text(g.to_edge_list())
+    assert cli.main(["decide", str(path)]) == code
+    res = decide_edge_rigid_exact(g)
+    monkeypatch.undo()
+    rigid, constants, witness = reference_criterion(g, dense_walks(g)[0][: g.n])
+    out = capsys.readouterr().out
+    if rigid:
+        assert out == "edge-rigid\n"
+    else:
+        assert out.endswith(f"({witness[3]} != {witness[4]})\n")
+    # read only now, the constants are formed from the shifted ones
+    assert res.constants == constants
+
+
+@pytest.mark.parametrize(
+    "g, hoods, additions",
+    [(fam.complete_bipartite_graph(a, b), 2, a + b - 2) for a, b in ((1, 9), (3, 5), (20, 30))]
+    + [(fam.cycle_graph(n), n, n) for n in (5, 12)],
+    ids=["K1_9", "K3_5", "K20_30", "C5", "C12"],
+)
+def test_twins_share_one_neighbour_sum(monkeypatch, g, hoods, additions):
+    # K_{a,b} has one neighbourhood per side; C_n with n > 4 has no twins
+    seen = []
+    sums = rigidity._neighbor_sums
+
+    def recorded(rows, hoods):
+        seen.append((len(hoods), sum(len(h) - 1 for h in hoods)))
+        return sums(rows, hoods)
+
+    monkeypatch.setattr(rigidity, "_neighbor_sums", recorded)
+    for _ in rigidity._packed_powers(g, g.n - 1):
+        pass
+    assert seen == [(hoods, additions)] * (g.n - 1)
 
 
 def relabel(rng: np.random.Generator, g: Graph) -> Graph:
@@ -332,6 +392,7 @@ WALK_CASES = (
     + random_regular_graphs()
     + [("K3_5", fam.complete_bipartite_graph(3, 5)), ("K4_6", fam.complete_bipartite_graph(4, 6))]
     + BIREGULAR
+    + TWIN_CASES
 )
 
 
