@@ -8,13 +8,17 @@ any matrix X with 0 <= X <= I and tr X = k, the pair
 (X, x = min_e adjoint(X)_e) is feasible for the dual program, so
 |E| * x lower-bounds S_k everywhere on the simplex.
 
+Every run is an upper run: s_k(w) + S_{n-1-k}(w) = 2|E| on the simplex,
+so the lower entry at k is the upper run at n-1-k, and one margin
+(_margin) gives both entries their verdict.
+
 A run stops as soon as its verdict is settled. S_k is convex, so unit
 weights are optimal iff some subgradient adjoint(X), X in dS_k(1), is
 constant (Overton-Womersley 1993). When the first iterate's edge energies
 g_1 = adjoint(X_1) are not constant, a backtracking line search along
 d = -(g_1 - mean g_1) from unit weights usually finds, within a few
 eigendecompositions, a w with S_k(w) below S_k(1) by more than the
-tolerance, which refutes rigidity. Only when that search fails does
+margin, which refutes rigidity. Only when that search fails does
 entropic mirror descent run on with the rest of the budget.
 
 At eigenvalue crossings the top-k slot is filled group by group, splitting
@@ -24,14 +28,12 @@ every k, not just at multiplicity boundaries, and it is deterministic.
 
 Runs start from a stack of first iterates, the spectrum of L(1) and one
 g_1 per k: one array minimum gives every dual bound, and only the runs
-whose gap stays open go on. optimize stacks one k. k_rigidity_profile
-stacks all n - 1: each k fills its top slots from the same r eigenvalue
-groups of L(1), so every g_1 is a running sum of r group energies plus a
-fraction of one, built in one array pass. On an edge-rigid graph every
-run stops there: the profile costs one eigh of L(1), r edge-energy passes
-and O(n |E|) array work, and its runs share one unit-weight best_w tuple.
-The trace identity that gives the lower entries is exact, so it is not
-re-checked at run time.
+whose gap stays open go on. optimize stacks one k, k_rigidity_profile
+all n - 1. _slot_energies builds every stack, and every later iterate's
+g, as running sums of group energies plus a fraction of one. On an
+edge-rigid graph every run stops at its first iterate: the profile costs
+one eigh of L(1), r - 1 edge-energy passes and O(n |E|) array work, and
+its runs share one unit-weight best_w tuple.
 """
 
 from __future__ import annotations
@@ -53,47 +55,54 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 GAP_TOL = 1e-9
 
 
-def _top_groups(groups: list[slice], k: int):
-    """(slice, weight) of each eigenvalue group that fills the top k slots.
-
-    groups are the ascending group slices of group_eigenvalues. They are
-    taken from the top; the first one that does not fit entirely gets the
-    fractional weight (slots left) / (group size).
-    """
-    remaining = float(k)
-    for sl in reversed(groups):
-        if remaining <= 0:
-            return
-        size = sl.stop - sl.start
-        yield sl, min(1.0, remaining / size)
-        remaining -= size
-
-
 def fractional_top_projector(evals: np.ndarray, evecs: np.ndarray, k: int) -> np.ndarray:
     """Trace-k matrix 0 <= X <= I filling eigenvalue groups from the top.
 
-    A group that does not fit entirely contributes a fractional multiple of
-    its projector, so X commutes with the Laplacian and is the natural
-    optimizer of the Ky Fan program at degenerate eigenvalues.
+    A group that does not fit entirely contributes (slots left) / (group
+    size) times its projector, so X commutes with the Laplacian and is the
+    natural optimizer of the Ky Fan program at degenerate eigenvalues.
     """
-    n = len(evals)
-    X = np.zeros((n, n))
-    for sl, weight in _top_groups(group_eigenvalues(evals), k):
-        V = evecs[:, sl]
-        X += weight * (V @ V.T)
+    X = np.zeros((len(evals), len(evals)))
+    remaining = float(k)
+    for sl in reversed(group_eigenvalues(evals)):
+        if remaining <= 0:
+            break
+        size, V = sl.stop - sl.start, evecs[:, sl]
+        X += min(1.0, remaining / size) * (V @ V.T)
+        remaining -= size
     return X
 
 
-def _top_energies(g: Graph, evals: np.ndarray, evecs: np.ndarray, k: int) -> np.ndarray:
-    """adjoint(fractional_top_projector(evals, evecs, k)) in O(|E| k).
+def _slot_energies(g: Graph, evals: np.ndarray, evecs: np.ndarray, ks) -> np.ndarray:
+    """Row i is adjoint(fractional_top_projector(evals, evecs, ks[i])); ks ascend.
 
-    The weighted sum of the edge energies of each group's eigenvectors, so
-    no n x n matrix is built.
+    Slot k, counted from the top, lies in eigenvalue group J, which gets
+    weight W = (slots of k in J) / |J|. The row is the running sum of the
+    edge energies of the groups above J plus W times J's, so no n x n
+    matrix is built. Groups below the deepest J are never computed: a
+    profile skips the kernel group.
     """
-    energy = np.zeros(g.m)
-    for sl, weight in _top_groups(group_eigenvalues(evals), k):
-        energy += weight * edge_energies(g, evecs[:, sl])
-    return energy
+    groups = reversed(group_eigenvalues(evals))
+    rows, above, size = [], 0, 0  # size and energy: the group that holds slot k
+    running = energy = np.zeros(g.m)  # running: the energies of the groups above it
+    for k in ks:
+        while k > above + size:
+            running, above = running + energy, above + size
+            sl = next(groups)
+            size, energy = sl.stop - sl.start, edge_energies(g, evecs[:, sl])
+        rows.append(running + (k - above) / size * energy)
+    return np.array(rows)
+
+
+def _margin(g: Graph, k: int, tol: float, baseline: float) -> float:
+    """Verdict margin of the upper run at k, baseline = S_k(1), shared by its lower mirror.
+
+    Both entries see the same absolute change, so they share one scale: the
+    smaller of their baselines S_k(1) and s_{n-1-k}(1) = 2|E| - S_k(1). The
+    run at k = n-1 gives no lower entry (s_0 is not an objective).
+    """
+    mirror = 2.0 * g.m - baseline if k < g.n - 1 else baseline
+    return tol * max(1.0, min(baseline, mirror))
 
 
 def _mirror_step(w: np.ndarray, gvec: np.ndarray, step: float) -> np.ndarray:
@@ -112,12 +121,14 @@ class OptimizeResult:
     and best_dual the largest certified lower bound on min S_k, so
     gap = best_primal - best_dual >= 0. For the lower objective the roles
     mirror: best_primal is the largest s_k found, best_dual a certified
-    upper bound on max s_k, gap = best_dual - best_primal. A refuted run
-    stops at its first witness, so its best_primal and best_dual are
-    certified bounds, not the optimum. iterations counts the evaluated
-    weight vectors, one eigendecomposition each (k_rigidity_profile makes
-    the unit-weight one once for all its runs). Runs that stop at unit
-    weights may share one best_w tuple, and to_dict returns it as is.
+    upper bound on max s_k, gap = best_dual - best_primal. A lower result
+    is the upper run at n-1-k read through the trace identity, and it
+    carries that run's verdict. A refuted run stops at its first witness,
+    so its best_primal and best_dual are certified bounds, not the
+    optimum. iterations counts the evaluated weight vectors, one
+    eigendecomposition each (k_rigidity_profile makes the unit-weight one
+    once for all its runs). Runs that stop at unit weights may share one
+    best_w tuple, and to_dict returns it as is.
     """
 
     k: int
@@ -130,8 +141,6 @@ class OptimizeResult:
     best_w: tuple[float, ...]
     iterations: int
     tol: float
-    primal_history: tuple[float, ...] | None = None
-    dual_history: tuple[float, ...] | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -154,28 +163,30 @@ def optimize(
     objective: str = "upper",
     iters: int = 5000,
     tol: float = 1e-5,
-    record_history: bool = False,
 ) -> OptimizeResult:
     """Optimize one extreme eigenvalue sum over the weight simplex.
 
     upper starts at unit weights. Its first iterate gives the edge
-    gradient g_1 = adjoint(X_1) and the scale c = m / ||g_1||_inf. If g_1
-    is not constant, the run backtracks from unit weights along the mirror
-    path w(alpha) ~ exp(-alpha (g_1 - mean g_1)), alpha = c, c/2, ..., while
-    the predicted decrease alpha |g_1 - mean g_1|^2 / 2 is at least
-    tol * max(1, S_k(1)). After that it runs entropic mirror descent from
-    unit weights with step c / sqrt(t) on the rest of the budget. Every
-    iterate costs one eigendecomposition and yields a certified dual bound.
-    The run stops as soon as S_k is below S_k(1) by more than
-    tol * max(1, S_k(1)), or once the relative gap is below GAP_TOL.
-    lower maximizes s_k, reduced to the upper objective at n-1-k through
-    the trace identity s_k(w) + S_{n-1-k}(w) = 2|E| on the simplex.
+    gradient g_1 = adjoint(X_1) and the scale c = m / ||g_1||_inf. The run
+    has one margin, tol * max(1, min(S_k(1), 2|E| - S_k(1))), shared with
+    the lower entry at n-1-k (S_k(1) alone at k = n-1). If g_1 is not
+    constant, the run backtracks from unit weights along the mirror path
+    w(alpha) ~ exp(-alpha (g_1 - mean g_1)), alpha = c, c/2, ..., while
+    the predicted decrease alpha |g_1 - mean g_1|^2 / 2 is at least the
+    margin. After that it runs entropic mirror descent from unit weights
+    with step c / sqrt(t) on the rest of the budget. Every iterate costs
+    one eigendecomposition and yields a certified dual bound. The run
+    stops as soon as S_k is below S_k(1) by more than the margin, or once
+    the relative gap is below GAP_TOL. lower maximizes s_k, reduced to the
+    upper objective at n-1-k through the trace identity
+    s_k(w) + S_{n-1-k}(w) = 2|E| on the simplex, and reports that run's
+    verdict.
 
-    Verdict: rigid-within-tol when the dual bound shows unit weights are
-    optimal to relative tol; refuted when a w better by more than tol was
-    found (best_w, a checkable witness); inconclusive when the iteration
-    budget ran out before either. A spent budget is a verdict, never an
-    exception. tol must be finite and > 0.
+    Verdict: rigid-within-tol when the dual bound is within the margin of
+    S_k(1), so unit weights are optimal; refuted when a w better by more
+    than the margin was found (best_w, a checkable witness); inconclusive
+    when the iteration budget ran out before either. A spent budget is a
+    verdict, never an exception. tol must be finite and > 0.
     """
     if not 1 <= k <= g.n - 1:
         raise ValueError(f"k must be in 1..{g.n - 1}, got {k}")
@@ -186,128 +197,100 @@ def optimize(
         raise ValueError(f"objective must be 'upper' or 'lower', got {objective!r}")
     unit_w = (1.0,) * g.m
     if objective == "lower" and k == g.n - 1:
-        return _lower_from_upper(g, k, _zero_upper(tol, record_history, unit_w))
+        return _lower_from_upper(g, k, _zero_upper(tol, unit_w))
     top = k if objective == "upper" else g.n - 1 - k
     B = incidence(g).astype(float)
     evals, evecs = np.linalg.eigh(B @ B.T)
-    G = _top_energies(g, evals, evecs, top)[None, :]
-    (up,) = _upper_runs(g, B, evals, [top], G, iters, tol, record_history, unit_w)
+    (up,) = _upper_runs(g, B, evals, evecs, [top], iters, tol, unit_w)
     return up if objective == "upper" else _lower_from_upper(g, k, up)
 
 
 def _upper_runs(
-    g: Graph, B: np.ndarray, evals: np.ndarray, ks, G: np.ndarray,
-    iters: int, tol: float, record_history: bool, unit_w: tuple[float, ...],
+    g: Graph, B: np.ndarray, evals: np.ndarray, evecs: np.ndarray, ks,
+    iters: int, tol: float, unit_w: tuple[float, ...],
 ) -> list[OptimizeResult]:
-    """The upper runs at the levels ks; B is the float incidence matrix of g.
+    """The upper runs at the ascending levels ks; B is the float incidence matrix of g.
 
-    evals are the eigenvalues of L(1) = B B^T and row i of G is
-    _top_energies(g, evals, evecs, ks[i]). A run whose gap closes at unit
-    weights, or whose budget is one iterate, ends with best_w = unit_w.
+    evals and evecs are the eigenpairs of L(1) = B B^T. A run whose gap
+    closes at unit weights, or whose budget is one iterate, ends with
+    best_w = unit_w.
     """
+    G = _slot_energies(g, evals, evecs, ks)
     out = []
     for k, g1, dual in zip(ks, G, (g.m * G.min(axis=1)).tolist()):
         baseline = float(evals[g.n - k:].sum())
-        scale = max(1.0, abs(baseline))
-        run = baseline, dual, unit_w, 1, [baseline], [dual]
-        if iters > 1 and baseline - dual > GAP_TOL * scale:
-            run = _optimize_upper(g, B, k, iters, tol, g1, baseline, dual)
-        best_primal, best_dual, best_w, iterations, primal_hist, dual_hist = run
-        if baseline - best_dual <= tol * scale:
+        margin = _margin(g, k, tol, baseline)
+        best_primal, best_dual, best_w, iterations = baseline, dual, unit_w, 1
+        if iters > 1 and baseline - dual > GAP_TOL * max(1.0, abs(baseline)):
+            best_primal, best_dual, best_w, iterations = _optimize_upper(
+                g, B, k, iters, margin, g1, baseline, dual,
+            )
+        if baseline - best_dual <= margin:
             verdict = VERDICT_RIGID
-        elif best_primal < baseline - tol * scale:
+        elif best_primal < baseline - margin:
             verdict = VERDICT_REFUTED
         else:
             verdict = VERDICT_INCONCLUSIVE
         out.append(OptimizeResult(
             k, "upper", verdict, baseline, best_primal, best_dual, best_primal - best_dual,
             best_w, iterations, tol,
-            *((tuple(primal_hist), tuple(dual_hist)) if record_history else (None, None)),
         ))
     return out
 
 
 def _optimize_upper(
-    g: Graph, B: np.ndarray, k: int, iters: int, tol: float,
+    g: Graph, B: np.ndarray, k: int, iters: int, margin: float,
     g1: np.ndarray, baseline: float, dual: float,
 ) -> tuple:
     """Go on from an open first iterate g1 = adjoint(X_1), baseline = S_k(1), dual = m min g1.
 
-    Returns best_primal, best_dual, best_w, the iteration count (iters >= 2
-    includes the first) and the primal and dual histories.
+    Returns best_primal, best_dual, best_w and the iteration count (iters >= 2
+    includes the first).
     """
     n, m = g.n, g.m
-    scale = max(1.0, abs(baseline))
+    gap_tol = GAP_TOL * max(1.0, abs(baseline))
     c = m / max(float(np.abs(g1).max()), 1e-12)
     slope = float(np.sum((g1 - g1.mean()) ** 2))  # |d|^2, d = -(g_1 - mean g_1)
     best_primal, best_dual, best_w = baseline, dual, np.ones(m)
-    primal_hist, dual_hist = [baseline], [dual]
     md_w, md_g, md_t = best_w, g1, 1  # mirror descent's last iterate, its g and count
     for t in range(2, iters + 1):
         # step: the line-search step alpha that gives w, 0.0 once the search is
         # over. Backtrack along d from unit weights while the predicted decrease
-        # alpha |d|^2 / 2 is at least tol * scale: an Armijo point would then
+        # alpha |d|^2 / 2 is at least the margin: an Armijo point would then
         # already be a refutation. Below that, mirror descent takes over.
         step = c if t == 2 else step / 2
-        if step * slope / 2 < tol * scale:
+        if step * slope / 2 < margin:
             step = 0.0
         if step:
             w = _mirror_step(np.ones(m), g1, step)
         else:
             w = _mirror_step(md_w, md_g, c / math.sqrt(md_t))
         evals, evecs = np.linalg.eigh((B * w) @ B.T)
-        gvec = _top_energies(g, evals, evecs, k)
+        (gvec,) = _slot_energies(g, evals, evecs, [k])
         primal = float(evals[n - k:].sum())
-        dual = m * float(gvec.min())
         if step in (0.0, c):  # the search's first point is mirror descent's first step
             md_w, md_g, md_t = w, gvec, md_t + 1
         if primal < best_primal:
             best_primal = primal
             best_w = w
-        best_dual = max(best_dual, dual)
-        primal_hist.append(primal)
-        dual_hist.append(dual)
-        if best_primal - best_dual <= GAP_TOL * scale or best_primal < baseline - tol * scale:
+        best_dual = max(best_dual, m * float(gvec.min()))
+        if best_primal - best_dual <= gap_tol or best_primal < baseline - margin:
             break
-    return best_primal, best_dual, tuple(best_w.tolist()), t, primal_hist, dual_hist
+    return best_primal, best_dual, tuple(best_w.tolist()), t
 
 
-def _zero_upper(tol: float, record_history: bool, unit_w: tuple[float, ...]) -> OptimizeResult:
+def _zero_upper(tol: float, unit_w: tuple[float, ...]) -> OptimizeResult:
     """Zero-iteration stand-in for S_0 = 0, so s_{n-1} = tr L(w) = 2|E|."""
-    hist = () if record_history else None
-    return OptimizeResult(0, "upper", VERDICT_RIGID, 0.0, 0.0, 0.0, 0.0, unit_w, 0, tol, hist, hist)
+    return OptimizeResult(0, "upper", VERDICT_RIGID, 0.0, 0.0, 0.0, 0.0, unit_w, 0, tol)
 
 
 def _lower_from_upper(g: Graph, k: int, up: OptimizeResult) -> OptimizeResult:
     """Lower result at k from the upper run at n-1-k: s_k(w) = 2|E| - S_{n-1-k}(w)."""
     two_m = 2.0 * g.m
-    baseline = two_m - up.baseline
-    best_primal = two_m - up.best_primal
-    best_dual = two_m - up.best_dual
-    scale = max(1.0, abs(baseline))
-    if best_dual - baseline <= up.tol * scale:
-        verdict = VERDICT_RIGID
-    elif best_primal > baseline + up.tol * scale:
-        verdict = VERDICT_REFUTED
-    else:
-        verdict = VERDICT_INCONCLUSIVE
+    best_primal, best_dual = two_m - up.best_primal, two_m - up.best_dual
     return OptimizeResult(
-        k=k,
-        objective="lower",
-        verdict=verdict,
-        baseline=baseline,
-        best_primal=best_primal,
-        best_dual=best_dual,
-        gap=best_dual - best_primal,
-        best_w=up.best_w,
-        iterations=up.iterations,
-        tol=up.tol,
-        primal_history=(
-            None if up.primal_history is None else tuple(two_m - p for p in up.primal_history)
-        ),
-        dual_history=(
-            None if up.dual_history is None else tuple(two_m - d for d in up.dual_history)
-        ),
+        k, "lower", up.verdict, two_m - up.baseline, best_primal, best_dual,
+        best_dual - best_primal, up.best_w, up.iterations, up.tol,
     )
 
 
@@ -504,32 +487,22 @@ def k_rigidity_profile(
 
     Each of the n-1 upper runs is made once: the lower entry at k reuses
     the upper run at n-1-k through the trace identity s_k + S_{n-1-k} = 2|E|,
-    exactly as optimize(g, k, "lower") would compute it. One eigh of L(1)
-    and one edge-energy pass per eigenvalue group give every k's g_1: the
-    running sum of the group energies from the top plus the fractional
-    boundary group, the additions of _top_energies in its order, so each
-    run is bit-identical to a standalone one. A rigid profile then costs one
-    array pass, and the per-k Python work is one eigenvalue sum and two
+    exactly as optimize(g, k, "lower") would compute it, verdict included.
+    One eigh of L(1) and one _slot_energies call give every k's g_1 from
+    r - 1 edge-energy passes, the additions a standalone run makes, so
+    each run is bit-identical to a standalone one. The per-k work of a
+    rigid profile is then one O(|E|) row, one eigenvalue sum and two
     results. tol must be finite and > 0.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
     check_tol(tol)
-    n, m = g.n, g.m
+    n = g.n
     B = incidence(g).astype(float)
     evals, evecs = np.linalg.eigh(B @ B.T)
-    groups = group_eigenvalues(evals)[::-1]
-    E = np.array([edge_energies(g, evecs[:, sl]) for sl in groups])
-    # S[j] = 0 + the energies of the top j groups, added as _top_energies adds them
-    S = np.cumsum(np.vstack([np.zeros(m), E]), axis=0)
-    # slot k, counted from the top, lies in group J[k - 1], which gets weight W[k - 1]
-    sizes = np.array([sl.stop - sl.start for sl in groups])
-    J = np.repeat(np.arange(len(groups)), sizes)[: n - 1]
-    W = (np.arange(1, n) - (np.cumsum(sizes) - sizes)[J]) / sizes[J]
-    G = S[J] + W[:, None] * E[J]
-    unit_w = (1.0,) * m
-    uppers = [_zero_upper(tol, False, unit_w)]
-    uppers += _upper_runs(g, B, evals, range(1, n), G, iters, tol, False, unit_w)
+    unit_w = (1.0,) * g.m
+    uppers = [_zero_upper(tol, unit_w)]
+    uppers += _upper_runs(g, B, evals, evecs, range(1, n), iters, tol, unit_w)
     return RigidityProfile(tuple(
         ProfileEntry(k, uppers[k], _lower_from_upper(g, k, uppers[n - 1 - k]))
         for k in range(1, n)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -161,23 +160,12 @@ def test_optimize_p4_refutes():
 
 
 def test_optimize_dual_bound_sound():
-    # every per-iterate dual bound lower-bounds S_k over sampled weights
+    # the best certified dual bound lower-bounds S_k over sampled weights
     g = fam.path_graph(4)
-    res = optimize(g, 1, "upper", iters=500, record_history=True)
-    best_dual = max(res.dual_history)
+    res = optimize(g, 1, "upper", iters=500)
     for w in random_simplex(g.m, seed=10, count=100):
         S_k, _ = eigensums(g, w, 1)
-        assert best_dual <= S_k + 1e-8
-
-
-def test_optimize_best_primal_nonincreasing():
-    res = optimize(fam.path_graph(5), 1, "upper", iters=300, record_history=True)
-    best = math.inf
-    prev = math.inf
-    for p in res.primal_history:
-        best = min(best, p)
-        assert best <= prev + 1e-15
-        prev = best
+        assert res.best_dual <= S_k + 1e-8
 
 
 def test_optimize_result_invariants(corpus_case):
@@ -359,12 +347,22 @@ def test_profile_equals_standalone_runs(g, tol):
         for objective, res in (("upper", e.upper), ("lower", e.lower)):
             alone = optimize(g, e.k, objective, iters=1500, tol=tol)
             assert res.to_dict() == alone.to_dict(), (e.k, objective)
-            assert res.verdict == verdict_of_bounds(res), (e.k, objective)
+            assert res.verdict == verdict_of_bounds(g, res), (e.k, objective)
 
 
-def verdict_of_bounds(res):
+def run_margin(g, res):
+    """tol times the smaller baseline of the entries res's run gives.
+
+    The run behind res also gives the other objective at n - 1 - k, with
+    baseline 2|E| - res.baseline, unless that level is 0.
+    """
+    mirror = 2 * g.m - res.baseline if res.k < g.n - 1 else res.baseline
+    return res.tol * max(1.0, min(res.baseline, mirror))
+
+
+def verdict_of_bounds(g, res):
     """The verdict that res's baseline, best bounds and tol give."""
-    base, margin = res.baseline, res.tol * max(1.0, abs(res.baseline))
+    base, margin = res.baseline, run_margin(g, res)
     if res.objective == "upper":
         rigid, refuted = base - res.best_dual <= margin, res.best_primal < base - margin
     else:
@@ -415,29 +413,18 @@ def energy_calls(monkeypatch):
     ids=["C60", "petersen", "Q4"],
 )
 def test_rigid_profile_makes_one_energy_pass_per_group(energy_calls, g, r):
-    # every run stops at its first iterate, whose energies are sums of the r groups'
+    # every run stops at its first iterate, whose energies are sums of the
+    # groups above the kernel group, which no k reaches
     prof = k_rigidity_profile(g)
     assert prof.all_rigid
-    assert energy_calls[0] == r
+    assert energy_calls[0] == r - 1
 
 
-def test_lower_history_at_trivial_k_is_empty_not_none():
+def test_lower_at_trivial_k_makes_no_iteration():
     g = fam.path_graph(5)
-    res = optimize(g, g.n - 1, "lower", record_history=True)
+    res = optimize(g, g.n - 1, "lower")
     assert res.iterations == 0
-    assert res.primal_history == () and res.dual_history == ()
-    assert optimize(g, g.n - 1, "lower").primal_history is None
-
-
-def test_lower_keeps_an_empty_upper_history():
-    g = fam.path_graph(5)
-    up = optimize(g, 2, "upper", iters=30, record_history=True)
-    low = optimize(g, 2, "lower", iters=30, record_history=True)
-    assert low.primal_history == tuple(2 * g.m - p for p in up.primal_history)
-    assert len(low.dual_history) == low.iterations
-    empty = dataclasses.replace(up, primal_history=(), dual_history=())
-    low = eigensum._lower_from_upper(g, 2, empty)
-    assert low.primal_history == () and low.dual_history == ()
+    assert res.verdict == VERDICT_RIGID
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +435,7 @@ def assert_witness(g, res):
     """A refuted result's best_w beats unit weights by more than tol, recomputed."""
     w = WeightVector.from_values(res.best_w, normalize=False)
     S_k, s_k = eigensums(g, w, res.k)
-    margin = res.tol * max(1.0, abs(res.baseline))
+    margin = run_margin(g, res)
     if res.objective == "upper":
         assert S_k < res.baseline - margin, (res.k, S_k, res.baseline)
     else:
@@ -464,12 +451,22 @@ def test_optimize_p30_k5_is_refuted():
     assert_witness(g, res)
 
 
-def test_refuted_run_stops_at_its_first_witness():
-    res = optimize(fam.path_graph(30), 5, record_history=True)
+def test_refuted_run_stops_at_its_first_witness(monkeypatch):
+    # S_k of every evaluated weight vector, read off each eigh the run makes
+    g, k, primals = fam.path_graph(30), 5, []
+    eigh = np.linalg.eigh
+
+    def recorded(M):
+        evals, evecs = eigh(M)
+        primals.append(float(evals[g.n - k:].sum()))
+        return evals, evecs
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    res = optimize(g, k)
     assert res.verdict == VERDICT_REFUTED
-    assert len(res.primal_history) == len(res.dual_history) == res.iterations <= 5000
-    margin = res.tol * max(1.0, abs(res.baseline))
-    *before, last = res.primal_history
+    assert len(primals) == res.iterations <= 5000
+    margin = run_margin(g, res)
+    *before, last = primals
     assert last == res.best_primal < res.baseline - margin
     assert all(p >= res.baseline - margin for p in before)
 
@@ -504,9 +501,9 @@ def test_profile_shares_the_unit_spectrum(eigh_calls, eigvalsh_calls):
 def test_edge_energies_equal_projector_adjoint(corpus_case):
     _, g, _ = corpus_case
     evals, evecs = np.linalg.eigh(laplacian(g).astype(float))
-    for k in range(1, g.n):
+    rows = eigensum._slot_energies(g, evals, evecs, range(1, g.n))
+    for k, energy in enumerate(rows, start=1):
         X = fractional_top_projector(evals, evecs, k)
-        energy = eigensum._top_energies(g, evals, evecs, k)
         assert np.max(np.abs(energy - adjoint_apply(g, X))) <= 1e-12, k
     rng = np.random.default_rng(5)
     for p in (1, 3, g.n):
@@ -515,14 +512,25 @@ def test_edge_energies_equal_projector_adjoint(corpus_case):
         assert np.max(np.abs(edge_energies(g, V) - ref)) <= 1e-12 * max(1.0, float(ref.max()))
 
 
-@pytest.mark.parametrize("name", sorted(SEEDED))
+PATHS = {f"P{n}": fam.path_graph(n) for n in range(10, 61, 10)}
+TREES = {f"tree{n}-seed{s}": fam.random_tree(n, seed=s) for s in range(20) for n in [6 + 7 * s % 35]}
+PROFILE_CASES = SEEDED | PATHS | TREES
+
+
+@pytest.mark.parametrize("name", sorted(PROFILE_CASES))
 def test_profile_on_seeded_graphs(name):
     # 500 iterations: rigid graphs stop at the first, refutations within a few
-    g = SEEDED[name]
+    g = PROFILE_CASES[name]
     prof = k_rigidity_profile(g, iters=500)
     for e in prof.entries:
         for res in (e.upper, e.lower):
             if res.verdict == VERDICT_REFUTED:
                 assert_witness(g, res)
+    # one run gives the upper entry at k and the lower entry at n - 1 - k
+    for up, low in zip(prof.entries[:-1], reversed(prof.entries[:-1])):
+        assert up.upper.verdict == low.lower.verdict, (up.k, low.k)
+    if name in PATHS:
+        for e in prof.entries[:-1]:
+            assert e.upper.verdict == e.lower.verdict == VERDICT_REFUTED, e.k
     if decide_edge_rigid_exact(g).rigid:
         assert prof.all_rigid
