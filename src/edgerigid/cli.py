@@ -32,6 +32,7 @@ import functools
 import json
 import math
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +151,7 @@ def _load_weights(args: argparse.Namespace, m: int) -> WeightVector | None:
 
 
 _compact = json.JSONEncoder(separators=(",", ":")).encode
+_NUMBERS = {float, int}  # exact types only: bool and IntEnum are not plain numbers
 
 
 def _float_text(x: float) -> str:
@@ -183,11 +185,17 @@ def _dumps(obj) -> str:
     return _encode(obj, "\n", {})
 
 
+@functools.cache
+def _heads(keys: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
+    """Each key of a dict and its '"key": ' text, in sorted order: once per key tuple."""
+    return tuple((k, json.encoder.encode_basestring_ascii(k) + ": ") for k in sorted(keys))
+
+
 def _encode(obj, pad: str, memo: dict[tuple[int, str], str]) -> str:
     """_dumps for obj nested at pad, the newline and indentation before its closing bracket.
 
-    A list of plain floats and ints is one compact C-encoder call,
-    re-indented: no number's text holds a comma.
+    A list of plain floats and ints, or of non-empty such lists, is one compact
+    C-encoder call, re-indented: no number's text holds a comma or a bracket.
     """
     scalar = _SCALARS.get(type(obj))
     if scalar is not None:
@@ -196,10 +204,7 @@ def _encode(obj, pad: str, memo: dict[tuple[int, str], str]) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        body = ("," + inner).join(
-            json.encoder.encode_basestring_ascii(k) + ": " + _encode(v, inner, memo)
-            for k, v in sorted(obj.items())
-        )
+        body = ("," + inner).join(h + _encode(obj[k], inner, memo) for k, h in _heads(tuple(obj)))
         return "{" + inner + body + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -207,8 +212,12 @@ def _encode(obj, pad: str, memo: dict[tuple[int, str], str]) -> str:
         key = (id(obj), pad)
         if key in memo:
             return memo[key]
-        if all(type(v) is float or type(v) is int for v in obj):
+        if (types := {type(v) for v in obj}) <= _NUMBERS:
             body = _compact(obj)[1:-1].replace(",", "," + inner)
+        elif types == {list} and all(obj) and {type(x) for v in obj for x in v} <= _NUMBERS:
+            deep = inner + "  "
+            rows = _compact(obj)[1:-1].replace(",", "," + deep).replace("[", "[" + deep)
+            body = rows.replace("]", inner + "]").replace("]," + deep + "[", "]," + inner + "[")
         else:
             body = ("," + inner).join(_encode(v, inner, memo) for v in obj)
         text = "[" + inner + body + pad + "]"
@@ -218,29 +227,30 @@ def _encode(obj, pad: str, memo: dict[tuple[int, str], str]) -> str:
     return _compact(obj)
 
 
-def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
-    if args.format == "json":
-        out = _dumps(payload) + "\n"
-    else:
-        out = text
+def _write(args: argparse.Namespace, out: str) -> None:
     if args.output:
         Path(args.output).write_text(out)
     else:
         sys.stdout.write(out)
 
 
+def _emit(args: argparse.Namespace, payload: dict, text: Callable[[], str]) -> None:
+    """Write payload as JSON, or text(), which JSON output never builds."""
+    _write(args, _dumps(payload) + "\n" if args.format == "json" else text())
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     report = full_report(g, tol=args.tol)
     s = report.spectrum
-    resistances = resistances_from_eigh(g, s.evals, np.hstack(s.bases))
+    resistances = resistances_from_eigh(g, s.evals, s.evecs)
     kf = kirchhoff_from_eigenvalues(g.n, s.evals)
     tau_exact = report.tree_count
     payload = {
         "graph": {"n": g.n, "m": g.m, "edges": [list(e) for e in g.edges]},
         "report": report.to_dict(),
         "spectrum": {
-            "eigenvalues": [float(v) for v in s.eigenvalues],
+            "eigenvalues": list(s.eigenvalues),
             "multiplicities": list(s.multiplicities),
             "group_tol": s.group_tol,
         },
@@ -248,26 +258,30 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "kirchhoff_index": kf,
         "tree_count": tree_count_from_eigenvalues(g.n, s.evals),
         "tree_count_exact": tau_exact,
-        "effective_resistances": [float(r) for r in resistances],
+        "effective_resistances": resistances.tolist(),
         "foster_sum": float(np.sum(resistances)),
         "parameters": {"tol": args.tol},
     }
-    lines = [
-        f"graph: n={g.n} m={g.m}",
-        f"edge_rigid: {report.edge_rigid}",
-        f"verdicts: {report.verdicts}",
-        f"degree_class: {report.degree_class.kind} {report.degree_class.degrees}",
-        f"walk_class: {report.walk_class.label}",
-        f"eigenvalues: {[round(v, 6) for v in s.eigenvalues]} x {list(s.multiplicities)}",
-        f"tree_count_exact: {tau_exact}",
-        f"kirchhoff_index: {kf}",
-        f"resistances: {[round(float(r), 6) for r in resistances]}",
-    ]
-    if report.walk_constants is not None:
-        lines.insert(3, f"walk_constants: {list(report.walk_constants)}")
-    if report.witness is not None:
-        lines.insert(3, f"witness: {report.witness.to_dict()}")
-    _emit(args, payload, "\n".join(lines) + "\n")
+
+    def text() -> str:
+        lines = [
+            f"graph: n={g.n} m={g.m}",
+            f"edge_rigid: {report.edge_rigid}",
+            f"verdicts: {report.verdicts}",
+            f"degree_class: {report.degree_class.kind} {report.degree_class.degrees}",
+            f"walk_class: {report.walk_class.label}",
+            f"eigenvalues: {[round(v, 6) for v in s.eigenvalues]} x {list(s.multiplicities)}",
+            f"tree_count_exact: {tau_exact}",
+            f"kirchhoff_index: {kf}",
+            f"resistances: {[round(float(r), 6) for r in resistances]}",
+        ]
+        if report.walk_constants is not None:
+            lines.insert(3, f"walk_constants: {list(report.walk_constants)}")
+        if report.witness is not None:
+            lines.insert(3, f"witness: {report.witness.to_dict()}")
+        return "\n".join(lines) + "\n"
+
+    _emit(args, payload, text)
     return EXIT_OK
 
 
@@ -293,52 +307,42 @@ def cmd_decide(args: argparse.Namespace) -> int:
 def cmd_optimize(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     res = optimize(g, args.k, args.objective, iters=args.iters, tol=args.tol)
-    text = (
+    _emit(args, res.to_dict(), lambda: (
         f"k={res.k} objective={res.objective} verdict={res.verdict}\n"
         f"baseline={res.baseline!r} best_primal={res.best_primal!r} "
         f"best_dual={res.best_dual!r} gap={res.gap!r}\n"
         f"iterations={res.iterations}\n"
-    )
-    _emit(args, res.to_dict(), text)
+    ))
     return EXIT_OK
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     prof = k_rigidity_profile(g, iters=args.iters, tol=args.tol)
-    lines = []
-    for e in prof.entries:
-        lines.append(
-            f"k={e.k} upper={e.upper.verdict} (gap={e.upper.gap:.3e}) "
-            f"lower={e.lower.verdict} (gap={e.lower.gap:.3e})"
-        )
-    lines.append(f"all_rigid={prof.all_rigid}")
-    _emit(args, prof.to_dict(), "\n".join(lines) + "\n")
+    _emit(args, prof.to_dict(), lambda: "".join(
+        f"k={e.k} upper={e.upper.verdict} (gap={e.upper.gap:.3e}) "
+        f"lower={e.lower.verdict} (gap={e.lower.gap:.3e})\n"
+        for e in prof.entries
+    ) + f"all_rigid={prof.all_rigid}\n")
     return EXIT_OK
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     cert = certificate(g, args.j, tol=args.tol)
-    text = (
+    _emit(args, cert.to_dict(), lambda: (
         f"level j={cert.j} (k_j={cert.k_j}): passes={cert.passes}\n"
         f"x={cert.x!r} y={cert.y!r} bound={cert.bound!r} "
         f"S_k(1)={cert.top_eigensum!r}\n"
         f"residuals={cert.residuals}\n"
-    )
-    _emit(args, cert.to_dict(), text)
+    ))
     return EXIT_OK
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     s = spectrum(laplacian(g).astype(float))
-    emb = embedding(s, args.eigenspace)
-    csv = emb.to_csv()
-    if args.output:
-        Path(args.output).write_text(csv)
-    else:
-        sys.stdout.write(csv)
+    _write(args, embedding(s, args.eigenspace).to_csv())
     return EXIT_OK
 
 
@@ -347,12 +351,9 @@ def cmd_tau(args: argparse.Namespace) -> int:
     w = _load_weights(args, g.m)
     value = weighted_tree_count(g, w)
     payload = {"tree_count": value}
-    text = f"tree_count: {value!r}\n"
     if w is None:
-        exact = tree_count_exact(g)
-        payload["tree_count_exact"] = exact
-        text += f"tree_count_exact: {exact}\n"
-    _emit(args, payload, text)
+        payload["tree_count_exact"] = tree_count_exact(g)
+    _emit(args, payload, lambda: "".join(f"{k}: {v!r}\n" for k, v in payload.items()))
     return EXIT_OK
 
 
@@ -361,7 +362,7 @@ def cmd_kf(args: argparse.Namespace) -> int:
     w = _load_weights(args, g.m)
     value = kirchhoff_index(g, w)
     payload = {"kirchhoff_index": value if math.isfinite(value) else "inf"}
-    _emit(args, payload, f"kirchhoff_index: {value!r}\n")
+    _emit(args, payload, lambda: f"kirchhoff_index: {value!r}\n")
     return EXIT_OK
 
 

@@ -32,8 +32,8 @@ whose gap stays open go on. optimize stacks one k, k_rigidity_profile
 all n - 1. _slot_energies builds every stack, and every later iterate's
 g, as running sums of group energies plus a fraction of one. On an
 edge-rigid graph every run stops at its first iterate: the profile costs
-one eigh of L(1), r - 1 edge-energy passes and O(n |E|) array work, and
-its runs share one unit-weight best_w tuple.
+one eigh of L(1), one gather of edge differences and O(n |E|) array
+work, and its runs share one unit-weight best_w tuple.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LevelOutOfRangeError
-from .graphs import Graph, edge_energies, incidence, laplacian
+from .graphs import Graph, group_energies, incidence, laplacian
 from .spectral import check_tol, group_eigenvalues, spectrum
 
 VERDICT_RIGID = "rigid-within-tol"
@@ -79,18 +79,17 @@ def _slot_energies(g: Graph, evals: np.ndarray, evecs: np.ndarray, ks) -> np.nda
     Slot k, counted from the top, lies in eigenvalue group J, which gets
     weight W = (slots of k in J) / |J|. The row is the running sum of the
     edge energies of the groups above J plus W times J's, so no n x n
-    matrix is built. Groups below the deepest J are never computed: a
-    profile skips the kernel group.
+    matrix is built. One gather serves the groups down to the deepest J,
+    and a profile skips the kernel group.
     """
-    groups = reversed(group_eigenvalues(evals))
-    rows, above, size = [], 0, 0  # size and energy: the group that holds slot k
-    running = energy = np.zeros(g.m)  # running: the energies of the groups above it
+    n = len(evals)
+    bounds = [sl.start for sl in group_eigenvalues(evals) if sl.stop > n - ks[-1]] + [n]
+    E = group_energies(g, evecs, bounds)
+    t, rows, running = len(E) - 1, [], np.zeros(g.m)  # running: the energies above group t
     for k in ks:
-        while k > above + size:
-            running, above = running + energy, above + size
-            sl = next(groups)
-            size, energy = sl.stop - sl.start, edge_energies(g, evecs[:, sl])
-        rows.append(running + (k - above) / size * energy)
+        while k > n - bounds[t]:
+            running, t = running + E[t], t - 1
+        rows.append(running + (k - n + bounds[t + 1]) / (bounds[t + 1] - bounds[t]) * E[t])
     return np.array(rows)
 
 
@@ -352,15 +351,14 @@ def certificate(g: Graph, j: int, tol: float = 1e-8) -> KCertificate:
     r = s.r
     if not 1 <= j <= r - 1:
         raise LevelOutOfRangeError(f"level j must be in 1..{r - 1}, got {j}")
-    top = slice(r - j, r)
     y = s.eigenvalues[r - j - 1]
-    energies = [edge_energies(g, U) for U in s.bases[top]]
-    gammas = tuple(float(np.mean(e)) for e in energies)
+    energies = group_energies(g, s.evecs, s.bounds[r - j:])
+    gammas = tuple(energies.mean(axis=1).tolist())
     x = float(sum(gammas))
     adj = sum(energies)
-    # X = U U^T and Y = U diag(lambda - y) U^T for the stacked top bases U
-    U = np.hstack(s.bases[top])
-    lam = np.repeat(s.eigenvalues[top], s.multiplicities[top])
+    # X = U U^T and Y = U diag(lambda - y) U^T for the top bases U, contiguous as BLAS saw it
+    U = s.evecs[:, s.bounds[r - j]:].copy()
+    lam = np.repeat(s.eigenvalues[r - j:], s.multiplicities[r - j:])
     X = U @ U.T
     Y = (U * (lam - y)) @ U.T
     residuals = {
@@ -488,11 +486,11 @@ def k_rigidity_profile(
     Each of the n-1 upper runs is made once: the lower entry at k reuses
     the upper run at n-1-k through the trace identity s_k + S_{n-1-k} = 2|E|,
     exactly as optimize(g, k, "lower") would compute it, verdict included.
-    One eigh of L(1) and one _slot_energies call give every k's g_1 from
-    r - 1 edge-energy passes, the additions a standalone run makes, so
-    each run is bit-identical to a standalone one. The per-k work of a
-    rigid profile is then one O(|E|) row, one eigenvalue sum and two
-    results. tol must be finite and > 0.
+    One eigh of L(1) and one _slot_energies call (one gather) give every
+    k's g_1 from the additions a standalone run makes, so each run is
+    bit-identical to a standalone one. The per-k work of a rigid profile
+    is then one O(|E|) row, one eigenvalue sum and two results. tol must
+    be finite and > 0.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")

@@ -167,7 +167,9 @@ class WeightVector:
 
     @classmethod
     def from_text(cls, text: str, m: int) -> "WeightVector":
-        """Parse the weights file format: m lines, one decimal per line."""
+        """Parse the weights file format: m lines, one ASCII decimal per line."""
+        if not text.isascii() or "_" in text:  # float() reads 1_0 and non-ASCII digits
+            raise ParseError("weights must be ASCII decimal numbers")
         entries = [line.strip() for line in text.splitlines() if line.strip()]
         if len(entries) != m:
             raise DimensionMismatchError(f"expected {m} weights, got {len(entries)}")
@@ -192,7 +194,9 @@ class WeightVector:
 # ---------------------------------------------------------------------------
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the edge-list format: first line "n m", then m lines "a b"."""
+    """Parse the edge-list format: first line "n m", then m lines "a b", ASCII decimals."""
+    if not text.isascii() or "_" in text:  # int() reads 1_0 and non-ASCII digits
+        raise ParseError("edge list entries must be ASCII decimal numbers")
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError("empty input")
@@ -372,9 +376,16 @@ def edge_energies(g: Graph, V) -> np.ndarray:
     V = np.asarray(V)
     if V.ndim != 2 or V.shape[0] != g.n:
         raise DimensionMismatchError(f"expected {g.n} rows, got shape {V.shape}")
+    return group_energies(g, V, (0, V.shape[1]))[0]
+
+
+def group_energies(g: Graph, V: np.ndarray, bounds) -> np.ndarray:
+    """Row i is edge_energies(g, V[:, bounds[i]:bounds[i + 1]]), from one gather of V_a - V_b."""
     a, b = g._edge_ends
-    D = V[a] - V[b]
-    return np.einsum("ij,ij->i", D, D)
+    lo = bounds[0]  # D covers columns lo..bounds[-1]; each row is one einsum on a slice of it
+    D = V[a, lo:bounds[-1]] - V[b, lo:bounds[-1]]
+    cols = [D[:, i - lo:j - lo] for i, j in zip(bounds, bounds[1:])]
+    return np.array([np.einsum("ij,ij->i", C, C) for C in cols])
 
 
 def incidence(g: Graph, o: Orientation | None = None) -> np.ndarray:

@@ -2,11 +2,11 @@
 
 Grouped eigendecompositions, spectral embeddings and the edge-isometry
 check, effective resistances, Kirchhoff index, spanning-tree counts and
-majorization. Each eigenspace is held as an orthonormal basis U, and
-every edge quantity is an edge energy |U_a - U_b|^2 (graphs.edge_energies),
-so no n x n projector or pseudoinverse is formed. Everything here is
-numeric; the exact deciders in ``rigidity`` are the ground truth whenever
-both apply.
+majorization. Each eigenspace is a column block U of one eigh output,
+every edge quantity is an edge energy |U_a - U_b|^2, and one gather of
+edge differences serves every block (graphs.group_energies), so no n x n
+projector or pseudoinverse is formed. Everything here is numeric; the
+exact deciders in ``rigidity`` are the ground truth whenever both apply.
 """
 
 from __future__ import annotations
@@ -18,12 +18,14 @@ import numpy as np
 
 from .errors import (
     ConvergenceFailureError,
+    DisconnectedError,
     DisconnectingWeightsError,
     LengthMismatchError,
     LevelOutOfRangeError,
+    TooSmallError,
 )
 from .exactmat import det_exact
-from .graphs import Graph, WeightVector, edge_energies, laplacian
+from .graphs import Graph, WeightVector, edge_energies, group_energies, laplacian
 
 # Consecutive eigenvalues closer than this, relative to the largest, form one group.
 GROUP_TOL = 1e-6
@@ -44,31 +46,34 @@ def check_tol(tol: float) -> float:
 class Spectrum:
     """Grouped eigendecomposition of a symmetric PSD matrix.
 
-    eigenvalues are the r distinct values (ascending, group means) and
-    bases orthonormal n x m_i bases of each eigenspace. An eigenspace is
-    its basis U: its eigenprojector U U^T is never formed, and the edge
-    energies adjoint(U U^T) come from graphs.edge_energies. evals holds all
-    n eigenvalues exactly as eigh returned them, ungrouped.
+    evals and evecs are eigh's output; group i, with basis bases[i], holds
+    columns bounds[i]:bounds[i + 1]. eigenvalues are the r distinct values
+    (ascending, group means). No eigenprojector U U^T is formed: the edge
+    energies adjoint(U U^T) come from graphs.group_energies.
     """
 
     evals: np.ndarray
+    evecs: np.ndarray
+    bounds: tuple[int, ...]
     eigenvalues: tuple[float, ...]
     multiplicities: tuple[int, ...]
-    bases: tuple[np.ndarray, ...]
     group_tol: float
 
     @property
     def r(self) -> int:
         return len(self.eigenvalues)
 
+    @property
+    def bases(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.evecs[:, i:j] for i, j in zip(self.bounds, self.bounds[1:]))
+
 
 def group_eigenvalues(evals: np.ndarray) -> list[slice]:
     """Slices of consecutive (ascending) eigenvalues within the group gap."""
     gap = GROUP_TOL * max(1.0, float(np.max(np.abs(evals))) if len(evals) else 1.0)
-    slices = []
-    start = 0
-    for i in range(1, len(evals)):
-        if evals[i] - evals[i - 1] > gap:
+    slices, start, vals = [], 0, np.asarray(evals).tolist()  # Python floats: a faster loop
+    for i in range(1, len(vals)):
+        if vals[i] - vals[i - 1] > gap:
             slices.append(slice(start, i))
             start = i
     slices.append(slice(start, len(evals)))
@@ -83,13 +88,12 @@ def spectrum(Lw: np.ndarray) -> Spectrum:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailureError(str(exc)) from exc
     groups = group_eigenvalues(evals)
-    return Spectrum(
-        evals=evals,
-        eigenvalues=tuple(float(np.mean(evals[sl])) for sl in groups),
-        multiplicities=tuple(sl.stop - sl.start for sl in groups),
-        bases=tuple(evecs[:, sl] for sl in groups),
-        group_tol=GROUP_TOL,
-    )
+    bounds = tuple(sl.start for sl in groups) + (len(evals),)
+    sizes = tuple(np.diff(bounds).tolist())
+    # np.mean's sum and division without its call overhead; one value is its own mean
+    means = tuple(float(evals[i]) if k == 1 else float(np.add.reduce(evals[i:i + k]) / k)
+                  for i, k in zip(bounds, sizes))
+    return Spectrum(evals, evecs, bounds, means, sizes, GROUP_TOL)
 
 
 @dataclass(frozen=True)
@@ -122,9 +126,9 @@ def edge_isometry_check(g: Graph, s: Spectrum, tol: float = 1e-8) -> IsometryChe
     tol * max(1, mean); gamma_i is the mean. The overall verdict (every
     eigenspace constant) is the floating-point edge-rigidity test.
     """
-    energies = [edge_energies(g, U) for U in s.bases[1:]]
-    gammas = tuple(float(np.mean(vec)) for vec in energies)
-    spreads = tuple(float(np.max(vec) - np.min(vec)) for vec in energies)
+    E = group_energies(g, s.evecs, s.bounds[1:])
+    gammas = tuple(E.mean(axis=1).tolist())
+    spreads = tuple((E.max(axis=1) - E.min(axis=1)).tolist())
     constant = tuple(spread <= tol * max(1.0, mean) for mean, spread in zip(gammas, spreads))
     return IsometryCheck(gammas, constant, spreads, tol)
 
@@ -212,8 +216,14 @@ def tree_count_from_eigenvalues(n: int, evals: np.ndarray) -> float:
 
 
 def weighted_tree_count(g: Graph, w: WeightVector | None = None) -> float:
-    """Weighted spanning-tree count of the (weighted) graph."""
-    return tree_count_from_eigenvalues(g.n, np.linalg.eigvalsh(laplacian(g, w).astype(float)))
+    """Weighted spanning-tree count; exactly 0.0 when the edges with w_e > 0 do not connect g."""
+    L = laplacian(g, w).astype(float)
+    if w is not None:
+        try:  # Graph checks that its edges connect its vertices
+            Graph(g.n, tuple(e for e, x in zip(g.edges, w.values) if x > 0))
+        except (DisconnectedError, TooSmallError):
+            return 0.0
+    return tree_count_from_eigenvalues(g.n, np.linalg.eigvalsh(L))
 
 
 def tree_count_exact(g: Graph) -> int:

@@ -348,6 +348,16 @@ WRITER_CASES = {
     "inf scalar": math.inf,
     "-inf scalar": -math.inf,
     "IntEnum leaves": {"a": Level.HIGH, "b": [Level.LOW, 2, Level.HIGH], "c": [Level.LOW]},
+    "table": {"edges": [[0, 1], [0, 2], [1, 2]], "classes": [[0, 1, 2, 3]]},
+    "table of one-item rows": [[5], [-6], [7.5]],
+    "table of negatives and floats": [[-1, 2.5, -0.0], [1e-05, -3, 2**70], [-1.5e300]],
+    "table with non-finite floats": [[math.nan, 1], [math.inf, -math.inf]],
+    "table in a table": {"t": [[[1, 2], [3]], [[4]]]},
+    "table with an empty row": [[1, 2], [], [3]],
+    "table with bools": [[True, 1], [0, False]],
+    "table with a tuple row": [[1, 2], (3, 4)],
+    "table with IntEnum": [[Level.LOW, 1], [2, 3]],
+    "tables in a list": [{"e": [[0, 1]]}, [[2, 3], [4, 5]], [[6, 7], [8, [9]]]],
 }
 
 

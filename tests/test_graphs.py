@@ -94,6 +94,26 @@ def test_non_ascii_text_is_a_parse_error(parse):
         parse("C\u00e9")
 
 
+def test_underscored_header_is_a_parse_error():
+    # int("1_1") is 11, so this header used to ask for 11 vertices and fail as disconnected
+    with pytest.raises(ParseError, match="ASCII decimal"):
+        parse_graph("1_1 2\n0 1\n1 2\n")
+
+
+def test_underscored_vertex_is_a_parse_error():
+    # "0 1_0" used to join vertex 0 to vertex 10, closing this path on 11 vertices
+    text = "11 10\n0 1_0\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 10))
+    with pytest.raises(ParseError, match="ASCII decimal"):
+        parse_graph(text)
+
+
+@pytest.mark.parametrize("entry", ["\u0661", "1_0"], ids=["arabic-indic-one", "underscore"])
+def test_non_decimal_weight_is_a_parse_error(entry):
+    # float() reads these as 1.0 and 10.0
+    with pytest.raises(ParseError, match="ASCII decimal"):
+        WeightVector.from_text(f"1\n{entry}\n1\n", 3)
+
+
 def test_self_loop_rejected():
     with pytest.raises(NotSimpleError):
         parse_edge_list("2 1\n0 0")

@@ -257,6 +257,24 @@ def test_weighted_tree_count_matches_enum():
         assert abs(weighted_tree_count(g, w) - weighted_enum(g, w)) <= 1e-8 * weighted_enum(g, w)
 
 
+def test_weighted_tree_count_is_zero_when_the_support_disconnects():
+    # C4's edges (0, 1) and (0, 3) weigh 0, so vertex 0 is cut off; the
+    # eigenvalues of L(w) gave a count of about 2.4e-16
+    g = fam.cycle_graph(4)
+    w = WeightVector.from_text("0\n0\n1\n1\n", g.m)
+    assert weighted_enum(g, w) == 0.0
+    assert weighted_tree_count(g, w) == 0.0
+
+
+def test_weighted_tree_count_stays_positive_for_a_tiny_weight():
+    # the weight-0 edge leaves the path 0-1-2-3, whose one tree weighs about 1e-9
+    g = fam.cycle_graph(4)
+    w = WeightVector.from_values([1e-9, 0.0, 1.0, 1.0], normalize=False)
+    count = weighted_tree_count(g, w)
+    assert count > 0
+    assert abs(count - weighted_enum(g, w)) <= 1e-5 * weighted_enum(g, w)
+
+
 # ---------------------------------------------------------------------------
 # majorization and the unit-weight extremality consequences
 # ---------------------------------------------------------------------------
