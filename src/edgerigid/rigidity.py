@@ -43,28 +43,30 @@ identities turn other deciders into functions of that stream:
 - diag((2I + A_sigma)^p)_e = w_{p-1}(e) for every orientation sigma, so the
   signed line graph is walk-regular exactly when the stream is constant.
 
-``full_report`` computes the stream once and takes the walk criterion, the
-cospectrality classes and the signed-line-graph verdict from it, and the
-exact spanning-tree count from the traces p_l = tr(M^l), l = 0..n-1, the
-sums of the diagonal slots it already extracts. Newton's identities,
-k a_k = -sum_{i=1..k} a_{k-i} p_i with exact divisions, give the
+_walk_stream yields, per power, the diagonal slots of M^l, its slots
+(M^l)_ab over the edges and c_l, all from one gather. ``full_report`` reads
+it in one loop: the walk criterion, the cospectrality classes and the
+signed-line-graph verdict come from the c_l, walk_class's flags from the
+diagonal and edge slots, and the exact spanning-tree count from the traces
+p_l = tr(M^l), l = 0..n-1, the sums of the diagonal slots. Newton's
+identities, k a_k = -sum_{i=1..k} a_{k-i} p_i with exact divisions, give the
 coefficients a_k of x^(n-k) in char_M(x) = det(xI - M). As
 char_L(x) = (-1)^n char_M(Delta - x) and the coefficient of x in char_L is
 (-1)^(n-1) n tau,
 
     n tau = char_M'(Delta) = sum_{k<n} (n - k) a_k Delta^(n-1-k),
 
-one Horner pass; a_n = (-1)^n det M is never needed. It adds
-1-walk-(bi)regularity and the floating-point edge-isometry check, and insists
-that all five agree; a disagreement is an implementation bug, never a
-mathematical outcome. walk_class's flags, defined on powers of A, are read
-from those of M. On a regular graph M = A. On a bipartite biregular graph
-with degrees d_1 < Delta, M = [[cI, B], [B^T, 0]] with c = Delta - d_1 >= 1;
-the diagonal blocks of M^(2j) are monic of degree j in BB^T or B^T B, the
-edge block of M^(2j+1) is (monic of degree j in BB^T) B, and other blocks are
-integer polynomials of no higher degree, such as c^3 + 2c BB^T in M^3:
-constancy through l = n - 1 is the same on M and A. Any other graph fails
-both diagonal flags at l <= 2 on either stream, and then the edge flag
+one Horner pass; a_n = (-1)^n det M is never needed. full_report adds the
+floating-point edge-isometry check and insists that all five verdicts agree;
+a disagreement is an implementation bug, never a mathematical outcome.
+walk_class's flags, defined on powers of A, are read from those of M. On a
+regular graph M = A. On a bipartite biregular graph with degrees
+d_1 < Delta, M = [[cI, B], [B^T, 0]] with c = Delta - d_1 >= 1; the diagonal
+blocks of M^(2j) are monic of degree j in BB^T or B^T B, the edge block of
+M^(2j+1) is (monic of degree j in BB^T) B, and other blocks are integer
+polynomials of no higher degree, such as c^3 + 2c BB^T in M^3: constancy
+through l = n - 1 is the same on M and A. Any other graph fails both
+diagonal flags at l <= 2 on either stream, and then the edge flag
 reaches no field of WalkClassification. The independent references,
 ``exactmat.adjugate_quadratic_form`` and the m x m power loop of
 ``signed_line_graph_walk_regular``, are checked against the stream in
@@ -73,7 +75,7 @@ tests/test_stream_oracles.py on the corpus and on seeded random graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from math import comb
 from typing import Iterable, Iterator
@@ -280,64 +282,42 @@ def _masked_slots(rows: list[int], masks: list[int], colors: list[int], size: in
     return np.frombuffer(buf, dtype=np.uint8).reshape(len(merged), n, size)
 
 
-def _matrix_powers(g: Graph, lmax: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield diag(M^l) and, over the edges (a, b), (M^l)_ab, (M^l)_aa and (M^l)_bb, l <= lmax.
+def _walk_stream(g: Graph, lmax: int) -> Iterator[tuple[np.ndarray, np.ndarray, bytes]]:
+    """Yield (diag, ab, c_l) for l = 0..lmax, M = Delta I - L (_packed_powers).
 
-    M is Delta I - L (_packed_powers). Both are views of one gather, uint8
-    arrays of n and 3m little-endian unsigned slots of equal size. On top of
-    the application of M, a power costs 2n big-int operations, one
-    conversion to bytes per colour and one take.
+    diag holds the n slots diag(M^l) and ab the m slots (M^l)_ab over the
+    edges (a, b): uint8 arrays, one row per unsigned slot, views of one
+    gather that also takes (M^l)_aa and (M^l)_bb. So c_l(e) = z_e^T M^l z_e
+    = (M^l)_aa + (M^l)_bb - 2 (M^l)_ab is one sum of three packed ints plus
+    the offset 2^(8 size - 1) per slot, built once per slot size, as m
+    little-endian slots of equal size (_signed_slots): |c_l(e)| <= 2 Delta^l
+    fits the slot. On top of the application of M, a power costs 2n big-int
+    operations, one conversion to bytes per colour and one take.
     """
-    n = g.n
+    n, m = g.n, g.m
     a, b = np.transpose(g.edges)
     vertices = np.arange(n)
     colors = _row_colors(g)
     col = np.array(colors)
     diag_at = col * n + vertices  # rows of the merged slots, reshaped to (-1, size)
     at = np.concatenate([diag_at, col[a] * n + b, diag_at[a], diag_at[b]])
+    mask_rows, mask_slots = np.concatenate([vertices, a]), np.concatenate([vertices, b])
     mask_size = 0
     for rows, size in _packed_powers(g, lmax):
         if size != mask_size:
             mask_size = size
-            masks = _slot_masks(
-                n, np.concatenate([vertices, a]), np.concatenate([vertices, b]), n, size
-            )
+            masks = _slot_masks(n, mask_rows, mask_slots, n, size)
+            half = _repeat(1 << 8 * size - 1, size, m)
         G = _masked_slots(rows, masks, colors, size).reshape(-1, size).take(at, axis=0)
-        yield G[:n], G[n:]
+        raw, k = G[n:].tobytes(), m * size
+        xab, xaa, xbb = (int.from_bytes(raw[i : i + k], "little") for i in (0, k, 2 * k))
+        yield G[:n], G[n : n + m], (xaa + xbb + half - 2 * xab).to_bytes(k, "little")
 
 
-def _walk_stream(g: Graph, lmax: int, powers: Iterable | None = None) -> Iterator[bytes]:
-    """Yield the shifted walk vectors c_l(e) = z_e^T M^l z_e, l = 0..lmax, M = Delta I - L.
-
-    For e = (a, b), c_l(e) = (M^l)_aa + (M^l)_bb - 2 (M^l)_ab. The three
-    entries are the three blocks of m slots of _matrix_powers's edge array
-    (or of powers, its output at depth lmax, read once), so one sum of three
-    packed ints and the offset 2^(8 size - 1) per slot, built once per slot
-    size, gives c_l: |c_l(e)| <= 2 Delta^l fits the slot. Each c_l is yielded
-    as m little-endian slots of equal size (_signed_slots).
-    """
-    half_size = 0
-    for _, ends in powers or _matrix_powers(g, lmax):
-        size = ends.shape[1]
-        if size != half_size:
-            half_size, half = size, _repeat(1 << 8 * size - 1, size, g.m)
-        raw, k = ends.tobytes(), g.m * size
-        ab, aa, bb = (int.from_bytes(raw[i : i + k], "little") for i in (0, k, 2 * k))
-        yield (aa + bb + half - 2 * ab).to_bytes(k, "little")
-
-
-def _record_traces(
-    powers: Iterable, traces: list[int]
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Pass the (diag, ends) of _matrix_powers through, appending tr(M^l) to traces.
-
-    The trace is the sum of diag's n unsigned slots: its byte columns are
-    summed in int64 (each sum is below 256 n) and shifted into place.
-    """
-    for diag, ends in powers:
-        cols = diag.sum(axis=0, dtype=np.int64).tolist()
-        traces.append(sum(c << 8 * j for j, c in enumerate(cols)))
-        yield diag, ends
+def _trace(diag: np.ndarray) -> int:
+    """tr(M^l): diag's byte columns summed in int64 (each below 256 n), shifted into place."""
+    cols = diag.sum(axis=0, dtype=np.int64).tolist()
+    return sum(c << 8 * j for j, c in enumerate(cols))
 
 
 def _char_coeffs(traces: list[int]) -> list[int]:
@@ -414,16 +394,15 @@ def _predict(terms: list[int], lam: list[int], l: int) -> int:
     return -sum(c * terms[l - 1 - k] for k, c in enumerate(lam))
 
 
-def _walk_criterion(
-    g: Graph, walks: Iterable[bytes], lmax: int | None = None
-) -> WalkCriterion:
-    """Constants c_l of _walk_stream, or the first non-constant power's witness.
+def _walk_criterion(g: Graph, walks: Iterable[bytes], lmax: int) -> WalkCriterion:
+    """Constants c_0..c_lmax of _walk_stream's walks c_l, or the first non-constant power's witness.
 
     At the first non-constant power l, w_l(e) = (-1)^l c_l(e) + K_l with
-    K_l = sum_{i<l} C(l, i) Delta^(l-i) (-1)^i c_i, one O(l) sum. Given lmax,
-    reading stops as soon as the recurrence of D lifted Berlekamp-Massey
+    K_l = sum_{i<l} C(l, i) Delta^(l-i) (-1)^i c_i, one O(l) sum. Reading
+    stops as soon as the recurrence of D lifted Berlekamp-Massey
     coefficients exactly generates the 2D + 1 or more c_l read so far, which
-    it then extends to power lmax. This is a proof (module docstring).
+    it then extends to power lmax. This is a proof (module docstring), so the
+    extended constants are those the stream would have given.
     """
     delta = max(g.degrees)
     shifted: list[int] = []
@@ -438,8 +417,6 @@ def _walk_criterion(
             witness = WalkWitness(power, g.edges[lo], g.edges[hi], vals[lo], vals[hi])
             return WalkCriterion(False, None, delta, witness, True)
         shifted.append(_signed_slots(raw[: len(raw) // g.m], 1)[0])
-        if lmax is None:
-            continue
         rec.push(shifted[-1])
         if 2 * rec.length >= len(shifted):
             continue
@@ -482,7 +459,7 @@ def decide_edge_rigid_exact(g: Graph, max_power: int | None = None) -> WalkCrite
     if max_power is not None and max_power < 0:
         raise ValueError(f"max_power must be >= 0, got {max_power}")
     lmax = g.n - 1 if max_power is None else max_power
-    return _walk_criterion(g, _walk_stream(g, lmax), lmax)
+    return _walk_criterion(g, (c for _, _, c in _walk_stream(g, lmax)), lmax)
 
 
 def cospectrality_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -492,7 +469,7 @@ def cospectrality_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
     and are determined by it. One class means all edges are pairwise
     Laplacian-cospectral, which is equivalent to edge-rigidity.
     """
-    return _profile_classes(g, list(_walk_stream(g, g.n - 1)))
+    return _profile_classes(g, [c for _, _, c in _walk_stream(g, g.n - 1)])
 
 
 @dataclass(frozen=True)
@@ -505,32 +482,40 @@ class WalkClassification:
     one_walk_biregular: bool | None
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "walk_regular": self.walk_regular,
-            "one_walk_regular": self.one_walk_regular,
-            "bipartite": self.bipartite,
-            "walk_biregular": self.walk_biregular,
-            "one_walk_biregular": self.one_walk_biregular,
-        }
+        return asdict(self)
 
 
-def _record_walk_flags(g: Graph, powers: Iterable, flags: list[bool]) -> Iterator[tuple]:
-    """Pass the (diag, ends) of _matrix_powers through, keeping walk_class's flags in flags.
+def _walk_flags(g: Graph, parts, diag: np.ndarray, ab: np.ndarray, flags: tuple) -> tuple:
+    """walk_class's flags after one more power of _walk_stream.
 
-    flags: diag, (M^l)_ab, and diag on each side of the bipartition (False
-    if none) were constant in every power so far; each test compares bytes.
+    flags: diag, (M^l)_ab, and diag on each side of the bipartition parts
+    (False if there is none) were constant in every power so far; each test
+    compares bytes.
     """
-    parts = bipartition(g)
-    flags[:] = True, True, parts is not None
-    for diag, ends in powers:
-        flags[0] = flags[0] and _constant(diag.tobytes(), g.n)
-        flags[1] = flags[1] and _constant(ends[: g.m].tobytes(), g.m)
-        flags[2] = flags[2] and all(_constant(diag.take(p, 0).tobytes(), len(p)) for p in parts)
-        yield diag, ends
+    diag_const, edge_const, part_const = flags
+    return (
+        diag_const and _constant(diag.tobytes(), g.n),
+        edge_const and _constant(ab.tobytes(), g.m),
+        part_const and all(_constant(diag.take(p, 0).tobytes(), len(p)) for p in parts),
+    )
 
 
-def walk_class(g: Graph, flags: list[bool] | None = None) -> WalkClassification:
+def _classify(parts, diag_const: bool, edge_const: bool, part_const: bool) -> WalkClassification:
+    """The WalkClassification that the flags of _walk_flags give."""
+    if diag_const:
+        label = "1-walk-regular" if edge_const else "walk-regular-only"
+    elif part_const:
+        label = "1-walk-biregular" if edge_const else "walk-biregular-only"
+    else:
+        label = "neither"
+    if parts is None:
+        return WalkClassification(label, diag_const, diag_const and edge_const, False, None, None)
+    return WalkClassification(
+        label, diag_const, diag_const and edge_const, True, part_const, part_const and edge_const
+    )
+
+
+def walk_class(g: Graph) -> WalkClassification:
     """Exact walk-regularity classification, defined on adjacency powers A^l.
 
     Checks l = 0..n-1: walk-regular means diag(A^l) is globally constant;
@@ -538,32 +523,16 @@ def walk_class(g: Graph, flags: list[bool] | None = None) -> WalkClassification:
     Walk-biregular graphs have diag(A^l) constant on each side of the
     bipartition; the biregular tests are skipped for non-bipartite input.
     The flags come from the walk stream's powers of M = Delta I - L, which
-    give those of A (module docstring). flags, when given, are
-    _record_walk_flags's at depth n - 1; otherwise the loop stops once both
-    diagonal flags fail, after one power unless g is (bi)regular.
+    give those of A (module docstring). The loop stops once both diagonal
+    flags fail, after one power unless g is (bi)regular.
     """
-    if flags is None:
-        flags = []
-        for _ in _record_walk_flags(g, _matrix_powers(g, g.n - 1), flags):
-            if not (flags[0] or flags[2]):
-                break
-    diag_const, edge_const, part_const = flags
     parts = bipartition(g)
-
-    if diag_const:
-        label = "1-walk-regular" if edge_const else "walk-regular-only"
-    elif parts is not None and part_const:
-        label = "1-walk-biregular" if edge_const else "walk-biregular-only"
-    else:
-        label = "neither"
-    return WalkClassification(
-        label=label,
-        walk_regular=diag_const,
-        one_walk_regular=diag_const and edge_const,
-        bipartite=parts is not None,
-        walk_biregular=part_const if parts is not None else None,
-        one_walk_biregular=(part_const and edge_const) if parts is not None else None,
-    )
+    flags = True, True, parts is not None
+    for diag, ab, _ in _walk_stream(g, g.n - 1):
+        flags = _walk_flags(g, parts, diag, ab, flags)
+        if not (flags[0] or flags[2]):
+            break
+    return _classify(parts, *flags)
 
 
 def signed_line_graph_walk_regular(g: Graph, o: Orientation | None = None) -> bool:
@@ -617,21 +586,26 @@ class RigidityReport:
 def full_report(g: Graph, tol: float = 1e-8) -> RigidityReport:
     """Run every decider and assemble the cross-checked report.
 
-    The walk stream is computed once, at full depth; the walk criterion,
-    the cospectrality classes, the signed-line-graph verdict, walk_class's
-    flags and the exact tree count (from its traces) all come from it, the
-    last two as the powers pass; no power is kept. All five verdicts must
-    agree or InternalInconsistencyError is raised. tol, the float embedding
-    test's tolerance, must be finite and > 0.
+    One loop reads the walk stream at full depth: it keeps the walks c_l and
+    the traces tr(M^l), and updates walk_class's flags, as the powers pass;
+    no power is kept. The walk criterion (whose recurrence certificate may
+    stop reading early, a proof), the cospectrality classes and the
+    signed-line-graph verdict come from the walks, the exact tree count from
+    the traces. All five verdicts must agree or InternalInconsistencyError is
+    raised. tol, the float embedding test's tolerance, must be finite and > 0.
     """
     check_tol(tol)
+    parts = bipartition(g)
+    flags = True, True, parts is not None
     traces: list[int] = []
-    flags: list[bool] = []
-    powers = _record_walk_flags(g, _record_traces(_matrix_powers(g, g.n - 1), traces), flags)
-    walks = list(_walk_stream(g, g.n - 1, powers))
-    wc = _walk_criterion(g, walks)
+    walks: list[bytes] = []
+    for diag, ab, c in _walk_stream(g, g.n - 1):
+        traces.append(_trace(diag))
+        flags = _walk_flags(g, parts, diag, ab, flags)
+        walks.append(c)
+    wc = _walk_criterion(g, walks, g.n - 1)
     classes = _profile_classes(g, walks)
-    wclass = walk_class(g, flags)
+    wclass = _classify(parts, *flags)
     s = spectrum(laplacian(g).astype(float))
     iso = edge_isometry_check(g, s, tol)
     verdicts = {

@@ -12,6 +12,7 @@ exact deciders in ``rigidity`` are the ground truth whenever both apply.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,41 +169,61 @@ def embedding(s: Spectrum, i: int) -> Embedding:
 # resistance / tree-count functionals
 # ---------------------------------------------------------------------------
 
-def _connected(evals: np.ndarray, tol: float) -> bool:
-    """Whether ascending Laplacian eigenvalues have lambda_2 above the kernel."""
-    return bool(evals[1] > tol * max(1.0, float(evals[-1])))
+def _support_connects(g: Graph, w: WeightVector | None, evals: np.ndarray) -> bool:
+    """Whether the edges with w_e > 0 connect g, given the ascending eigenvalues of L(w).
+
+    Graph checks that its edges connect its vertices, so unit weights always
+    do. On a connected support lambda_2 must also exceed the float
+    resolution n eps lambda_max; otherwise the float spectrum cannot tell
+    the weights from disconnecting ones, and DisconnectingWeightsError is
+    raised.
+    """
+    if w is not None:
+        try:
+            Graph(g.n, tuple(e for e, x in zip(g.edges, w.values) if x > 0))
+        except (DisconnectedError, TooSmallError):
+            return False
+    floor = g.n * sys.float_info.epsilon * float(evals[-1])
+    if not evals[1] > floor:
+        raise DisconnectingWeightsError(
+            f"the float spectrum cannot resolve these weights: lambda_2 = {float(evals[1])!r}"
+            f" is not above n eps lambda_max = {floor!r}"
+        )
+    return True
 
 
-def resistances_from_eigh(
-    g: Graph, evals: np.ndarray, evecs: np.ndarray, tol: float = 1e-9
-) -> np.ndarray:
-    """Per-edge effective resistance z_e^T L(w)^+ z_e from the eigh of L(w).
+def resistances_from_eigh(g: Graph, evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
+    """Per-edge effective resistance z_e^T L(w)^+ z_e from the eigh of L(w) of connecting weights.
 
     L(w)^+ = V V^T for V = U / sqrt(lambda) on the complement of the known
     kernel (the first eigenvector), never by generic singular-value
     thresholding, so the resistances are the edge energies of V and no
     n x n pseudoinverse is built.
     """
-    if not _connected(evals, tol):
-        raise DisconnectingWeightsError("weights disconnect the graph (rank < n - 1)")
     return edge_energies(g, evecs[:, 1:] / np.sqrt(evals[1:]))
 
 
-def effective_resistances(g: Graph, w: WeightVector | None = None, tol: float = 1e-9) -> np.ndarray:
-    """Per-edge effective resistances of the (weighted) graph, in canonical edge order."""
-    return resistances_from_eigh(g, *np.linalg.eigh(laplacian(g, w).astype(float)), tol)
+def effective_resistances(g: Graph, w: WeightVector | None = None) -> np.ndarray:
+    """Per-edge effective resistances of the (weighted) graph, in canonical edge order.
+
+    Raises DisconnectingWeightsError when the edges with w_e > 0 do not
+    connect g (_support_connects).
+    """
+    evals, evecs = np.linalg.eigh(laplacian(g, w).astype(float))
+    if not _support_connects(g, w, evals):
+        raise DisconnectingWeightsError("weights disconnect the graph")
+    return resistances_from_eigh(g, evals, evecs)
 
 
-def kirchhoff_from_eigenvalues(n: int, evals: np.ndarray, tol: float = 1e-9) -> float:
-    """n * sum of reciprocal nontrivial eigenvalues; +inf when disconnected."""
-    if not _connected(evals, tol):
-        return math.inf
+def kirchhoff_from_eigenvalues(n: int, evals: np.ndarray) -> float:
+    """n * sum of reciprocal nontrivial eigenvalues of L(w) of connecting weights."""
     return float(n * np.sum(1.0 / evals[1:]))
 
 
-def kirchhoff_index(g: Graph, w: WeightVector | None = None, tol: float = 1e-9) -> float:
-    """Kirchhoff index of the (weighted) graph; +inf when w disconnects it."""
-    return kirchhoff_from_eigenvalues(g.n, np.linalg.eigvalsh(laplacian(g, w).astype(float)), tol)
+def kirchhoff_index(g: Graph, w: WeightVector | None = None) -> float:
+    """Kirchhoff index of the (weighted) graph; +inf when the edges with w_e > 0 don't connect g."""
+    evals = np.linalg.eigvalsh(laplacian(g, w).astype(float))
+    return kirchhoff_from_eigenvalues(g.n, evals) if _support_connects(g, w, evals) else math.inf
 
 
 def tree_count_from_eigenvalues(n: int, evals: np.ndarray) -> float:
@@ -217,13 +238,8 @@ def tree_count_from_eigenvalues(n: int, evals: np.ndarray) -> float:
 
 def weighted_tree_count(g: Graph, w: WeightVector | None = None) -> float:
     """Weighted spanning-tree count; exactly 0.0 when the edges with w_e > 0 do not connect g."""
-    L = laplacian(g, w).astype(float)
-    if w is not None:
-        try:  # Graph checks that its edges connect its vertices
-            Graph(g.n, tuple(e for e, x in zip(g.edges, w.values) if x > 0))
-        except (DisconnectedError, TooSmallError):
-            return 0.0
-    return tree_count_from_eigenvalues(g.n, np.linalg.eigvalsh(L))
+    evals = np.linalg.eigvalsh(laplacian(g, w).astype(float))
+    return tree_count_from_eigenvalues(g.n, evals) if _support_connects(g, w, evals) else 0.0
 
 
 def tree_count_exact(g: Graph) -> int:

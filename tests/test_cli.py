@@ -247,6 +247,39 @@ def test_kf(graph_file, capsys):
     assert abs(json.loads(out)["kirchhoff_index"] - 5.0) < 1e-9
 
 
+# C4 whose weight-0 edge leaves the path 0-1-2-3 with one tiny weight, and K5
+# with weights spanning 50 orders of magnitude, whose computed lambda_2 is
+# negative: tau and kf follow one connectivity rule on both
+TINY_C4_WEIGHTS = "1e-12\n0\n1\n1\n"
+K5_SPREAD_WEIGHTS = "2\n1e-40\n1e-50\n2\n1e-50\n1e-40\n1e-40\n1e-30\n1e-50\n1\n"
+
+
+def test_kf_of_a_tiny_connecting_weight_is_finite(graph_file, tmp_path, capsys):
+    path = graph_file(fam.cycle_graph(4))
+    wpath = tmp_path / "w.txt"
+    wpath.write_text(TINY_C4_WEIGHTS)
+    code, out, _ = run(["kf", path, "--weights", str(wpath), "--format", "json"], capsys)
+    assert code == 0
+    # weights rescale to sum 4: a on (0, 1), b on (1, 2) and (2, 3); on the
+    # path, Kf = sum over edges of n_1 n_2 / w_e = 3/a + 7/b
+    a, b = 4e-12 / (2 + 1e-12), 4 / (2 + 1e-12)
+    exact = 3 / a + 7 / b
+    assert abs(json.loads(out)["kirchhoff_index"] - exact) <= 1e-5 * exact
+    code, out, _ = run(["tau", path, "--weights", str(wpath)], capsys)
+    assert code == 0 and float(out.split(": ")[1]) > 0
+
+
+@pytest.mark.parametrize("command", ["tau", "kf"])
+def test_unresolvable_weights_exit_2(graph_file, tmp_path, capsys, command):
+    path = graph_file(fam.complete_graph(5))
+    wpath = tmp_path / "w.txt"
+    wpath.write_text(K5_SPREAD_WEIGHTS)
+    code, out, err = run([command, path, "--weights", str(wpath)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "cannot resolve" in err
+
+
 def test_analyze_deterministic_bytes(graph_file, tmp_path, capsys):
     path = graph_file(fam.petersen_graph())
     out1 = tmp_path / "a.json"

@@ -275,6 +275,26 @@ def test_weighted_tree_count_stays_positive_for_a_tiny_weight():
     assert abs(count - weighted_enum(g, w)) <= 1e-5 * weighted_enum(g, w)
 
 
+def test_tiny_connecting_weight_gives_finite_resistance_functionals():
+    # C4 without edge (0, 3) is the path 0-1-2-3; its edge (0, 1) weighs 1e-12
+    g = fam.cycle_graph(4)
+    w = WeightVector.from_values([1e-12, 0.0, 1.0, 1.0], normalize=False)
+    r = effective_resistances(g, w)
+    assert abs(r[0] - 1e12) <= 1e-5 * 1e12
+    assert abs(kirchhoff_index(g, w) - (3e12 + 7)) <= 1e-5 * 3e12
+    assert weighted_tree_count(g, w) > 0
+
+
+def test_weights_the_float_spectrum_cannot_resolve_raise():
+    # every weight is positive, so K5 stays connected, but lambda_2 of L(w)
+    # comes out negative; no resistance functional may report a value
+    g = fam.complete_graph(5)
+    w = WeightVector.from_values([2, 1e-40, 1e-50, 2, 1e-50, 1e-40, 1e-40, 1e-30, 1e-50, 1])
+    for f in (weighted_tree_count, kirchhoff_index, effective_resistances):
+        with pytest.raises(DisconnectingWeightsError, match="cannot resolve"):
+            f(g, w)
+
+
 # ---------------------------------------------------------------------------
 # majorization and the unit-weight extremality consequences
 # ---------------------------------------------------------------------------

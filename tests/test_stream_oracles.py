@@ -28,12 +28,10 @@ from edgerigid.graphs import Graph, Orientation, adjoint_apply, bipartition, lap
 from edgerigid.rigidity import (
     WalkClassification,
     _char_coeffs,
-    _matrix_powers,
     _profile_classes,
-    _record_traces,
-    _record_walk_flags,
     _signed_slots,
     _split,
+    _trace,
     _walk_stream,
     cospectrality_classes,
     decide_edge_rigid_exact,
@@ -188,7 +186,11 @@ def test_halved_stream_matches_dense_adjoint(g):
     shifted = dense_powers(delta * np.eye(g.n, dtype=np.int64) - L, g.n)
     stream = list(_walk_stream(g, g.n))
     assert len(stream) == len(shifted) == len(walks)
-    for l, (raw, P) in enumerate(zip(stream, shifted)):
+    a, b = np.transpose(g.edges)
+    for l, ((diag, ab, raw), P) in enumerate(zip(stream, shifted)):
+        # the diagonal and edge slots of M^l that walk_class's flags read
+        assert _split(diag.tobytes(), g.n) == [int(x) for x in P.diagonal()]
+        assert _split(ab.tobytes(), g.m) == [int(x) for x in P[a, b]]
         c = _signed_slots(raw, g.m)
         assert c == [int(x) for x in adjoint_apply(g, P)]
         assert sum(c) == (P @ exact_matrix(L)).trace()  # sum_e c_l(e) = tr(B^T M^l B)
@@ -398,14 +400,15 @@ WALK_CASES = (
 
 @pytest.mark.parametrize("g", [g for _, g in WALK_CASES], ids=[n for n, _ in WALK_CASES])
 def test_walk_class_matches_dense_powers(g):
-    # the flags are read from powers of max-degree I - L, not of A, on every graph
+    # the flags are read from powers of max-degree I - L, not of A, on every
+    # graph; full_report's walk criterion, like decide's, may stop on the
+    # recurrence certificate and extend the constants to power n - 1
     ref = dense_walk_class(g)
     assert walk_class(g) == ref
-    assert full_report(g).walk_class == ref
-    flags: list[bool] = []
-    for _ in _record_walk_flags(g, _matrix_powers(g, g.n - 1), flags):
-        pass
-    assert walk_class(g, flags) == ref
+    rep, wc = full_report(g), decide_edge_rigid_exact(g)
+    assert rep.walk_class == ref
+    assert rep.walk_constants == wc.constants
+    assert rep.witness == wc.witness
 
 
 def all_power_classes(g: Graph, walks: list[bytes]) -> tuple[tuple[int, ...], ...]:
@@ -417,16 +420,14 @@ def all_power_classes(g: Graph, walks: list[bytes]) -> tuple[tuple[int, ...], ..
 
 
 def test_classes_keyed_on_varying_powers_match_all_powers(case):
-    walks = list(_walk_stream(case, case.n - 1))
+    walks = [c for _, _, c in _walk_stream(case, case.n - 1)]
     assert _profile_classes(case, walks) == all_power_classes(case, walks)
 
 
 def test_newton_coefficients_match_char_poly(case):
     g = case
     M = max(g.degrees) * np.eye(g.n, dtype=np.int64) - laplacian(g)
-    traces: list[int] = []
-    for _ in _record_traces(_matrix_powers(g, g.n - 1), traces):
-        pass
+    traces = [_trace(diag) for diag, _, _ in _walk_stream(g, g.n - 1)]
     assert traces == [P.trace() for P in dense_powers(M, g.n - 1)]
     # coefficients of x^n..x^1 of det(xI - M), against char_poly's ascending degrees 1..n
     assert _char_coeffs(traces)[::-1] == list(char_poly(M).coeffs[1:])
