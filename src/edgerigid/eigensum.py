@@ -12,28 +12,25 @@ Every run is an upper run: s_k(w) + S_{n-1-k}(w) = 2|E| on the simplex,
 so the lower entry at k is the upper run at n-1-k, and one margin
 (_margin) gives both entries their verdict.
 
-A run stops as soon as its verdict is settled. S_k is convex, so unit
-weights are optimal iff some subgradient adjoint(X), X in dS_k(1), is
-constant (Overton-Womersley 1993). When the first iterate's edge energies
-g_1 = adjoint(X_1) are not constant, a backtracking line search along
-d = -(g_1 - mean g_1) from unit weights usually finds, within a few
-eigendecompositions, a w with S_k(w) below S_k(1) by more than the
-margin, which refutes rigidity. Only when that search fails does
-entropic mirror descent run on with the rest of the budget.
-
-At eigenvalue crossings the top-k slot is filled group by group, splitting
-the boundary eigenspace fractionally (X gains (t/mult) * E_boundary). The
-fractional choice is what makes the dual bound tight for rigid graphs at
-every k, not just at multiplicity boundaries, and it is deterministic.
+A run stops as soon as its verdict is settled. S_k is convex, so w is
+optimal iff some subgradient adjoint(X) in dS_k(w) is constant
+(Overton-Womersley 1993). _face picks the subgradient g of least spread
+on the face dS_k(w): a constant g proves optimality, otherwise
+-(g - mean g) is the steepest descent direction. From unit weights a run
+takes Armijo steps along the entropic mirror path w exp(-alpha (g - mean g))
+of its last accepted point. While the predicted decrease is at least the
+margin, an accepted point already refutes rigidity, so a non-rigid run
+usually ends within a few eigendecompositions.
 
 Runs start from a stack of first iterates, the spectrum of L(1) and one
-g_1 per k: one array minimum gives every dual bound, and only the runs
+row per k: one array minimum gives every dual bound, and only the runs
 whose gap stays open go on. optimize stacks one k, k_rigidity_profile
-all n - 1. _slot_energies builds every stack, and every later iterate's
-g, as running sums of group energies plus a fraction of one. On an
-edge-rigid graph every run stops at its first iterate: the profile costs
-one eigh of L(1), one gather of edge differences and O(n |E|) array
-work, and its runs share one unit-weight best_w tuple.
+all n - 1. _slot_energies builds every stack, and the row of every
+rejected trial, as running sums of group energies plus the fraction of
+the group split at slot k that lies in the top k. On an edge-rigid graph
+every run stops at its first iterate: the profile costs one eigh of
+L(1), one gather of edge differences and O(n |E|) array work, and its
+runs share one unit-weight best_w tuple.
 """
 
 from __future__ import annotations
@@ -53,6 +50,9 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 
 # An upper run also stops once its relative primal-dual gap is this small.
 GAP_TOL = 1e-9
+
+# _face's projected-gradient solve takes at most this many steps.
+FACE_ITERS = 1000
 
 
 def fractional_top_projector(evals: np.ndarray, evecs: np.ndarray, k: int) -> np.ndarray:
@@ -104,12 +104,60 @@ def _margin(g: Graph, k: int, tol: float, baseline: float) -> float:
     return tol * max(1.0, min(baseline, mirror))
 
 
-def _mirror_step(w: np.ndarray, gvec: np.ndarray, step: float) -> np.ndarray:
-    """Entropic mirror step w * exp(-step (g - mean g)), rescaled to sum |E|."""
-    expo = -step * (gvec - gvec.mean())
-    expo -= expo.max()
-    w = w * np.exp(expo)
-    return w * (len(w) / w.sum())
+def _face(g: Graph, evals: np.ndarray, evecs: np.ndarray, k: int, w: np.ndarray) -> np.ndarray:
+    """The edge gradient adjoint(X) of least w-weighted spread on the face dS_k(w).
+
+    evals, evecs: the eigenpairs of L(w). X = U_1 U_1^T + U_2 Z U_2^T, U_1 the
+    groups above slot k's group J, U_2 J's basis, 0 <= Z <= I, tr Z = t (k's
+    slots in J). An unsplit J leaves Z = I, the _slot_energies row. On a split
+    J, accelerated projected gradient from Z = (t/|J|) I, restarted whenever
+    the spread rises, minimizes sum_e w_e (g_e - mean_w g)^2 over
+    g(Z) = g_1' + K vec(Z), K_e = vec(D_e^T D_e), D = U_2[a] - U_2[b]. Any
+    such g gives the sound dual bound |E| min g.
+    """
+    lo, hi = next((sl.start, sl.stop) for sl in group_eigenvalues(evals) if sl.stop > g.n - k)
+    if lo == g.n - k:
+        return _slot_energies(g, evals, evecs, [k])[0]
+    p, t = hi - lo, k - g.n + hi
+    a, b = g._edge_ends
+    D = evecs[a, lo:] - evecs[b, lo:]
+    above = np.einsum("ij,ij->i", D[:, p:], D[:, p:])
+    K = (D[:, :p, None] * D[:, None, :p]).reshape(g.m, p * p)
+    omega = w / w.sum()
+    # the spread is |sqrt(w) (K - omega K) vec(Z) + c|^2: its gradient's Lipschitz constant
+    lip = 2.0 * max(np.linalg.norm(np.sqrt(w)[:, None] * (K - omega @ K), 2) ** 2, 1e-300)
+
+    def energies(Z):
+        gz = above + K @ Z.ravel()
+        r = gz - omega @ gz
+        return gz, r, float(w @ r ** 2)
+
+    Z = Y = np.eye(p) * (t / p)
+    theta, (gz, _, spread) = 1.0, energies(Z)
+    for _ in range(FACE_ITERS):
+        _, r, _ = energies(Y)
+        z, Q = np.linalg.eigh(Y - (2.0 / lip) * (K.T @ (w * r)).reshape(p, p))
+        # project z onto {0 <= z <= 1, sum z = t}: clip(z - tau, 0, 1), tau from the kinks
+        cuts = np.sort(np.concatenate([z - 1.0, z]))
+        sums = np.clip(z[None, :] - cuts[:, None], 0.0, 1.0).sum(axis=1)
+        Znew = (Q * np.clip(z - np.interp(-t, -sums, cuts), 0.0, 1.0)) @ Q.T
+        gnew, _, new = energies(Znew)
+        if new > spread and theta > 1.0:  # momentum overshot: restart from Z
+            Y, theta = Z, 1.0
+            continue
+        moved = float(np.abs(Znew - Z).max())
+        theta, prev = (1.0 + math.sqrt(1.0 + 4.0 * theta * theta)) / 2.0, theta
+        Y = Znew + ((prev - 1.0) / theta) * (Znew - Z)
+        Z, gz, spread = Znew, gnew, new
+        if moved <= 1e-13:
+            break
+    return gz
+
+
+def _direction(x: np.ndarray, gvec: np.ndarray) -> tuple[np.ndarray, float]:
+    """d = g - mean_x g and the slope |d|^2_x = sum_e x_e d_e^2 of the mirror path at x."""
+    d = gvec - (x * gvec).sum() / x.sum()
+    return d, float(np.sum(x * d * d))
 
 
 @dataclass(frozen=True)
@@ -165,27 +213,27 @@ def optimize(
 ) -> OptimizeResult:
     """Optimize one extreme eigenvalue sum over the weight simplex.
 
-    upper starts at unit weights. Its first iterate gives the edge
-    gradient g_1 = adjoint(X_1) and the scale c = m / ||g_1||_inf. The run
-    has one margin, tol * max(1, min(S_k(1), 2|E| - S_k(1))), shared with
-    the lower entry at n-1-k (S_k(1) alone at k = n-1). If g_1 is not
-    constant, the run backtracks from unit weights along the mirror path
-    w(alpha) ~ exp(-alpha (g_1 - mean g_1)), alpha = c, c/2, ..., while
-    the predicted decrease alpha |g_1 - mean g_1|^2 / 2 is at least the
-    margin. After that it runs entropic mirror descent from unit weights
-    with step c / sqrt(t) on the rest of the budget. Every iterate costs
-    one eigendecomposition and yields a certified dual bound. The run
-    stops as soon as S_k is below S_k(1) by more than the margin, or once
-    the relative gap is below GAP_TOL. lower maximizes s_k, reduced to the
-    upper objective at n-1-k through the trace identity
-    s_k(w) + S_{n-1-k}(w) = 2|E| on the simplex, and reports that run's
-    verdict.
+    upper starts at unit weights. The run has one margin,
+    tol * max(1, min(S_k(1), 2|E| - S_k(1))), shared with the lower entry
+    at n-1-k (S_k(1) alone at k = n-1). While the gap is open, the run
+    takes Armijo steps from its last accepted point x along
+    w(alpha) ~ x exp(-alpha (g - mean_x g)), g = _face at x, from
+    alpha = m / ||g||_inf at unit weights. A trial is accepted when S_k
+    falls by at least alpha |g - mean_x g|_x^2 / 2; alpha doubles after an
+    accepted trial and halves after a rejected one. Every trial costs one
+    eigendecomposition and yields a certified dual bound. The run stops as
+    soon as S_k is below S_k(1) by more than the margin, or once the
+    relative gap or the predicted decrease is below GAP_TOL. lower
+    maximizes s_k, reduced to the upper objective at n-1-k through the
+    trace identity s_k(w) + S_{n-1-k}(w) = 2|E| on the simplex, and
+    reports that run's verdict.
 
     Verdict: rigid-within-tol when the dual bound is within the margin of
     S_k(1), so unit weights are optimal; refuted when a w better by more
     than the margin was found (best_w, a checkable witness); inconclusive
-    when the iteration budget ran out before either. A spent budget is a
-    verdict, never an exception. tol must be finite and > 0.
+    when the run stopped before either, for instance on a spent iteration
+    budget. A spent budget is a verdict, never an exception. tol must be
+    finite and > 0.
     """
     if not 1 <= k <= g.n - 1:
         raise ValueError(f"k must be in 1..{g.n - 1}, got {k}")
@@ -211,16 +259,18 @@ def _upper_runs(
     """The upper runs at the ascending levels ks; B is the float incidence matrix of g.
 
     evals and evecs are the eigenpairs of L(1) = B B^T. A run whose gap
-    closes at unit weights, or whose budget is one iterate, ends with
-    best_w = unit_w.
+    closes at unit weights, where the dual comes from the _slot_energies
+    row, ends with best_w = unit_w.
     """
     G = _slot_energies(g, evals, evecs, ks)
+    starts = {sl.start for sl in group_eigenvalues(evals)}  # at n - k: J unsplit, _face is the row
     out = []
-    for k, g1, dual in zip(ks, G, (g.m * G.min(axis=1)).tolist()):
+    for k, row, dual in zip(ks, G, (g.m * G.min(axis=1)).tolist()):
         baseline = float(evals[g.n - k:].sum())
         margin = _margin(g, k, tol, baseline)
         best_primal, best_dual, best_w, iterations = baseline, dual, unit_w, 1
-        if iters > 1 and baseline - dual > GAP_TOL * max(1.0, abs(baseline)):
+        if baseline - dual > GAP_TOL * max(1.0, abs(baseline)):
+            g1 = row if g.n - k in starts else _face(g, evals, evecs, k, np.ones(g.m))
             best_primal, best_dual, best_w, iterations = _optimize_upper(
                 g, B, k, iters, margin, g1, baseline, dual,
             )
@@ -241,40 +291,37 @@ def _optimize_upper(
     g: Graph, B: np.ndarray, k: int, iters: int, margin: float,
     g1: np.ndarray, baseline: float, dual: float,
 ) -> tuple:
-    """Go on from an open first iterate g1 = adjoint(X_1), baseline = S_k(1), dual = m min g1.
+    """Go on from an open first iterate: g1 = _face at unit weights, baseline = S_k(1).
 
-    Returns best_primal, best_dual, best_w and the iteration count (iters >= 2
-    includes the first).
+    dual is |E| min of the unit-weight _slot_energies row. Returns best_primal,
+    best_dual, best_w and the iteration count (the first included).
     """
     n, m = g.n, g.m
     gap_tol = GAP_TOL * max(1.0, abs(baseline))
-    c = m / max(float(np.abs(g1).max()), 1e-12)
-    slope = float(np.sum((g1 - g1.mean()) ** 2))  # |d|^2, d = -(g_1 - mean g_1)
-    best_primal, best_dual, best_w = baseline, dual, np.ones(m)
-    md_w, md_g, md_t = best_w, g1, 1  # mirror descent's last iterate, its g and count
-    for t in range(2, iters + 1):
-        # step: the line-search step alpha that gives w, 0.0 once the search is
-        # over. Backtrack along d from unit weights while the predicted decrease
-        # alpha |d|^2 / 2 is at least the margin: an Armijo point would then
-        # already be a refutation. Below that, mirror descent takes over.
-        step = c if t == 2 else step / 2
-        if step * slope / 2 < margin:
-            step = 0.0
-        if step:
-            w = _mirror_step(np.ones(m), g1, step)
-        else:
-            w = _mirror_step(md_w, md_g, c / math.sqrt(md_t))
-        evals, evecs = np.linalg.eigh((B * w) @ B.T)
-        (gvec,) = _slot_energies(g, evals, evecs, [k])
-        primal = float(evals[n - k:].sum())
-        if step in (0.0, c):  # the search's first point is mirror descent's first step
-            md_w, md_g, md_t = w, gvec, md_t + 1
-        if primal < best_primal:
-            best_primal = primal
-            best_w = w
-        best_dual = max(best_dual, m * float(gvec.min()))
-        if best_primal - best_dual <= gap_tol or best_primal < baseline - margin:
+    x, fx, t = np.ones(m), baseline, 1  # the last accepted point, S_k there, eigh count
+    d, slope = _direction(x, g1)
+    step = m / max(float(np.abs(g1).max()), 1e-12)
+    best_primal, best_dual, best_w = baseline, max(dual, m * float(g1.min())), x
+    while t < iters and best_primal - best_dual > gap_tol and best_primal >= baseline - margin:
+        decrease = step * slope / 2  # Armijo's: while >= margin, an accepted point refutes
+        if decrease < gap_tol:
             break
+        expo = -step * d  # the mirror path x exp(-step d), rescaled to sum m
+        w = x * np.exp(expo - expo.max())
+        w *= m / w.sum()
+        evals, evecs = np.linalg.eigh((B * w) @ B.T)
+        t += 1
+        primal = float(evals[n - k:].sum())
+        if primal < best_primal:
+            best_primal, best_w = primal, w
+        if baseline - margin <= primal <= fx - decrease:
+            gvec = _face(g, evals, evecs, k, w)
+            x, fx, step = w, primal, 2 * step
+            d, slope = _direction(x, gvec)
+        else:  # a rejected trial, or a refutation that ends the run
+            (gvec,) = _slot_energies(g, evals, evecs, [k])
+            step /= 2
+        best_dual = max(best_dual, m * float(gvec.min()))
     return best_primal, best_dual, tuple(best_w.tolist()), t
 
 

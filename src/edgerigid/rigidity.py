@@ -96,15 +96,6 @@ from .graphs import (
 )
 from .spectral import IsometryCheck, Spectrum, check_tol, edge_isometry_check, spectrum
 
-WALK_LABELS = (
-    "1-walk-regular",
-    "walk-regular-only",
-    "1-walk-biregular",
-    "walk-biregular-only",
-    "neither",
-)
-
-
 @dataclass(frozen=True)
 class WalkWitness:
     """Smallest power l where adjoint(L^l) is not constant, with two edges."""

@@ -452,7 +452,8 @@ def assert_witness(g, res):
 
 
 def test_optimize_p30_k5_is_refuted():
-    # mirror descent alone needs thousands of steps here; the line search a few
+    # mirror descent with a fixed step schedule needs thousands of steps here;
+    # the backtracking search from unit weights a few
     g = fam.path_graph(30)
     res = optimize(g, 5)
     assert res.verdict == VERDICT_REFUTED
@@ -543,3 +544,69 @@ def test_profile_on_seeded_graphs(name):
             assert e.upper.verdict == e.lower.verdict == VERDICT_REFUTED, e.k
     if decide_edge_rigid_exact(g).rigid:
         assert prof.all_rigid
+
+
+# ---------------------------------------------------------------------------
+# split boundary groups: the least-norm subgradient of the boundary face
+# ---------------------------------------------------------------------------
+
+SPLIT = {
+    "C12-1-2-3": fam.circulant_graph(12, (1, 2, 3)),
+    "C12-2-3-5": fam.circulant_graph(12, (2, 3, 5)),
+    "C16-1-3-8": fam.circulant_graph(16, (1, 3, 8)),
+    # its faces take the longest solves here: 56 steps with the momentum restart, 280 without
+    "C18-1-8-9": fam.circulant_graph(18, (1, 8, 9)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED | SPLIT))
+def test_profile_settles_every_run(name):
+    g = (SEEDED | SPLIT)[name]
+    prof = k_rigidity_profile(g)
+    for e in prof.entries:
+        for res in (e.upper, e.lower):
+            assert res.verdict != VERDICT_INCONCLUSIVE, (res.k, res.objective)
+            if res.verdict == VERDICT_REFUTED:
+                assert_witness(g, res)
+
+
+def test_infeasible_face_descends_at_once():
+    # at unit weights no subgradient of S_3 on C12(3,4,5) is constant: the
+    # least-norm one is the descent direction, and it refutes within a few steps
+    g, k = fam.circulant_graph(12, (3, 4, 5)), 3
+    evals, evecs = np.linalg.eigh(laplacian(g).astype(float))
+    face = eigensum._face(g, evals, evecs, k, np.ones(g.m))
+    assert face.max() - face.min() > 1e-2
+    res = optimize(g, k)
+    assert res.verdict == VERDICT_REFUTED
+    assert res.iterations <= 20
+    assert_witness(g, res)
+
+
+def weighted_spread(w, gvec):
+    return float(np.sum(w * (gvec - w @ gvec / w.sum()) ** 2))
+
+
+@pytest.mark.parametrize("jump_weights", [(1.0, 1.0), (1.5, 0.5)], ids=["unit", "weighted"])
+def test_face_stays_on_the_face(jump_weights):
+    # sum_e w_e g_e = tr(L(w) X) is S_k(w) only for X on the face, with tr Z = t;
+    # the weights keep C16(1,3) circulant, so its eigenvalue pairs stay exact
+    g = fam.circulant_graph(16, (1, 3))
+    w = np.array([jump_weights[min(abs(a - b), 16 - abs(a - b)) == 3] for a, b in g.edges])
+    evals, evecs = np.linalg.eigh(laplacian(g, WeightVector.from_values(w)))
+    split = [k for k in range(1, g.n) if abs(evals[g.n - k] - evals[g.n - k - 1]) < 1e-9]
+    assert split
+    for k in split:
+        face = eigensum._face(g, evals, evecs, k, w)
+        S_k = float(evals[g.n - k:].sum())
+        assert abs(w @ face - S_k) <= 1e-9 * S_k, k
+        (row,) = eigensum._slot_energies(g, evals, evecs, [k])
+        assert weighted_spread(w, face) <= weighted_spread(w, row) * (1 + 1e-9), k  # it starts there
+
+
+def test_face_of_an_unsplit_group_is_the_slot_row():
+    g = fam.path_graph(12)
+    evals, evecs = np.linalg.eigh(laplacian(g).astype(float))
+    for k in range(1, g.n):
+        face = eigensum._face(g, evals, evecs, k, np.ones(g.m))
+        assert np.array_equal(face, eigensum._slot_energies(g, evals, evecs, [k])[0]), k
