@@ -30,7 +30,7 @@ rejected trial, as running sums of group energies plus the fraction of
 the group split at slot k that lies in the top k. On an edge-rigid graph
 every run stops at its first iterate: the profile costs one eigh of
 L(1), one gather of edge differences and O(n |E|) array work, and its
-runs share one unit-weight best_w tuple.
+upper runs share one unit-weight best_w tuple.
 """
 
 from __future__ import annotations
@@ -242,26 +242,23 @@ def optimize(
     check_tol(tol)
     if objective not in ("upper", "lower"):
         raise ValueError(f"objective must be 'upper' or 'lower', got {objective!r}")
-    unit_w = (1.0,) * g.m
     if objective == "lower" and k == g.n - 1:
-        return _lower_from_upper(g, k, _zero_upper(tol, unit_w))
+        return _lower_from_upper(g, k, _zero_upper(g, tol))
     top = k if objective == "upper" else g.n - 1 - k
-    B = incidence(g).astype(float)
-    evals, evecs = np.linalg.eigh(B @ B.T)
-    (up,) = _upper_runs(g, B, evals, evecs, [top], iters, tol, unit_w)
+    (up,) = _upper_runs(g, [top], iters, tol)
     return up if objective == "upper" else _lower_from_upper(g, k, up)
 
 
-def _upper_runs(
-    g: Graph, B: np.ndarray, evals: np.ndarray, evecs: np.ndarray, ks,
-    iters: int, tol: float, unit_w: tuple[float, ...],
-) -> list[OptimizeResult]:
-    """The upper runs at the ascending levels ks; B is the float incidence matrix of g.
+def _upper_runs(g: Graph, ks, iters: int, tol: float) -> list[OptimizeResult]:
+    """The upper runs at the ascending levels ks, from one eigh of L(1) = B B^T.
 
-    evals and evecs are the eigenpairs of L(1) = B B^T. A run whose gap
-    closes at unit weights, where the dual comes from the _slot_energies
-    row, ends with best_w = unit_w.
+    B is the float incidence matrix of g. The runs whose gap closes at unit
+    weights, where the dual comes from the _slot_energies row, share one
+    best_w tuple of ones.
     """
+    B = incidence(g).astype(float)
+    evals, evecs = np.linalg.eigh(B @ B.T)
+    unit_w = (1.0,) * g.m
     G = _slot_energies(g, evals, evecs, ks)
     starts = {sl.start for sl in group_eigenvalues(evals)}  # at n - k: J unsplit, _face is the row
     out = []
@@ -325,9 +322,9 @@ def _optimize_upper(
     return best_primal, best_dual, tuple(best_w.tolist()), t
 
 
-def _zero_upper(tol: float, unit_w: tuple[float, ...]) -> OptimizeResult:
+def _zero_upper(g: Graph, tol: float) -> OptimizeResult:
     """Zero-iteration stand-in for S_0 = 0, so s_{n-1} = tr L(w) = 2|E|."""
-    return OptimizeResult(0, "upper", VERDICT_RIGID, 0.0, 0.0, 0.0, 0.0, unit_w, 0, tol)
+    return OptimizeResult(0, "upper", VERDICT_RIGID, 0.0, 0.0, 0.0, 0.0, (1.0,) * g.m, 0, tol)
 
 
 def _lower_from_upper(g: Graph, k: int, up: OptimizeResult) -> OptimizeResult:
@@ -444,16 +441,6 @@ class GaugeProduct:
     product_lo: float
     optimize_result: OptimizeResult
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "top_eigensum": self.top_eigensum,
-            "dual_gauge": self.dual_gauge,
-            "product": self.product,
-            "product_lo": self.product_lo,
-            "optimize": self.optimize_result.to_dict(),
-        }
-
 
 def gauge_product(
     g: Graph,
@@ -543,11 +530,7 @@ def k_rigidity_profile(
         raise ValueError("iters must be >= 1")
     check_tol(tol)
     n = g.n
-    B = incidence(g).astype(float)
-    evals, evecs = np.linalg.eigh(B @ B.T)
-    unit_w = (1.0,) * g.m
-    uppers = [_zero_upper(tol, unit_w)]
-    uppers += _upper_runs(g, B, evals, evecs, range(1, n), iters, tol, unit_w)
+    uppers = [_zero_upper(g, tol)] + _upper_runs(g, range(1, n), iters, tol)
     return RigidityProfile(tuple(
         ProfileEntry(k, uppers[k], _lower_from_upper(g, k, uppers[n - 1 - k]))
         for k in range(1, n)

@@ -89,20 +89,6 @@ class IntPolynomial:
         b = other.coeffs + (0,) * (k - len(other.coeffs))
         return IntPolynomial(tuple(x - y for x, y in zip(a, b)))
 
-    def __str__(self) -> str:
-        terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0 and self.degree > 0:
-                continue
-            mono = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
-            if mono and abs(c) == 1:
-                terms.append(("-" if c < 0 else "") + mono)
-            else:
-                terms.append(f"{c}{'*' if mono else ''}{mono}")
-        out = " + ".join(terms).replace("+ -", "- ")
-        return out if terms else "0"
-
 
 def char_poly(M) -> IntPolynomial:
     """Exact characteristic polynomial det(xI - M) by Faddeev-LeVerrier.

@@ -45,8 +45,6 @@ def circulant_graph(n: int, jumps: tuple[int, ...]) -> Graph:
 
 def random_tree(n: int, seed: int = 0) -> Graph:
     """Uniform random labeled tree via a seeded Pruefer sequence."""
-    if n == 2:
-        return Graph(2, ((0, 1),))
     rng = np.random.default_rng(seed)
     seq = [int(x) for x in rng.integers(0, n, size=n - 2)]
     degree = [1] * n

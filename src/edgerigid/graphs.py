@@ -51,20 +51,8 @@ class Graph:
         object.__setattr__(self, "edges", tuple(canon))
         # a connected graph has m >= n - 1; failing fast keeps a huge n from
         # allocating n neighbour lists
-        if len(canon) < self.n - 1 or not self._connected():
+        if len(canon) < self.n - 1 or -1 in self._search[0]:
             raise DisconnectedError("graph is not connected")
-
-    def _connected(self) -> bool:
-        adj = self.neighbors
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == self.n
 
     @property
     def m(self) -> int:
@@ -95,6 +83,24 @@ class Graph:
     @cached_property
     def edge_index(self) -> dict[Edge, int]:
         return {e: i for i, e in enumerate(self.edges)}
+
+    @cached_property
+    def _search(self) -> tuple[tuple[int, ...], bool]:
+        """Search from vertex 0: colours 0/1, -1 if unreached; odd if an edge joins equal colours."""
+        adj = self.neighbors
+        color = [-1] * self.n
+        color[0] = 0
+        stack = [0]
+        odd = False
+        while stack:
+            v = stack.pop()
+            for u in adj[v]:
+                if color[u] == -1:
+                    color[u] = 1 - color[v]
+                    stack.append(u)
+                elif color[u] == color[v]:
+                    odd = True
+        return tuple(color), odd
 
     @cached_property
     def _edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
@@ -128,9 +134,6 @@ class Orientation:
     @classmethod
     def random(cls, m: int, rng: np.random.Generator) -> "Orientation":
         return cls(tuple(int(s) for s in rng.choice((-1, 1), size=m)))
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.signs, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -412,18 +415,10 @@ def signed_line_graph(g: Graph, o: Orientation | None = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """2-coloring by graph search; None if the graph is not bipartite."""
-    color = [-1] * g.n
-    color[0] = 0
-    queue = [0]
-    while queue:
-        v = queue.pop()
-        for u in g.neighbors[v]:
-            if color[u] == -1:
-                color[u] = 1 - color[v]
-                queue.append(u)
-            elif color[u] == color[v]:
-                return None
+    """The colour classes of g's search, unique on a connected graph; None if not bipartite."""
+    color, odd = g._search
+    if odd:
+        return None
     part0 = tuple(v for v in range(g.n) if color[v] == 0)
     part1 = tuple(v for v in range(g.n) if color[v] == 1)
     return part0, part1

@@ -286,7 +286,7 @@ def _walk_stream(g: Graph, lmax: int) -> Iterator[tuple[np.ndarray, np.ndarray, 
     operations, one conversion to bytes per colour and one take.
     """
     n, m = g.n, g.m
-    a, b = np.transpose(g.edges)
+    a, b = g._edge_ends
     vertices = np.arange(n)
     colors = _row_colors(g)
     col = np.array(colors)

@@ -174,6 +174,29 @@ def test_certify_bad_level_exits_2(graph_file, capsys):
     assert err
 
 
+# Text is the default format: (argv after the path, graph) -> text that the output must hold.
+TEXT_CASES = {
+    (("analyze",), "K4"): "walk_constants: ",
+    (("analyze",), "P4"): "witness: ",
+    (("optimize", "--k", "2"), "K4"): "verdict=",
+    (("optimize", "--k", "2"), "P4"): "verdict=",
+    (("certify", "--j", "1"), "K4"): "passes=",
+    (("certify", "--j", "1"), "P4"): "passes=",
+}
+
+
+@pytest.mark.parametrize(
+    "command, name", sorted(TEXT_CASES), ids=[f"{c[0]}-{n}" for c, n in sorted(TEXT_CASES)]
+)
+def test_text_output_is_the_default(graph_file, capsys, command, name):
+    g = {"K4": fam.complete_graph(4), "P4": fam.path_graph(4)}[name]
+    argv = [command[0], graph_file(g), *command[1:]]
+    code, out, err = run(argv, capsys)
+    assert code == 0 and not err
+    assert TEXT_CASES[command, name] in out
+    assert run(argv, capsys) == (0, out, "")
+
+
 def test_profile_p4(graph_file, capsys):
     path = graph_file(fam.path_graph(4))
     code, out, _ = run(["profile", path, "--format", "json", "--iters", "2000"], capsys)

@@ -191,6 +191,12 @@ def test_optimize_rejects_bad_arguments():
         optimize(g, 0, "upper")
     with pytest.raises(ValueError):
         optimize(g, 1, "sideways")
+    # the lower objective at k = n - 1 makes no run, but checks its budget too
+    for k, objective in ((1, "upper"), (g.n - 1, "lower")):
+        with pytest.raises(ValueError, match="iters"):
+            optimize(g, k, objective, iters=0)
+    with pytest.raises(ValueError, match="iters"):
+        k_rigidity_profile(g, iters=0)
 
 
 BAD_TOLS = [-1.0, 0.0, math.inf, -math.inf, math.nan]
@@ -200,9 +206,9 @@ BAD_TOLS = [-1.0, 0.0, math.inf, -math.inf, math.nan]
 def test_bad_tol_is_rejected(tol):
     # a tol <= 0 refutes rigid graphs, inf certifies anything, NaN decides nothing
     g = fam.cycle_graph(4)
-    for objective in ("upper", "lower"):
+    for k, objective in ((1, "upper"), (1, "lower"), (g.n - 1, "lower")):
         with pytest.raises(ValueError, match="tol"):
-            optimize(g, 1, objective, tol=tol)
+            optimize(g, k, objective, tol=tol)
     with pytest.raises(ValueError, match="tol"):
         k_rigidity_profile(g, tol=tol)
     with pytest.raises(ValueError, match="tol"):

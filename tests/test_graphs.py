@@ -131,12 +131,12 @@ def test_disconnected_rejected():
 
 @pytest.fixture
 def no_traversal(monkeypatch):
-    """Fail the test if the connectivity traversal (n neighbour lists) runs."""
+    """Fail the test if the graph search (n neighbour lists) runs."""
 
     def fail(self):
-        pytest.fail(f"connectivity traversal ran for n={self.n}, m={self.m}")
+        pytest.fail(f"graph search ran for n={self.n}, m={self.m}")
 
-    monkeypatch.setattr(Graph, "_connected", fail)
+    monkeypatch.setattr(Graph, "_search", property(fail))
 
 
 @pytest.mark.parametrize("n", [3, 2_000_000, 10**9])
@@ -166,6 +166,44 @@ def test_malformed_input():
         parse_edge_list("2 2\n0 1")  # promises 2 edges, has 1
     with pytest.raises(ParseError):
         parse_edge_list("2 1\n0 5")  # vertex out of range
+
+
+# One input per rejecting branch of the parsers: (graph bytes, weights or
+# None, --input-format or None, error). Only the weights case gets past the graph.
+MALFORMED = {
+    "edge-list-empty": (b"\n  \n", None, None, ParseError),
+    "edge-list-bad-header": (b"4 x\n0 1\n", None, None, ParseError),
+    "edge-list-one-token": (b"3 2\n0 1\n1\n", None, None, ParseError),
+    "edge-list-bad-vertex": (b"3 2\n0 1\n1 x\n", None, None, ParseError),
+    "graph6-header-only": (b">>graph6<<\n", None, None, ParseError),
+    "graph6-one-vertex": (b"@", None, None, TooSmallError),
+    "graph6-bad-byte": (b"B!", None, None, ParseError),
+    "graph6-huge-size": (b"~~??????????", None, None, ParseError),
+    "graph6-truncated-size": (b"~??", None, None, ParseError),
+    "unknown-format": (b"2 1\n0 1\n", None, "adjacency", ParseError),
+    "non-ascii": (b"2 1\n0 \xff1\n", None, None, ParseError),
+    "weight-not-a-number": (b"3 2\n0 1\n1 2\n", b"1\nx\n", None, ParseError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_input_is_a_typed_error_and_exits_2(name, tmp_path, capsys):
+    data, weights, fmt, error = MALFORMED[name]
+    with pytest.raises(error):
+        g = parse_graph(data, fmt)
+        WeightVector.from_text(weights.decode(), g.m)
+    path = tmp_path / "graph.txt"
+    path.write_bytes(data)
+    argv = ["tau", str(path)] + (["--input-format", fmt] if fmt else [])
+    if weights is not None:
+        (tmp_path / "w.txt").write_bytes(weights)
+        argv += ["--weights", str(tmp_path / "w.txt")]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects an unknown --input-format
+        code = exc.code
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_parse_auto_detection():
@@ -342,6 +380,21 @@ def test_bipartition():
     parts = bipartition(fam.complete_bipartite_graph(2, 3))
     assert parts is not None
     assert sorted(map(len, parts)) == [2, 3]
+
+
+def test_degree_structure_reads_no_neighbour_lists(corpus_case, monkeypatch):
+    # the graph search made at construction holds the bipartition; degrees are
+    # a count per vertex, not a search, and are taken before the trap is set
+    _, ref, _ = corpus_case
+    expected = bipartition(ref), degree_classification(ref)
+    g = Graph(ref.n, ref.edges)
+    g.degrees
+
+    def fail(self):
+        pytest.fail("neighbour lists read after construction")
+
+    monkeypatch.setattr(Graph, "neighbors", property(fail))
+    assert (bipartition(g), degree_classification(g)) == expected
 
 
 def test_weight_normalization():

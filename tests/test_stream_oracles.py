@@ -8,10 +8,12 @@ signed-line-graph power loop, the packed stream itself with dense
 adjoint(M^l) and with the traces of M^l L, ``walk_class`` with dense
 powers of A, the char(M) coefficients that Newton's identities take from
 the stream's traces with ``char_poly``, and ``full_report``'s tree count
-with the Bareiss ``tree_count_exact`` and closed forms, on the corpus and
-on seeded random graphs (numpy RNG only).
+with the Bareiss ``tree_count_exact`` and closed forms, and ``bipartition``
+with a breadth-first 2-colouring, on the corpus and on seeded random graphs
+(numpy RNG only).
 """
 
+import collections
 import math
 
 import numpy as np
@@ -448,6 +450,32 @@ def random_trees(seed: int = 20261020) -> list[tuple[str, Graph]]:
 
 
 TREE_CASES = CASES + WIDTH_CASES + random_trees() + random_regular_graphs()
+
+
+def breadth_first_bipartition(g: Graph):
+    """Reference 2-colouring from vertex 0 by breadth-first search over the edge list."""
+    adj: dict[int, list[int]] = {v: [] for v in range(g.n)}
+    for a, b in g.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    color, queue = {0: 0}, collections.deque([0])
+    while queue:
+        v = queue.popleft()
+        for u in adj[v]:
+            if u not in color:
+                color[u] = 1 - color[v]
+                queue.append(u)
+            elif color[u] == color[v]:
+                return None
+    return tuple(v for v in range(g.n) if color[v] == 0), tuple(v for v in range(g.n) if color[v] == 1)
+
+
+BIPARTITION_CASES = TREE_CASES + BIREGULAR
+
+
+@pytest.mark.parametrize("g", [g for _, g in BIPARTITION_CASES], ids=[n for n, _ in BIPARTITION_CASES])
+def test_bipartition_matches_breadth_first_colouring(g):
+    assert bipartition(g) == breadth_first_bipartition(g)
 
 
 @pytest.mark.parametrize("g", [g for _, g in TREE_CASES], ids=[n for n, _ in TREE_CASES])
