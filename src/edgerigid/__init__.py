@@ -23,7 +23,6 @@ from .graphs import (
     Graph,
     Orientation,
     WeightVector,
-    adjoint_apply,
     bipartition,
     degree_classification,
     edge_energies,
@@ -33,15 +32,12 @@ from .graphs import (
     parse_edge_list,
     parse_graph,
     parse_graph6,
-    signed_line_graph,
 )
-from .exactmat import IntPolynomial, adjugate_quadratic_form, char_poly, mat_pow_stream
 from .rigidity import (
     RigidityReport,
     cospectrality_classes,
     decide_edge_rigid_exact,
     full_report,
-    signed_line_graph_walk_regular,
     walk_class,
 )
 from .spectral import (
@@ -50,7 +46,6 @@ from .spectral import (
     effective_resistances,
     embedding,
     kirchhoff_index,
-    majorization_check,
     spectrum,
     tree_count_exact,
     weighted_tree_count,
@@ -74,7 +69,6 @@ __all__ = [
     "DisconnectingWeightsError",
     "EdgeRigidError",
     "Graph",
-    "IntPolynomial",
     "InternalInconsistencyError",
     "KCertificate",
     "LengthMismatchError",
@@ -87,11 +81,8 @@ __all__ = [
     "Spectrum",
     "TooSmallError",
     "WeightVector",
-    "adjoint_apply",
-    "adjugate_quadratic_form",
     "bipartition",
     "certificate",
-    "char_poly",
     "cospectrality_classes",
     "decide_edge_rigid_exact",
     "degree_classification",
@@ -106,14 +97,10 @@ __all__ = [
     "k_rigidity_profile",
     "kirchhoff_index",
     "laplacian",
-    "majorization_check",
-    "mat_pow_stream",
     "optimize",
     "parse_edge_list",
     "parse_graph",
     "parse_graph6",
-    "signed_line_graph",
-    "signed_line_graph_walk_regular",
     "spectrum",
     "tree_count_exact",
     "walk_class",

@@ -42,6 +42,7 @@ from .errors import EdgeRigidError
 from .graphs import Graph, WeightVector, laplacian, parse_graph
 from .rigidity import decide_edge_rigid_exact, full_report
 from .spectral import (
+    GROUP_TOL,
     check_tol,
     embedding,
     kirchhoff_from_eigenvalues,
@@ -252,7 +253,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "spectrum": {
             "eigenvalues": list(s.eigenvalues),
             "multiplicities": list(s.multiplicities),
-            "group_tol": s.group_tol,
+            "group_tol": GROUP_TOL,
         },
         "gamma_anomalies": list(report.isometry.gamma_anomalies),
         "kirchhoff_index": kf,

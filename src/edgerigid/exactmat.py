@@ -144,7 +144,7 @@ def edge_deleted_laplacian(g: Graph, e: Edge | int) -> np.ndarray:
         a, b = g.edges[e]
     else:
         a, b = min(e), max(e)
-    if (a, b) not in g.edge_index:
+    if (a, b) not in g.edges:
         raise ValueError(f"({a}, {b}) is not an edge")
     L = exact_matrix(laplacian(g))
     L[a, a] -= 1

@@ -67,22 +67,8 @@ class Graph:
         return tuple(tuple(sorted(x)) for x in adj)
 
     @cached_property
-    def adjacency(self) -> np.ndarray:
-        """Dense 0/1 adjacency matrix (int64, read-only)."""
-        A = np.zeros((self.n, self.n), dtype=np.int64)
-        for a, b in self.edges:
-            A[a, b] = 1
-            A[b, a] = 1
-        A.flags.writeable = False
-        return A
-
-    @cached_property
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(nb) for nb in self.neighbors)
-
-    @cached_property
-    def edge_index(self) -> dict[Edge, int]:
-        return {e: i for i, e in enumerate(self.edges)}
 
     @cached_property
     def _search(self) -> tuple[tuple[int, ...], bool]:
@@ -138,10 +124,9 @@ class Orientation:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Nonnegative edge weights; normalized means they sum to the edge count."""
+    """Finite nonnegative edge weights; from_values rescales them to sum to the edge count."""
 
     values: tuple[float, ...]
-    normalized: bool
 
     def __post_init__(self) -> None:
         if not all(math.isfinite(v) for v in self.values):
@@ -151,22 +136,21 @@ class WeightVector:
 
     @classmethod
     def unit(cls, m: int) -> "WeightVector":
-        return cls((1.0,) * m, normalized=True)
+        return cls((1.0,) * m)
 
     @classmethod
     def from_values(cls, values, normalize: bool = True) -> "WeightVector":
         w = np.asarray(list(values), dtype=float)
         if w.ndim != 1:
             raise ValueError("weights must be a flat vector")
-        raw = cls(tuple(float(x) for x in w), normalized=False)  # checks every entry
+        raw = cls(tuple(float(x) for x in w))  # checks every entry
+        if not normalize:
+            return raw
         total = float(w.sum())
-        if normalize:
-            if total <= 0:
-                raise ValueError("total edge weight is zero")
-            w = w * (len(w) / total)
-            return cls(tuple(float(x) for x in w), normalized=True)
-        is_norm = abs(total - len(w)) <= 1e-12 * max(1, len(w))
-        return cls(raw.values, normalized=is_norm)
+        if total <= 0:
+            raise ValueError("total edge weight is zero")
+        w = w * (len(w) / total)  # a tiny total can overflow to inf, which is checked again
+        return cls(tuple(float(x) for x in w))
 
     @classmethod
     def from_text(cls, text: str, m: int) -> "WeightVector":
@@ -297,11 +281,8 @@ def graph6_bytes(g: Graph) -> bytes:
         head = bytes([126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
     else:
         raise ValueError("graph too large for graph6 encoding")
-    A = g.adjacency
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(int(A[i, j]))
+    edges = set(g.edges)
+    bits = [int((i, j) in edges) for j in range(1, n) for i in range(j)]
     while len(bits) % 6:
         bits.append(0)
     body = bytearray()
@@ -341,14 +322,11 @@ def parse_graph(data: bytes | str, format: str | None = None) -> Graph:
 # ---------------------------------------------------------------------------
 
 def laplacian(g: Graph, w: WeightVector | None = None) -> np.ndarray:
-    """Weighted Laplacian sum(w_e z_e z_e^T); exact int64 for unit weights."""
-    if w is None:
-        D = np.diag(np.asarray(g.degrees, dtype=np.int64))
-        return D - g.adjacency
-    if len(w) != g.m:
-        raise DimensionMismatchError(f"got {len(w)} weights for {g.m} edges")
-    wv = w.as_array()
-    L = np.zeros((g.n, g.n), dtype=float)
+    """Weighted Laplacian sum(w_e z_e z_e^T) in the weights' dtype: int64 ones when w is None."""
+    wv = np.ones(g.m, dtype=np.int64) if w is None else w.as_array()
+    if len(wv) != g.m:
+        raise DimensionMismatchError(f"got {len(wv)} weights for {g.m} edges")
+    L = np.zeros((g.n, g.n), dtype=wv.dtype)
     a, b = g._edge_ends
     np.add.at(L, (a, a), wv)
     np.add.at(L, (b, b), wv)

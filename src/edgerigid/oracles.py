@@ -7,7 +7,6 @@ check the fast paths, so they must not share code with them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -15,18 +14,8 @@ import numpy as np
 from .errors import BudgetExceededError
 from .graphs import Graph, WeightVector
 
-
-@dataclass(frozen=True)
-class OracleBudget:
-    max_edges_for_tree_enum: int = 20
-    max_walk_length: int = 10
-
-    def __post_init__(self) -> None:
-        if self.max_edges_for_tree_enum <= 0 or self.max_walk_length <= 0:
-            raise ValueError("oracle budgets must be positive")
-
-
-DEFAULT_BUDGET = OracleBudget()
+MAX_TREE_EDGES = 20
+MAX_WALK_LENGTH = 10
 
 
 class _UnionFind:
@@ -47,27 +36,25 @@ class _UnionFind:
         return True
 
 
-def _spanning_subsets(g: Graph, budget: OracleBudget):
-    if g.m > budget.max_edges_for_tree_enum:
-        raise BudgetExceededError(
-            f"{g.m} edges exceeds tree enumeration budget {budget.max_edges_for_tree_enum}"
-        )
+def _spanning_subsets(g: Graph):
+    if g.m > MAX_TREE_EDGES:
+        raise BudgetExceededError(f"{g.m} edges exceeds tree enumeration budget {MAX_TREE_EDGES}")
     for subset in combinations(range(g.m), g.n - 1):
         uf = _UnionFind(g.n)
         if all(uf.union(*g.edges[e]) for e in subset):
             yield subset
 
 
-def enumerate_spanning_trees(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
+def enumerate_spanning_trees(g: Graph) -> int:
     """Count spanning trees by checking every (n-1)-edge subset."""
-    return sum(1 for _ in _spanning_subsets(g, budget))
+    return sum(1 for _ in _spanning_subsets(g))
 
 
-def weighted_enum(g: Graph, w: WeightVector, budget: OracleBudget = DEFAULT_BUDGET) -> float:
+def weighted_enum(g: Graph, w: WeightVector) -> float:
     """Sum over spanning trees of the product of edge weights."""
     wv = w.as_array()
     total = 0.0
-    for subset in _spanning_subsets(g, budget):
+    for subset in _spanning_subsets(g):
         prod = 1.0
         for e in subset:
             prod *= wv[e]
@@ -75,10 +62,10 @@ def weighted_enum(g: Graph, w: WeightVector, budget: OracleBudget = DEFAULT_BUDG
     return total
 
 
-def count_walks(g: Graph, a: int, b: int, length: int, budget: OracleBudget = DEFAULT_BUDGET) -> int:
+def count_walks(g: Graph, a: int, b: int, length: int) -> int:
     """Number of walks of the given length from a to b, by DP on neighbors."""
-    if length > budget.max_walk_length:
-        raise BudgetExceededError(f"walk length {length} exceeds budget {budget.max_walk_length}")
+    if length > MAX_WALK_LENGTH:
+        raise BudgetExceededError(f"walk length {length} exceeds budget {MAX_WALK_LENGTH}")
     counts = [0] * g.n
     counts[a] = 1
     for _ in range(length):

@@ -167,9 +167,9 @@ def _repeat(x: int, size: int, count: int) -> int:
     return int.from_bytes(x.to_bytes(size, "little") * count, "little")
 
 
-def _slot_masks(n: int, rows, slots, count: int, size: int) -> list[int]:
-    """For each u < n, all ones in the slots slots[i] with rows[i] == u."""
-    M = np.zeros((n, count, size), dtype=np.uint8)
+def _slot_masks(n: int, rows, slots, size: int) -> list[int]:
+    """For each u < n, all ones in the slots slots[i] with rows[i] == u, of n slots of size bytes."""
+    M = np.zeros((n, n, size), dtype=np.uint8)
     M[rows, slots] = 0xFF
     return _split(M.tobytes(), n)
 
@@ -297,7 +297,7 @@ def _walk_stream(g: Graph, lmax: int) -> Iterator[tuple[np.ndarray, np.ndarray, 
     for rows, size in _packed_powers(g, lmax):
         if size != mask_size:
             mask_size = size
-            masks = _slot_masks(n, mask_rows, mask_slots, n, size)
+            masks = _slot_masks(n, mask_rows, mask_slots, size)
             half = _repeat(1 << 8 * size - 1, size, m)
         G = _masked_slots(rows, masks, colors, size).reshape(-1, size).take(at, axis=0)
         raw, k = G[n:].tobytes(), m * size

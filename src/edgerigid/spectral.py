@@ -49,8 +49,9 @@ class Spectrum:
 
     evals and evecs are eigh's output; group i, with basis bases[i], holds
     columns bounds[i]:bounds[i + 1]. eigenvalues are the r distinct values
-    (ascending, group means). No eigenprojector U U^T is formed: the edge
-    energies adjoint(U U^T) come from graphs.group_energies.
+    (ascending, group means), grouped within GROUP_TOL. No eigenprojector
+    U U^T is formed: the edge energies adjoint(U U^T) come from
+    graphs.group_energies.
     """
 
     evals: np.ndarray
@@ -58,7 +59,6 @@ class Spectrum:
     bounds: tuple[int, ...]
     eigenvalues: tuple[float, ...]
     multiplicities: tuple[int, ...]
-    group_tol: float
 
     @property
     def r(self) -> int:
@@ -91,10 +91,8 @@ def spectrum(Lw: np.ndarray) -> Spectrum:
     groups = group_eigenvalues(evals)
     bounds = tuple(sl.start for sl in groups) + (len(evals),)
     sizes = tuple(np.diff(bounds).tolist())
-    # np.mean's sum and division without its call overhead; one value is its own mean
-    means = tuple(float(evals[i]) if k == 1 else float(np.add.reduce(evals[i:i + k]) / k)
-                  for i, k in zip(bounds, sizes))
-    return Spectrum(evals, evecs, bounds, means, sizes, GROUP_TOL)
+    means = tuple(float(evals[i:i + k].mean()) for i, k in zip(bounds, sizes))
+    return Spectrum(evals, evecs, bounds, means, sizes)
 
 
 @dataclass(frozen=True)
@@ -138,7 +136,6 @@ def edge_isometry_check(g: Graph, s: Spectrum, tol: float = 1e-8) -> IsometryChe
 class Embedding:
     """Canonical spectral embedding onto one nontrivial eigenspace."""
 
-    index: int  # 1-based eigenvalue group, 2..r
     coordinates: np.ndarray  # n rows, one per vertex
 
     @property
@@ -162,7 +159,7 @@ def embedding(s: Spectrum, i: int) -> Embedding:
     """
     if not 2 <= i <= s.r:
         raise LevelOutOfRangeError(f"eigenspace index {i} out of range 2..{s.r}")
-    return Embedding(index=i, coordinates=s.bases[i - 1])
+    return Embedding(s.bases[i - 1])
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,14 @@ def hypercube(d: int) -> Graph:
     return Graph(1 << d, tuple((v, v ^ (1 << i)) for v in range(1 << d) for i in range(d) if not v >> i & 1))
 
 
+def adjacency(g: Graph) -> np.ndarray:
+    """Dense 0/1 adjacency matrix (int64), built from g.edges alone."""
+    A = np.zeros((g.n, g.n), dtype=np.int64)
+    for a, b in g.edges:
+        A[a, b] = A[b, a] = 1
+    return A
+
+
 def dense_powers(M, l_max: int) -> list[np.ndarray]:
     """Reference M^0..M^l_max from dense object-dtype products P @ M."""
     A = exact_matrix(M)

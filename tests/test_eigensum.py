@@ -223,6 +223,23 @@ def test_optimize_budget_is_inconclusive_not_crash():
     assert res.verdict == "inconclusive"
 
 
+def test_upper_run_stops_once_the_predicted_decrease_is_negligible():
+    # a first gradient reflected about its mean points uphill, so every trial
+    # is rejected and the step halves until Armijo's predicted decrease is
+    # below the gap tolerance; without that stop the run spends all iters
+    g, k, iters = fam.path_graph(12), 1, 500
+    B = incidence(g).astype(float)
+    evals, evecs = np.linalg.eigh(B @ B.T)
+    (row,) = eigensum._slot_energies(g, evals, evecs, [k])
+    baseline = float(evals[g.n - k:].sum())
+    margin = eigensum._margin(g, k, 1e-5, baseline)
+    best_primal, _, _, t = eigensum._optimize_upper(
+        g, B, k, iters, margin, 2 * row.mean() - row, baseline, g.m * float(row.min()),
+    )
+    assert t < iters
+    assert best_primal == baseline
+
+
 # ---------------------------------------------------------------------------
 # certificates
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from conftest import dense_powers
+from conftest import adjacency, dense_powers
 
 from edgerigid import families as fam
+from edgerigid.errors import DimensionMismatchError
 from edgerigid.exactmat import (
     IntPolynomial,
     adjugate_quadratic_form,
@@ -16,7 +17,7 @@ from edgerigid.exactmat import (
     identity_exact,
     mat_pow_stream,
 )
-from edgerigid.graphs import laplacian
+from edgerigid.graphs import Graph, Orientation, WeightVector, incidence, laplacian
 from edgerigid.oracles import count_walks, enumerate_spanning_trees
 
 
@@ -107,7 +108,7 @@ def test_p3_laplacian_square():
 def test_petersen_adjacency_square_diag():
     # closed walks of length 2 equal the degree; checked against the DP oracle
     g = fam.petersen_graph()
-    A2 = list(mat_pow_stream(g.adjacency, 2))[2]
+    A2 = list(mat_pow_stream(adjacency(g), 2))[2]
     assert [A2[v, v] for v in range(10)] == [3] * 10
     assert all(A2[v, v] == count_walks(g, v, v, 2) for v in range(10))
 
@@ -116,7 +117,7 @@ def test_powers_match_walk_oracle(corpus_case):
     _, g, _ = corpus_case
     if g.n > 10:
         pytest.skip("oracle budget")
-    for length, P in enumerate(mat_pow_stream(g.adjacency, 6)):
+    for length, P in enumerate(mat_pow_stream(adjacency(g), 6)):
         for a in range(g.n):
             for b in range(g.n):
                 assert P[a, b] == count_walks(g, a, b, length)
@@ -282,6 +283,39 @@ def test_edge_deleted_laplacian_matches_deletion():
     g = fam.complete_graph(3)
     # K3 minus an edge is P3 up to relabeling; same char poly
     assert char_poly(edge_deleted_laplacian(g, 0)).coeffs == (0, 3, -4, 1)
+
+
+K4_MINUS_EDGE = Graph(4, ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3)))
+# K4 minus (0, 3), then minus its edge 3, (1, 3): still connected
+K4_MINUS_TWO = Graph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
+
+# each case: a call, and the exception it raises or the value it returns
+CHECKS = {
+    "orientation-sign-zero": (lambda: Orientation((1, 0)), ValueError),
+    "weights-not-flat": (lambda: WeightVector.from_values([[1.0, 2.0]]), ValueError),
+    "incidence-sign-count": (
+        lambda: incidence(fam.path_graph(3), Orientation.canonical(3)), DimensionMismatchError
+    ),
+    "deleted-by-index": (
+        lambda: edge_deleted_laplacian(K4_MINUS_EDGE, 3).tolist(), laplacian(K4_MINUS_TWO).tolist()
+    ),
+    "deleted-by-tuple": (
+        lambda: edge_deleted_laplacian(K4_MINUS_EDGE, (3, 1)).tolist(),
+        laplacian(K4_MINUS_TWO).tolist(),
+    ),
+    "deleted-non-edge": (lambda: edge_deleted_laplacian(K4_MINUS_EDGE, (0, 3)), ValueError),
+    "negative-power": (lambda: next(mat_pow_stream(np.eye(2, dtype=int), -1)), ValueError),
+    "det-empty": (lambda: det_exact(np.zeros((0, 0), dtype=int)), 1),
+}
+
+
+@pytest.mark.parametrize("call, expected", CHECKS.values(), ids=CHECKS.keys())
+def test_argument_checks_and_edge_cases(call, expected):
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            call()
+    else:
+        assert call() == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+
+from conftest import adjacency
 
 from edgerigid import cli
 from edgerigid import families as fam
@@ -18,6 +22,7 @@ from edgerigid.graphs import (
     bipartition,
     degree_classification,
     edge_energies,
+    graph6_bytes,
     incidence,
     laplacian,
     parse_edge_list,
@@ -47,7 +52,7 @@ def test_parse_graph6_k4():
     g = parse_graph6("C~")
     expected = fam.complete_graph(4)
     assert g.n == 4
-    assert np.array_equal(g.adjacency, expected.adjacency)
+    assert np.array_equal(adjacency(g), adjacency(expected))
 
 
 def test_parse_graph6_header_and_bytes():
@@ -215,6 +220,23 @@ def test_serialize_round_trip(corpus_case):
     _, g, _ = corpus_case
     assert parse_edge_list(g.to_edge_list()).edges == g.edges
     assert parse_graph6(g.to_graph6()).edges == g.edges
+
+
+@pytest.mark.parametrize(
+    "g", [fam.cycle_graph(63), fam.cycle_graph(100), fam.random_tree(100, seed=3)],
+    ids=["C63", "C100", "tree100"],
+)
+def test_graph6_round_trip_beyond_62_vertices(g):
+    # n > 62 takes the 4-byte size header: 126, then n in three 6-bit bytes
+    data = graph6_bytes(g)
+    assert data[:4] == bytes([126, 63, 63 + (g.n >> 6), 63 + (g.n & 63)])
+    assert parse_graph6(data).edges == g.edges
+
+
+def test_graph6_rejects_more_vertices_than_the_header_holds():
+    # the size check comes before any edge is read
+    with pytest.raises(ValueError, match="too large"):
+        graph6_bytes(SimpleNamespace(n=258048))
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +421,6 @@ def test_degree_structure_reads_no_neighbour_lists(corpus_case, monkeypatch):
 
 def test_weight_normalization():
     w = WeightVector.from_values([1.0, 2.0, 3.0])
-    assert w.normalized
     assert abs(sum(w.values) - 3) <= 1e-12 * 3
 
 
@@ -431,7 +452,7 @@ def test_weight_non_finite_rejected(bad):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_weight_constructor_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="finite"):
-        WeightVector((bad, 1.0), True)
+        WeightVector((bad, 1.0))
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

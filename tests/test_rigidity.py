@@ -74,7 +74,7 @@ def test_negative_max_power_rejected():
 
 
 @pytest.fixture
-def products(monkeypatch):
+def applications(monkeypatch):
     """Count the applications of M (packed neighbour sums) that rigidity takes."""
     count = [0]
     sums = rigidity._neighbor_sums
@@ -88,11 +88,11 @@ def products(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 13, 30])
-def test_full_depth_takes_half_the_products(products, n):
+def test_full_depth_takes_n_minus_one_applications(applications, n):
     # C_n has floor(n/2) distinct nonzero eigenvalues, too many to stop
     # early: n - 1 applications of M, one per power after the first
     assert decide_edge_rigid_exact(fam.cycle_graph(n)).rigid
-    assert products[0] == n - 1
+    assert applications[0] == n - 1
 
 
 # d' distinct nonzero Laplacian eigenvalues: Q_d has 2, 4, .., 2d; K_n has n;
@@ -109,18 +109,18 @@ D_PRIME_CASES = (
 @pytest.mark.parametrize(
     "g, d_prime", [c[1:] for c in D_PRIME_CASES], ids=[c[0] for c in D_PRIME_CASES]
 )
-def test_rigid_graph_takes_d_prime_products(products, g, d_prime):
+def test_rigid_graph_takes_d_prime_products(applications, g, d_prime):
     # the certificate reads powers 0..2d', one application of M each
     res = decide_edge_rigid_exact(g)
     assert res.rigid and res.proved and len(res.constants) == g.n
-    assert products[0] == min(2 * d_prime, g.n - 1)
+    assert applications[0] == min(2 * d_prime, g.n - 1)
 
 
 @pytest.mark.parametrize("n", [4, 5, 10, 50])
-def test_witness_at_power_one_takes_one_product(products, n):
+def test_witness_at_power_one_takes_one_application(applications, n):
     res = decide_edge_rigid_exact(fam.path_graph(n))
     assert res.witness.power == 1
-    assert products[0] == 1
+    assert applications[0] == 1
 
 
 @pytest.mark.parametrize(
@@ -129,25 +129,25 @@ def test_witness_at_power_one_takes_one_product(products, n):
      fam.random_tree(30, 4)],
     ids=["C12", "P12", "K3_5", "tree30"],
 )
-def test_full_report_takes_one_exact_loop_on_every_graph(products, g):
+def test_full_report_takes_one_exact_loop_on_every_graph(applications, g):
     # regular, irregular and biregular graphs alike: walk_class's flags are
     # read from the walk stream's powers, one application of M per power
     full_report(g)
-    assert products[0] == g.n - 1
+    assert applications[0] == g.n - 1
 
 
 @pytest.mark.parametrize(
-    "g, applications",
+    "g, expected",
     [(fam.path_graph(12), 1), (fam.random_tree(30, 4), 1),
      (fam.complete_bipartite_graph(3, 5), 7), (fam.cycle_graph(12), 11)],
     ids=["P12", "tree30", "K3_5", "C12"],
 )
-def test_walk_class_stops_once_both_diagonal_flags_fail(products, g, applications):
+def test_walk_class_stops_once_both_diagonal_flags_fail(applications, g, expected):
     # diag(M) = max-degree - deg is constant overall only on a regular graph
     # and on each side only on a biregular one; after that the edge flag
     # cannot change the classification
     walk_class(g)
-    assert products[0] == applications
+    assert applications[0] == expected
 
 
 def test_widen_keeps_unsigned_slots_at_their_limits():
