@@ -9,8 +9,8 @@ any matrix X with 0 <= X <= I and tr X = k, the pair
 |E| * x lower-bounds S_k everywhere on the simplex.
 
 Every run is an upper run: s_k(w) + S_{n-1-k}(w) = 2|E| on the simplex,
-so the lower entry at k is the upper run at n-1-k, and one margin
-(_margin) gives both entries their verdict.
+so the lower entry at k is the upper run at n-1-k, and one scale (_scale)
+gives both entries their verdict margin and the run every stop.
 
 A run stops as soon as its verdict is settled. S_k is convex, so w is
 optimal iff some subgradient adjoint(X) in dS_k(w) is constant
@@ -18,9 +18,15 @@ optimal iff some subgradient adjoint(X) in dS_k(w) is constant
 on the face dS_k(w): a constant g proves optimality, otherwise
 -(g - mean g) is the steepest descent direction. From unit weights a run
 takes Armijo steps along the entropic mirror path w exp(-alpha (g - mean g))
-of its last accepted point. While the predicted decrease is at least the
-margin, an accepted point already refutes rigidity, so a non-rigid run
-usually ends within a few eigendecompositions.
+of its last accepted point. The first, with d = g_1 - mean g_1, is
+alpha = min(m / ||g_1||_inf, gap / (4 max_deg ||d||_inf)), gap the
+distance from the mean of the eigenvalue group at slot k to the nearest
+nonzero neighbouring group mean of L(1): by Weyl's inequality it moves no
+eigenvalue by more than about gap / 2. The gap is a float test:
+spectral.GROUP_TOL decides which eigenvalues are distinct. While the
+predicted decrease is at least the margin, an accepted point already
+refutes rigidity, so a non-rigid run usually ends within a few
+eigendecompositions.
 
 Runs start from a stack of first iterates, the spectrum of L(1) and one
 row per k: one array minimum gives every dual bound, and only the runs
@@ -93,15 +99,16 @@ def _slot_energies(g: Graph, evals: np.ndarray, evecs: np.ndarray, ks) -> np.nda
     return np.array(rows)
 
 
-def _margin(g: Graph, k: int, tol: float, baseline: float) -> float:
-    """Verdict margin of the upper run at k, baseline = S_k(1), shared by its lower mirror.
+def _scale(g: Graph, k: int, baseline: float) -> float:
+    """Scale of the upper run at k, baseline = S_k(1), shared by its lower mirror.
 
     Both entries see the same absolute change, so they share one scale: the
     smaller of their baselines S_k(1) and s_{n-1-k}(1) = 2|E| - S_k(1). The
-    run at k = n-1 gives no lower entry (s_0 is not an objective).
+    run at k = n-1 gives no lower entry (s_0 is not an objective). The
+    verdict margin is tol times it, and every stop GAP_TOL times it.
     """
     mirror = 2.0 * g.m - baseline if k < g.n - 1 else baseline
-    return tol * max(1.0, min(baseline, mirror))
+    return max(1.0, min(baseline, mirror))
 
 
 def _face(g: Graph, evals: np.ndarray, evecs: np.ndarray, k: int, w: np.ndarray) -> np.ndarray:
@@ -218,12 +225,16 @@ def optimize(
     at n-1-k (S_k(1) alone at k = n-1). While the gap is open, the run
     takes Armijo steps from its last accepted point x along
     w(alpha) ~ x exp(-alpha (g - mean_x g)), g = _face at x, from
-    alpha = m / ||g||_inf at unit weights. A trial is accepted when S_k
-    falls by at least alpha |g - mean_x g|_x^2 / 2; alpha doubles after an
-    accepted trial and halves after a rejected one. Every trial costs one
-    eigendecomposition and yields a certified dual bound. The run stops as
-    soon as S_k is below S_k(1) by more than the margin, or once the
-    relative gap or the predicted decrease is below GAP_TOL. lower
+    alpha = min(m / ||g||_inf, gap / (4 max_deg ||g - mean g||_inf)) at
+    unit weights, gap the distance from slot k's eigenvalue group mean of
+    L(1) to the nearest nonzero neighbouring one (groups within
+    spectral.GROUP_TOL; no neighbour keeps the first term). A trial is
+    accepted when S_k falls by at least alpha |g - mean_x g|_x^2 / 2; alpha
+    doubles after an accepted trial and halves after a rejected one. Every
+    trial costs one eigendecomposition and yields a certified dual bound.
+    The run stops as soon as S_k is below S_k(1) by more than the margin,
+    or once the gap or the predicted decrease is below GAP_TOL times the
+    margin's scale max(1, min(S_k(1), 2|E| - S_k(1))). lower
     maximizes s_k, reduced to the upper objective at n-1-k through the
     trace identity s_k(w) + S_{n-1-k}(w) = 2|E| on the simplex, and
     reports that run's verdict.
@@ -260,16 +271,21 @@ def _upper_runs(g: Graph, ks, iters: int, tol: float) -> list[OptimizeResult]:
     evals, evecs = np.linalg.eigh(B @ B.T)
     unit_w = (1.0,) * g.m
     G = _slot_energies(g, evals, evecs, ks)
-    starts = {sl.start for sl in group_eigenvalues(evals)}  # at n - k: J unsplit, _face is the row
+    groups = group_eigenvalues(evals)
     out = []
     for k, row, dual in zip(ks, G, (g.m * G.min(axis=1)).tolist()):
         baseline = float(evals[g.n - k:].sum())
-        margin = _margin(g, k, tol, baseline)
+        scale = _scale(g, k, baseline)
+        margin = tol * scale
         best_primal, best_dual, best_w, iterations = baseline, dual, unit_w, 1
-        if baseline - dual > GAP_TOL * max(1.0, abs(baseline)):
-            g1 = row if g.n - k in starts else _face(g, evals, evecs, k, np.ones(g.m))
+        if baseline - dual > GAP_TOL * scale:
+            j = next(j for j, sl in enumerate(groups) if sl.stop > g.n - k)  # slot k's group J
+            g1 = row if groups[j].start == g.n - k else _face(g, evals, evecs, k, np.ones(g.m))
+            here = float(evals[groups[j]].mean())  # gap: to J's nearest nonzero neighbour
+            gap = min((abs(float(evals[groups[i]].mean()) - here)
+                       for i in (j - 1, j + 1) if 0 < i < len(groups)), default=math.inf)
             best_primal, best_dual, best_w, iterations = _optimize_upper(
-                g, B, k, iters, margin, g1, baseline, dual,
+                g, B, k, iters, margin, GAP_TOL * scale, g1, baseline, dual, gap,
             )
         if baseline - best_dual <= margin:
             verdict = VERDICT_RIGID
@@ -285,19 +301,23 @@ def _upper_runs(g: Graph, ks, iters: int, tol: float) -> list[OptimizeResult]:
 
 
 def _optimize_upper(
-    g: Graph, B: np.ndarray, k: int, iters: int, margin: float,
-    g1: np.ndarray, baseline: float, dual: float,
+    g: Graph, B: np.ndarray, k: int, iters: int, margin: float, gap_tol: float,
+    g1: np.ndarray, baseline: float, dual: float, gap: float,
 ) -> tuple:
     """Go on from an open first iterate: g1 = _face at unit weights, baseline = S_k(1).
 
-    dual is |E| min of the unit-weight _slot_energies row. Returns best_primal,
-    best_dual, best_w and the iteration count (the first included).
+    dual is |E| min of the unit-weight _slot_energies row, gap the distance from
+    slot k's group mean of L(1) to the nearest nonzero one (math.inf if none).
+    Returns best_primal, best_dual, best_w and the iteration count (the first
+    included).
     """
     n, m = g.n, g.m
-    gap_tol = GAP_TOL * max(1.0, abs(baseline))
     x, fx, t = np.ones(m), baseline, 1  # the last accepted point, S_k there, eigh count
     d, slope = _direction(x, g1)
-    step = m / max(float(np.abs(g1).max()), 1e-12)
+    # Weyl: |L(w) - L(1)|_2 <= 2 max_deg |w - 1|_inf ~ 2 max_deg step |d|_inf, so the
+    # first trial moves no eigenvalue of L(1) by more than about gap / 2
+    step = min(m / max(float(np.abs(g1).max()), 1e-12),
+               gap / (4 * max(g.degrees) * max(float(np.abs(d).max()), 1e-12)))
     best_primal, best_dual, best_w = baseline, max(dual, m * float(g1.min())), x
     while t < iters and best_primal - best_dual > gap_tol and best_primal >= baseline - margin:
         decrease = step * slope / 2  # Armijo's: while >= margin, an accepted point refutes

@@ -232,9 +232,10 @@ def test_upper_run_stops_once_the_predicted_decrease_is_negligible():
     evals, evecs = np.linalg.eigh(B @ B.T)
     (row,) = eigensum._slot_energies(g, evals, evecs, [k])
     baseline = float(evals[g.n - k:].sum())
-    margin = eigensum._margin(g, k, 1e-5, baseline)
+    scale = eigensum._scale(g, k, baseline)
     best_primal, _, _, t = eigensum._optimize_upper(
-        g, B, k, iters, margin, 2 * row.mean() - row, baseline, g.m * float(row.min()),
+        g, B, k, iters, 1e-5 * scale, eigensum.GAP_TOL * scale, 2 * row.mean() - row, baseline,
+        g.m * float(row.min()), math.inf,
     )
     assert t < iters
     assert best_primal == baseline
@@ -531,6 +532,29 @@ def test_profile_shares_the_unit_spectrum(eigh_calls, eigvalsh_calls):
         assert (eigh_calls[0], eigvalsh_calls[0]) == (1, 0), g.n
 
 
+def test_first_step_is_sized_by_the_eigenvalue_gap(eigh_calls):
+    # a first step that moves no eigenvalue of L(1) past about half its gap
+    # keeps the first-order model: P50 at k = 1 refutes at its first trial,
+    # where alpha = m / |g_1|_inf took 12 rejected halvings
+    res = optimize(fam.path_graph(50), 1)
+    assert res.verdict == VERDICT_REFUTED
+    assert eigh_calls[0] == res.iterations <= 3
+
+
+def test_long_path_profile_settles_every_run_within_two_eigh_each(eigh_calls):
+    # every stop is scaled like the margin: at k = n - 2 on a path what is at
+    # stake is lambda_2 ~ pi^2 / n^2, not S_k(1) ~ 2n
+    g = fam.path_graph(100)
+    prof = k_rigidity_profile(g)
+    assert eigh_calls[0] <= 2 * (g.n - 1)
+    for e in prof.entries:
+        for res in (e.upper, e.lower):
+            assert res.verdict != VERDICT_INCONCLUSIVE, (res.k, res.objective)
+    up = prof.entries[97].upper
+    assert (up.k, up.verdict) == (98, VERDICT_REFUTED)
+    assert_witness(g, up)
+
+
 def test_edge_energies_equal_projector_adjoint(corpus_case):
     _, g, _ = corpus_case
     evals, evecs = np.linalg.eigh(laplacian(g).astype(float))
@@ -547,7 +571,8 @@ def test_edge_energies_equal_projector_adjoint(corpus_case):
 
 PATHS = {f"P{n}": fam.path_graph(n) for n in range(10, 61, 10)}
 TREES = {f"tree{n}-seed{s}": fam.random_tree(n, seed=s) for s in range(20) for n in [6 + 7 * s % 35]}
-PROFILE_CASES = SEEDED | PATHS | TREES
+LONG_TREES = {f"tree{n}-seed{n}": fam.random_tree(n, seed=n) for n in range(40, 81, 10)}
+PROFILE_CASES = SEEDED | PATHS | TREES | LONG_TREES
 
 
 @pytest.mark.parametrize("name", sorted(PROFILE_CASES))
@@ -565,8 +590,7 @@ def test_profile_on_seeded_graphs(name):
     if name in PATHS:
         for e in prof.entries[:-1]:
             assert e.upper.verdict == e.lower.verdict == VERDICT_REFUTED, e.k
-    if decide_edge_rigid_exact(g).rigid:
-        assert prof.all_rigid
+    assert prof.all_rigid == decide_edge_rigid_exact(g).rigid
 
 
 # ---------------------------------------------------------------------------
