@@ -10,20 +10,26 @@ It is computed from powers of M = Delta I - L = A + diag(Delta - deg), Delta
 the maximum degree, as c_l(e) = z_e^T M^l z_e; L = Delta I - M gives
 w_l = sum_{i<=l} C(l, i) Delta^(l-i) (-1)^i c_i, a unit-triangular map, so
 c_0..c_l are constant exactly when w_0..w_l are. The stream holds M^l as
-packed rows: row u is one Python int whose slot v, an unsigned field of k
-bits, holds (M^l)_uv, so CPython's limb loops do the inner dimension. A
-power is one application of M, R_u <- sum_{v ~ u} R_v + (Delta - deg u) R_u:
-additions, and a multiplication only where deg u < Delta (none on a regular
-graph). Twins, vertices with one neighbourhood, share one sum, so K_{a,b}
-takes a + b - 2 additions per application, not 2ab - a - b. Masks keep the
-diagonal slots and the slots b of the rows a of the edges (a, b); rows whose
-kept slots are disjoint are merged into one int before it is turned into
-bytes, one gather per power takes (M^l)_ab, (M^l)_aa and (M^l)_bb from them,
-and the three combine into c_l as one sum of packed ints. M is nonnegative
-with row sums at most Delta, so 0 <= (M^l)_uv <= Delta^l and
-|c_l(e)| <= 2 Delta^l: slots of k >= bitlen(2 Delta^l) + 1 bits decode
+packed rows: row u is one Python int whose slot pos(v), an unsigned field of
+k bits, holds (M^l)_uv, so CPython's limb loops do the inner dimension. On a
+regular bipartite graph M = A, and every walk from u to v has the parity of
+side(u) + side(v), so (M^l)_uv = 0 unless side(v) = side(u) + l mod 2. Both
+sides hold n/2 vertices, so row u holds only the n/2 slots of the side it
+reaches at power l, pos(v) being v's place within its side; any other graph
+has one side and rows of n slots. A power is one application of M,
+R_u <- sum_{v ~ u} R_v + (Delta - deg u) R_u, all of whose rows lie on one
+side: additions, and a multiplication only where deg u < Delta (none on a
+regular graph). Twins, vertices with one neighbourhood, share one sum, so
+K_{a,b} takes a + b - 2 additions per application, not 2ab - a - b. Masks
+keep the diagonal slots and the slots (M^l)_ab, in the row of the end of
+(a, b) on side 0; rows whose kept slots are disjoint are merged into one int
+before it is turned into bytes. One gather per power takes (M^l)_ab,
+(M^l)_aa and (M^l)_bb from them, or from one zero slot where the parity
+makes them zero, and the three combine into c_l as one sum of packed ints.
+M is nonnegative with row sums at most Delta, so 0 <= (M^l)_uv <= Delta^l
+and |c_l(e)| <= 2 Delta^l: slots of k >= bitlen(2 Delta^l) + 1 bits decode
 uniquely; k grows with l. The stream to depth n-1 takes n-1 applications of
-M, on ints of O(n^2 log(max-degree)) bits. ``decide_edge_rigid_exact``
+M, on rows of n/2 or n slots of O(n log Delta) bits. ``decide_edge_rigid_exact``
 often stops sooner, on a certificate read from the c_l themselves. Over the
 eigenvalues t of L with multiplicities m_t, m c_l = tr(M^l L) =
 sum_t m_t t (Delta - t)^l. A monic integer q of degree D that annihilates
@@ -167,9 +173,9 @@ def _repeat(x: int, size: int, count: int) -> int:
     return int.from_bytes(x.to_bytes(size, "little") * count, "little")
 
 
-def _slot_masks(n: int, rows, slots, size: int) -> list[int]:
-    """For each u < n, all ones in the slots slots[i] with rows[i] == u, of n slots of size bytes."""
-    M = np.zeros((n, n, size), dtype=np.uint8)
+def _slot_masks(n: int, width: int, rows, slots, size: int) -> list[int]:
+    """Per row u < n, all ones in the slots slots[i] with rows[i] == u; width slots of size bytes."""
+    M = np.zeros((n, width, size), dtype=np.uint8)
     M[rows, slots] = 0xFF
     return _split(M.tobytes(), n)
 
@@ -198,34 +204,54 @@ def _slot_bytes(r: int, l: int) -> int:
     return ((2 * r**l).bit_length() + 8) // 8
 
 
+def _sides(g: Graph) -> tuple[list[int], list[int], int]:
+    """(side, pos, sides): each vertex's side, its slot within that side, and the number of sides.
+
+    A regular bipartite graph has two, the colour classes of n/2 vertices
+    each; any other graph one, of all n vertices in vertex order.
+    """
+    color, odd = g._search
+    if odd or min(g.degrees) < max(g.degrees):
+        return [0] * g.n, list(range(g.n)), 1
+    count, pos = [0, 0], []
+    for c in color:
+        pos.append(count[c])
+        count[c] += 1
+    return list(color), pos, 2
+
+
 def _packed_powers(g: Graph, lmax: int) -> Iterator[tuple[list[int], int]]:
     """Yield (rows of M^l, slot size in bytes) for l = 0..lmax, M = Delta I - L.
 
-    Row u of M^l is one int with (M^l)_uv in unsigned slot v (bit 8 size v),
-    starting from the identity in one-byte slots. Row u of M^(l+1) is
-    sum_{v ~ u} R_v + (Delta - deg u) R_u for the rows R of M^l. Twins,
-    vertices with one neighbourhood, are grouped once per graph and share one
-    sum: at most nnz(A) - n big-int additions on ints of n slots, a + b - 2
-    on K_{a,b}, and a multiplication for each u with deg u < Delta. The
-    entries of M^l, and the partial sums that compute them, lie in
-    [0, Delta^l]; slots of k >= bitlen(2 Delta^l) + 1 bits also hold the
-    signed walk values of _walk_stream. When the next power needs more, the
-    slots grow before the application, to twice their size or to what power
-    lmax needs if that is less. M^(l+1) is computed once power l is consumed.
+    Row u of M^l is one int with (M^l)_uv in unsigned slot pos(v), at bit
+    8 size pos(v), starting from the identity in one-byte slots. A walk on a
+    regular bipartite graph changes side at every step, so there row u
+    holds only the n/2 slots of side side(u) + l mod 2 (_sides); elsewhere
+    it holds all n. Row u of M^(l+1) is sum_{v ~ u} R_v + (Delta - deg u) R_u
+    for the rows R of M^l, which lie on one side. Twins, vertices with one
+    neighbourhood, are grouped once per graph and share one sum: at most
+    nnz(A) - n big-int additions on ints of n/2 or n slots, a + b - 2 on
+    K_{a,b}, and a multiplication for each u with deg u < Delta. The entries
+    of M^l, and the partial sums that compute them, lie in [0, Delta^l];
+    slots of k >= bitlen(2 Delta^l) + 1 bits also hold the signed walk
+    values of _walk_stream. When the next power needs more, the slots grow
+    before the application, to twice their size or to what power lmax needs
+    if that is less. M^(l+1) is computed once power l is consumed.
     """
     delta = max(g.degrees)
     lifted = [(u, delta - d) for u, d in enumerate(g.degrees) if d < delta]
     twins: dict[tuple[int, ...], int] = {}  # neighbourhood -> twin class, in vertex order
     classes = [twins.setdefault(nb, len(twins)) for nb in g.neighbors]
     hoods = tuple(twins)
-    rows = [1 << 8 * u for u in range(g.n)]
+    _, pos, sides = _sides(g)
+    rows = [1 << 8 * s for s in pos]
     size = 1
     for l in range(lmax + 1):
         if l:
             need = _slot_bytes(delta, l)
             if need > size:
                 new_size = min(max(need, 2 * size), _slot_bytes(delta, lmax))
-                rows = _widen(rows, g.n, size, new_size)
+                rows = _widen(rows, g.n // sides, size, new_size)
                 size = new_size
             sums = _neighbor_sums(rows, hoods)
             if len(hoods) < g.n:
@@ -236,70 +262,92 @@ def _packed_powers(g: Graph, lmax: int) -> Iterator[tuple[list[int], int]]:
         yield rows, size
 
 
-def _row_colors(g: Graph) -> list[int]:
-    """Colours of the rows u of an n x n matrix; rows of one colour need distinct slots.
+def _row_colors(n: int, rows, slots) -> list[int]:
+    """Colours of the rows u < n that keep the slots slots[i] with rows[i] == u.
 
-    Row u needs slot u (its diagonal entry) and the slots b > u of its edges
-    (u, b), so slot s is needed by row s and by the neighbours of s below
-    it. Rows are coloured greedily in vertex order, with the colours taken
-    at each slot kept as a bit set: a cycle takes 3 colours, K_n takes n.
+    Rows of one colour keep distinct slots; a row that keeps none gets -1.
+    Rows are coloured greedily in order, with the colours taken at each slot
+    kept as a bit set. On one side, where row u keeps slot u and the slots
+    b > u of its edges (u, b), a cycle takes 3 colours and K_n takes n.
     """
-    taken = [0] * g.n
+    needs: list[list[int]] = [[] for _ in range(n)]
+    for u, s in zip(rows, slots):
+        needs[u].append(s)
+    taken = [0] * n
     colors = []
-    for u, nb in enumerate(g.neighbors):
-        need = [u] + [v for v in nb if v > u]
+    for need in needs:
         busy = 0
         for s in need:
             busy |= taken[s]
-        c = (~busy & (busy + 1)).bit_length() - 1  # lowest colour not in busy
+        c = (~busy & (busy + 1)).bit_length() - 1 if need else -1  # lowest colour not in busy
         for s in need:
             taken[s] |= 1 << c
         colors.append(c)
     return colors
 
 
-def _masked_slots(rows: list[int], masks: list[int], colors: list[int], size: int) -> np.ndarray:
-    """The slots the masks keep, as a uint8 array.
+def _masked_slots(rows: list[int], masks: list[int], groups, size: int, width: int) -> np.ndarray:
+    """The slots the masks keep, as a uint8 array of one slot per row, then one zero slot.
 
-    Entry [colors[u], s] holds slot s of rows[u] for every slot s that
-    masks[u] keeps; rows of one colour keep distinct slots, so they are
-    OR-ed into one int, and one int per colour is converted to bytes.
+    groups[c] lists the rows of colour c. Row c width + s holds slot s of
+    rows[u] for every slot s that masks[u] keeps; rows of one colour keep
+    distinct slots, so they are OR-ed into one int, and one int of width
+    slots per colour is converted to bytes.
     """
-    n = len(rows)
-    merged = [0] * (max(colors) + 1)
-    for r, mask, c in zip(rows, masks, colors):
-        merged[c] |= r & mask
-    buf = b"".join(x.to_bytes(n * size, "little") for x in merged)
-    return np.frombuffer(buf, dtype=np.uint8).reshape(len(merged), n, size)
+    merged = []
+    for group in groups:
+        x = 0
+        for u in group:
+            x |= rows[u] & masks[u]
+        merged.append(x.to_bytes(width * size, "little"))
+    merged.append(bytes(size))
+    return np.frombuffer(b"".join(merged), dtype=np.uint8).reshape(-1, size)
 
 
 def _walk_stream(g: Graph, lmax: int) -> Iterator[tuple[np.ndarray, np.ndarray, bytes]]:
     """Yield (diag, ab, c_l) for l = 0..lmax, M = Delta I - L (_packed_powers).
 
     diag holds the n slots diag(M^l) and ab the m slots (M^l)_ab over the
-    edges (a, b): uint8 arrays, one row per unsigned slot, views of one
-    gather that also takes (M^l)_aa and (M^l)_bb. So c_l(e) = z_e^T M^l z_e
-    = (M^l)_aa + (M^l)_bb - 2 (M^l)_ab is one sum of three packed ints plus
-    the offset 2^(8 size - 1) per slot, built once per slot size, as m
-    little-endian slots of equal size (_signed_slots): |c_l(e)| <= 2 Delta^l
-    fits the slot. On top of the application of M, a power costs 2n big-int
-    operations, one conversion to bytes per colour and one take.
+    edges (a, b), read from the row of the end on side 0: uint8 arrays, one
+    row per unsigned slot, views of one gather that also takes (M^l)_aa and
+    (M^l)_bb. Entries that the parity of l makes zero, the diagonal at odd l
+    and (M^l)_ab at even l on a regular bipartite graph, come from one zero
+    slot, so rows, masks, colours and gather indices are kept per parity
+    (one table on one side). So c_l(e) = (M^l)_aa + (M^l)_bb - 2 (M^l)_ab
+    is one sum of three packed ints plus the offset 2^(8 size - 1) per slot,
+    built once per slot size, as m little-endian slots of equal size
+    (_signed_slots): |c_l(e)| <= 2 Delta^l fits the slot. On top of the
+    application of M, a power costs two big-int operations per row that
+    keeps a slot, n, or n/2 at odd l on a regular bipartite graph, one
+    conversion to bytes per colour and one take.
     """
     n, m = g.n, g.m
+    side, pos, sides = _sides(g)
+    width = n // sides
+    side, pos = np.array(side), np.array(pos)
     a, b = g._edge_ends
-    vertices = np.arange(n)
-    colors = _row_colors(g)
-    col = np.array(colors)
-    diag_at = col * n + vertices  # rows of the merged slots, reshaped to (-1, size)
-    at = np.concatenate([diag_at, col[a] * n + b, diag_at[a], diag_at[b]])
-    mask_rows, mask_slots = np.concatenate([vertices, a]), np.concatenate([vertices, b])
+    r = np.where(side[a] <= side[b], a, b)
+    ends = np.concatenate([np.arange(n), r])  # the row of each diagonal and edge slot
+    others = np.concatenate([np.arange(n), a + b - r])
+    tables = []
+    for parity in range(sides):
+        live = side[others] == side[ends] ^ parity
+        rows, slots = ends[live], pos[others[live]]
+        colors = _row_colors(n, rows.tolist(), slots.tolist())
+        groups: list[list[int]] = [[] for _ in range(max(colors) + 1)]
+        for u, c in enumerate(colors):
+            if c >= 0:
+                groups[c].append(u)
+        at = np.where(live, np.array(colors)[ends] * width + pos[others], len(groups) * width)
+        tables.append((groups, np.concatenate([at, at[a], at[b]]), rows, slots))
     mask_size = 0
-    for rows, size in _packed_powers(g, lmax):
+    for l, (packed, size) in enumerate(_packed_powers(g, lmax)):
         if size != mask_size:
             mask_size = size
-            masks = _slot_masks(n, mask_rows, mask_slots, size)
+            masks = [_slot_masks(n, width, rows, slots, size) for _, _, rows, slots in tables]
             half = _repeat(1 << 8 * size - 1, size, m)
-        G = _masked_slots(rows, masks, colors, size).reshape(-1, size).take(at, axis=0)
+        groups, at, _, _ = tables[l % sides]
+        G = _masked_slots(packed, masks[l % sides], groups, size, width).take(at, axis=0)
         raw, k = G[n:].tobytes(), m * size
         xab, xaa, xbb = (int.from_bytes(raw[i : i + k], "little") for i in (0, k, 2 * k))
         yield G[:n], G[n : n + m], (xaa + xbb + half - 2 * xab).to_bytes(k, "little")

@@ -98,6 +98,14 @@ def test_decide_truncated_is_not_a_proof(graph_file, capsys):
     code, out, _ = run(["decide", rigid, "--max-power", "9"], capsys)
     assert (code, out) == (0, "edge-rigid\n")
 
+    # regular bipartite graphs, whose stream reads the diagonal at even powers
+    # and the edge slots at odd ones, truncated at both parities
+    for g, name in ((hypercube(3), "q3.txt"), (fam.cycle_graph(8), "c8.txt")):
+        path = graph_file(g, name)
+        for p in (0, 1, 2):
+            code, out, _ = run(["decide", path, "--max-power", str(p)], capsys)
+            assert (code, out) == (3, f"walk constants agree through power {p} (not a proof)\n")
+
 
 def test_decide_certificate_within_max_power_is_a_proof(graph_file, capsys):
     # Q6: the recurrence certificate proves rigidity at power 12 <= 20

@@ -169,9 +169,16 @@ def test_masked_slots_at_the_slot_limits():
     rows = [sum(v << 8 * s for s, v in enumerate(row)) for row in X]
     # rows 0 and 1 share colour 0 and keep slots {0, 2} and {1}; row 2 keeps slot 2
     masks = [0xFF00FF, 0xFF00, 0xFF0000]
-    E = rigidity._masked_slots(rows, masks, [0, 0, 1], 1)
-    assert E.shape == (2, 3, 1)
-    assert E[..., 0].tolist() == [[255, 255, 255], [0, 0, 5]]
+    E = rigidity._masked_slots(rows, masks, [[0, 1], [2]], 1, 3)
+    # three slots per colour, then the zero slot
+    assert E.shape == (7, 1)
+    assert E[:, 0].tolist() == [255, 255, 255, 0, 0, 5, 0]
+
+
+def one_side_slots(g):
+    """(rows, slots) with row u keeping slot u and the slots b > u of its edges (u, b)."""
+    kept = [(u, s) for u, nb in enumerate(g.neighbors) for s in [u] + [v for v in nb if v > u]]
+    return [u for u, _ in kept], [s for _, s in kept]
 
 
 @pytest.mark.parametrize(
@@ -182,17 +189,19 @@ def test_masked_slots_at_the_slot_limits():
 )
 def test_row_colors_keep_the_slots_of_one_colour_apart(g):
     # row u needs slot u and the slots b > u of its edges (u, b)
-    colors = rigidity._row_colors(g)
+    rows, slots = one_side_slots(g)
+    colors = rigidity._row_colors(g.n, rows, slots)
     seen = set()
-    for u, nb in enumerate(g.neighbors):
-        for s in [u] + [v for v in nb if v > u]:
-            assert (colors[u], s) not in seen
-            seen.add((colors[u], s))
+    for u, s in zip(rows, slots):
+        assert (colors[u], s) not in seen
+        seen.add((colors[u], s))
 
 
 def test_row_colors_count():
-    assert max(rigidity._row_colors(fam.cycle_graph(100))) == 2
-    assert max(rigidity._row_colors(fam.complete_graph(9))) == 8
+    assert max(rigidity._row_colors(100, *one_side_slots(fam.cycle_graph(100)))) == 2
+    assert max(rigidity._row_colors(9, *one_side_slots(fam.complete_graph(9)))) == 8
+    # a row that keeps no slot has no colour
+    assert rigidity._row_colors(3, [0, 2], [1, 1]) == [0, -1, 1]
 
 
 def test_proved_only_by_full_depth_or_certificate():

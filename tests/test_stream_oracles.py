@@ -77,6 +77,71 @@ def random_graphs(seed: int = 20240611) -> list[tuple[str, Graph]]:
     return graphs
 
 
+def relabel(rng: np.random.Generator, g: Graph) -> Graph:
+    p = [int(v) for v in rng.permutation(g.n)]
+    return Graph(g.n, tuple((p[a], p[b]) for a, b in g.edges))
+
+
+def random_biregular(rng: np.random.Generator, p: int, q: int, d: int) -> Graph:
+    """A connected bipartite graph, p vertices of degree q d / p and q of degree d.
+
+    Vertex j of the q side starts joined to j d, .., j d + d - 1 mod p; random
+    swaps {ab, ce} -> {ae, cb} that keep it simple then mix it until it is
+    connected, and the vertices are relabelled.
+    """
+    edges = sorted({((j * d + t) % p, p + j) for j in range(q) for t in range(d)})
+    present = set(edges)
+    while True:
+        for _ in range(10 * len(edges)):
+            i, k = (int(x) for x in rng.integers(len(edges), size=2))
+            (a, b), (c, e) = edges[i], edges[k]
+            if (a, e) not in present and (c, b) not in present:
+                present -= {edges[i], edges[k]}
+                edges[i], edges[k] = (a, e), (c, b)
+                present |= {edges[i], edges[k]}
+        try:
+            return relabel(rng, Graph(p + q, tuple(sorted(edges))))
+        except DisconnectedError:
+            continue
+
+
+def random_regular(rng: np.random.Generator, n: int, d: int) -> Graph:
+    """A connected simple d-regular graph: random stub pairings until one is."""
+    while True:
+        pairs = rng.permutation(np.repeat(np.arange(n), d)).reshape(-1, 2)
+        edges = {(int(min(a, b)), int(max(a, b))) for a, b in pairs if a != b}
+        if len(edges) == len(pairs):
+            try:
+                return Graph(n, tuple(sorted(edges)))
+            except DisconnectedError:
+                continue
+
+
+def regular_bipartite_graphs(seed: int = 20261027) -> list[tuple[str, Graph]]:
+    """Connected d-regular bipartite graphs, d = 2..5 and n <= 40, relabelled.
+
+    random_biregular with sides of equal size; the relabelling interleaves
+    the sides, so neither is a range of vertex numbers.
+    """
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for i in range(8):
+        d = 2 + i % 4
+        h = int(rng.integers(d + 1, 21))
+        graphs.append((f"regbip{d}_{2 * h}_{i}", random_biregular(rng, h, h, d)))
+    return graphs
+
+
+# The stream packs each row of a regular bipartite graph over the n/2 slots
+# of the side it reaches: seeded random ones, two bipartite circulants (even
+# n, odd jumps) and K2; C4, C6 and K3_3 are in the corpus.
+REGULAR_BIPARTITE = regular_bipartite_graphs() + [
+    ("C24_1_5", fam.circulant_graph(24, (1, 5))),
+    ("C18_1_3_7", fam.circulant_graph(18, (1, 3, 7))),
+    ("K2", fam.path_graph(2)),
+]
+
+
 # Rigid graphs with few distinct Laplacian eigenvalues, where
 # decide_edge_rigid_exact stops early on a recurrence certificate.
 FEW_EIGENVALUES = [
@@ -179,7 +244,10 @@ def assert_decide_matches(g: Graph, walks: list[np.ndarray], P: int):
     return wc
 
 
-@pytest.mark.parametrize("g", [g for _, g in CASES + WIDTH_CASES], ids=[n for n, _ in CASES + WIDTH_CASES])
+STREAM_CASES = CASES + WIDTH_CASES + REGULAR_BIPARTITE
+
+
+@pytest.mark.parametrize("g", [g for _, g in STREAM_CASES], ids=[n for n, _ in STREAM_CASES])
 def test_halved_stream_matches_dense_adjoint(g):
     """The packed stream against dense adjoint(M^l), M = max-degree I - L, and tr(M^l L), every power."""
     walks, powers = dense_walks(g)
@@ -258,9 +326,35 @@ def test_twins_share_one_neighbour_sum(monkeypatch, g, hoods, additions):
     assert seen == [(hoods, additions)] * (g.n - 1)
 
 
-def relabel(rng: np.random.Generator, g: Graph) -> Graph:
-    p = [int(v) for v in rng.permutation(g.n)]
-    return Graph(g.n, tuple((p[a], p[b]) for a, b in g.edges))
+def test_regular_bipartite_graphs_are_relabelled():
+    # the two sides interleave in vertex order, so no side is a range of labels
+    for _, g in regular_bipartite_graphs():
+        parts = bipartition(g)
+        assert parts is not None and len(set(g.degrees)) == 1
+        assert all(p != tuple(range(p[0], p[0] + len(p))) for p in parts)
+
+
+def non_bipartite_cubic(seed: int = 20261029) -> Graph:
+    g = random_regular(np.random.default_rng(seed), 14, 3)
+    assert bipartition(g) is None
+    return g
+
+
+@pytest.mark.parametrize(
+    "g, half",
+    [(fam.cycle_graph(12), True), (hypercube(4), True), (fam.complete_bipartite_graph(5, 5), True),
+     (REGULAR_BIPARTITE[3][1], True), (fam.path_graph(12), False),
+     (fam.complete_bipartite_graph(3, 5), False), (fam.petersen_graph(), False),
+     (non_bipartite_cubic(), False)],
+    ids=["C12", "Q4", "K5_5", REGULAR_BIPARTITE[3][0], "P12", "K3_5", "petersen", "cubic14"],
+)
+def test_regular_bipartite_rows_hold_half_the_slots(g, half):
+    # on a regular bipartite graph a row of M^l holds only the n/2 slots of
+    # the side it reaches at power l; on any other graph some row has a
+    # nonzero slot past n/2 at every power
+    for rows, size in rigidity._packed_powers(g, g.n - 1):
+        top = max(r.bit_length() for r in rows)
+        assert (top <= 8 * size * g.n // 2) is half
 
 
 def odd_witness_graphs(seed: int = 20261018) -> list[Graph]:
@@ -286,28 +380,46 @@ def odd_witness_graphs(seed: int = 20261018) -> list[Graph]:
 ODD_WITNESS = odd_witness_graphs()
 
 
+def bipartite_witness_graphs(seed: int = 20261028) -> list[Graph]:
+    """Relabelled random regular bipartite graphs that are not edge-rigid."""
+    rng = np.random.default_rng(seed)
+    found = []
+    while len(found) < 3:
+        d = int(rng.integers(2, 6))
+        h = int(rng.integers(d + 1, 13))
+        g = random_biregular(rng, h, h, d)
+        if not decide_edge_rigid_exact(g).rigid:
+            found.append(g)
+    return found
+
+
+BIPARTITE_WITNESS = bipartite_witness_graphs()
+
+
+def test_regular_bipartite_graphs_first_fail_at_an_odd_power():
+    # M = A, and (A^(2k))_aa = sum_{b ~ a} (A^(2k-1))_ab: a constant (A^(2k-1))_ab
+    # over the edges makes c_2k(e) = (A^(2k))_aa + (A^(2k))_bb constant, so no
+    # regular bipartite graph first fails at an even power
+    graphs = BIPARTITE_WITNESS + [g for _, g in REGULAR_BIPARTITE]
+    powers = [w.power for w in (decide_edge_rigid_exact(g).witness for g in graphs) if w]
+    assert len(powers) >= 8 and all(p % 2 for p in powers)
+
+
 def test_odd_witness_search_reaches_powers_three_and_five():
     assert {decide_edge_rigid_exact(g).witness.power for g in ODD_WITNESS} >= {3, 5}
 
 
-@pytest.mark.parametrize("g", ODD_WITNESS, ids=[f"odd{i}" for i in range(len(ODD_WITNESS))])
+@pytest.mark.parametrize(
+    "g",
+    ODD_WITNESS + BIPARTITE_WITNESS,
+    ids=[f"odd{i}" for i in range(len(ODD_WITNESS))]
+    + [f"bip{i}" for i in range(len(BIPARTITE_WITNESS))],
+)
 def test_witness_at_an_odd_power_matches_dense_walks(g):
     walks, _ = dense_walks(g)
     w = assert_decide_matches(g, walks, g.n - 1).witness
     assert w.value_a < w.value_b
     assert full_report(g).witness == w
-
-
-def random_regular(rng: np.random.Generator, n: int, d: int) -> Graph:
-    """A connected simple d-regular graph: random stub pairings until one is."""
-    while True:
-        pairs = rng.permutation(np.repeat(np.arange(n), d)).reshape(-1, 2)
-        edges = {(int(min(a, b)), int(max(a, b))) for a, b in pairs if a != b}
-        if len(edges) == len(pairs):
-            try:
-                return Graph(n, tuple(sorted(edges)))
-            except DisconnectedError:
-                continue
 
 
 def random_regular_graphs(seed: int = 20261019) -> list[tuple[str, Graph]]:
@@ -344,29 +456,6 @@ def dense_walk_class(g: Graph) -> WalkClassification:
     )
 
 
-def random_biregular(rng: np.random.Generator, p: int, q: int, d: int) -> Graph:
-    """A connected bipartite graph, p vertices of degree q d / p and q of degree d.
-
-    Vertex j of the q side starts joined to j d, .., j d + d - 1 mod p; random
-    swaps {ab, ce} -> {ae, cb} that keep it simple then mix it until it is
-    connected, and the vertices are relabelled.
-    """
-    edges = sorted({((j * d + t) % p, p + j) for j in range(q) for t in range(d)})
-    present = set(edges)
-    while True:
-        for _ in range(10 * len(edges)):
-            i, k = (int(x) for x in rng.integers(len(edges), size=2))
-            (a, b), (c, e) = edges[i], edges[k]
-            if (a, e) not in present and (c, b) not in present:
-                present -= {edges[i], edges[k]}
-                edges[i], edges[k] = (a, e), (c, b)
-                present |= {edges[i], edges[k]}
-        try:
-            return relabel(rng, Graph(p + q, tuple(sorted(edges))))
-        except DisconnectedError:
-            continue
-
-
 def random_biregular_graphs(seed: int = 20261021) -> list[tuple[str, Graph]]:
     """50 connected biregular bipartite graphs, sides p < q <= 12, so not regular.
 
@@ -397,6 +486,7 @@ WALK_CASES = (
     + [("K3_5", fam.complete_bipartite_graph(3, 5)), ("K4_6", fam.complete_bipartite_graph(4, 6))]
     + BIREGULAR
     + TWIN_CASES
+    + REGULAR_BIPARTITE
 )
 
 
@@ -449,7 +539,7 @@ def random_trees(seed: int = 20261020) -> list[tuple[str, Graph]]:
     ]
 
 
-TREE_CASES = CASES + WIDTH_CASES + random_trees() + random_regular_graphs()
+TREE_CASES = CASES + WIDTH_CASES + random_trees() + random_regular_graphs() + REGULAR_BIPARTITE
 
 
 def breadth_first_bipartition(g: Graph):
@@ -491,3 +581,27 @@ def test_stream_tree_count_of_a_tree_is_one(g):
 @pytest.mark.parametrize("a, b", [(1, 6), (2, 5), (3, 4), (3, 7), (5, 8)])
 def test_stream_tree_count_of_complete_bipartite(a, b):
     assert full_report(fam.complete_bipartite_graph(a, b)).tree_count == a ** (b - 1) * b ** (a - 1)
+
+
+def dense_profile_classes(g: Graph, walks: list[np.ndarray]) -> tuple[tuple[int, ...], ...]:
+    """Edge classes by the dense walk profiles (w_0(e), .., w_(n-1)(e))."""
+    buckets: dict[tuple[int, ...], list[int]] = {}
+    for e, profile in enumerate(zip(*([int(x) for x in w] for w in walks))):
+        buckets.setdefault(profile, []).append(e)
+    return tuple(tuple(c) for c in sorted(buckets.values()))
+
+
+@pytest.mark.parametrize("g", [g for _, g in REGULAR_BIPARTITE], ids=[n for n, _ in REGULAR_BIPARTITE])
+def test_regular_bipartite_report_matches_dense_references(g):
+    # char(L - L_e) per edge is too slow a reference at n = 40; the walk
+    # profiles determine it and are determined by it (rigidity's docstring)
+    walks, _ = dense_walks(g)
+    rep = full_report(g)
+    assert rep.cospectrality_classes == dense_profile_classes(g, walks[: g.n])
+    assert rep.verdicts["signed_line_graph"] is signed_line_graph_walk_regular(
+        g, Orientation.random(g.m, np.random.default_rng(g.m))
+    )
+    rigid, constants, witness = reference_criterion(g, walks[: g.n])
+    assert rep.edge_rigid is rigid and rep.walk_constants == constants
+    w = rep.witness
+    assert (w and (w.power, w.edge_a, w.edge_b, w.value_a, w.value_b)) == witness
