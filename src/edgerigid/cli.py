@@ -21,6 +21,12 @@ flags, JSON output is byte-identical across runs: it is exactly
 json.dumps(payload, indent=2, sort_keys=True) plus a newline. _dumps writes
 those bytes with the C encoder, which the stdlib uses only without indent.
 
+No option sets a numeric margin, so no option can make a numeric verdict
+contradict decide's exact one: optimize and profile use eigensum.TOL,
+analyze's float embedding check and certify's residuals spectral.FLOAT_TOL.
+JSON output echoes the margin as "tol" (analyze: report.float_tol and
+parameters.tol).
+
 main builds the argument parser once per process (build_parser is cached),
 so in-process callers pay for it once; importing the package builds none.
 """
@@ -42,8 +48,8 @@ from .errors import EdgeRigidError
 from .graphs import Graph, WeightVector, laplacian, parse_graph
 from .rigidity import decide_edge_rigid_exact, full_report
 from .spectral import (
+    FLOAT_TOL,
     GROUP_TOL,
-    check_tol,
     embedding,
     kirchhoff_from_eigenvalues,
     kirchhoff_index,
@@ -60,14 +66,6 @@ EXIT_ERROR = 2
 EXIT_TRUNCATED = 3
 
 
-def _tol(text: str) -> float:
-    """argparse type of --tol: a finite float > 0."""
-    try:
-        return check_tol(float(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process; callers share it and must not change it."""
@@ -77,10 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(
-        p: argparse.ArgumentParser, report: bool = True, tol: float | None = None
-    ) -> None:
-        """The input options; report adds --format/--output, tol adds --tol."""
+    def add_common(p: argparse.ArgumentParser, report: bool = True) -> None:
+        """The input options; report adds --format/--output."""
         p.add_argument("path", help="input graph file (edge list or graph6)")
         p.add_argument(
             "--input-format",
@@ -91,13 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
         if report:
             p.add_argument("--format", choices=["text", "json"], default="text")
             p.add_argument("--output", default=None, help="write results here instead of stdout")
-        if tol is not None:
-            p.add_argument(
-                "--tol", type=_tol, default=tol, help=f"tolerance, finite and > 0 (default {tol:g})"
-            )
 
     p = sub.add_parser("analyze", help="full rigidity report with spectral invariants")
-    add_common(p, tol=1e-8)
+    add_common(p)
 
     p = sub.add_parser("decide", help="exit 0 iff the graph is edge-rigid")
     add_common(p, report=False)
@@ -107,17 +99,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("optimize", help="optimize one extreme eigenvalue sum")
-    add_common(p, tol=1e-5)
+    add_common(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--objective", choices=["upper", "lower"], default="upper")
     p.add_argument("--iters", type=int, default=5000)
 
     p = sub.add_parser("profile", help="optimize for every k and both objectives")
-    add_common(p, tol=1e-5)
+    add_common(p)
     p.add_argument("--iters", type=int, default=5000)
 
     p = sub.add_parser("certify", help="primal-dual certificate at one level")
-    add_common(p, tol=1e-8)
+    add_common(p)
     p.add_argument("--j", type=int, required=True, help="eigenvalue level, 1..r-1")
 
     p = sub.add_parser("embed", help="CSV spectral embedding of one eigenspace")
@@ -148,7 +140,7 @@ def _load_graph(args: argparse.Namespace) -> Graph:
 def _load_weights(args: argparse.Namespace, m: int) -> WeightVector | None:
     if getattr(args, "weights", None) is None:
         return None
-    return WeightVector.from_text(Path(args.weights).read_text(), m)
+    return WeightVector.from_text(Path(args.weights).read_bytes(), m)
 
 
 _compact = json.JSONEncoder(separators=(",", ":")).encode
@@ -242,7 +234,7 @@ def _emit(args: argparse.Namespace, payload: dict, text: Callable[[], str]) -> N
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    report = full_report(g, tol=args.tol)
+    report = full_report(g)
     s = report.spectrum
     resistances = resistances_from_eigh(g, s.evals, s.evecs)
     kf = kirchhoff_from_eigenvalues(g.n, s.evals)
@@ -261,7 +253,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "tree_count_exact": tau_exact,
         "effective_resistances": resistances.tolist(),
         "foster_sum": float(np.sum(resistances)),
-        "parameters": {"tol": args.tol},
+        "parameters": {"tol": FLOAT_TOL},
     }
 
     def text() -> str:
@@ -307,7 +299,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    res = optimize(g, args.k, args.objective, iters=args.iters, tol=args.tol)
+    res = optimize(g, args.k, args.objective, iters=args.iters)
     _emit(args, res.to_dict(), lambda: (
         f"k={res.k} objective={res.objective} verdict={res.verdict}\n"
         f"baseline={res.baseline!r} best_primal={res.best_primal!r} "
@@ -319,7 +311,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    prof = k_rigidity_profile(g, iters=args.iters, tol=args.tol)
+    prof = k_rigidity_profile(g, iters=args.iters)
     _emit(args, prof.to_dict(), lambda: "".join(
         f"k={e.k} upper={e.upper.verdict} (gap={e.upper.gap:.3e}) "
         f"lower={e.lower.verdict} (gap={e.lower.gap:.3e})\n"
@@ -330,7 +322,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    cert = certificate(g, args.j, tol=args.tol)
+    cert = certificate(g, args.j)
     _emit(args, cert.to_dict(), lambda: (
         f"level j={cert.j} (k_j={cert.k_j}): passes={cert.passes}\n"
         f"x={cert.x!r} y={cert.y!r} bound={cert.bound!r} "

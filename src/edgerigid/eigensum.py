@@ -48,11 +48,14 @@ import numpy as np
 
 from .errors import LevelOutOfRangeError
 from .graphs import Graph, group_energies, incidence, laplacian
-from .spectral import check_tol, group_eigenvalues, spectrum
+from .spectral import FLOAT_TOL, group_eigenvalues, spectrum
 
 VERDICT_RIGID = "rigid-within-tol"
 VERDICT_REFUTED = "refuted"
 VERDICT_INCONCLUSIVE = "inconclusive"
+
+# A run's verdict margin is this times its scale (_scale).
+TOL = 1e-5
 
 # An upper run also stops once its relative primal-dual gap is this small.
 GAP_TOL = 1e-9
@@ -105,7 +108,7 @@ def _scale(g: Graph, k: int, baseline: float) -> float:
     Both entries see the same absolute change, so they share one scale: the
     smaller of their baselines S_k(1) and s_{n-1-k}(1) = 2|E| - S_k(1). The
     run at k = n-1 gives no lower entry (s_0 is not an objective). The
-    verdict margin is tol times it, and every stop GAP_TOL times it.
+    verdict margin is TOL times it, and every stop GAP_TOL times it.
     """
     mirror = 2.0 * g.m - baseline if k < g.n - 1 else baseline
     return max(1.0, min(baseline, mirror))
@@ -194,7 +197,6 @@ class OptimizeResult:
     gap: float
     best_w: tuple[float, ...]
     iterations: int
-    tol: float
 
     def to_dict(self) -> dict:
         return {
@@ -207,21 +209,15 @@ class OptimizeResult:
             "gap": self.gap,
             "best_w": self.best_w,
             "iterations": self.iterations,
-            "tol": self.tol,
+            "tol": TOL,
         }
 
 
-def optimize(
-    g: Graph,
-    k: int,
-    objective: str = "upper",
-    iters: int = 5000,
-    tol: float = 1e-5,
-) -> OptimizeResult:
+def optimize(g: Graph, k: int, objective: str = "upper", iters: int = 5000) -> OptimizeResult:
     """Optimize one extreme eigenvalue sum over the weight simplex.
 
     upper starts at unit weights. The run has one margin,
-    tol * max(1, min(S_k(1), 2|E| - S_k(1))), shared with the lower entry
+    TOL * max(1, min(S_k(1), 2|E| - S_k(1))), shared with the lower entry
     at n-1-k (S_k(1) alone at k = n-1). While the gap is open, the run
     takes Armijo steps from its last accepted point x along
     w(alpha) ~ x exp(-alpha (g - mean_x g)), g = _face at x, from
@@ -243,24 +239,22 @@ def optimize(
     S_k(1), so unit weights are optimal; refuted when a w better by more
     than the margin was found (best_w, a checkable witness); inconclusive
     when the run stopped before either, for instance on a spent iteration
-    budget. A spent budget is a verdict, never an exception. tol must be
-    finite and > 0.
+    budget. A spent budget is a verdict, never an exception.
     """
     if not 1 <= k <= g.n - 1:
         raise ValueError(f"k must be in 1..{g.n - 1}, got {k}")
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    check_tol(tol)
     if objective not in ("upper", "lower"):
         raise ValueError(f"objective must be 'upper' or 'lower', got {objective!r}")
     if objective == "lower" and k == g.n - 1:
-        return _lower_from_upper(g, k, _zero_upper(g, tol))
+        return _lower_from_upper(g, k, _zero_upper(g))
     top = k if objective == "upper" else g.n - 1 - k
-    (up,) = _upper_runs(g, [top], iters, tol)
+    (up,) = _upper_runs(g, [top], iters)
     return up if objective == "upper" else _lower_from_upper(g, k, up)
 
 
-def _upper_runs(g: Graph, ks, iters: int, tol: float) -> list[OptimizeResult]:
+def _upper_runs(g: Graph, ks, iters: int) -> list[OptimizeResult]:
     """The upper runs at the ascending levels ks, from one eigh of L(1) = B B^T.
 
     B is the float incidence matrix of g. The runs whose gap closes at unit
@@ -276,7 +270,7 @@ def _upper_runs(g: Graph, ks, iters: int, tol: float) -> list[OptimizeResult]:
     for k, row, dual in zip(ks, G, (g.m * G.min(axis=1)).tolist()):
         baseline = float(evals[g.n - k:].sum())
         scale = _scale(g, k, baseline)
-        margin = tol * scale
+        margin = TOL * scale
         best_primal, best_dual, best_w, iterations = baseline, dual, unit_w, 1
         if baseline - dual > GAP_TOL * scale:
             j = next(j for j, sl in enumerate(groups) if sl.stop > g.n - k)  # slot k's group J
@@ -295,7 +289,7 @@ def _upper_runs(g: Graph, ks, iters: int, tol: float) -> list[OptimizeResult]:
             verdict = VERDICT_INCONCLUSIVE
         out.append(OptimizeResult(
             k, "upper", verdict, baseline, best_primal, best_dual, best_primal - best_dual,
-            best_w, iterations, tol,
+            best_w, iterations,
         ))
     return out
 
@@ -342,9 +336,9 @@ def _optimize_upper(
     return best_primal, best_dual, tuple(best_w.tolist()), t
 
 
-def _zero_upper(g: Graph, tol: float) -> OptimizeResult:
+def _zero_upper(g: Graph) -> OptimizeResult:
     """Zero-iteration stand-in for S_0 = 0, so s_{n-1} = tr L(w) = 2|E|."""
-    return OptimizeResult(0, "upper", VERDICT_RIGID, 0.0, 0.0, 0.0, 0.0, (1.0,) * g.m, 0, tol)
+    return OptimizeResult(0, "upper", VERDICT_RIGID, 0.0, 0.0, 0.0, 0.0, (1.0,) * g.m, 0)
 
 
 def _lower_from_upper(g: Graph, k: int, up: OptimizeResult) -> OptimizeResult:
@@ -353,7 +347,7 @@ def _lower_from_upper(g: Graph, k: int, up: OptimizeResult) -> OptimizeResult:
     best_primal, best_dual = two_m - up.best_primal, two_m - up.best_dual
     return OptimizeResult(
         k, "lower", up.verdict, two_m - up.baseline, best_primal, best_dual,
-        best_dual - best_primal, up.best_w, up.iterations, up.tol,
+        best_dual - best_primal, up.best_w, up.iterations,
     )
 
 
@@ -378,11 +372,10 @@ class KCertificate:
     residuals: dict[str, float]
     bound: float  # |E| * x
     top_eigensum: float  # S_{k_j}(1)
-    tol: float
 
     @property
     def passes(self) -> bool:
-        return all(v <= self.tol for v in self.residuals.values())
+        return all(v <= FLOAT_TOL for v in self.residuals.values())
 
     def to_dict(self) -> dict:
         return {
@@ -395,21 +388,20 @@ class KCertificate:
             "bound": self.bound,
             "top_eigensum": self.top_eigensum,
             "passes": self.passes,
-            "tol": self.tol,
+            "tol": FLOAT_TOL,
         }
 
 
-def certificate(g: Graph, j: int, tol: float = 1e-8) -> KCertificate:
+def certificate(g: Graph, j: int) -> KCertificate:
     """Build and check the level-j certificate from the unit spectrum.
 
     The three complementary-slackness residuals (stationarity, projection,
     complementarity at unit weights) are identities of the spectral
     decomposition; the discriminating quantity is dual feasibility
     adjoint(X) >= x * 1, which fails exactly on non-rigid graphs. Failure
-    is reported through the residuals, not raised. tol must be finite
-    and > 0.
+    is reported through the residuals, not raised: the certificate passes
+    when every residual is at most spectral.FLOAT_TOL.
     """
-    check_tol(tol)
     L = laplacian(g).astype(float)
     s = spectrum(L)
     r = s.r
@@ -440,7 +432,6 @@ def certificate(g: Graph, j: int, tol: float = 1e-8) -> KCertificate:
         residuals=residuals,
         bound=g.m * x,
         top_eigensum=float(lam.sum()),
-        tol=tol,
     )
 
 
@@ -462,19 +453,14 @@ class GaugeProduct:
     optimize_result: OptimizeResult
 
 
-def gauge_product(
-    g: Graph,
-    k: int,
-    iters: int = 5000,
-    tol: float = 1e-5,
-) -> GaugeProduct:
+def gauge_product(g: Graph, k: int, iters: int = 5000) -> GaugeProduct:
     """Evaluate the gauge identity product S_k(1) * dual_gauge(1).
 
     The product comes from one upper optimize run. A refuted run stops at
     its first witness, so product and product_lo then bracket the true
     value loosely; product_lo > |E| already shows that k is not rigid.
     """
-    res = optimize(g, k, "upper", iters=iters, tol=tol)
+    res = optimize(g, k, "upper", iters=iters)
     m = g.m
     s1 = res.baseline
     dual_gauge = m / res.best_dual if res.best_dual > 0 else math.inf
@@ -530,11 +516,7 @@ class RigidityProfile:
         }
 
 
-def k_rigidity_profile(
-    g: Graph,
-    iters: int = 5000,
-    tol: float = 1e-5,
-) -> RigidityProfile:
+def k_rigidity_profile(g: Graph, iters: int = 5000) -> RigidityProfile:
     """Run optimize for every k and both objectives.
 
     Each of the n-1 upper runs is made once: the lower entry at k reuses
@@ -543,14 +525,12 @@ def k_rigidity_profile(
     One eigh of L(1) and one _slot_energies call (one gather) give every
     k's g_1 from the additions a standalone run makes, so each run is
     bit-identical to a standalone one. The per-k work of a rigid profile
-    is then one O(|E|) row, one eigenvalue sum and two results. tol must
-    be finite and > 0.
+    is then one O(|E|) row, one eigenvalue sum and two results.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    check_tol(tol)
     n = g.n
-    uppers = [_zero_upper(g, tol)] + _upper_runs(g, range(1, n), iters, tol)
+    uppers = [_zero_upper(g)] + _upper_runs(g, range(1, n), iters)
     return RigidityProfile(tuple(
         ProfileEntry(k, uppers[k], _lower_from_upper(g, k, uppers[n - 1 - k]))
         for k in range(1, n)

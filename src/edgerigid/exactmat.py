@@ -5,12 +5,6 @@ products never overflow. Entries of L^l grow like (2 * max degree)^l, which
 is why fixed-width integers are never used on these paths. Matrix powers
 multiply by the nonzeros of the base matrix only, so a power of a graph
 Laplacian costs O(n (n + m)) big-int operations, not O(n^3).
-
-The walk stream of ``rigidity`` does not use these arrays: it holds each row
-of M^l, M = max-degree I - L, in one Python int of n slots, each wide enough
-for the bound |c_l(e)| <= 2 max-degree^l, so a power is one application of
-M, nnz(A) big-int additions, and a rigid graph with d' distinct nonzero
-Laplacian eigenvalues is decided after min(2d', n - 1) applications of M.
 ``mat_pow_stream`` serves the signed-line-graph reference and the tests.
 """
 

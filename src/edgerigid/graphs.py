@@ -139,13 +139,11 @@ class WeightVector:
         return cls((1.0,) * m)
 
     @classmethod
-    def from_values(cls, values, normalize: bool = True) -> "WeightVector":
+    def from_values(cls, values) -> "WeightVector":
         w = np.asarray(list(values), dtype=float)
         if w.ndim != 1:
             raise ValueError("weights must be a flat vector")
-        raw = cls(tuple(float(x) for x in w))  # checks every entry
-        if not normalize:
-            return raw
+        cls(tuple(float(x) for x in w))  # checks every entry
         total = float(w.sum())
         if total <= 0:
             raise ValueError("total edge weight is zero")
@@ -153,8 +151,10 @@ class WeightVector:
         return cls(tuple(float(x) for x in w))
 
     @classmethod
-    def from_text(cls, text: str, m: int) -> "WeightVector":
+    def from_text(cls, data: bytes | str, m: int) -> "WeightVector":
         """Parse the weights file format: m lines, one ASCII decimal per line."""
+        # a non-ASCII byte decodes to U+FFFD, so it fails like a non-ASCII character
+        text = data.decode("ascii", "replace") if isinstance(data, bytes) else data
         if not text.isascii() or "_" in text:  # float() reads 1_0 and non-ASCII digits
             raise ParseError("weights must be ASCII decimal numbers")
         entries = [line.strip() for line in text.splitlines() if line.strip()]
@@ -167,7 +167,7 @@ class WeightVector:
         for i, v in enumerate(vals):
             if not np.isfinite(v):
                 raise ParseError(f"weight entry {i + 1} is not finite: {entries[i]!r}")
-        return cls.from_values(vals, normalize=True)
+        return cls.from_values(vals)
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)

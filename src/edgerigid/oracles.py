@@ -90,5 +90,5 @@ def random_simplex(m: int, seed: int = 0, count: int = 1) -> list[WeightVector]:
     out = []
     for _ in range(count):
         draws = rng.exponential(1.0, size=m)
-        out.append(WeightVector.from_values(draws, normalize=True))
+        out.append(WeightVector.from_values(draws))
     return out

@@ -100,7 +100,7 @@ from .graphs import (
     laplacian,
     signed_line_graph,
 )
-from .spectral import IsometryCheck, Spectrum, check_tol, edge_isometry_check, spectrum
+from .spectral import FLOAT_TOL, IsometryCheck, Spectrum, edge_isometry_check, spectrum
 
 @dataclass(frozen=True)
 class WalkWitness:
@@ -618,11 +618,11 @@ class RigidityReport:
             "degree_class": self.degree_class.to_dict(),
             "walk_class": self.walk_class.to_dict(),
             "gammas": list(self.gammas),
-            "float_tol": self.isometry.tol,
+            "float_tol": FLOAT_TOL,
         }
 
 
-def full_report(g: Graph, tol: float = 1e-8) -> RigidityReport:
+def full_report(g: Graph) -> RigidityReport:
     """Run every decider and assemble the cross-checked report.
 
     One loop reads the walk stream at full depth: it keeps the walks c_l and
@@ -631,9 +631,8 @@ def full_report(g: Graph, tol: float = 1e-8) -> RigidityReport:
     stop reading early, a proof), the cospectrality classes and the
     signed-line-graph verdict come from the walks, the exact tree count from
     the traces. All five verdicts must agree or InternalInconsistencyError is
-    raised. tol, the float embedding test's tolerance, must be finite and > 0.
+    raised.
     """
-    check_tol(tol)
     parts = bipartition(g)
     flags = True, True, parts is not None
     traces: list[int] = []
@@ -646,7 +645,7 @@ def full_report(g: Graph, tol: float = 1e-8) -> RigidityReport:
     classes = _profile_classes(g, walks)
     wclass = _classify(parts, *flags)
     s = spectrum(laplacian(g).astype(float))
-    iso = edge_isometry_check(g, s, tol)
+    iso = edge_isometry_check(g, s)
     verdicts = {
         "walk_criterion": wc.rigid,
         "cospectrality": len(classes) == 1,

@@ -31,16 +31,8 @@ from .graphs import Graph, WeightVector, edge_energies, group_energies, laplacia
 # Consecutive eigenvalues closer than this, relative to the largest, form one group.
 GROUP_TOL = 1e-6
 
-
-def check_tol(tol: float) -> float:
-    """tol if it is finite and > 0, else ValueError.
-
-    A negative tolerance fails every check, an infinite one passes every
-    check and NaN fails every comparison, so none of them gives a verdict.
-    """
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-    return tol
+# Float tolerance of the edge-isometry check and of eigensum's certificate residuals.
+FLOAT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -102,7 +94,6 @@ class IsometryCheck:
     gammas: tuple[float, ...]
     constant: tuple[bool, ...]
     spreads: tuple[float, ...]
-    tol: float
 
     @property
     def all_constant(self) -> bool:
@@ -118,18 +109,18 @@ class IsometryCheck:
         return tuple(i + 2 for i, g in enumerate(self.gammas) if g <= 1e-12)
 
 
-def edge_isometry_check(g: Graph, s: Spectrum, tol: float = 1e-8) -> IsometryCheck:
+def edge_isometry_check(g: Graph, s: Spectrum) -> IsometryCheck:
     """Check the edge energies adjoint(E_i) of every nontrivial eigenspace for constancy.
 
     An eigenspace passes when max - min of its edge energies is at most
-    tol * max(1, mean); gamma_i is the mean. The overall verdict (every
+    FLOAT_TOL * max(1, mean); gamma_i is the mean. The overall verdict (every
     eigenspace constant) is the floating-point edge-rigidity test.
     """
     E = group_energies(g, s.evecs, s.bounds[1:])
     gammas = tuple(E.mean(axis=1).tolist())
     spreads = tuple((E.max(axis=1) - E.min(axis=1)).tolist())
-    constant = tuple(spread <= tol * max(1.0, mean) for mean, spread in zip(gammas, spreads))
-    return IsometryCheck(gammas, constant, spreads, tol)
+    constant = tuple(spread <= FLOAT_TOL * max(1.0, mean) for mean, spread in zip(gammas, spreads))
+    return IsometryCheck(gammas, constant, spreads)
 
 
 @dataclass(frozen=True)

@@ -213,6 +213,25 @@ def test_profile_p4(graph_file, capsys):
     assert payload["refuted"]
 
 
+@pytest.mark.parametrize("name,g,expected", CORPUS, ids=[c[0] for c in CORPUS])
+def test_profile_all_rigid_is_the_exact_verdict(graph_file, capsys, name, g, expected):
+    # the theorem: totally conformally rigid iff edge-rigid, at the program's fixed margins
+    path = graph_file(g)
+    code, _, _ = run(["decide", path], capsys)
+    assert code == (cli.EXIT_OK if expected else cli.EXIT_NOT_RIGID)
+    _, out, _ = run(["profile", path, "--format", "json"], capsys)
+    profile = json.loads(out)
+    assert profile["all_rigid"] is (code == cli.EXIT_OK)
+    assert {e[s]["tol"] for e in profile["entries"] for s in ("upper", "lower")} == {1e-05}
+    _, out, _ = run(["optimize", path, "--k", "1", "--format", "json"], capsys)
+    assert json.loads(out)["tol"] == 1e-05
+    _, out, _ = run(["certify", path, "--j", "1", "--format", "json"], capsys)
+    assert json.loads(out)["tol"] == 1e-08
+    _, out, _ = run(["analyze", path, "--format", "json"], capsys)
+    payload = json.loads(out)
+    assert payload["report"]["float_tol"] == payload["parameters"]["tol"] == 1e-08
+
+
 TOL_COMMANDS = {
     "analyze": [],
     "optimize": ["--k", "1"],
@@ -251,6 +270,23 @@ def test_tau_with_weights(graph_file, tmp_path, capsys):
     code, out, _ = run(["tau", path, "--weights", str(wpath), "--format", "json"], capsys)
     assert code == 0
     assert abs(json.loads(out)["tree_count"] - 4.0) < 1e-8
+
+
+@pytest.mark.parametrize("stray", [b"\xff", "\u00e9".encode()], ids=["0xff", "utf8-e-acute"])
+def test_non_ascii_weight_byte_exits_2(graph_file, tmp_path, capsys, stray):
+    # the file is read as bytes, so neither the byte nor the locale changes the error
+    path = graph_file(fam.cycle_graph(4))
+    wpath = tmp_path / "w.txt"
+    wpath.write_bytes(b"1\n" + stray + b"\n1\n1\n")
+    argv = ["tau", path, "--weights", str(wpath)]
+    expected = (2, "", "error: weights must be ASCII decimal numbers\n")
+    assert run(argv, capsys) == expected
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0")
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "edgerigid.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -323,11 +359,11 @@ def test_analyze_deterministic_bytes(graph_file, tmp_path, capsys):
 
 # The options each subcommand reads, by argparse dest (positional path included).
 SUBCOMMAND_OPTIONS = {
-    "analyze": {"path", "input_format", "format", "output", "tol"},
+    "analyze": {"path", "input_format", "format", "output"},
     "decide": {"path", "input_format", "max_power"},
-    "optimize": {"path", "input_format", "format", "output", "tol", "k", "objective", "iters"},
-    "profile": {"path", "input_format", "format", "output", "tol", "iters"},
-    "certify": {"path", "input_format", "format", "output", "tol", "j"},
+    "optimize": {"path", "input_format", "format", "output", "k", "objective", "iters"},
+    "profile": {"path", "input_format", "format", "output", "iters"},
+    "certify": {"path", "input_format", "format", "output", "j"},
     "embed": {"path", "input_format", "output", "eigenspace"},
     "tau": {"path", "input_format", "format", "output", "weights"},
     "kf": {"path", "input_format", "format", "output", "weights"},
