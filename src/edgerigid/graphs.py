@@ -71,22 +71,22 @@ class Graph:
         return tuple(len(nb) for nb in self.neighbors)
 
     @cached_property
-    def _search(self) -> tuple[tuple[int, ...], bool]:
-        """Search from vertex 0: colours 0/1, -1 if unreached; odd if an edge joins equal colours."""
+    def _search(self) -> tuple[tuple[int, ...], bool, int]:
+        """Breadth-first search from vertex 0: colours 0/1, -1 if unreached; odd if an
+        edge joins equal colours (in one layer); and the eccentricity of vertex 0."""
         adj = self.neighbors
-        color = [-1] * self.n
-        color[0] = 0
-        stack = [0]
+        depth = [-1] * self.n
+        depth[0] = 0
+        reached = [0]
         odd = False
-        while stack:
-            v = stack.pop()
+        for v in reached:
             for u in adj[v]:
-                if color[u] == -1:
-                    color[u] = 1 - color[v]
-                    stack.append(u)
-                elif color[u] == color[v]:
+                if depth[u] == -1:
+                    depth[u] = depth[v] + 1
+                    reached.append(u)
+                elif depth[u] == depth[v]:
                     odd = True
-        return tuple(color), odd
+        return tuple(d % 2 if d >= 0 else -1 for d in depth), odd, depth[reached[-1]]
 
     @cached_property
     def _edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
@@ -394,7 +394,7 @@ def signed_line_graph(g: Graph, o: Orientation | None = None) -> np.ndarray:
 
 def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """The colour classes of g's search, unique on a connected graph; None if not bipartite."""
-    color, odd = g._search
+    color, odd, _ = g._search
     if odd:
         return None
     part0 = tuple(v for v in range(g.n) if color[v] == 0)

@@ -11,25 +11,27 @@ the maximum degree, as c_l(e) = z_e^T M^l z_e; L = Delta I - M gives
 w_l = sum_{i<=l} C(l, i) Delta^(l-i) (-1)^i c_i, a unit-triangular map, so
 c_0..c_l are constant exactly when w_0..w_l are. The stream holds M^l as
 packed rows: row u is one Python int whose slot pos(v), an unsigned field of
-k bits, holds (M^l)_uv, so CPython's limb loops do the inner dimension. On a
-regular bipartite graph M = A, and every walk from u to v has the parity of
-side(u) + side(v), so (M^l)_uv = 0 unless side(v) = side(u) + l mod 2. Both
-sides hold n/2 vertices, so row u holds only the n/2 slots of the side it
-reaches at power l, pos(v) being v's place within its side; any other graph
-has one side and rows of n slots. A power is one application of M,
-R_u <- sum_{v ~ u} R_v + (Delta - deg u) R_u, all of whose rows lie on one
-side: additions, and a multiplication only where deg u < Delta (none on a
-regular graph). Twins, vertices with one neighbourhood, share one sum, so
-K_{a,b} takes a + b - 2 additions per application, not 2ab - a - b. Masks
-keep the diagonal slots and the slots (M^l)_ab, in the row of the end of
-(a, b) on side 0; rows whose kept slots are disjoint are merged into one int
-before it is turned into bytes. One gather per power takes (M^l)_ab,
-(M^l)_aa and (M^l)_bb from them, or from one zero slot where the parity
-makes them zero, and the three combine into c_l as one sum of packed ints.
-M is nonnegative with row sums at most Delta, so 0 <= (M^l)_uv <= Delta^l
-and |c_l(e)| <= 2 Delta^l: slots of k >= bitlen(2 Delta^l) + 1 bits decode
+k bits, holds (M^l)_uv, so CPython's limb loops do the inner dimension. A
+power is one application of M, R_u <- sum_{v ~ u} R_v + (Delta - deg u) R_u:
+additions, and a multiplication only where deg u < Delta (none on a regular
+graph). Twins, vertices with one neighbourhood, share one sum, so K_{a,b}
+takes a + b - 2 additions per application, not 2ab - a - b. Masks keep the
+diagonal slots and the slots (M^l)_ab, in row a; rows whose kept slots are
+disjoint are merged into one int before it is turned into bytes, and one
+gather per power takes (M^l)_ab, (M^l)_aa and (M^l)_bb, which combine into
+c_l as one sum of packed ints. On a regular bipartite graph M = A, and
+every walk from u to v has the parity of side(u) + side(v), so
+(M^l)_uv = 0 unless side(v) = side(u) + l mod 2. The rows of the vertices
+on side l mod 2 then form one chain that holds only the n/2 slots of side 0,
+pos(v) being v's place within its side; nothing else is kept. At odd l the
+chain's rows hold every (M^l)_ab, and the diagonal is zero. At even l the
+edge slots are zero, and the recursion (A^l)_vv = sum_{u ~ v} (A^(l-1))_uv
+gives the diagonal as d sums of the edge values read at l - 1. M is
+nonnegative with row sums at most Delta, so 0 <= (M^l)_uv <= Delta^l and
+|c_l(e)| <= 2 Delta^l: slots of k >= bitlen(2 Delta^l) + 1 bits decode
 uniquely; k grows with l. The stream to depth n-1 takes n-1 applications of
-M, on rows of n/2 or n slots of O(n log Delta) bits. ``decide_edge_rigid_exact``
+M, to n rows of n slots, or to n/2 rows of n/2 slots on a regular bipartite
+graph, of O(n log Delta) bits each. ``decide_edge_rigid_exact``
 often stops sooner, on a certificate read from the c_l themselves. Over the
 eigenvalues t of L with multiplicities m_t, m c_l = tr(M^l L) =
 sum_t m_t t (Delta - t)^l. A monic integer q of degree D that annihilates
@@ -173,11 +175,11 @@ def _repeat(x: int, size: int, count: int) -> int:
     return int.from_bytes(x.to_bytes(size, "little") * count, "little")
 
 
-def _slot_masks(n: int, width: int, rows, slots, size: int) -> list[int]:
-    """Per row u < n, all ones in the slots slots[i] with rows[i] == u; width slots of size bytes."""
-    M = np.zeros((n, width, size), dtype=np.uint8)
+def _slot_masks(width: int, rows, slots, size: int) -> list[int]:
+    """Per row u < width of width slots of size bytes, all ones in slots[i] where rows[i] == u."""
+    M = np.zeros((width, width, size), dtype=np.uint8)
     M[rows, slots] = 0xFF
-    return _split(M.tobytes(), n)
+    return _split(M.tobytes(), width)
 
 
 def _widen(rows: list[int], count: int, size: int, new_size: int) -> list[int]:
@@ -210,7 +212,7 @@ def _sides(g: Graph) -> tuple[list[int], list[int], int]:
     A regular bipartite graph has two, the colour classes of n/2 vertices
     each; any other graph one, of all n vertices in vertex order.
     """
-    color, odd = g._search
+    color, odd, _ = g._search
     if odd or min(g.degrees) < max(g.degrees):
         return [0] * g.n, list(range(g.n)), 1
     count, pos = [0, 0], []
@@ -223,28 +225,33 @@ def _sides(g: Graph) -> tuple[list[int], list[int], int]:
 def _packed_powers(g: Graph, lmax: int) -> Iterator[tuple[list[int], int]]:
     """Yield (rows of M^l, slot size in bytes) for l = 0..lmax, M = Delta I - L.
 
-    Row u of M^l is one int with (M^l)_uv in unsigned slot pos(v), at bit
-    8 size pos(v), starting from the identity in one-byte slots. A walk on a
-    regular bipartite graph changes side at every step, so there row u
-    holds only the n/2 slots of side side(u) + l mod 2 (_sides); elsewhere
-    it holds all n. Row u of M^(l+1) is sum_{v ~ u} R_v + (Delta - deg u) R_u
-    for the rows R of M^l, which lie on one side. Twins, vertices with one
-    neighbourhood, are grouped once per graph and share one sum: at most
-    nnz(A) - n big-int additions on ints of n/2 or n slots, a + b - 2 on
-    K_{a,b}, and a multiplication for each u with deg u < Delta. The entries
-    of M^l, and the partial sums that compute them, lie in [0, Delta^l];
-    slots of k >= bitlen(2 Delta^l) + 1 bits also hold the signed walk
-    values of _walk_stream. When the next power needs more, the slots grow
-    before the application, to twice their size or to what power lmax needs
-    if that is less. M^(l+1) is computed once power l is consumed.
+    A row is one int with (M^l)_uv in unsigned slot pos(v), at bit
+    8 size pos(v), starting from the identity in one-byte slots. On one side
+    (_sides) row u of M^l is kept for every vertex u. A walk on a regular
+    bipartite graph changes side at every step, so there one chain is kept:
+    the n/2 rows of the vertices u on side l mod 2, in pos order, each of
+    the n/2 slots of side 0. Row u of M^(l+1) is
+    sum_{v ~ u} R_v + (Delta - deg u) R_u for the rows R of M^l. Twins,
+    vertices with one neighbourhood, are grouped once per side and share one
+    sum: at most nnz(A) - n big-int additions, nnz(A)/2 - n/2 on a chain,
+    a + b - 2 on K_{a,b} and a - 1 on K_{a,a}, and a multiplication for each
+    u with deg u < Delta. The entries of M^l, and the partial sums that
+    compute them, lie in [0, Delta^l]; slots of k >= bitlen(2 Delta^l) + 1
+    bits also hold the signed walk values of _walk_stream. When the next
+    power needs more, the slots grow before the application, to twice their
+    size or to what power lmax needs if that is less. M^(l+1) is computed
+    once power l is consumed.
     """
     delta = max(g.degrees)
     lifted = [(u, delta - d) for u, d in enumerate(g.degrees) if d < delta]
-    twins: dict[tuple[int, ...], int] = {}  # neighbourhood -> twin class, in vertex order
-    classes = [twins.setdefault(nb, len(twins)) for nb in g.neighbors]
-    hoods = tuple(twins)
-    _, pos, sides = _sides(g)
-    rows = [1 << 8 * s for s in pos]
+    side, pos, sides = _sides(g)
+    steps = []  # per side: its twin classes' neighbourhoods, in rows of the other side
+    for s in range(sides):
+        twins: dict[tuple[int, ...], int] = {}
+        classes = [twins.setdefault(nb, len(twins)) for nb, t in zip(g.neighbors, side) if t == s]
+        hoods = tuple(twins) if sides == 1 else tuple(tuple(pos[v] for v in nb) for nb in twins)
+        steps.append((hoods, classes))
+    rows = [1 << 8 * p for p, s in zip(pos, side) if s == 0]
     size = 1
     for l in range(lmax + 1):
         if l:
@@ -253,8 +260,9 @@ def _packed_powers(g: Graph, lmax: int) -> Iterator[tuple[list[int], int]]:
                 new_size = min(max(need, 2 * size), _slot_bytes(delta, lmax))
                 rows = _widen(rows, g.n // sides, size, new_size)
                 size = new_size
+            hoods, classes = steps[l % sides]
             sums = _neighbor_sums(rows, hoods)
-            if len(hoods) < g.n:
+            if len(hoods) < len(classes):
                 sums = [sums[c] for c in classes]
             for u, d in lifted:
                 sums[u] += d * rows[u]
@@ -287,7 +295,7 @@ def _row_colors(n: int, rows, slots) -> list[int]:
 
 
 def _masked_slots(rows: list[int], masks: list[int], groups, size: int, width: int) -> np.ndarray:
-    """The slots the masks keep, as a uint8 array of one slot per row, then one zero slot.
+    """The slots the masks keep, as a uint8 array of one slot per row.
 
     groups[c] lists the rows of colour c. Row c width + s holds slot s of
     rows[u] for every slot s that masks[u] keeps; rows of one colour keep
@@ -300,7 +308,6 @@ def _masked_slots(rows: list[int], masks: list[int], groups, size: int, width: i
         for u in group:
             x |= rows[u] & masks[u]
         merged.append(x.to_bytes(width * size, "little"))
-    merged.append(bytes(size))
     return np.frombuffer(b"".join(merged), dtype=np.uint8).reshape(-1, size)
 
 
@@ -308,49 +315,67 @@ def _walk_stream(g: Graph, lmax: int) -> Iterator[tuple[np.ndarray, np.ndarray, 
     """Yield (diag, ab, c_l) for l = 0..lmax, M = Delta I - L (_packed_powers).
 
     diag holds the n slots diag(M^l) and ab the m slots (M^l)_ab over the
-    edges (a, b), read from the row of the end on side 0: uint8 arrays, one
-    row per unsigned slot, views of one gather that also takes (M^l)_aa and
-    (M^l)_bb. Entries that the parity of l makes zero, the diagonal at odd l
-    and (M^l)_ab at even l on a regular bipartite graph, come from one zero
-    slot, so rows, masks, colours and gather indices are kept per parity
-    (one table on one side). So c_l(e) = (M^l)_aa + (M^l)_bb - 2 (M^l)_ab
-    is one sum of three packed ints plus the offset 2^(8 size - 1) per slot,
-    built once per slot size, as m little-endian slots of equal size
-    (_signed_slots): |c_l(e)| <= 2 Delta^l fits the slot. On top of the
-    application of M, a power costs two big-int operations per row that
-    keeps a slot, n, or n/2 at odd l on a regular bipartite graph, one
-    conversion to bytes per colour and one take.
+    edges (a, b): uint8 arrays, one row per unsigned slot. c_l(e) =
+    (M^l)_aa + (M^l)_bb - 2 (M^l)_ab is one sum of packed ints plus the
+    offset 2^(8 size - 1) per slot, built once per slot size, as m
+    little-endian slots of equal size (_signed_slots): |c_l(e)| <= 2 Delta^l
+    fits the slot. On one side, diag, ab, (M^l)_aa and (M^l)_bb are views
+    of one gather from the rows, (M^l)_ab from row a: a power costs two
+    big-int operations per row, one conversion to bytes per colour and one
+    take. On a regular bipartite graph (M^l)_ab is zero at even l and the
+    diagonal at odd l. At odd l, (M^l)_ab is gathered from the chain's row of
+    the end on side 1, at the slot of the end on side 0. At even l, M = A
+    gives diag(M^l)_v = sum_{e ~ v} (M^(l-1))_e: d layer ints, layer i
+    holding every vertex's i-th edge value of power l - 1 widened to this
+    power's slots, are summed, at most Delta^l a slot so that none carries,
+    and (M^l)_aa and (M^l)_bb are gathered from the sum.
     """
     n, m = g.n, g.m
     side, pos, sides = _sides(g)
     width = n // sides
-    side, pos = np.array(side), np.array(pos)
     a, b = g._edge_ends
-    r = np.where(side[a] <= side[b], a, b)
-    ends = np.concatenate([np.arange(n), r])  # the row of each diagonal and edge slot
-    others = np.concatenate([np.arange(n), a + b - r])
-    tables = []
-    for parity in range(sides):
-        live = side[others] == side[ends] ^ parity
-        rows, slots = ends[live], pos[others[live]]
-        colors = _row_colors(n, rows.tolist(), slots.tolist())
-        groups: list[list[int]] = [[] for _ in range(max(colors) + 1)]
-        for u, c in enumerate(colors):
-            if c >= 0:
-                groups[c].append(u)
-        at = np.where(live, np.array(colors)[ends] * width + pos[others], len(groups) * width)
-        tables.append((groups, np.concatenate([at, at[a], at[b]]), rows, slots))
+    if sides == 1:
+        # row u keeps its diagonal slot u and the slot b of each edge (u, b)
+        rows, slots = np.concatenate([np.arange(n), a]), np.concatenate([np.arange(n), b])
+    else:
+        side, pos = np.array(side), np.array(pos)
+        r = np.where(side[a] == 1, a, b)
+        rows, slots = pos[r], pos[a + b - r]
+        ends = np.concatenate([a, b])
+        layers = np.argsort(ends, kind="stable").reshape(n, -1).T % m  # i: each vertex's i-th edge
+    colors = _row_colors(width, rows.tolist(), slots.tolist())
+    groups: list[list[int]] = [[] for _ in range(max(colors) + 1)]
+    for u, c in enumerate(colors):
+        groups[c].append(u)
+    at = np.array(colors)[rows] * width + slots
+    if sides == 1:
+        at = np.concatenate([at, at[a], at[b]])
     mask_size = 0
     for l, (packed, size) in enumerate(_packed_powers(g, lmax)):
+        k = m * size
         if size != mask_size:
             mask_size = size
-            masks = [_slot_masks(n, width, rows, slots, size) for _, _, rows, slots in tables]
+            masks = _slot_masks(width, rows, slots, size)
             half = _repeat(1 << 8 * size - 1, size, m)
-        groups, at, _, _ = tables[l % sides]
-        G = _masked_slots(packed, masks[l % sides], groups, size, width).take(at, axis=0)
-        raw, k = G[n:].tobytes(), m * size
-        xab, xaa, xbb = (int.from_bytes(raw[i : i + k], "little") for i in (0, k, 2 * k))
-        yield G[:n], G[n : n + m], (xaa + xbb + half - 2 * xab).to_bytes(k, "little")
+        if sides == 1:
+            G = _masked_slots(packed, masks, groups, size, width).take(at, axis=0)
+            diag, ab, raw = G[:n], G[n : n + m], G[n:].tobytes()
+            xab, xaa, xbb = (int.from_bytes(raw[i : i + k], "little") for i in (0, k, 2 * k))
+            c = xaa + xbb + half - 2 * xab
+        elif l % 2:
+            diag = np.zeros((n, size), np.uint8)
+            ab = _masked_slots(packed, masks, groups, size, width).take(at, axis=0)
+            c = half - 2 * int.from_bytes(ab.tobytes(), "little")
+        else:
+            diag = np.ones((n, 1), np.uint8)  # M^0 = I
+            if l:
+                wide = np.zeros((len(layers), n, size), np.uint8)
+                wide[..., : ab.shape[1]] = ab[layers]  # the edge values of power l - 1
+                total = sum(_split(wide.tobytes(), len(layers)))
+                diag = np.frombuffer(total.to_bytes(n * size, "little"), np.uint8).reshape(n, size)
+            ab, raw = np.zeros((m, size), np.uint8), diag.take(ends, axis=0).tobytes()
+            c = int.from_bytes(raw[:k], "little") + int.from_bytes(raw[k:], "little") + half
+        yield diag, ab, c.to_bytes(k, "little")
 
 
 def _trace(diag: np.ndarray) -> int:
@@ -441,11 +466,17 @@ def _walk_criterion(g: Graph, walks: Iterable[bytes], lmax: int) -> WalkCriterio
     stops as soon as the recurrence of D lifted Berlekamp-Massey
     coefficients exactly generates the 2D + 1 or more c_l read so far, which
     it then extends to power lmax. This is a proof (module docstring), so the
-    extended constants are those the stream would have given.
+    extended constants are those the stream would have given. A certificate
+    fires at a power p >= 2D >= 2 d' >= 2 diam(G) >= 2 ecc(0), because
+    I, L, .., L^diam are independent, and one that fires at p = lmax >= n - 1
+    returns what reading to lmax returns. Where no other p is left, as on C_n
+    and P_n, nothing is pushed into Berlekamp-Massey.
     """
     delta = max(g.degrees)
     shifted: list[int] = []
     rec = _Recurrence()
+    reach = 2 * g._search[2]  # 2 ecc(0)
+    certify = reach <= lmax and reach < max(lmax, g.n - 1)
     for power, raw in enumerate(walks):
         if not _constant(raw, g.m):
             sign = -1 if power % 2 else 1
@@ -456,6 +487,8 @@ def _walk_criterion(g: Graph, walks: Iterable[bytes], lmax: int) -> WalkCriterio
             witness = WalkWitness(power, g.edges[lo], g.edges[hi], vals[lo], vals[hi])
             return WalkCriterion(False, None, delta, witness, True)
         shifted.append(_signed_slots(raw[: len(raw) // g.m], 1)[0])
+        if not certify:
+            continue
         rec.push(shifted[-1])
         if 2 * rec.length >= len(shifted):
             continue

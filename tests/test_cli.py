@@ -243,7 +243,8 @@ TOL_COMMANDS = {
 @pytest.mark.parametrize("command", sorted(TOL_COMMANDS))
 @pytest.mark.parametrize("tol", ["-1", "0", "inf", "nan"])
 def test_bad_tol_is_a_usage_error(graph_file, capsys, command, tol):
-    # -1 would refute every k of the rigid C4, inf certify any graph, nan decide nothing
+    # --tol is an unknown option of every subcommand, whatever its value: the
+    # margins are fixed constants, so argparse rejects it before any work
     path = graph_file(fam.cycle_graph(4))
     with pytest.raises(SystemExit) as exc:
         cli.main([command, path, *TOL_COMMANDS[command], "--tol", tol])

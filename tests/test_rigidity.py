@@ -168,9 +168,9 @@ def test_masked_slots_at_the_slot_limits():
     # rows 0 and 1 share colour 0 and keep slots {0, 2} and {1}; row 2 keeps slot 2
     masks = [0xFF00FF, 0xFF00, 0xFF0000]
     E = rigidity._masked_slots(rows, masks, [[0, 1], [2]], 1, 3)
-    # three slots per colour, then the zero slot
-    assert E.shape == (7, 1)
-    assert E[:, 0].tolist() == [255, 255, 255, 0, 0, 5, 0]
+    # three slots per colour
+    assert E.shape == (6, 1)
+    assert E[:, 0].tolist() == [255, 255, 255, 0, 0, 5]
 
 
 def one_side_slots(g):
@@ -212,6 +212,41 @@ def test_proved_only_by_full_depth_or_certificate():
     assert res.rigid and res.proved and len(res.constants) == 21
     assert not decide_edge_rigid_exact(hypercube(6), max_power=11).proved
     assert decide_edge_rigid_exact(fam.path_graph(4), max_power=1).proved
+    # Q3 and K3,3 fire at twice the eccentricity of vertex 0, below n - 1
+    for g, fires in ((hypercube(3), 6), (fam.complete_bipartite_graph(3, 3), 4)):
+        assert decide_edge_rigid_exact(g, max_power=fires).proved
+        assert not decide_edge_rigid_exact(g, max_power=fires - 1).proved
+
+
+@pytest.fixture
+def pushes(monkeypatch):
+    """Count the walk constants pushed into Berlekamp-Massey."""
+    count = [0]
+    push = rigidity._Recurrence.push
+
+    def counted(self, x):
+        count[0] += 1
+        push(self, x)
+
+    monkeypatch.setattr(rigidity._Recurrence, "push", counted)
+    return count
+
+
+@pytest.mark.parametrize(
+    "g",
+    [fam.cycle_graph(n) for n in (3, 4, 5, 8, 13, 30)] + [fam.path_graph(n) for n in (2, 4, 12)],
+    ids=["C3", "C4", "C5", "C8", "C13", "C30", "P2", "P4", "P12"],
+)
+def test_no_recurrence_where_no_certificate_can_fire(pushes, g):
+    # a certificate fires at a power p >= 2 ecc(0), and at p = n - 1 it
+    # proves no more than the full depth: C_n and P_n push nothing up to it
+    full = decide_edge_rigid_exact(g)
+    for P in range(g.n):
+        res = decide_edge_rigid_exact(g, max_power=P)
+        assert res.rigid is (full.rigid or P < full.witness.power)
+        assert res.proved is (not res.rigid or P >= g.n - 1)
+    assert full_report(g).edge_rigid is full.rigid
+    assert pushes[0] == 0
 
 
 # ---------------------------------------------------------------------------

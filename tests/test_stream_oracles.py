@@ -19,14 +19,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import CORPUS, dense_powers, hypercube
+from conftest import CORPUS, adjacency, dense_powers, hypercube
 
 from edgerigid import cli
 from edgerigid import families as fam
 from edgerigid import rigidity
 from edgerigid.exactmat import adjugate_quadratic_form, char_poly, exact_matrix
 from edgerigid.errors import DisconnectedError, InternalInconsistencyError
-from edgerigid.graphs import Graph, Orientation, adjoint_apply, bipartition, laplacian
+from edgerigid.graphs import Graph, Orientation, adjoint_apply, bipartition, incidence, laplacian
 from edgerigid.rigidity import (
     WalkClassification,
     _char_coeffs,
@@ -132,14 +132,25 @@ def regular_bipartite_graphs(seed: int = 20261027) -> list[tuple[str, Graph]]:
     return graphs
 
 
-# The stream packs each row of a regular bipartite graph over the n/2 slots
-# of the side it reaches: seeded random ones, two bipartite circulants (even
-# n, odd jumps) and K2; C4, C6 and K3_3 are in the corpus.
+def small_regular_bipartite_graphs(seed: int = 20261030) -> list[tuple[str, Graph]]:
+    """24 connected d-regular bipartite graphs, d = 2..5 and n/2 = 4..12, relabelled."""
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for i in range(24):
+        d = 2 + i % 4
+        h = int(rng.integers(max(4, d + 1), 13))
+        graphs.append((f"chain{d}_{2 * h}_{i}", random_biregular(rng, h, h, d)))
+    return graphs
+
+
+# The stream keeps one chain of n/2 rows on a regular bipartite graph:
+# seeded random ones, two bipartite circulants (even n, odd jumps), K2 and
+# small seeded random ones; C4, C6 and K3_3 are in the corpus.
 REGULAR_BIPARTITE = regular_bipartite_graphs() + [
     ("C24_1_5", fam.circulant_graph(24, (1, 5))),
     ("C18_1_3_7", fam.circulant_graph(18, (1, 3, 7))),
     ("K2", fam.path_graph(2)),
-]
+] + small_regular_bipartite_graphs()
 
 
 # Rigid graphs with few distinct Laplacian eigenvalues, where
@@ -308,11 +319,12 @@ def test_decide_never_forms_the_walk_constants(monkeypatch, tmp_path, capsys, g,
 @pytest.mark.parametrize(
     "g, hoods, additions",
     [(fam.complete_bipartite_graph(a, b), 2, a + b - 2) for a, b in ((1, 9), (3, 5), (20, 30))]
-    + [(fam.cycle_graph(n), n, n) for n in (5, 12)],
+    + [(fam.cycle_graph(5), 5, 5), (fam.cycle_graph(12), 6, 6)],
     ids=["K1_9", "K3_5", "K20_30", "C5", "C12"],
 )
 def test_twins_share_one_neighbour_sum(monkeypatch, g, hoods, additions):
-    # K_{a,b} has one neighbourhood per side; C_n with n > 4 has no twins
+    # K_{a,b} has one neighbourhood per side; C_n with n > 4 has no twins,
+    # and the even C12 keeps one chain of 6 rows
     seen = []
     sums = rigidity._neighbor_sums
 
@@ -328,10 +340,33 @@ def test_twins_share_one_neighbour_sum(monkeypatch, g, hoods, additions):
 
 def test_regular_bipartite_graphs_are_relabelled():
     # the two sides interleave in vertex order, so no side is a range of labels
-    for _, g in regular_bipartite_graphs():
+    for _, g in regular_bipartite_graphs() + small_regular_bipartite_graphs():
         parts = bipartition(g)
         assert parts is not None and len(set(g.degrees)) == 1
         assert all(p != tuple(range(p[0], p[0] + len(p))) for p in parts)
+
+
+def test_small_regular_bipartite_graphs_vary_their_diagonals():
+    # some even power's diagonal differs between vertices, so the chain's
+    # diagonal, summed from the odd power before, is not one repeated value
+    classes = [walk_class(g) for _, g in small_regular_bipartite_graphs()]
+    assert any(c.label == "1-walk-regular" for c in classes)
+    assert any(not c.walk_regular for c in classes)
+
+
+@pytest.mark.parametrize("g", [g for _, g in REGULAR_BIPARTITE], ids=[n for n, _ in REGULAR_BIPARTITE])
+def test_even_diagonal_sums_the_odd_edge_values_before(g):
+    # M = A: diag(M^(2j)) = |B| ab_(2j-1), |B| the unsigned n x m incidence
+    # matrix, in the stream and in dense powers alike
+    B = np.abs(incidence(g)).astype(object)
+    a, b = np.transpose(g.edges)
+    powers = dense_powers(adjacency(g), g.n - 1)
+    stream = list(_walk_stream(g, g.n - 1))
+    for l in range(2, g.n, 2):
+        edges = _split(stream[l - 1][1].tobytes(), g.m)
+        assert _split(stream[l][0].tobytes(), g.n) == list(B @ np.array(edges, dtype=object))
+        assert list(powers[l].diagonal()) == list(B @ powers[l - 1][a, b])
+        assert edges == list(powers[l - 1][a, b])
 
 
 def non_bipartite_cubic(seed: int = 20261029) -> Graph:
@@ -349,12 +384,13 @@ def non_bipartite_cubic(seed: int = 20261029) -> Graph:
     ids=["C12", "Q4", "K5_5", REGULAR_BIPARTITE[3][0], "P12", "K3_5", "petersen", "cubic14"],
 )
 def test_regular_bipartite_rows_hold_half_the_slots(g, half):
-    # on a regular bipartite graph a row of M^l holds only the n/2 slots of
-    # the side it reaches at power l; on any other graph some row has a
+    # on a regular bipartite graph the stream keeps one chain of n/2 rows, each
+    # of the n/2 slots of side 0; on any other graph some row of n has a
     # nonzero slot past n/2 at every power
     for rows, size in rigidity._packed_powers(g, g.n - 1):
         top = max(r.bit_length() for r in rows)
         assert (top <= 8 * size * g.n // 2) is half
+        assert (len(rows) == g.n // 2) is half
 
 
 def odd_witness_graphs(seed: int = 20261018) -> list[Graph]:
