@@ -9,8 +9,10 @@ package (weights, adjoint values, resistances, incidence columns).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -37,17 +39,20 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 2 or len(self.edges) < 1:
             raise TooSmallError(f"need n >= 2 and m >= 1, got n={self.n}, m={len(self.edges)}")
-        canon = []
-        for a, b in self.edges:
-            if a == b:
-                raise NotSimpleError(f"self-loop at vertex {a}")
-            if not (0 <= a < self.n and 0 <= b < self.n):
-                raise ParseError(f"vertex id out of range in edge ({a}, {b})")
-            canon.append((min(a, b), max(a, b)))
-        canon.sort()
-        for e, f in zip(canon, canon[1:]):
-            if e == f:
-                raise NotSimpleError(f"duplicate edge {e}")
+        canon = sorted([(a, b) if a < b else (b, a) for a, b in self.edges])
+        lo, hi = zip(*canon)
+        # ids in range, a < b (no self-loop), and no two equal edges side by side
+        simple = min(lo) >= 0 and max(hi) < self.n and all(map(operator.lt, lo, hi))
+        if not simple or any(map(operator.eq, canon, canon[1:])):
+            # name the first self-loop or out-of-range id in input order, else the first duplicate
+            for a, b in self.edges:
+                if a == b:
+                    raise NotSimpleError(f"self-loop at vertex {a}")
+                if not (0 <= a < self.n and 0 <= b < self.n):
+                    raise ParseError(f"vertex id out of range in edge ({a}, {b})")
+            for e, f in zip(canon, canon[1:]):
+                if e == f:
+                    raise NotSimpleError(f"duplicate edge {e}")
         object.__setattr__(self, "edges", tuple(canon))
         # a connected graph has m >= n - 1; failing fast keeps a huge n from
         # allocating n neighbour lists
@@ -64,7 +69,7 @@ class Graph:
         for a, b in self.edges:
             adj[a].append(b)
             adj[b].append(a)
-        return tuple(tuple(sorted(x)) for x in adj)
+        return tuple(map(tuple, adj))  # ascending, as the edges are sorted
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
@@ -90,7 +95,7 @@ class Graph:
 
     @cached_property
     def _edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
-        arr = np.asarray(self.edges, dtype=np.intp)
+        arr = np.fromiter(chain.from_iterable(self.edges), np.intp, 2 * self.m).reshape(-1, 2)
         return arr[:, 0], arr[:, 1]
 
     def to_edge_list(self) -> str:
@@ -196,17 +201,21 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError(f"bad header {lines[0]!r}") from exc
     if len(lines) - 1 != m:
         raise ParseError(f"header promises {m} edges, found {len(lines) - 1}")
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ParseError(f"bad edge line {ln!r}")
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ParseError(f"bad edge line {ln!r}") from exc
-        edges.append((a, b))
-    return Graph(n, tuple(edges))
+    rows = [ln.split() for ln in lines[1:]]
+    try:
+        ids = list(map(int, chain.from_iterable(rows)))
+    except ValueError:
+        ids = None
+    if ids is None or any(len(r) != 2 for r in rows):
+        for ln in lines[1:]:  # some line is bad: name the first
+            parts = ln.split()
+            if len(parts) != 2:
+                raise ParseError(f"bad edge line {ln!r}")
+            try:
+                int(parts[0]), int(parts[1])
+            except ValueError as exc:
+                raise ParseError(f"bad edge line {ln!r}") from exc
+    return Graph(n, tuple(zip(ids[::2], ids[1::2])))
 
 
 def parse_graph6(data: bytes | str) -> Graph:

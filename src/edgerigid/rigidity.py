@@ -26,7 +26,9 @@ on side l mod 2 then form one chain that holds only the n/2 slots of side 0,
 pos(v) being v's place within its side; nothing else is kept. At odd l the
 chain's rows hold every (M^l)_ab, and the diagonal is zero. At even l the
 edge slots are zero, and the recursion (A^l)_vv = sum_{u ~ v} (A^(l-1))_uv
-gives the diagonal as d sums of the edge values read at l - 1. M is
+gives the diagonal from the edge values read at l - 1: d x in every slot
+when they are all x, as on an edge-rigid graph, and their d sums
+otherwise. M is
 nonnegative with row sums at most Delta, so 0 <= (M^l)_uv <= Delta^l and
 |c_l(e)| <= 2 Delta^l: slots of k >= bitlen(2 Delta^l) + 1 bits decode
 uniquely; k grows with l. The stream to depth n-1 takes n-1 applications of
@@ -222,15 +224,15 @@ def _sides(g: Graph) -> tuple[list[int], list[int], int]:
     return list(color), pos, 2
 
 
-def _packed_powers(g: Graph, lmax: int) -> Iterator[tuple[list[int], int]]:
+def _packed_powers(g: Graph, lmax: int, layout) -> Iterator[tuple[list[int], int]]:
     """Yield (rows of M^l, slot size in bytes) for l = 0..lmax, M = Delta I - L.
 
     A row is one int with (M^l)_uv in unsigned slot pos(v), at bit
-    8 size pos(v), starting from the identity in one-byte slots. On one side
-    (_sides) row u of M^l is kept for every vertex u. A walk on a regular
-    bipartite graph changes side at every step, so there one chain is kept:
-    the n/2 rows of the vertices u on side l mod 2, in pos order, each of
-    the n/2 slots of side 0. Row u of M^(l+1) is
+    8 size pos(v), starting from the identity in one-byte slots; layout is
+    _sides(g). On one side, row u of M^l is kept for every vertex u. A walk
+    on a regular bipartite graph changes side at every step, so there one
+    chain is kept: the n/2 rows of the vertices u on side l mod 2, in pos
+    order, each of the n/2 slots of side 0. Row u of M^(l+1) is
     sum_{v ~ u} R_v + (Delta - deg u) R_u for the rows R of M^l. Twins,
     vertices with one neighbourhood, are grouped once per side and share one
     sum: at most nnz(A) - n big-int additions, nnz(A)/2 - n/2 on a chain,
@@ -244,7 +246,7 @@ def _packed_powers(g: Graph, lmax: int) -> Iterator[tuple[list[int], int]]:
     """
     delta = max(g.degrees)
     lifted = [(u, delta - d) for u, d in enumerate(g.degrees) if d < delta]
-    side, pos, sides = _sides(g)
+    side, pos, sides = layout
     steps = []  # per side: its twin classes' neighbourhoods, in rows of the other side
     for s in range(sides):
         twins: dict[tuple[int, ...], int] = {}
@@ -273,7 +275,7 @@ def _packed_powers(g: Graph, lmax: int) -> Iterator[tuple[list[int], int]]:
 def _row_colors(n: int, rows, slots) -> list[int]:
     """Colours of the rows u < n that keep the slots slots[i] with rows[i] == u.
 
-    Rows of one colour keep distinct slots; a row that keeps none gets -1.
+    Rows of one colour keep distinct slots, and every row keeps one or more.
     Rows are coloured greedily in order, with the colours taken at each slot
     kept as a bit set. On one side, where row u keeps slot u and the slots
     b > u of its edges (u, b), a cycle takes 3 colours and K_n takes n.
@@ -287,7 +289,7 @@ def _row_colors(n: int, rows, slots) -> list[int]:
         busy = 0
         for s in need:
             busy |= taken[s]
-        c = (~busy & (busy + 1)).bit_length() - 1 if need else -1  # lowest colour not in busy
+        c = (~busy & (busy + 1)).bit_length() - 1  # lowest colour not in busy
         for s in need:
             taken[s] |= 1 << c
         colors.append(c)
@@ -325,13 +327,17 @@ def _walk_stream(g: Graph, lmax: int) -> Iterator[tuple[np.ndarray, np.ndarray, 
     take. On a regular bipartite graph (M^l)_ab is zero at even l and the
     diagonal at odd l. At odd l, (M^l)_ab is gathered from the chain's row of
     the end on side 1, at the slot of the end on side 0. At even l, M = A
-    gives diag(M^l)_v = sum_{e ~ v} (M^(l-1))_e: d layer ints, layer i
-    holding every vertex's i-th edge value of power l - 1 widened to this
+    gives diag(M^l)_v = sum_{e ~ v} (M^(l-1))_e. When one _constant compare
+    finds every edge value of power l - 1 equal to x, every diagonal slot is
+    d x and c_l = 2 d x: no sum and no gather. Otherwise d layer ints, layer
+    i holding every vertex's i-th edge value of power l - 1 widened to this
     power's slots, are summed, at most Delta^l a slot so that none carries,
-    and (M^l)_aa and (M^l)_bb are gathered from the sum.
+    and (M^l)_aa and (M^l)_bb are gathered from the sum. Only a graph that
+    is not edge-rigid gets there, after decide has stopped with a witness.
     """
     n, m = g.n, g.m
-    side, pos, sides = _sides(g)
+    layout = _sides(g)
+    side, pos, sides = layout
     width = n // sides
     a, b = g._edge_ends
     if sides == 1:
@@ -351,7 +357,7 @@ def _walk_stream(g: Graph, lmax: int) -> Iterator[tuple[np.ndarray, np.ndarray, 
     if sides == 1:
         at = np.concatenate([at, at[a], at[b]])
     mask_size = 0
-    for l, (packed, size) in enumerate(_packed_powers(g, lmax)):
+    for l, (packed, size) in enumerate(_packed_powers(g, lmax, layout)):
         k = m * size
         if size != mask_size:
             mask_size = size
@@ -366,6 +372,12 @@ def _walk_stream(g: Graph, lmax: int) -> Iterator[tuple[np.ndarray, np.ndarray, 
             diag = np.zeros((n, size), np.uint8)
             ab = _masked_slots(packed, masks, groups, size, width).take(at, axis=0)
             c = half - 2 * int.from_bytes(ab.tobytes(), "little")
+        elif l and _constant(ab.tobytes(), m):
+            # every edge value of power l - 1 is x: diag(M^l) = d x and c_l = 2 d x
+            dx = g.degrees[0] * int.from_bytes(ab[0].tobytes(), "little")
+            diag = np.frombuffer(dx.to_bytes(size, "little") * n, np.uint8).reshape(n, size)
+            ab = np.zeros((m, size), np.uint8)
+            c = _repeat(2 * dx + (1 << 8 * size - 1), size, m)
         else:
             diag = np.ones((n, 1), np.uint8)  # M^0 = I
             if l:
@@ -469,8 +481,9 @@ def _walk_criterion(g: Graph, walks: Iterable[bytes], lmax: int) -> WalkCriterio
     extended constants are those the stream would have given. A certificate
     fires at a power p >= 2D >= 2 d' >= 2 diam(G) >= 2 ecc(0), because
     I, L, .., L^diam are independent, and one that fires at p = lmax >= n - 1
-    returns what reading to lmax returns. Where no other p is left, as on C_n
-    and P_n, nothing is pushed into Berlekamp-Massey.
+    returns what reading to lmax returns. So nothing is pushed into
+    Berlekamp-Massey before power 2 ecc(0), and nothing at all where no
+    other p is left, as on C_n and P_n.
     """
     delta = max(g.degrees)
     shifted: list[int] = []
@@ -486,10 +499,12 @@ def _walk_criterion(g: Graph, walks: Iterable[bytes], lmax: int) -> WalkCriterio
             lo, hi = vals.index(min(vals)), vals.index(max(vals))
             witness = WalkWitness(power, g.edges[lo], g.edges[hi], vals[lo], vals[hi])
             return WalkCriterion(False, None, delta, witness, True)
-        shifted.append(_signed_slots(raw[: len(raw) // g.m], 1)[0])
-        if not certify:
+        size = len(raw) // g.m
+        shifted.append(int.from_bytes(raw[:size], "little") - (1 << 8 * size - 1))
+        if not certify or power < reach:
             continue
-        rec.push(shifted[-1])
+        for c in shifted[len(rec.residues) :]:
+            rec.push(c)
         if 2 * rec.length >= len(shifted):
             continue
         lam = rec.coeffs()

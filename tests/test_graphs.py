@@ -173,6 +173,45 @@ def test_malformed_input():
         parse_edge_list("2 1\n0 5")  # vertex out of range
 
 
+# A bad edge line of a 4-vertex edge list, with the error it raises first or
+# after the valid lines of VALID_EDGES: the first bad edge in input order is
+# named, and a duplicate after every edge has been read.
+VALID_EDGES = ["0 1", "1 2", "2 3"]
+BAD_EDGE_LINES = {
+    "self-loop": ("3 3", NotSimpleError, "self-loop at vertex 3"),
+    "out-of-range": ("1 4", ParseError, "vertex id out of range in edge (1, 4)"),
+    "negative": ("-1 2", ParseError, "vertex id out of range in edge (-1, 2)"),
+    "reversed-duplicate": ("1 0", NotSimpleError, "duplicate edge (0, 1)"),
+    "three-tokens": ("1 2 3", ParseError, "bad edge line '1 2 3'"),
+    "one-token": ("3", ParseError, "bad edge line '3'"),
+    "not-a-number": ("1 x", ParseError, "bad edge line '1 x'"),
+}
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["first", "after-valid"])
+@pytest.mark.parametrize("name", sorted(BAD_EDGE_LINES))
+def test_bad_edge_line_error_names_it(name, first):
+    line, error, message = BAD_EDGE_LINES[name]
+    lines = [line] + VALID_EDGES if first else VALID_EDGES + [line]
+    with pytest.raises(error) as exc:
+        parse_edge_list("\n".join([f"4 {len(lines)}"] + lines))
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [("4 5\n0 1\n1 2\n2 3\n", ParseError, "header promises 5 edges, found 3"),
+     ("4 4\n0 1\n0 9\n2 2\n1 0\n", ParseError, "vertex id out of range in edge (0, 9)"),
+     ("4 4\n1 0\n0 1\n2 2\n2 3\n", NotSimpleError, "self-loop at vertex 2"),
+     ("4 4\n0 1\n1 2\n2 3\n2 3 0\n", ParseError, "bad edge line '2 3 0'")],
+    ids=["wrong-count", "range-before-loop", "loop-before-duplicate", "tokens-after-valid"],
+)
+def test_edge_list_error_order(text, error, message):
+    with pytest.raises(error) as exc:
+        parse_edge_list(text)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 # One input per rejecting branch of the parsers: (graph bytes, weights or
 # None, --input-format or None, error). Only the weights case gets past the graph.
 MALFORMED = {

@@ -198,8 +198,6 @@ def test_row_colors_keep_the_slots_of_one_colour_apart(g):
 def test_row_colors_count():
     assert max(rigidity._row_colors(100, *one_side_slots(fam.cycle_graph(100)))) == 2
     assert max(rigidity._row_colors(9, *one_side_slots(fam.complete_graph(9)))) == 8
-    # a row that keeps no slot has no colour
-    assert rigidity._row_colors(3, [0, 2], [1, 1]) == [0, -1, 1]
 
 
 def test_proved_only_by_full_depth_or_certificate():
@@ -246,6 +244,17 @@ def test_no_recurrence_where_no_certificate_can_fire(pushes, g):
         assert res.rigid is (full.rigid or P < full.witness.power)
         assert res.proved is (not res.rigid or P >= g.n - 1)
     assert full_report(g).edge_rigid is full.rigid
+    assert pushes[0] == 0
+
+
+@pytest.mark.parametrize(
+    "g, witness", [(fam.circulant_graph(96, (1, 23)), 23), (fam.circulant_graph(40, (1, 7)), 7)],
+    ids=["C96_1_23", "C40_1_7"],
+)
+def test_no_push_before_twice_the_eccentricity(pushes, g, witness):
+    # no certificate fires before power 2 ecc(0), 24 and 10 here, so nothing is
+    # pushed before it, and a witness that comes sooner leaves none pushed
+    assert decide_edge_rigid_exact(g).witness.power == witness < 2 * g._search[2]
     assert pushes[0] == 0
 
 

@@ -333,7 +333,7 @@ def test_twins_share_one_neighbour_sum(monkeypatch, g, hoods, additions):
         return sums(rows, hoods)
 
     monkeypatch.setattr(rigidity, "_neighbor_sums", recorded)
-    for _ in rigidity._packed_powers(g, g.n - 1):
+    for _ in rigidity._packed_powers(g, g.n - 1, rigidity._sides(g)):
         pass
     assert seen == [(hoods, additions)] * (g.n - 1)
 
@@ -369,6 +369,61 @@ def test_even_diagonal_sums_the_odd_edge_values_before(g):
         assert edges == list(powers[l - 1][a, b])
 
 
+@pytest.mark.parametrize(
+    "g", [fam.cycle_graph(12), hypercube(4), fam.complete_bipartite_graph(5, 5)],
+    ids=["C12", "Q4", "K5_5"],
+)
+def test_edge_rigid_chain_gathers_at_odd_powers_only(monkeypatch, g):
+    # every odd power's edge values are one constant x, so each even power is
+    # read off it (d x on the diagonal) without a gather from the rows
+    gathered, seen = [], []
+    masked = rigidity._masked_slots
+
+    def spy(*args):
+        gathered.append(len(seen))
+        return masked(*args)
+
+    monkeypatch.setattr(rigidity, "_masked_slots", spy)
+    for power in _walk_stream(g, g.n - 1):
+        seen.append(power)
+    assert gathered == list(range(1, g.n, 2))
+
+
+def test_walk_regular_graph_reads_even_powers_both_ways(monkeypatch):
+    # C40(1,7) is walk-regular but not edge-rigid: its edge values agree through
+    # power 5 and split at 7, so powers 2..6 are read off the constant and
+    # powers 8..38 summed from the edge values before, one layer per incident
+    # edge; full_report reads the stream to full depth either way
+    g = fam.circulant_graph(40, (1, 7))
+    summed, seen = [], []
+    split, stream = rigidity._split, rigidity._walk_stream
+
+    def spy_split(raw, count):
+        if count == 4:  # the layer sum of a 4-regular graph
+            summed.append(len(seen))
+        return split(raw, count)
+
+    def spy_stream(g, lmax):
+        for power in stream(g, lmax):
+            seen.append(power)
+            yield power
+
+    monkeypatch.setattr(rigidity, "_split", spy_split)
+    monkeypatch.setattr(rigidity, "_walk_stream", spy_stream)
+    report = full_report(g)
+    assert not report.edge_rigid and report.witness.power == 7
+    assert report.walk_class.label == "walk-regular-only"
+    assert summed == list(range(8, g.n, 2))
+    # M = A on a regular graph
+    a, b = np.transpose(g.edges)
+    powers = dense_powers(adjacency(g), g.n - 1)
+    assert len(seen) == len(powers)
+    for (diag, ab, raw), P in zip(seen, powers):
+        assert _split(diag.tobytes(), g.n) == [int(x) for x in P.diagonal()]
+        assert _split(ab.tobytes(), g.m) == [int(x) for x in P[a, b]]
+        assert _signed_slots(raw, g.m) == [int(x) for x in adjoint_apply(g, P)]
+
+
 def non_bipartite_cubic(seed: int = 20261029) -> Graph:
     g = random_regular(np.random.default_rng(seed), 14, 3)
     assert bipartition(g) is None
@@ -387,7 +442,7 @@ def test_regular_bipartite_rows_hold_half_the_slots(g, half):
     # on a regular bipartite graph the stream keeps one chain of n/2 rows, each
     # of the n/2 slots of side 0; on any other graph some row of n has a
     # nonzero slot past n/2 at every power
-    for rows, size in rigidity._packed_powers(g, g.n - 1):
+    for rows, size in rigidity._packed_powers(g, g.n - 1, rigidity._sides(g)):
         top = max(r.bit_length() for r in rows)
         assert (top <= 8 * size * g.n // 2) is half
         assert (len(rows) == g.n // 2) is half
