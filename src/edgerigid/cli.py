@@ -19,7 +19,9 @@ CSV to stdout or --output; decide answers with one line of text on stdout
 and its exit code. Diagnostics go to stderr. With the same input and
 flags, JSON output is byte-identical across runs: it is exactly
 json.dumps(payload, indent=2, sort_keys=True) plus a newline. _dumps writes
-those bytes with the C encoder, which the stdlib uses only without indent.
+those bytes itself: each dict through one cached template per key set and
+depth, each distinct nonzero float formatted once per call, and lists of
+numbers with the C encoder, which the stdlib uses only without indent.
 
 No option sets a numeric margin, so no option can make a numeric verdict
 contradict decide's exact one: optimize and profile use eigensum.TOL,
@@ -171,24 +173,28 @@ _SCALARS = {
 def _dumps(obj) -> str:
     """json.dumps(obj, indent=2, sort_keys=True), byte for byte; keys must be str.
 
-    A tuple held more than once at one depth, such as a weight vector shared
-    by several results, is encoded once: each call keeps its own memo of
-    tuple texts, keyed on (id, pad), and the payload keeps those ids valid.
+    Each call keeps its own memo. A tuple held more than once at one depth,
+    such as a weight vector shared by several results, is encoded once, keyed
+    on (id, pad); the payload keeps those ids valid. A nonzero float is
+    formatted once, keyed on its value, which never equals a tuple key.
     """
     return _encode(obj, "\n", {})
 
 
 @functools.cache
-def _heads(keys: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
-    """Each key of a dict and its '"key": ' text, in sorted order: once per key tuple."""
-    return tuple((k, json.encoder.encode_basestring_ascii(k) + ": ") for k in sorted(keys))
+def _template(keys: tuple[str, ...], pad: str) -> tuple[str, tuple[str, ...]]:
+    """A dict's text at pad with %s for each value, and its keys in that order."""
+    order = tuple(sorted(keys))
+    heads = (json.encoder.encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in order)
+    return "{" + pad + "  " + ("," + pad + "  ").join(heads) + pad + "}", order
 
 
-def _encode(obj, pad: str, memo: dict[tuple[int, str], str]) -> str:
+def _encode(obj, pad: str, memo: dict) -> str:
     """_dumps for obj nested at pad, the newline and indentation before its closing bracket.
 
-    A list of plain floats and ints, or of non-empty such lists, is one compact
-    C-encoder call, re-indented: no number's text holds a comma or a bracket.
+    A dict's scalar values are formatted in place. A list of plain floats and
+    ints, or of non-empty such lists, is one compact C-encoder call,
+    re-indented: no number's text holds a comma or a bracket.
     """
     scalar = _SCALARS.get(type(obj))
     if scalar is not None:
@@ -197,8 +203,18 @@ def _encode(obj, pad: str, memo: dict[tuple[int, str], str]) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        body = ("," + inner).join(h + _encode(obj[k], inner, memo) for k, h in _heads(tuple(obj)))
-        return "{" + inner + body + pad + "}"
+        template, order = _template(tuple(obj), pad)
+        texts = []
+        for k in order:
+            v = obj[k]
+            if type(v) is float and v:  # 0.0 == -0.0: zeros skip the memo
+                text = memo.get(v) or memo.setdefault(v, _float_text(v))
+            elif (scalar := _SCALARS.get(type(v))) is not None:
+                text = scalar(v)
+            else:
+                text = _encode(v, inner, memo)
+            texts.append(text)
+        return template % tuple(texts)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"

@@ -37,6 +37,10 @@ the group split at slot k that lies in the top k. On an edge-rigid graph
 every run stops at its first iterate: the profile costs one eigh of
 L(1), one gather of edge differences and O(n |E|) array work, and its
 upper runs share one unit-weight best_w tuple.
+
+A refuted run's best_w witnesses every level, as the eigenvalues of L(w)
+give each S_j(w): a later open level that a kept best_w lowers by more than
+the margin is refuted by it, with no face solve or descent (_upper_runs).
 """
 
 from __future__ import annotations
@@ -184,8 +188,11 @@ class OptimizeResult:
     so its best_primal and best_dual are certified bounds, not the
     optimum. iterations counts the evaluated weight vectors, one
     eigendecomposition each (k_rigidity_profile makes the unit-weight one
-    once for all its runs). Runs that stop at unit weights may share one
-    best_w tuple, and to_dict returns it as is.
+    once for all its runs). iterations 0 in a profile means a shared
+    witness: the best_w of a refuted run at a lower level, whose S_k is
+    best_primal, with the unit-weight best_dual. Runs that stop at unit
+    weights share one best_w tuple, as do the levels one witness refutes,
+    and to_dict returns it as is.
     """
 
     k: int
@@ -259,32 +266,42 @@ def _upper_runs(g: Graph, ks, iters: int) -> list[OptimizeResult]:
 
     B is the float incidence matrix of g. The runs whose gap closes at unit
     weights, where the dual comes from the _slot_energies row, share one
-    best_w tuple of ones.
+    best_w tuple of ones. The best_w of each refuted run, with the eigenvalues
+    of L(best_w), is kept and tried, in the order kept, on every later open
+    level before its descent.
     """
     B = incidence(g).astype(float)
     evals, evecs = np.linalg.eigh(B @ B.T)
     unit_w = (1.0,) * g.m
     G = _slot_energies(g, evals, evecs, ks)
     groups = group_eigenvalues(evals)
-    out = []
+    out, kept = [], []  # kept: (best_w, eigenvalues of L(best_w)) of each refuted run
     for k, row, dual in zip(ks, G, (g.m * G.min(axis=1)).tolist()):
         baseline = float(evals[g.n - k:].sum())
         scale = _scale(g, k, baseline)
         margin = TOL * scale
         best_primal, best_dual, best_w, iterations = baseline, dual, unit_w, 1
-        if baseline - dual > GAP_TOL * scale:
+        # the first kept witness below the margin refutes k with no face solve or descent;
+        # a k whose unit-weight dual is within the margin is rigid and tries none
+        shared = baseline - dual > margin and next(
+            ((w, s) for w, ev in kept if (s := float(ev[g.n - k:].sum())) < baseline - margin), None)
+        if shared:
+            (best_w, best_primal), iterations = shared, 0
+        elif baseline - dual > GAP_TOL * scale:
             j = next(j for j, sl in enumerate(groups) if sl.stop > g.n - k)  # slot k's group J
             g1 = row if groups[j].start == g.n - k else _face(g, evals, evecs, k, np.ones(g.m))
             here = float(evals[groups[j]].mean())  # gap: to J's nearest nonzero neighbour
             gap = min((abs(float(evals[groups[i]].mean()) - here)
                        for i in (j - 1, j + 1) if 0 < i < len(groups)), default=math.inf)
-            best_primal, best_dual, best_w, iterations = _optimize_upper(
+            best_primal, best_dual, best_w, iterations, best_evals = _optimize_upper(
                 g, B, k, iters, margin, GAP_TOL * scale, g1, baseline, dual, gap,
             )
         if baseline - best_dual <= margin:
             verdict = VERDICT_RIGID
         elif best_primal < baseline - margin:
             verdict = VERDICT_REFUTED
+            if iterations:
+                kept.append((best_w, best_evals))
         else:
             verdict = VERDICT_INCONCLUSIVE
         out.append(OptimizeResult(
@@ -302,8 +319,8 @@ def _optimize_upper(
 
     dual is |E| min of the unit-weight _slot_energies row, gap the distance from
     slot k's group mean of L(1) to the nearest nonzero one (math.inf if none).
-    Returns best_primal, best_dual, best_w and the iteration count (the first
-    included).
+    Returns best_primal, best_dual, best_w, the iteration count (the first
+    included) and the eigenvalues of L(best_w), None while best_w is unit.
     """
     n, m = g.n, g.m
     x, fx, t = np.ones(m), baseline, 1  # the last accepted point, S_k there, eigh count
@@ -312,7 +329,7 @@ def _optimize_upper(
     # first trial moves no eigenvalue of L(1) by more than about gap / 2
     step = min(m / max(float(np.abs(g1).max()), 1e-12),
                gap / (4 * max(g.degrees) * max(float(np.abs(d).max()), 1e-12)))
-    best_primal, best_dual, best_w = baseline, max(dual, m * float(g1.min())), x
+    best_primal, best_dual, best_w, best_evals = baseline, max(dual, m * float(g1.min())), x, None
     while t < iters and best_primal - best_dual > gap_tol and best_primal >= baseline - margin:
         decrease = step * slope / 2  # Armijo's: while >= margin, an accepted point refutes
         if decrease < gap_tol:
@@ -324,7 +341,7 @@ def _optimize_upper(
         t += 1
         primal = float(evals[n - k:].sum())
         if primal < best_primal:
-            best_primal, best_w = primal, w
+            best_primal, best_w, best_evals = primal, w, evals
         if baseline - margin <= primal <= fx - decrease:
             gvec = _face(g, evals, evecs, k, w)
             x, fx, step = w, primal, 2 * step
@@ -333,7 +350,7 @@ def _optimize_upper(
             (gvec,) = _slot_energies(g, evals, evecs, [k])
             step /= 2
         best_dual = max(best_dual, m * float(gvec.min()))
-    return best_primal, best_dual, tuple(best_w.tolist()), t
+    return best_primal, best_dual, tuple(best_w.tolist()), t, best_evals
 
 
 def _zero_upper(g: Graph) -> OptimizeResult:
@@ -523,9 +540,12 @@ def k_rigidity_profile(g: Graph, iters: int = 5000) -> RigidityProfile:
     the upper run at n-1-k through the trace identity s_k + S_{n-1-k} = 2|E|,
     exactly as optimize(g, k, "lower") would compute it, verdict included.
     One eigh of L(1) and one _slot_energies call (one gather) give every
-    k's g_1 from the additions a standalone run makes, so each run is
-    bit-identical to a standalone one. The per-k work of a rigid profile
-    is then one O(|E|) row, one eigenvalue sum and two results.
+    k's g_1 from the additions a standalone run makes. An entry that made
+    its own iterations, or is not refuted, is bit-identical to its
+    standalone run. A refuted entry with iterations 0 carries instead the
+    witness of a refuted run at a lower upper level (_upper_runs); its
+    standalone run is refuted or inconclusive. The per-k work of a rigid profile is one O(|E|)
+    row, one eigenvalue sum and two results.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")

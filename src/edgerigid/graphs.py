@@ -189,7 +189,7 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: first line "n m", then m lines "a b", ASCII decimals."""
     if not text.isascii() or "_" in text:  # int() reads 1_0 and non-ASCII digits
         raise ParseError("edge list entries must be ASCII decimal numbers")
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines:
         raise ParseError("empty input")
     head = lines[0].split()

@@ -440,7 +440,7 @@ class _Recurrence:
     def __init__(self) -> None:
         self.residues: list[int] = []
         self.conn, self.prev = [1], [1]  # connection polynomials 1 + lambda_1 z + ..
-        self.length, self.shift, self.last = 0, 1, 1
+        self.length, self.shift, self.inverse = 0, 1, 1  # inverse: of prev's discrepancy
 
     def push(self, x: int) -> None:
         p = _PRIME
@@ -449,12 +449,12 @@ class _Recurrence:
         if d == 0:
             self.shift += 1
             return
-        f = d * pow(self.last, -1, p) % p
+        f = d * self.inverse % p
         conn = self.conn + [0] * (len(self.prev) + self.shift - len(self.conn))
         for i, b in enumerate(self.prev, self.shift):
             conn[i] = (conn[i] - f * b) % p
         if 2 * self.length < len(self.residues):
-            self.prev, self.last = self.conn, d
+            self.prev, self.inverse = self.conn, pow(d, -1, p)
             self.length, self.shift = len(self.residues) - self.length, 1
         else:
             self.shift += 1

@@ -459,6 +459,22 @@ WRITER_CASES = {
     "table with a tuple row": [[1, 2], (3, 4)],
     "table with IntEnum": [[Level.LOW, 1], [2, 3]],
     "tables in a list": [{"e": [[0, 1]]}, [[2, 3], [4, 5]], [[6, 7], [8, [9]]]],
+    # dict values are formatted in place and nonzero floats through the call's
+    # memo, keyed on their value: 0.0 == -0.0, NaN != NaN, True == 1 == 1.0
+    "zero then negative zero": {"a": 0.0, "b": -0.0, "c": {"d": 0.0, "e": [-0.0, 0.0]}},
+    "negative zero then zero": {"a": -0.0, "b": 0.0, "c": {"d": -0.0, "e": [0.0, -0.0]}},
+    "non-finite values": {"a": math.nan, "b": math.inf, "c": -math.inf, "d": float("nan"),
+                          "e": {"f": math.inf, "g": math.nan, "h": -math.inf}},
+    "one float at several depths": {"a": 0.1, "b": {"c": 0.1, "d": {"e": 0.1, "f": [0.1]}},
+                                    "g": [0.1, {"h": 0.1}], "i": 1 / 3, "j": {"k": 1 / 3}},
+    "np.float64 next to float": {"a": 0.1, "b": np.float64(0.1), "c": {"d": np.float64(0.1)},
+                                 "e": 0.1, "f": [np.float64(0.1), 0.1]},
+    "float next to np.float64": {"a": np.float64(0.1), "b": 0.1, "c": np.float64(2.5), "d": 2.5},
+    "True 1 1.0 in one dict": {"a": True, "b": 1, "c": 1.0, "d": {"x": 1.0, "y": True, "z": 1}},
+    "1.0 1 True in one dict": {"a": 1.0, "b": 1, "c": True, "d": False, "e": 0, "f": 0.0},
+    "percent keys": {"%": 1.5, "%s": "%s", "50%": {"%d": 2, "%%": [0.5]}, "a%sb": None},
+    "non-ASCII keys": {"\u00e9": 0.25, "\u043a\u043b\u044e\u0447": {"\u2603": 0.25}, "a": "\u00e9"},
+    "empty containers as values": {"a": {}, "b": [], "c": (), "d": {"e": {}, "f": []}, "g": 0.5},
 }
 
 

@@ -215,7 +215,7 @@ def test_upper_run_stops_once_the_predicted_decrease_is_negligible():
     (row,) = eigensum._slot_energies(g, evals, evecs, [k])
     baseline = float(evals[g.n - k:].sum())
     scale = eigensum._scale(g, k, baseline)
-    best_primal, _, _, t = eigensum._optimize_upper(
+    best_primal, _, _, t, _ = eigensum._optimize_upper(
         g, B, k, iters, eigensum.TOL * scale, eigensum.GAP_TOL * scale, 2 * row.mean() - row,
         baseline, g.m * float(row.min()), math.inf,
     )
@@ -347,14 +347,39 @@ STANDALONE_CASES |= {f"seeded-{n}": g for n, g in SEEDED.items() if n not in STA
     ids=[*STANDALONE_CASES, "C12-1-2-tol1e-12", "C60-tol1e-14"],
 )
 def test_profile_equals_standalone_runs(monkeypatch, g, tol):
+    # every entry has its standalone run's verdict, and one that made its own
+    # iterations, or is not refuted, is that run; a refuted entry with no
+    # iteration carries the best_w object of a refuted upper run at a lower
+    # level, which an eigvalsh of L(best_w) built from the edges confirms
     monkeypatch.setattr(eigensum, "TOL", tol)
     prof = k_rigidity_profile(g, iters=1500)
     assert [e.k for e in prof.entries] == list(range(1, g.n))
+    witnesses = [  # (level, best_w) of the upper runs that refuted with their own iterations
+        (e.k, e.upper.best_w) for e in prof.entries
+        if e.upper.verdict == VERDICT_REFUTED and e.upper.iterations > 0
+    ]
     for e in prof.entries:
         for objective, res in (("upper", e.upper), ("lower", e.lower)):
             alone = optimize(g, e.k, objective, iters=1500)
-            assert res.to_dict() == alone.to_dict(), (e.k, objective)
-            assert res.verdict == verdict_of_bounds(g, res), (e.k, objective)
+            assert res.verdict == alone.verdict == verdict_of_bounds(g, res), (e.k, objective)
+            if res.iterations > 0 or res.verdict != VERDICT_REFUTED:
+                assert res.to_dict() == alone.to_dict(), (e.k, objective)
+                continue
+            level = e.k if objective == "upper" else g.n - 1 - e.k
+            assert any(res.best_w is w for j, w in witnesses if j < level), (e.k, objective)
+            assert res.baseline == alone.baseline, (e.k, objective)
+            assert_witness(g, res)
+
+
+def laplacian_from_edges(g, w):
+    """L(w) summed edge by edge from g.edges, independent of the graphs module."""
+    L = np.zeros((g.n, g.n))
+    for (a, b), x in zip(g.edges, w):
+        L[a, a] += x
+        L[b, b] += x
+        L[a, b] -= x
+        L[b, a] -= x
+    return L
 
 
 def run_margin(g, res):
@@ -391,21 +416,24 @@ def count_calls(monkeypatch, owner, name):
 
 
 @pytest.mark.parametrize(
-    "g, open_runs",
-    [(fam.path_graph(n), n - 2) for n in (2, 4, 7, 12)]
-    + [(fam.cycle_graph(60), 0), (hypercube(4), 0), (fam.petersen_graph(), 0)],
+    "g, open_runs, descents",
+    [(fam.path_graph(n), n - 2, d) for n, d in ((2, 0), (4, 2), (7, 2), (12, 3))]
+    + [(fam.cycle_graph(60), 0, 0), (hypercube(4), 0, 0), (fam.petersen_graph(), 0, 0)],
     ids=["2", "4", "7", "12", "C60", "Q4", "petersen"],
 )
-def test_profile_runs_each_upper_once(monkeypatch, g, open_runs):
-    # one upper result per k = 0..n-1 and one lower per k = 1..n-1; only the k
-    # left open at unit weights (on P_n all but k = n - 1, where S_k = 2|E|)
-    # go on to _optimize_upper
+def test_profile_runs_each_upper_once(monkeypatch, g, open_runs, descents):
+    # one upper result per k = 0..n-1 and one lower per k = 1..n-1; of the k
+    # left open at unit weights (on P_n all but k = n - 1, where S_k = 2|E|),
+    # those that no earlier refuted run's best_w refutes go on to _optimize_upper
     results = count_calls(monkeypatch, eigensum, "OptimizeResult")
     upper_runs = count_calls(monkeypatch, eigensum, "_optimize_upper")
     prof = k_rigidity_profile(g, iters=20)
     assert [(e.k, e.upper.k, e.lower.k) for e in prof.entries] == [(k, k, k) for k in range(1, g.n)]
     assert results[0] == g.n + g.n - 1
-    assert upper_runs[0] == open_runs
+    assert upper_runs[0] == descents
+    shared = [e.k for e in prof.entries if e.upper.iterations == 0]
+    assert descents + len(shared) == open_runs
+    assert all(prof.entries[k - 1].upper.verdict == VERDICT_REFUTED for k in shared)
 
 
 @pytest.fixture
@@ -448,9 +476,11 @@ def test_lower_at_trivial_k_makes_no_iteration():
 # ---------------------------------------------------------------------------
 
 def assert_witness(g, res):
-    """A refuted result's best_w beats unit weights by more than its margin, recomputed."""
-    w = WeightVector(res.best_w)
-    S_k, s_k = eigensums(g, w, res.k)
+    """A refuted result's best_w is a weight vector that beats unit weights by more
+    than its margin under numpy's eigvalsh of L(best_w) summed from g.edges."""
+    WeightVector(res.best_w)
+    evals = np.linalg.eigvalsh(laplacian_from_edges(g, res.best_w))
+    S_k, s_k = evals[g.n - res.k:].sum(), evals[1:res.k + 1].sum()
     margin = run_margin(g, res)
     if res.objective == "upper":
         assert S_k < res.baseline - margin, (res.k, S_k, res.baseline)

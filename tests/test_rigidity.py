@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,68 @@ def test_no_push_before_twice_the_eccentricity(pushes, g, witness):
     # pushed before it, and a witness that comes sooner leaves none pushed
     assert decide_edge_rigid_exact(g).witness.power == witness < 2 * g._search[2]
     assert pushes[0] == 0
+
+
+def textbook_berlekamp_massey(seq, p):
+    """Massey (1969) over GF(p): (C, L) after each term, C without trailing zeros."""
+    C, B, L, m, b, states = [1], [1], 0, 1, 1, []
+    for n, s in enumerate(seq):
+        d = (s + sum(c * seq[n - i] for i, c in enumerate(C[1 : L + 1], 1))) % p
+        if d == 0:
+            m += 1
+        else:
+            T, f = C, d * pow(b, p - 2, p) % p
+            C = C + [0] * max(0, len(B) + m - len(C))
+            for i, x in enumerate(B):
+                C[i + m] = (C[i + m] - f * x) % p
+            if 2 * L <= n:
+                L, B, b, m = n + 1 - L, T, d, 1
+            else:
+                m += 1
+        while len(C) > 1 and C[-1] == 0:
+            C = C[:-1]
+        states.append((C, L))
+    return states
+
+
+def seeded_sequences(seed=7):
+    rng = random.Random(seed)
+    seqs = [[rng.randint(-10**6, 10**6) for _ in range(30)] for _ in range(5)]
+    seqs += [[rng.choice((0, 1, -1, 2**600, -(2**600))) for _ in range(25)] for _ in range(5)]
+    seqs += [[0, 0, 0, 5, 0, 0, 7], [1] * 12, [0] * 6]
+    for order in range(1, 7):  # integer recurrences: a run of zero discrepancies
+        lam = [rng.randint(-9, 9) for _ in range(order)]
+        seq = [rng.randint(-99, 99) for _ in range(order)]
+        while len(seq) < 3 * order + 8:
+            seq.append(-sum(c * seq[-1 - k] for k, c in enumerate(lam)))
+        seqs.append(seq)
+    return seqs
+
+
+DECIDE_CONSTANTS = {
+    "Q6": decide_edge_rigid_exact(hypercube(6)).constants,
+    # not edge-rigid at power 23, so the constants agree through 22
+    "C96_1_23": decide_edge_rigid_exact(fam.circulant_graph(96, (1, 23)), max_power=22).constants,
+    "K20_20": decide_edge_rigid_exact(fam.complete_bipartite_graph(20, 20)).constants,
+}
+
+
+@pytest.mark.parametrize(
+    "seq",
+    seeded_sequences() + list(DECIDE_CONSTANTS.values()),
+    ids=[f"seeded{i}" for i in range(len(seeded_sequences()))] + list(DECIDE_CONSTANTS),
+)
+def test_recurrence_matches_textbook_berlekamp_massey(seq):
+    # push keeps the inverse of the last discrepancy that grew the recurrence,
+    # not the discrepancy itself; every state after every push is Massey's
+    p, rec = rigidity._PRIME, rigidity._Recurrence()
+    for x, (C, L) in zip(seq, textbook_berlekamp_massey(seq, p)):
+        rec.push(x)
+        conn = list(rec.conn)
+        while len(conn) > 1 and conn[-1] == 0:
+            conn.pop()
+        assert (conn, rec.length) == (C, L)
+        assert rec.coeffs() == [c - p if c > p // 2 else c for c in (C + [0] * L)[1 : L + 1]]
 
 
 # ---------------------------------------------------------------------------
