@@ -21,7 +21,6 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    Orientation,
     WeightVector,
     bipartition,
     degree_classification,
@@ -75,7 +74,6 @@ __all__ = [
     "LevelOutOfRangeError",
     "NotSimpleError",
     "OptimizeResult",
-    "Orientation",
     "ParseError",
     "RigidityReport",
     "Spectrum",

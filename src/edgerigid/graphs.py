@@ -109,25 +109,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class Orientation:
-    """Edge signs: +1 directs the edge (a, b), a < b, from b to a."""
-
-    signs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(s not in (-1, 1) for s in self.signs):
-            raise ValueError("orientation signs must be +1 or -1")
-
-    @classmethod
-    def canonical(cls, m: int) -> "Orientation":
-        return cls((1,) * m)
-
-    @classmethod
-    def random(cls, m: int, rng: np.random.Generator) -> "Orientation":
-        return cls(tuple(int(s) for s in rng.choice((-1, 1), size=m)))
-
-
-@dataclass(frozen=True)
 class WeightVector:
     """Finite nonnegative edge weights; from_values rescales them to sum to the edge count."""
 
@@ -176,9 +157,6 @@ class WeightVector:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -245,22 +223,19 @@ def parse_graph6(data: bytes | str) -> Graph:
         raise ParseError("graph6 data truncated")
     if len(body) > need:
         raise ParseError(f"{len(body) - need} unexpected bytes after the graph6 graph")
-    bits = []
-    for ch in body[:need]:
-        v = ch - 63
-        if not 0 <= v < 64:
-            raise ParseError(f"invalid graph6 byte {ch}")
-        bits.extend((v >> k) & 1 for k in range(5, -1, -1))
-    if any(bits[nbits:]):
+    v = np.frombuffer(body, np.uint8) - np.uint8(63)  # a byte below 63 wraps above 63
+    bad = np.flatnonzero(v > 63)
+    if bad.size:
+        raise ParseError(f"invalid graph6 byte {body[bad[0]]}")
+    bits = np.unpackbits(v[:, None], axis=1)[:, 2:].ravel()
+    if bits[nbits:].any():
         raise ParseError("graph6 padding bits are not zero")
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return Graph(n, tuple(edges))
+    # bit j(j-1)/2 + i is the pair (i, j), i < j: column j starts at j(j-1)/2
+    idx = np.flatnonzero(bits)
+    cols = np.arange(n)
+    j = np.searchsorted(cols * (cols - 1) // 2, idx, side="right") - 1
+    i = idx - j * (j - 1) // 2
+    return Graph(n, tuple(zip(i.tolist(), j.tolist())))
 
 
 def _graph6_order(data: bytes) -> tuple[int, bytes]:
@@ -290,17 +265,11 @@ def graph6_bytes(g: Graph) -> bytes:
         head = bytes([126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
     else:
         raise ValueError("graph too large for graph6 encoding")
-    edges = set(g.edges)
-    bits = [int((i, j) in edges) for j in range(1, n) for i in range(j)]
-    while len(bits) % 6:
-        bits.append(0)
-    body = bytearray()
-    for k in range(0, len(bits), 6):
-        v = 0
-        for bit in bits[k:k + 6]:
-            v = (v << 1) | bit
-        body.append(v + 63)
-    return head + bytes(body)
+    nbits = n * (n - 1) // 2
+    bits = np.zeros(nbits + -nbits % 6, np.uint8)
+    a, b = g._edge_ends
+    bits[b * (b - 1) // 2 + a] = 1
+    return head + (63 + (np.packbits(bits.reshape(-1, 6), axis=1) >> 2)).tobytes()
 
 
 def parse_graph(data: bytes | str, format: str | None = None) -> Graph:
@@ -378,22 +347,18 @@ def group_energies(g: Graph, V: np.ndarray, bounds) -> np.ndarray:
     return np.array([np.einsum("ij,ij->i", C, C) for C in cols])
 
 
-def incidence(g: Graph, o: Orientation | None = None) -> np.ndarray:
-    """Oriented incidence matrix B with column o_e (e_a - e_b) per edge."""
-    if o is None:
-        o = Orientation.canonical(g.m)
-    if len(o.signs) != g.m:
-        raise DimensionMismatchError(f"orientation has {len(o.signs)} signs for {g.m} edges")
+def incidence(g: Graph) -> np.ndarray:
+    """Incidence matrix B with column e_a - e_b per edge (a, b), a < b."""
     B = np.zeros((g.n, g.m), dtype=np.int64)
-    for e, ((a, b), s) in enumerate(zip(g.edges, o.signs)):
-        B[a, e] = s
-        B[b, e] = -s
+    a, b = g._edge_ends
+    B[a, np.arange(g.m)] = 1
+    B[b, np.arange(g.m)] = -1
     return B
 
 
-def signed_line_graph(g: Graph, o: Orientation | None = None) -> np.ndarray:
+def signed_line_graph(g: Graph) -> np.ndarray:
     """Signed line-graph adjacency A_sigma = B^T B - 2I (entries in {-1,0,1})."""
-    B = incidence(g, o)
+    B = incidence(g)
     return B.T @ B - 2 * np.eye(g.m, dtype=np.int64)
 
 

@@ -79,8 +79,10 @@ through l = n - 1 is the same on M and A. Any other graph fails both
 diagonal flags at l <= 2 on either stream, and then the edge flag
 reaches no field of WalkClassification. The independent references,
 ``exactmat.adjugate_quadratic_form`` and the m x m power loop of
-``signed_line_graph_walk_regular``, are checked against the stream in
-tests/test_stream_oracles.py on the corpus and on seeded random graphs.
+``signed_line_graph_walk_regular`` (canonical orientation; the tests run
+the same loop on random switchings D A_sigma D), are checked against the
+stream in tests/test_stream_oracles.py on the corpus and on seeded random
+graphs. The brute-force oracles live in tests/oracles.py, outside the package.
 """
 
 from __future__ import annotations
@@ -98,7 +100,6 @@ from .graphs import (
     DegreeClassification,
     Edge,
     Graph,
-    Orientation,
     bipartition,
     degree_classification,
     laplacian,
@@ -622,13 +623,15 @@ def walk_class(g: Graph) -> WalkClassification:
     return _classify(parts, *flags)
 
 
-def signed_line_graph_walk_regular(g: Graph, o: Orientation | None = None) -> bool:
+def signed_line_graph_walk_regular(g: Graph) -> bool:
     """True iff diag((2I + A_sigma)^p) is constant for p = 1..m.
 
-    The edge count m bounds the degree of the minimal polynomial of B^T B,
-    and the verdict is orientation-independent (switching invariance).
+    The edge count m bounds the degree of the minimal polynomial of B^T B.
+    A_sigma is taken in the canonical orientation, each edge (a, b), a < b,
+    directed from b to a. That suffices: reversing edges is a switching,
+    A_sigma -> D A_sigma D with D = diag(+-1), and diag(D M^p D) = diag(M^p).
     """
-    M = signed_line_graph(g, o) + 2 * np.eye(g.m, dtype=np.int64)
+    M = signed_line_graph(g) + 2 * np.eye(g.m, dtype=np.int64)
     return all(len(set(P.diagonal())) == 1 for P in mat_pow_stream(M, g.m))
 
 

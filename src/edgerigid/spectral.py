@@ -1,10 +1,10 @@
 """Floating-point eigenstructure of weighted Laplacians.
 
 Grouped eigendecompositions, spectral embeddings and the edge-isometry
-check, effective resistances, Kirchhoff index, spanning-tree counts and
-majorization. Each eigenspace is a column block U of one eigh output,
-every edge quantity is an edge energy |U_a - U_b|^2, and one gather of
-edge differences serves every block (graphs.group_energies), so no n x n
+check, effective resistances, Kirchhoff index and spanning-tree counts.
+Each eigenspace is a column block U of one eigh output, every edge
+quantity is an edge energy |U_a - U_b|^2, and one gather of edge
+differences serves every block (graphs.group_energies), so no n x n
 projector or pseudoinverse is formed. Everything here is numeric; the
 exact deciders in ``rigidity`` are the ground truth whenever both apply.
 """
@@ -21,7 +21,6 @@ from .errors import (
     ConvergenceFailureError,
     DisconnectedError,
     DisconnectingWeightsError,
-    LengthMismatchError,
     LevelOutOfRangeError,
     TooSmallError,
 )
@@ -235,19 +234,3 @@ def tree_count_exact(g: Graph) -> int:
     L = laplacian(g)
     return det_exact(L[1:, 1:])
 
-
-def majorization_check(x, y, tol: float = 1e-9) -> bool:
-    """Is x majorized by y? Descending convention.
-
-    True when every top-k partial sum of x is at most the matching partial
-    sum of y (within tol) and the totals agree (within tol).
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise LengthMismatchError(f"got shapes {x.shape} and {y.shape}")
-    xs = np.sort(x)[::-1].cumsum()
-    ys = np.sort(y)[::-1].cumsum()
-    if abs(xs[-1] - ys[-1]) > tol:
-        return False
-    return bool(np.all(xs <= ys + tol))

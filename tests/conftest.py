@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from edgerigid import families as fam
-from edgerigid.exactmat import exact_matrix, identity_exact
-from edgerigid.graphs import Graph
+from edgerigid.exactmat import exact_matrix, identity_exact, mat_pow_stream
+from edgerigid.graphs import Graph, signed_line_graph
 
 # Corpus: (name, graph, expected edge-rigidity). Rigid graphs here are
 # edge-transitive or 1-walk-regular; the non-rigid ones fail the constant
@@ -70,3 +70,14 @@ def dense_powers(M, l_max: int) -> list[np.ndarray]:
         P = P @ A
         powers.append(P)
     return powers
+
+
+def switched_signed_line_graph_walk_regular(g: Graph, rng: np.random.Generator) -> bool:
+    """signed_line_graph_walk_regular's diagonal test on D (A_sigma + 2I) D.
+
+    D = diag(d) for signs d drawn from rng: the signed line graph of g in
+    the orientation that reverses the edges with d_e = -1.
+    """
+    d = rng.choice((-1, 1), size=g.m)
+    M = (signed_line_graph(g) + 2 * np.eye(g.m, dtype=np.int64)) * np.outer(d, d)
+    return all(len(set(P.diagonal())) == 1 for P in mat_pow_stream(M, g.m))

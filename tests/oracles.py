@@ -1,8 +1,9 @@
-"""Brute-force ground truth for small instances.
+"""Brute-force ground truth for small instances, used only by the tests.
 
 These are deliberately naive: spanning trees by enumerating edge subsets,
-walk counts by dynamic programming over adjacency lists. They exist to
-check the fast paths, so they must not share code with them.
+walk counts by dynamic programming over adjacency lists, majorization by
+sorted partial sums. They exist to check the fast paths, so they must not
+share code with them, and the package never imports them.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import BudgetExceededError
-from .graphs import Graph, WeightVector
+from edgerigid.errors import BudgetExceededError, LengthMismatchError
+from edgerigid.graphs import Graph, WeightVector
 
 MAX_TREE_EDGES = 20
 MAX_WALK_LENGTH = 10
@@ -92,3 +93,20 @@ def random_simplex(m: int, seed: int = 0, count: int = 1) -> list[WeightVector]:
         draws = rng.exponential(1.0, size=m)
         out.append(WeightVector.from_values(draws))
     return out
+
+
+def majorization_check(x, y, tol: float = 1e-9) -> bool:
+    """Is x majorized by y? Descending convention.
+
+    True when every top-k partial sum of x is at most the matching partial
+    sum of y (within tol) and the totals agree (within tol).
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim != 1:
+        raise LengthMismatchError(f"got shapes {x.shape} and {y.shape}")
+    xs = np.sort(x)[::-1].cumsum()
+    ys = np.sort(y)[::-1].cumsum()
+    if abs(xs[-1] - ys[-1]) > tol:
+        return False
+    return bool(np.all(xs <= ys + tol))

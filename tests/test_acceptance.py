@@ -10,7 +10,8 @@ import time
 
 import numpy as np
 
-from conftest import CORPUS, NONRIGID, RIGID
+from conftest import CORPUS, NONRIGID, RIGID, switched_signed_line_graph_walk_regular
+from oracles import enumerate_spanning_trees, majorization_check, random_simplex
 
 from edgerigid import cli
 from edgerigid import families as fam
@@ -23,8 +24,7 @@ from edgerigid.eigensum import (
     optimize,
 )
 from edgerigid.exactmat import char_poly
-from edgerigid.graphs import Graph, Orientation, WeightVector, laplacian
-from edgerigid.oracles import enumerate_spanning_trees, random_simplex
+from edgerigid.graphs import Graph, WeightVector, laplacian
 from edgerigid.rigidity import (
     cospectrality_classes,
     decide_edge_rigid_exact,
@@ -35,7 +35,6 @@ from edgerigid.spectral import (
     edge_isometry_check,
     effective_resistances,
     kirchhoff_index,
-    majorization_check,
     spectrum,
     tree_count_exact,
     weighted_tree_count,
@@ -60,9 +59,8 @@ def test_criterion_1_equivalence_suite():
                 g, spectrum(laplacian(g).astype(float))
             ).all_constant,
         }
-        slg = {
-            signed_line_graph_walk_regular(g, Orientation.random(g.m, rng))
-            for _ in range(20)
+        slg = {signed_line_graph_walk_regular(g)} | {
+            switched_signed_line_graph_walk_regular(g, rng) for _ in range(20)
         }
         assert len(slg) == 1, f"{name}: orientation-dependent signed verdict"
         verdicts["signed_line_graph"] = slg.pop()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import hypercube
+from oracles import random_simplex
 
 from edgerigid import eigensum
 from edgerigid import families as fam
@@ -18,7 +19,6 @@ from edgerigid.eigensum import (
     optimize,
 )
 from edgerigid.graphs import WeightVector, adjoint_apply, edge_energies, incidence, laplacian
-from edgerigid.oracles import random_simplex
 from edgerigid.rigidity import decide_edge_rigid_exact
 
 

@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from conftest import CORPUS, hypercube
+from oracles import random_simplex
 
 from edgerigid import eigensum
 from edgerigid import families as fam
 from edgerigid.eigensum import certificate
 from edgerigid.graphs import Graph, WeightVector, edge_energies, group_energies, laplacian
-from edgerigid.oracles import random_simplex
 from edgerigid.spectral import edge_isometry_check, group_eigenvalues, spectrum
 
 

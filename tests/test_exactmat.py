@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import adjacency, dense_powers
+from oracles import count_walks, enumerate_spanning_trees
 
 from edgerigid import families as fam
-from edgerigid.errors import DimensionMismatchError
 from edgerigid.exactmat import (
     IntPolynomial,
     adjugate_quadratic_form,
@@ -17,8 +17,7 @@ from edgerigid.exactmat import (
     identity_exact,
     mat_pow_stream,
 )
-from edgerigid.graphs import Graph, Orientation, WeightVector, incidence, laplacian
-from edgerigid.oracles import count_walks, enumerate_spanning_trees
+from edgerigid.graphs import Graph, WeightVector, laplacian
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +290,7 @@ K4_MINUS_TWO = Graph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
 
 # each case: a call, and the exception it raises or the value it returns
 CHECKS = {
-    "orientation-sign-zero": (lambda: Orientation((1, 0)), ValueError),
     "weights-not-flat": (lambda: WeightVector.from_values([[1.0, 2.0]]), ValueError),
-    "incidence-sign-count": (
-        lambda: incidence(fam.path_graph(3), Orientation.canonical(3)), DimensionMismatchError
-    ),
     "deleted-by-index": (
         lambda: edge_deleted_laplacian(K4_MINUS_EDGE, 3).tolist(), laplacian(K4_MINUS_TWO).tolist()
     ),

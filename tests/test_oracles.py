@@ -1,5 +1,9 @@
 import ast
 import importlib
+import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,15 +11,10 @@ import pytest
 
 import edgerigid
 from edgerigid import families as fam
+from edgerigid import graphs
 from edgerigid.errors import BudgetExceededError
 from conftest import adjacency
-
-from edgerigid.oracles import (
-    count_walks,
-    enumerate_spanning_trees,
-    random_simplex,
-    weighted_enum,
-)
+from oracles import count_walks, enumerate_spanning_trees, random_simplex, weighted_enum
 
 
 def test_spanning_trees_k4_cayley():
@@ -99,9 +98,7 @@ def imported_modules(tree: ast.Module) -> set[str]:
     return names
 
 
-PRODUCTION = sorted(
-    p for p in Path(edgerigid.__file__).parent.glob("*.py") if p.name != "oracles.py"
-)
+PRODUCTION = sorted(Path(edgerigid.__file__).parent.glob("*.py"))
 
 
 # the independent references that the tests check the production paths against
@@ -109,7 +106,6 @@ REFERENCES = {
     "exactmat": ("IntPolynomial", "adjugate_quadratic_form", "char_poly", "mat_pow_stream"),
     "graphs": ("adjoint_apply", "signed_line_graph"),
     "rigidity": ("signed_line_graph_walk_regular",),
-    "spectral": ("majorization_check",),
 }
 
 
@@ -127,3 +123,18 @@ def test_production_code_never_imports_oracles(path):
     # the oracles check the fast paths, so the fast paths must not use them
     names = imported_modules(ast.parse(path.read_text()))
     assert not [name for name in names if "oracles" in name.split(".")], path.name
+
+
+def test_package_holds_only_what_runs():
+    # the CLI loads every module but the graph families of the README's example;
+    # the oracles and the orientation option live in the tests, not the package
+    src = str(Path(edgerigid.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, edgerigid.cli; print(*sorted(m for m in sys.modules if m.startswith('edgerigid.')))"
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    ).stdout.split()
+    assert loaded == [f"edgerigid.{p.stem}" for p in PRODUCTION if p.stem not in ("__init__", "families")]
+    assert importlib.util.find_spec("edgerigid.oracles") is None
+    assert not hasattr(graphs, "Orientation")

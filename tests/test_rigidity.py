@@ -3,12 +3,12 @@ import random
 import numpy as np
 import pytest
 
-from conftest import hypercube
+from conftest import hypercube, switched_signed_line_graph_walk_regular
 
 from edgerigid import families as fam
 from edgerigid import rigidity
 from edgerigid.errors import InternalInconsistencyError
-from edgerigid.graphs import Graph, Orientation, degree_classification
+from edgerigid.graphs import Graph, degree_classification
 from edgerigid.rigidity import (
     cospectrality_classes,
     decide_edge_rigid_exact,
@@ -393,9 +393,9 @@ def test_signed_line_graph_walk_regular_k4_p4():
 def test_signed_line_graph_orientation_invariance(corpus_case):
     _, g, expected = corpus_case
     rng = np.random.default_rng(123)
+    assert signed_line_graph_walk_regular(g) is expected
     for _ in range(20):
-        o = Orientation.random(g.m, rng)
-        assert signed_line_graph_walk_regular(g, o) is expected
+        assert switched_signed_line_graph_walk_regular(g, rng) is expected
 
 
 # ---------------------------------------------------------------------------

@@ -5,17 +5,17 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import enumerate_spanning_trees, majorization_check, random_simplex, weighted_enum
+
 from edgerigid import families as fam
 from edgerigid.errors import DisconnectingWeightsError, LengthMismatchError
 from edgerigid.graphs import WeightVector, adjoint_apply, laplacian
-from edgerigid.oracles import enumerate_spanning_trees, random_simplex, weighted_enum
 from edgerigid.rigidity import decide_edge_rigid_exact
 from edgerigid.spectral import (
     edge_isometry_check,
     effective_resistances,
     embedding,
     kirchhoff_index,
-    majorization_check,
     spectrum,
     tree_count_exact,
     tree_count_from_eigenvalues,

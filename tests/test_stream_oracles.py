@@ -19,14 +19,20 @@ import math
 import numpy as np
 import pytest
 
-from conftest import CORPUS, adjacency, dense_powers, hypercube
+from conftest import (
+    CORPUS,
+    adjacency,
+    dense_powers,
+    hypercube,
+    switched_signed_line_graph_walk_regular,
+)
 
 from edgerigid import cli
 from edgerigid import families as fam
 from edgerigid import rigidity
 from edgerigid.exactmat import adjugate_quadratic_form, char_poly, exact_matrix
 from edgerigid.errors import DisconnectedError, InternalInconsistencyError
-from edgerigid.graphs import Graph, Orientation, adjoint_apply, bipartition, incidence, laplacian
+from edgerigid.graphs import Graph, adjoint_apply, bipartition, incidence, laplacian
 from edgerigid.rigidity import (
     WalkClassification,
     _char_coeffs,
@@ -219,9 +225,8 @@ def test_full_report_matches_references(case):
     g = case
     rep = full_report(g)
     rng = np.random.default_rng(g.m)
-    assert rep.verdicts["signed_line_graph"] is signed_line_graph_walk_regular(
-        g, Orientation.random(g.m, rng)
-    )
+    assert rep.verdicts["signed_line_graph"] is signed_line_graph_walk_regular(g)
+    assert rep.verdicts["signed_line_graph"] is switched_signed_line_graph_walk_regular(g, rng)
     assert rep.cospectrality_classes == char_poly_classes(g)
     wc = decide_edge_rigid_exact(g)
     assert rep.walk_constants == wc.constants
@@ -689,8 +694,8 @@ def test_regular_bipartite_report_matches_dense_references(g):
     walks, _ = dense_walks(g)
     rep = full_report(g)
     assert rep.cospectrality_classes == dense_profile_classes(g, walks[: g.n])
-    assert rep.verdicts["signed_line_graph"] is signed_line_graph_walk_regular(
-        g, Orientation.random(g.m, np.random.default_rng(g.m))
+    assert rep.verdicts["signed_line_graph"] is switched_signed_line_graph_walk_regular(
+        g, np.random.default_rng(g.m)
     )
     rigid, constants, witness = reference_criterion(g, walks[: g.n])
     assert rep.edge_rigid is rigid and rep.walk_constants == constants
