@@ -9,18 +9,22 @@ incidence vector of edge e = (a, b),
 It is computed from powers of M = Delta I - L = A + diag(Delta - deg), Delta
 the maximum degree, as c_l(e) = z_e^T M^l z_e; L = Delta I - M gives
 w_l = sum_{i<=l} C(l, i) Delta^(l-i) (-1)^i c_i, a unit-triangular map, so
-c_0..c_l are constant exactly when w_0..w_l are. The stream holds M^l as
-packed rows: row u is one Python int whose slot pos(v), an unsigned field of
-k bits, holds (M^l)_uv, so CPython's limb loops do the inner dimension. A
-power is one application of M, R_u <- sum_{v ~ u} R_v + (Delta - deg u) R_u:
-additions, and a multiplication only where deg u < Delta (none on a regular
-graph). Twins, vertices with one neighbourhood, share one sum, so K_{a,b}
-takes a + b - 2 additions per application, not 2ab - a - b. Masks keep the
-diagonal slots and the slots (M^l)_ab, in row a; rows whose kept slots are
-disjoint are merged into one int before it is turned into bytes, and one
-gather per power takes (M^l)_ab, (M^l)_aa and (M^l)_bb, which combine into
-c_l as one sum of packed ints. On a regular bipartite graph M = A, and
-every walk from u to v has the parity of side(u) + side(v), so
+c_0..c_l are constant exactly when w_0..w_l are. The stream holds the rows
+of M^l in slots of k bits, (M^l)_uv in slot pos(v) of row u, two ways. While
+k fits 8 bytes, _slot_bytes(Delta, l) <= 8 or 2 Delta^l < 2^63, the rows
+are one numpy integer array, exact in machine words; from the first power
+that needs 9 bytes on, row u is one Python int with an unsigned field per
+slot, so CPython's limb loops do the inner dimension. A power is one
+application of M, R_u <- sum_{v ~ u} R_v + (Delta - deg u) R_u: additions,
+and a multiplication only where deg u < Delta (none on a regular graph).
+Twins, vertices with one neighbourhood, share one sum, so K_{a,b} takes
+a + b - 2 row additions per application, not 2ab - a - b. Each power
+gathers the diagonal slots and the slots (M^l)_ab, (M^l)_aa and (M^l)_bb
+into bytes of the same little-endian slots either way; from packed ints,
+masks keep the diagonal and (M^l)_ab in row a, and rows whose kept slots
+are disjoint are merged into one int before it is turned into bytes. They
+combine into c_l as one sum of packed ints. On a regular bipartite graph
+M = A, and every walk from u to v has the parity of side(u) + side(v), so
 (M^l)_uv = 0 unless side(v) = side(u) + l mod 2. The rows of the vertices
 on side l mod 2 then form one chain that holds only the n/2 slots of side 0,
 pos(v) being v's place within its side; nothing else is kept. At odd l the
@@ -185,12 +189,17 @@ def _slot_masks(width: int, rows, slots, size: int) -> list[int]:
     return _split(M.tobytes(), width)
 
 
+def _pack(slots: np.ndarray, size: int) -> list[int]:
+    """Packed rows of size-byte slots from a uint8 array (rows, count, k <= size) of k-byte ones."""
+    wide = np.zeros(slots.shape[:2] + (size,), dtype=np.uint8)
+    wide[..., : slots.shape[2]] = slots
+    return _split(wide.tobytes(), len(slots))
+
+
 def _widen(rows: list[int], count: int, size: int, new_size: int) -> list[int]:
     """Re-pack rows of count unsigned slots from size to new_size bytes."""
     buf = b"".join(r.to_bytes(count * size, "little") for r in rows)
-    wide = np.zeros((len(rows), count, new_size), dtype=np.uint8)
-    wide[..., :size] = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), count, size)
-    return _split(wide.tobytes(), len(rows))
+    return _pack(np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), count, size), new_size)
 
 
 def _neighbor_sums(rows: list[int], hoods: tuple[tuple[int, ...], ...]) -> list[int]:
@@ -202,6 +211,39 @@ def _neighbor_sums(rows: list[int], hoods: tuple[tuple[int, ...], ...]) -> list[
             s += rows[v]
         sums.append(s)
     return sums
+
+
+def _block_sum(X: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """X[block[0]] + X[block[1]] + ..., for the rows of the integer array X."""
+    return X[block[0]] if len(block) == 1 else np.add.reduce(X[block], 0, X.dtype)
+
+
+def _word_sums(X: np.ndarray, table: list[list[np.ndarray]]) -> np.ndarray:
+    """For the rows of the integer array X, the sum of X[v] over v in each neighbourhood.
+
+    The neighbourhoods are grouped by size: table holds, per size d, the
+    (d, count) array of their members cut along its first axis into blocks,
+    nnz rows in all. Each block is gathered and summed on its own, so no
+    temporary is larger than a block. The sums follow table's order.
+    """
+    sums = []
+    for blocks in table:
+        s = _block_sum(X, blocks[0])
+        for block in blocks[1:]:
+            s += _block_sum(X, block)
+        sums.append(s)
+    return sums[0] if len(sums) == 1 else np.concatenate(sums)
+
+
+def _le_bytes(X: np.ndarray) -> np.ndarray:
+    """The entries of the integer array X as little-endian bytes, on a new last axis."""
+    k = X.itemsize
+    return np.asarray(X, f"<i{k}").view(np.uint8).reshape(X.shape + (k,))
+
+
+def _word_slots(X: np.ndarray, rows, slots, size: int) -> np.ndarray:
+    """X[rows[i], slots[i]], each in [0, 2^(8 size)), as a uint8 array of one slot per row."""
+    return _le_bytes(X[rows, slots])[:, :size]
 
 
 def _slot_bytes(r: int, l: int) -> int:
@@ -225,52 +267,87 @@ def _sides(g: Graph) -> tuple[list[int], list[int], int]:
     return list(color), pos, 2
 
 
-def _packed_powers(g: Graph, lmax: int, layout) -> Iterator[tuple[list[int], int]]:
-    """Yield (rows of M^l, slot size in bytes) for l = 0..lmax, M = Delta I - L.
+def _packed_powers(g: Graph, lmax: int, layout) -> Iterator[tuple[np.ndarray | list[int], int]]:
+    """Yield (kept rows of M^l, slot size in bytes) for l = 0..lmax, M = Delta I - L.
 
-    A row is one int with (M^l)_uv in unsigned slot pos(v), at bit
-    8 size pos(v), starting from the identity in one-byte slots; layout is
-    _sides(g). On one side, row u of M^l is kept for every vertex u. A walk
-    on a regular bipartite graph changes side at every step, so there one
-    chain is kept: the n/2 rows of the vertices u on side l mod 2, in pos
-    order, each of the n/2 slots of side 0. Row u of M^(l+1) is
+    layout is _sides(g). On one side, row u of M^l is kept for every vertex
+    u. A walk on a regular bipartite graph changes side at every step, so
+    there one chain is kept: the n/2 rows of the vertices u on side l mod 2,
+    in pos order, each of the n/2 slots of side 0. Row u of M^(l+1) is
     sum_{v ~ u} R_v + (Delta - deg u) R_u for the rows R of M^l. Twins,
     vertices with one neighbourhood, are grouped once per side and share one
-    sum: at most nnz(A) - n big-int additions, nnz(A)/2 - n/2 on a chain,
-    a + b - 2 on K_{a,b} and a - 1 on K_{a,a}, and a multiplication for each
-    u with deg u < Delta. The entries of M^l, and the partial sums that
-    compute them, lie in [0, Delta^l]; slots of k >= bitlen(2 Delta^l) + 1
-    bits also hold the signed walk values of _walk_stream. When the next
-    power needs more, the slots grow before the application, to twice their
-    size or to what power lmax needs if that is less. M^(l+1) is computed
-    once power l is consumed.
+    sum. The entries of M^l, and the partial sums that compute them, lie in
+    [0, Delta^l]; slots of k >= bitlen(2 Delta^l) + 1 bits also hold the
+    signed walk values of _walk_stream. When the next power needs more, the
+    slots grow before the application, to twice their size or to what power
+    lmax needs if that is less. The rows are held two ways. While
+    _slot_bytes(Delta, l) <= 8, that is 2 Delta^l < 2^63, they are one
+    integer array of the narrowest width (int8 to int64) that holds a slot,
+    from the identity on, and an application gathers and sums each
+    neighbourhood size's rows in blocks of at most max(X.size, 2^16)
+    entries, one block per size on a sparse graph (_word_sums). At the
+    first power that needs 9 bytes
+    the array is packed once: row u becomes one int with (M^l)_uv in
+    unsigned slot pos(v), at bit 8 size pos(v), so that CPython's limb loops
+    do the inner dimension, and an application takes at most nnz(A) - n
+    big-int additions (_neighbor_sums), nnz(A)/2 - n/2 on a chain, a + b - 2
+    on K_{a,b} and a - 1 on K_{a,a}, and a multiplication for each u with
+    deg u < Delta. Both hold the same slots. M^(l+1) is computed once power
+    l is consumed.
     """
     delta = max(g.degrees)
     lifted = [(u, delta - d) for u, d in enumerate(g.degrees) if d < delta]
+    # one side only, as a regular graph lifts no row; Delta - deg fits every power's dtype
+    lift = np.array([[delta - d] for d in g.degrees], np.min_scalar_type(-delta))
     side, pos, sides = layout
-    steps = []  # per side: its twin classes' neighbourhoods, in rows of the other side
+    width = g.n // sides
+    steps = []  # per side: twin classes' neighbourhoods, each row's class, and the array's tables
     for s in range(sides):
         twins: dict[tuple[int, ...], int] = {}
         classes = [twins.setdefault(nb, len(twins)) for nb, t in zip(g.neighbors, side) if t == s]
         hoods = tuple(twins) if sides == 1 else tuple(tuple(pos[v] for v in nb) for nb in twins)
-        steps.append((hoods, classes))
-    rows = [1 << 8 * p for p, s in zip(pos, side) if s == 0]
-    size = 1
+        sizes: dict[int, list[int]] = {}  # classes by neighbourhood size, and their place in table
+        for c, nb in enumerate(hoods):
+            sizes.setdefault(len(nb), []).append(c)
+        table = []  # per size, its (d, count) members in blocks of step x count rows
+        for cs in sizes.values():
+            members = np.array([hoods[c] for c in cs]).T
+            # a block holds at most max(X.size, 2^16) entries: one block per size on a
+            # sparse graph, and no temporary much larger than X on a dense one
+            step = max(1, max(width * width, 1 << 16) // (len(cs) * width))
+            table.append([members[i : i + step] for i in range(0, len(members), step)])
+        place = {c: i for i, c in enumerate(c for cs in sizes.values() for c in cs)}
+        order = [place[c] for c in classes]
+        steps.append((hoods, classes, table, None if order == sorted(place) else np.array(order)))
+    X, rows, size = np.eye(width, dtype=np.int8), None, 1
     for l in range(lmax + 1):
         if l:
             need = _slot_bytes(delta, l)
             if need > size:
                 new_size = min(max(need, 2 * size), _slot_bytes(delta, lmax))
-                rows = _widen(rows, g.n // sides, size, new_size)
+                if rows is not None:
+                    rows = _widen(rows, width, size, new_size)
+                elif new_size > 8:
+                    rows = _pack(_le_bytes(X), new_size)
+                else:
+                    X = X.astype(f"<i{1 << (new_size - 1).bit_length()}")
                 size = new_size
-            hoods, classes = steps[l % sides]
-            sums = _neighbor_sums(rows, hoods)
-            if len(hoods) < len(classes):
-                sums = [sums[c] for c in classes]
-            for u, d in lifted:
-                sums[u] += d * rows[u]
-            rows = sums
-        yield rows, size
+            hoods, classes, table, order = steps[l % sides]
+            if rows is None:
+                sums = _word_sums(X, table)
+                if order is not None:
+                    sums = sums[order]
+                if lifted:
+                    sums += lift * X
+                X = sums
+            else:
+                sums = _neighbor_sums(rows, hoods)
+                if len(hoods) < len(classes):
+                    sums = [sums[c] for c in classes]
+                for u, d in lifted:
+                    sums[u] += d * rows[u]
+                rows = sums
+        yield X if rows is None else rows, size
 
 
 def _row_colors(n: int, rows, slots) -> list[int]:
@@ -323,9 +400,13 @@ def _walk_stream(g: Graph, lmax: int) -> Iterator[tuple[np.ndarray, np.ndarray, 
     offset 2^(8 size - 1) per slot, built once per slot size, as m
     little-endian slots of equal size (_signed_slots): |c_l(e)| <= 2 Delta^l
     fits the slot. On one side, diag, ab, (M^l)_aa and (M^l)_bb are views
-    of one gather from the rows, (M^l)_ab from row a: a power costs two
+    of one gather from the rows, (M^l)_ab from row a. While the slots fit
+    8 bytes the rows are an integer array and the gather is one fancy index
+    (_word_slots); past that they are packed ints, and the gather costs two
     big-int operations per row, one conversion to bytes per colour and one
-    take. On a regular bipartite graph (M^l)_ab is zero at even l and the
+    take, with the colouring and masks built at the first such power. The
+    yielded bytes are the same either way, and the same as from packed ints
+    alone. On a regular bipartite graph (M^l)_ab is zero at even l and the
     diagonal at odd l. At odd l, (M^l)_ab is gathered from the chain's row of
     the end on side 1, at the slot of the end on side 0. At even l, M = A
     gives diag(M^l)_v = sum_{e ~ v} (M^(l-1))_e. When one _constant compare
@@ -342,36 +423,39 @@ def _walk_stream(g: Graph, lmax: int) -> Iterator[tuple[np.ndarray, np.ndarray, 
     width = n // sides
     a, b = g._edge_ends
     if sides == 1:
+        # gathered: diag(M^l), then (M^l)_ab, (M^l)_aa and (M^l)_bb over the edges;
         # row u keeps its diagonal slot u and the slot b of each edge (u, b)
-        rows, slots = np.concatenate([np.arange(n), a]), np.concatenate([np.arange(n), b])
+        u = np.arange(n)
+        rows, slots = np.concatenate([u, a, a, b]), np.concatenate([u, b, a, b])
     else:
         side, pos = np.array(side), np.array(pos)
         r = np.where(side[a] == 1, a, b)
         rows, slots = pos[r], pos[a + b - r]
         ends = np.concatenate([a, b])
         layers = np.argsort(ends, kind="stable").reshape(n, -1).T % m  # i: each vertex's i-th edge
-    colors = _row_colors(width, rows.tolist(), slots.tolist())
-    groups: list[list[int]] = [[] for _ in range(max(colors) + 1)]
-    for u, c in enumerate(colors):
-        groups[c].append(u)
-    at = np.array(colors)[rows] * width + slots
-    if sides == 1:
-        at = np.concatenate([at, at[a], at[b]])
-    mask_size = 0
+    kept, groups, sized = n + m if sides == 1 else m, None, 0
     for l, (packed, size) in enumerate(_packed_powers(g, lmax, layout)):
         k = m * size
-        if size != mask_size:
-            mask_size = size
-            masks = _slot_masks(width, rows, slots, size)
-            half = _repeat(1 << 8 * size - 1, size, m)
+        words = isinstance(packed, np.ndarray)
+        if size != sized:
+            sized, half = size, _repeat(1 << 8 * size - 1, size, m)
+            if not words:
+                if groups is None:  # at the first packed power
+                    colors = _row_colors(width, rows[:kept].tolist(), slots[:kept].tolist())
+                    groups = [[] for _ in range(max(colors) + 1)]
+                    for u, c in enumerate(colors):
+                        groups[c].append(u)
+                    at = np.array(colors)[rows] * width + slots
+                masks = _slot_masks(width, rows[:kept], slots[:kept], size)
+        if sides == 1 or l % 2:
+            G = (_word_slots(packed, rows, slots, size) if words
+                 else _masked_slots(packed, masks, groups, size, width).take(at, axis=0))
         if sides == 1:
-            G = _masked_slots(packed, masks, groups, size, width).take(at, axis=0)
             diag, ab, raw = G[:n], G[n : n + m], G[n:].tobytes()
             xab, xaa, xbb = (int.from_bytes(raw[i : i + k], "little") for i in (0, k, 2 * k))
             c = xaa + xbb + half - 2 * xab
         elif l % 2:
-            diag = np.zeros((n, size), np.uint8)
-            ab = _masked_slots(packed, masks, groups, size, width).take(at, axis=0)
+            diag, ab = np.zeros((n, size), np.uint8), G
             c = half - 2 * int.from_bytes(ab.tobytes(), "little")
         elif l and _constant(ab.tobytes(), m):
             # every edge value of power l - 1 is x: diag(M^l) = d x and c_l = 2 d x

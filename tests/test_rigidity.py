@@ -1,4 +1,6 @@
+import collections
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,24 +77,36 @@ def test_negative_max_power_rejected():
 
 @pytest.fixture
 def applications(monkeypatch):
-    """Count the applications of M (packed neighbour sums) that rigidity takes."""
-    count = [0]
-    sums = rigidity._neighbor_sums
+    """Count the applications of M that rigidity takes: [0] in all, and by representation.
 
-    def counted(rows, neighbors):
-        count[0] += 1
-        return sums(rows, neighbors)
+    An application is one call of _word_sums while the slots fit 8 bytes
+    and one of _neighbor_sums on the packed rows after.
+    """
+    count = collections.Counter()
+    for name in ("_word_sums", "_neighbor_sums"):
+        def counted(rows, table, sums=getattr(rigidity, name), name=name):
+            count[0] += 1
+            count[name] += 1
+            return sums(rows, table)
 
-    monkeypatch.setattr(rigidity, "_neighbor_sums", counted)
+        monkeypatch.setattr(rigidity, name, counted)
     return count
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 8, 13, 30])
+def word_applications(g, applications):
+    """How many of the applications 1..applications fall in powers whose slots fit 8 bytes."""
+    return sum(rigidity._slot_bytes(max(g.degrees), l) <= 8 for l in range(1, applications + 1))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 13, 30, 70, 71])
 def test_full_depth_takes_n_minus_one_applications(applications, n):
     # C_n has floor(n/2) distinct nonzero eigenvalues, too many to stop
-    # early: n - 1 applications of M, one per power after the first
-    assert decide_edge_rigid_exact(fam.cycle_graph(n)).rigid
+    # early: n - 1 applications of M, one per power after the first; powers
+    # past 61 need 9-byte slots, so C70 and C71 take their last in packed ints
+    g = fam.cycle_graph(n)
+    assert decide_edge_rigid_exact(g).rigid
     assert applications[0] == n - 1
+    assert applications["_word_sums"] == word_applications(g, n - 1) == min(n - 1, 61)
 
 
 # d' distinct nonzero Laplacian eigenvalues: Q_d has 2, 4, .., 2d; K_n has n;
@@ -114,6 +128,7 @@ def test_rigid_graph_takes_d_prime_products(applications, g, d_prime):
     res = decide_edge_rigid_exact(g)
     assert res.rigid and res.proved and len(res.constants) == g.n
     assert applications[0] == min(2 * d_prime, g.n - 1)
+    assert applications["_word_sums"] == word_applications(g, applications[0])
 
 
 @pytest.mark.parametrize("n", [4, 5, 10, 50])
@@ -126,14 +141,16 @@ def test_witness_at_power_one_takes_one_application(applications, n):
 @pytest.mark.parametrize(
     "g",
     [fam.cycle_graph(12), fam.path_graph(12), fam.complete_bipartite_graph(3, 5),
-     fam.random_tree(30, 4)],
-    ids=["C12", "P12", "K3_5", "tree30"],
+     fam.random_tree(30, 4), fam.complete_bipartite_graph(2, 25)],
+    ids=["C12", "P12", "K3_5", "tree30", "K2_25"],
 )
 def test_full_report_takes_one_exact_loop_on_every_graph(applications, g):
     # regular, irregular and biregular graphs alike: walk_class's flags are
-    # read from the walk stream's powers, one application of M per power
+    # read from the walk stream's powers, one application of M per power;
+    # K2_25 needs 9-byte slots from power 14 on
     full_report(g)
     assert applications[0] == g.n - 1
+    assert applications["_word_sums"] == word_applications(g, g.n - 1)
 
 
 @pytest.mark.parametrize(
@@ -173,6 +190,53 @@ def test_masked_slots_at_the_slot_limits():
     # three slots per colour
     assert E.shape == (6, 1)
     assert E[:, 0].tolist() == [255, 255, 255, 0, 0, 5]
+
+
+def test_word_slots_at_the_slot_limits():
+    # entries below 2^(8 size) read back as size little-endian bytes, also
+    # where the array is wider than the slot (a 3-byte slot in int32)
+    for size, dtype in ((1, np.int8), (1, np.int16), (2, np.int16), (3, np.int32), (8, np.int64)):
+        top = min((1 << 8 * size) - 1, np.iinfo(dtype).max)
+        X = np.array([[top, 0], [1, top - 1]], dtype=dtype)
+        E = rigidity._word_slots(X, [0, 1, 1, 0], [0, 0, 1, 1], size)
+        assert E.shape == (4, size)
+        assert rigidity._split(E.tobytes(), 4) == [top, 1, top - 1, 0]
+
+
+@pytest.mark.parametrize(
+    "width, sizes",
+    [(40, [(1, 12, 1), (3, 5, 2), (40, 40, 7)]), (300, [(1, 300, 1), (3, 300, 1)]),
+     (300, [(2, 150, 2), (299, 1, 299)])],
+    ids=["several-blocks", "blocks-of-one", "one-block"],
+)
+def test_word_sums_add_each_neighbourhood(width, sizes):
+    # per size d, a (d, count) array of members cut into blocks of step rows;
+    # the sums follow the table whatever the blocks
+    rng = np.random.default_rng(width)
+    X = rng.integers(0, 100, (width, width)).astype(np.int16)
+    groups = [rng.integers(0, width, (d, count)) for d, count, _ in sizes]
+    table = [[m[i : i + step] for i in range(0, len(m), step)] for m, (_, _, step) in zip(groups, sizes)]
+    want = np.concatenate([X[members].sum(0) for members in groups])
+    got = rigidity._word_sums(X, table)
+    assert got.dtype == X.dtype and (got == want).all()
+
+
+def test_dense_graph_keeps_the_word_phase_near_the_array_size():
+    # K_n has no twins: one neighbourhood size and n classes. Summing that
+    # group in one gather would hold (n - 1) n^2 entries, 256 MB of int32 at
+    # power 2 here; in blocks the stream's peak stays a small multiple of n^2
+    n = 400
+    g = fam.complete_graph(n)
+    g.neighbors, g._search, g._edge_ends  # the graph's own tables, built before tracing
+    tracemalloc.start()
+    try:
+        res = decide_edge_rigid_exact(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # every nonzero Laplacian eigenvalue of K_n is n, so w_l = z_e^T L^l z_e = 2 n^l
+    assert res.rigid and res.proved and res.constants[:3] == (2, 2 * n, 2 * n * n)
+    assert peak < 100 * n * n
 
 
 def one_side_slots(g):

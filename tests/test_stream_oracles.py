@@ -4,8 +4,9 @@
 walk stream w_l = adjoint(L^l), which is computed from powers of
 M = max-degree I - L. Here they are compared with the exact characteristic
 polynomials of ``adjugate_quadratic_form`` and with the m x m
-signed-line-graph power loop, the packed stream itself with dense
-adjoint(M^l) and with the traces of M^l L, ``walk_class`` with dense
+signed-line-graph power loop, the stream itself, in machine words and in
+packed ints, with dense adjoint(M^l) and with the traces of M^l L,
+``walk_class`` with dense
 powers of A, the char(M) coefficients that Newton's identities take from
 the stream's traces with ``char_poly``, and ``full_report``'s tree count
 with the Bareiss ``tree_count_exact`` and closed forms, and ``bipartition``
@@ -179,7 +180,7 @@ def complete_multipartite(*sizes: int) -> Graph:
 
 
 # Twins, vertices with one neighbourhood, share one neighbour sum in the
-# packed stream. K2_5+P2 is K_{2,5} with a path of two edges hung from a
+# stream. K2_5+P2 is K_{2,5} with a path of two edges hung from a
 # vertex of the 5-side: twins and vertices without a twin in one graph.
 TWIN_CASES = [
     ("K1_9", fam.complete_bipartite_graph(1, 9)),
@@ -188,10 +189,13 @@ TWIN_CASES = [
     ("K2_5+P2", Graph(9, fam.complete_bipartite_graph(2, 5).edges + ((6, 7), (7, 8)))),
 ]
 
-# The packed stream widens its slots as the powers grow; at full depth these
+# The stream widens its slots as the powers grow; at full depth these
 # pass through every slot size from one byte up. W20 is a hub joined to C20.
+# K41 is the smallest complete graph whose one neighbourhood size is
+# summed in two blocks of rows while the slots fit 8 bytes.
 WIDTH_CASES = [
     ("K1_30", fam.star_graph(30)),
+    ("K41", fam.complete_graph(41)),
     ("K2_25", fam.complete_bipartite_graph(2, 25)),
     ("W20", Graph(21, tuple((0, v) for v in range(1, 21)) + tuple((v, v % 20 + 1) for v in range(1, 21)))),
     ("C40", fam.cycle_graph(40)),
@@ -260,16 +264,37 @@ def assert_decide_matches(g: Graph, walks: list[np.ndarray], P: int):
     return wc
 
 
-STREAM_CASES = CASES + WIDTH_CASES + REGULAR_BIPARTITE
+def crossing_graphs(seed: int = 20261031) -> list[tuple[str, Graph]]:
+    """Regular bipartite graphs whose stream needs 9-byte slots before power n - 1.
+
+    The chain's rows are an integer array while 2 d^l < 2^63 and packed ints
+    after: C70 from power 62 on, K16_16 (one class of twins per side) from
+    16 and a seeded 6-regular bipartite graph on 60 vertices from 24.
+    """
+    rng = np.random.default_rng(seed)
+    return [("C70", fam.cycle_graph(70)), ("K16_16", fam.complete_bipartite_graph(16, 16)),
+            ("regbip6_60", random_biregular(rng, 30, 30, 6))]
+
+
+CROSSING = crossing_graphs()
+
+STREAM_CASES = CASES + WIDTH_CASES + REGULAR_BIPARTITE + CROSSING
 
 
 @pytest.mark.parametrize("g", [g for _, g in STREAM_CASES], ids=[n for n, _ in STREAM_CASES])
 def test_halved_stream_matches_dense_adjoint(g):
-    """The packed stream against dense adjoint(M^l), M = max-degree I - L, and tr(M^l L), every power."""
+    """The stream against dense adjoint(M^l), M = max-degree I - L, and tr(M^l L), every power.
+
+    The stream holds M^l as an integer array exactly while its slots fit
+    8 bytes, and as packed ints after.
+    """
     walks, powers = dense_walks(g)
     delta = max(g.degrees)
     L = laplacian(g)
     shifted = dense_powers(delta * np.eye(g.n, dtype=np.int64) - L, g.n)
+    rows = rigidity._packed_powers(g, g.n, rigidity._sides(g))
+    held = [isinstance(X, np.ndarray) for X, _ in rows]
+    assert held == [rigidity._slot_bytes(delta, l) <= 8 for l in range(g.n + 1)]
     stream = list(_walk_stream(g, g.n))
     assert len(stream) == len(shifted) == len(walks)
     a, b = np.transpose(g.edges)
@@ -329,18 +354,29 @@ def test_decide_never_forms_the_walk_constants(monkeypatch, tmp_path, capsys, g,
 )
 def test_twins_share_one_neighbour_sum(monkeypatch, g, hoods, additions):
     # K_{a,b} has one neighbourhood per side; C_n with n > 4 has no twins,
-    # and the even C12 keeps one chain of 6 rows
+    # and the even C12 keeps one chain of 6 rows. Row additions are counted
+    # alike in the integer array and in packed ints: K20_30 needs 9-byte
+    # slots from power 13 on
     seen = []
-    sums = rigidity._neighbor_sums
+    words, packed = rigidity._word_sums, rigidity._neighbor_sums
 
-    def recorded(rows, hoods):
-        seen.append((len(hoods), sum(len(h) - 1 for h in hoods)))
-        return sums(rows, hoods)
+    def word_sums(X, table):
+        # per neighbourhood size d, a (d, count) array of members in blocks of rows
+        shapes = [np.concatenate(blocks).shape for blocks in table]
+        seen.append(("words", sum(c for _, c in shapes), sum((d - 1) * c for d, c in shapes)))
+        return words(X, table)
 
-    monkeypatch.setattr(rigidity, "_neighbor_sums", recorded)
+    def neighbor_sums(rows, hoods):
+        seen.append(("packed", len(hoods), sum(len(h) - 1 for h in hoods)))
+        return packed(rows, hoods)
+
+    monkeypatch.setattr(rigidity, "_word_sums", word_sums)
+    monkeypatch.setattr(rigidity, "_neighbor_sums", neighbor_sums)
     for _ in rigidity._packed_powers(g, g.n - 1, rigidity._sides(g)):
         pass
-    assert seen == [(hoods, additions)] * (g.n - 1)
+    assert [s[1:] for s in seen] == [(hoods, additions)] * (g.n - 1)
+    fit = [rigidity._slot_bytes(max(g.degrees), l) <= 8 for l in range(1, g.n)]
+    assert [s[0] for s in seen] == ["words" if f else "packed" for f in fit]
 
 
 def test_regular_bipartite_graphs_are_relabelled():
@@ -375,20 +411,22 @@ def test_even_diagonal_sums_the_odd_edge_values_before(g):
 
 
 @pytest.mark.parametrize(
-    "g", [fam.cycle_graph(12), hypercube(4), fam.complete_bipartite_graph(5, 5)],
-    ids=["C12", "Q4", "K5_5"],
+    "g", [fam.cycle_graph(12), hypercube(4), fam.complete_bipartite_graph(5, 5),
+          fam.complete_bipartite_graph(16, 16)],
+    ids=["C12", "Q4", "K5_5", "K16_16"],
 )
 def test_edge_rigid_chain_gathers_at_odd_powers_only(monkeypatch, g):
     # every odd power's edge values are one constant x, so each even power is
-    # read off it (d x on the diagonal) without a gather from the rows
+    # read off it (d x on the diagonal) without a gather from the rows, in
+    # words (_word_slots) and in packed ints (_masked_slots) alike; K16_16
+    # needs 9-byte slots from power 16 on
     gathered, seen = [], []
-    masked = rigidity._masked_slots
+    for name in ("_word_slots", "_masked_slots"):
+        def spy(*args, gather=getattr(rigidity, name)):
+            gathered.append(len(seen))
+            return gather(*args)
 
-    def spy(*args):
-        gathered.append(len(seen))
-        return masked(*args)
-
-    monkeypatch.setattr(rigidity, "_masked_slots", spy)
+        monkeypatch.setattr(rigidity, name, spy)
     for power in _walk_stream(g, g.n - 1):
         seen.append(power)
     assert gathered == list(range(1, g.n, 2))
@@ -398,7 +436,8 @@ def test_walk_regular_graph_reads_even_powers_both_ways(monkeypatch):
     # C40(1,7) is walk-regular but not edge-rigid: its edge values agree through
     # power 5 and split at 7, so powers 2..6 are read off the constant and
     # powers 8..38 summed from the edge values before, one layer per incident
-    # edge; full_report reads the stream to full depth either way
+    # edge, in words and in packed ints alike; full_report reads the stream to
+    # full depth either way
     g = fam.circulant_graph(40, (1, 7))
     summed, seen = [], []
     split, stream = rigidity._split, rigidity._walk_stream
@@ -419,6 +458,8 @@ def test_walk_regular_graph_reads_even_powers_both_ways(monkeypatch):
     assert not report.edge_rigid and report.witness.power == 7
     assert report.walk_class.label == "walk-regular-only"
     assert summed == list(range(8, g.n, 2))
+    # the sums run on both sides of the switch: slots need 9 bytes from power 31 on
+    assert [l for l in summed if rigidity._slot_bytes(4, l) > 8] == [32, 34, 36, 38]
     # M = A on a regular graph
     a, b = np.transpose(g.edges)
     powers = dense_powers(adjacency(g), g.n - 1)
@@ -440,16 +481,20 @@ def non_bipartite_cubic(seed: int = 20261029) -> Graph:
     [(fam.cycle_graph(12), True), (hypercube(4), True), (fam.complete_bipartite_graph(5, 5), True),
      (REGULAR_BIPARTITE[3][1], True), (fam.path_graph(12), False),
      (fam.complete_bipartite_graph(3, 5), False), (fam.petersen_graph(), False),
-     (non_bipartite_cubic(), False)],
-    ids=["C12", "Q4", "K5_5", REGULAR_BIPARTITE[3][0], "P12", "K3_5", "petersen", "cubic14"],
+     (non_bipartite_cubic(), False), (fam.complete_bipartite_graph(16, 16), True),
+     (fam.complete_bipartite_graph(2, 25), False)],
+    ids=["C12", "Q4", "K5_5", REGULAR_BIPARTITE[3][0], "P12", "K3_5", "petersen", "cubic14",
+         "K16_16", "K2_25"],
 )
 def test_regular_bipartite_rows_hold_half_the_slots(g, half):
     # on a regular bipartite graph the stream keeps one chain of n/2 rows, each
     # of the n/2 slots of side 0; on any other graph some row of n has a
-    # nonzero slot past n/2 at every power
+    # nonzero slot past n/2 at every power, as an array column or a packed slot
     for rows, size in rigidity._packed_powers(g, g.n - 1, rigidity._sides(g)):
-        top = max(r.bit_length() for r in rows)
-        assert (top <= 8 * size * g.n // 2) is half
+        if isinstance(rows, np.ndarray):
+            assert (not rows[:, g.n // 2 :].any()) is half
+        else:
+            assert (max(r.bit_length() for r in rows) <= 8 * size * g.n // 2) is half
         assert (len(rows) == g.n // 2) is half
 
 
@@ -687,7 +732,10 @@ def dense_profile_classes(g: Graph, walks: list[np.ndarray]) -> tuple[tuple[int,
     return tuple(tuple(c) for c in sorted(buckets.values()))
 
 
-@pytest.mark.parametrize("g", [g for _, g in REGULAR_BIPARTITE], ids=[n for n, _ in REGULAR_BIPARTITE])
+REPORT_CASES = REGULAR_BIPARTITE + CROSSING[:1]
+
+
+@pytest.mark.parametrize("g", [g for _, g in REPORT_CASES], ids=[n for n, _ in REPORT_CASES])
 def test_regular_bipartite_report_matches_dense_references(g):
     # char(L - L_e) per edge is too slow a reference at n = 40; the walk
     # profiles determine it and are determined by it (rigidity's docstring)
