@@ -6,14 +6,12 @@ eigenvalue sums over the edge-weight simplex.
 """
 
 from .errors import (
-    BudgetExceededError,
     ConvergenceFailureError,
     DimensionMismatchError,
     DisconnectedError,
     DisconnectingWeightsError,
     EdgeRigidError,
     InternalInconsistencyError,
-    LengthMismatchError,
     LevelOutOfRangeError,
     NotSimpleError,
     ParseError,
@@ -61,7 +59,6 @@ from .eigensum import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetExceededError",
     "ConvergenceFailureError",
     "DimensionMismatchError",
     "DisconnectedError",
@@ -70,7 +67,6 @@ __all__ = [
     "Graph",
     "InternalInconsistencyError",
     "KCertificate",
-    "LengthMismatchError",
     "LevelOutOfRangeError",
     "NotSimpleError",
     "OptimizeResult",

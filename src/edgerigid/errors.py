@@ -25,10 +25,6 @@ class DimensionMismatchError(EdgeRigidError, ValueError):
     """An argument has the wrong shape or length for the graph."""
 
 
-class LengthMismatchError(EdgeRigidError, ValueError):
-    """Two vectors that must have equal length do not."""
-
-
 class LevelOutOfRangeError(EdgeRigidError, IndexError):
     """An eigenvalue group or level index is outside the graph's spectrum."""
 
@@ -43,7 +39,3 @@ class ConvergenceFailureError(EdgeRigidError):
 
 class InternalInconsistencyError(EdgeRigidError):
     """Two deciders that are provably equivalent disagreed (a bug, not math)."""
-
-
-class BudgetExceededError(EdgeRigidError):
-    """A brute-force oracle was asked to exceed its enumeration budget."""

@@ -10,14 +10,17 @@ It is computed from powers of M = Delta I - L = A + diag(Delta - deg), Delta
 the maximum degree, as c_l(e) = z_e^T M^l z_e; L = Delta I - M gives
 w_l = sum_{i<=l} C(l, i) Delta^(l-i) (-1)^i c_i, a unit-triangular map, so
 c_0..c_l are constant exactly when w_0..w_l are. The stream holds the rows
-of M^l in slots of k bits, (M^l)_uv in slot pos(v) of row u, two ways. While
-k fits 8 bytes, _slot_bytes(Delta, l) <= 8 or 2 Delta^l < 2^63, the rows
-are one numpy integer array, exact in machine words; from the first power
-that needs 9 bytes on, row u is one Python int with an unsigned field per
-slot, so CPython's limb loops do the inner dimension. A power is one
-application of M, R_u <- sum_{v ~ u} R_v + (Delta - deg u) R_u: additions,
-and a multiplication only where deg u < Delta (none on a regular graph).
-Twins, vertices with one neighbourhood, share one sum, so K_{a,b} takes
+of M^l in slots of k bits, (M^l)_uv in slot pos(v) of row u. While k fits
+8 bytes, _slot_bytes(Delta, l) <= 8 or 2 Delta^l < 2^63, the rows are one
+numpy integer array, exact in machine words; from the first power that
+needs 9 bytes on, they are a 1-D numpy object array, row u one Python int
+with an unsigned field per slot, so CPython's limb loops do the inner
+dimension. A power is one application of M,
+R_u <- sum_{v ~ u} R_v + (Delta - deg u) R_u, by one routine on either
+array: additions, and a multiplication only where deg u < Delta (none on a
+regular graph), kept as one dense product on the integer array and one
+product per lifted row on packed ints (_packed_powers says why). Twins,
+vertices with one neighbourhood, share one sum, so K_{a,b} takes
 a + b - 2 row additions per application, not 2ab - a - b. Each power
 gathers the diagonal slots and the slots (M^l)_ab, (M^l)_aa and (M^l)_bb
 into bytes of the same little-endian slots either way; from packed ints,
@@ -189,39 +192,30 @@ def _slot_masks(width: int, rows, slots, size: int) -> list[int]:
     return _split(M.tobytes(), width)
 
 
-def _pack(slots: np.ndarray, size: int) -> list[int]:
-    """Packed rows of size-byte slots from a uint8 array (rows, count, k <= size) of k-byte ones."""
+def _pack(slots: np.ndarray, size: int) -> np.ndarray:
+    """Object array of packed rows of size-byte slots from uint8 (rows, count, k <= size)."""
     wide = np.zeros(slots.shape[:2] + (size,), dtype=np.uint8)
     wide[..., : slots.shape[2]] = slots
-    return _split(wide.tobytes(), len(slots))
+    return np.array(_split(wide.tobytes(), len(slots)), dtype=object)
 
 
-def _widen(rows: list[int], count: int, size: int, new_size: int) -> list[int]:
-    """Re-pack rows of count unsigned slots from size to new_size bytes."""
+def _widen(rows: np.ndarray, count: int, size: int, new_size: int) -> np.ndarray:
+    """Re-pack _pack's rows of count unsigned slots from size to new_size bytes."""
     buf = b"".join(r.to_bytes(count * size, "little") for r in rows)
     return _pack(np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), count, size), new_size)
 
 
-def _neighbor_sums(rows: list[int], hoods: tuple[tuple[int, ...], ...]) -> list[int]:
-    """For packed rows of X, the sum of rows[v] over v in each neighbourhood of hoods."""
-    sums = []
-    for nb in hoods:
-        s = rows[nb[0]]
-        for v in nb[1:]:
-            s += rows[v]
-        sums.append(s)
-    return sums
-
-
 def _block_sum(X: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """X[block[0]] + X[block[1]] + ..., for the rows of the integer array X."""
+    """X[block[0]] + X[block[1]] + ..., for the rows of X."""
     return X[block[0]] if len(block) == 1 else np.add.reduce(X[block], 0, X.dtype)
 
 
 def _word_sums(X: np.ndarray, table: list[list[np.ndarray]]) -> np.ndarray:
-    """For the rows of the integer array X, the sum of X[v] over v in each neighbourhood.
+    """For the rows of X, the sum of X[v] over v in each neighbourhood.
 
-    The neighbourhoods are grouped by size: table holds, per size d, the
+    X is an integer array of one row per vertex, or a 1-D object array of
+    packed ints, one per row; numpy adds object entries as Python ints. The
+    neighbourhoods are grouped by size: table holds, per size d, the
     (d, count) array of their members cut along its first axis into blocks,
     nnz rows in all. Each block is gathered and summed on its own, so no
     temporary is larger than a block. The sums follow table's order.
@@ -267,7 +261,7 @@ def _sides(g: Graph) -> tuple[list[int], list[int], int]:
     return list(color), pos, 2
 
 
-def _packed_powers(g: Graph, lmax: int, layout) -> Iterator[tuple[np.ndarray | list[int], int]]:
+def _packed_powers(g: Graph, lmax: int, layout) -> Iterator[tuple[np.ndarray, int]]:
     """Yield (kept rows of M^l, slot size in bytes) for l = 0..lmax, M = Delta I - L.
 
     layout is _sides(g). On one side, row u of M^l is kept for every vertex
@@ -280,20 +274,22 @@ def _packed_powers(g: Graph, lmax: int, layout) -> Iterator[tuple[np.ndarray | l
     [0, Delta^l]; slots of k >= bitlen(2 Delta^l) + 1 bits also hold the
     signed walk values of _walk_stream. When the next power needs more, the
     slots grow before the application, to twice their size or to what power
-    lmax needs if that is less. The rows are held two ways. While
-    _slot_bytes(Delta, l) <= 8, that is 2 Delta^l < 2^63, they are one
-    integer array of the narrowest width (int8 to int64) that holds a slot,
-    from the identity on, and an application gathers and sums each
-    neighbourhood size's rows in blocks of at most max(X.size, 2^16)
-    entries, one block per size on a sparse graph (_word_sums). At the
-    first power that needs 9 bytes
-    the array is packed once: row u becomes one int with (M^l)_uv in
-    unsigned slot pos(v), at bit 8 size pos(v), so that CPython's limb loops
-    do the inner dimension, and an application takes at most nnz(A) - n
-    big-int additions (_neighbor_sums), nnz(A)/2 - n/2 on a chain, a + b - 2
-    on K_{a,b} and a - 1 on K_{a,a}, and a multiplication for each u with
-    deg u < Delta. Both hold the same slots. M^(l+1) is computed once power
-    l is consumed.
+    lmax needs if that is less. While _slot_bytes(Delta, l) <= 8, that is
+    2 Delta^l < 2^63, the rows are one integer array of the narrowest width
+    (int8 to int64) that holds a slot, from the identity on. At the first
+    power that needs 9 bytes it is packed once into a 1-D object array: row
+    u becomes one int with (M^l)_uv in unsigned slot pos(v), at bit
+    8 size pos(v), so that CPython's limb loops do the inner dimension.
+    Either way one _word_sums call sums each neighbourhood size's rows in
+    blocks of at most max(width^2, 2^16) entries, at most nnz(A) - n row
+    additions, nnz(A)/2 - n/2 on a chain, a + b - 2 on K_{a,b} and a - 1 on
+    K_{a,a}, and one reindex hands each twin its class's sum. The lift
+    (Delta - deg u) R_u is kept two ways, as full-depth streams measured on
+    a 2-core x86-64 VM: one dense product on the integer array, where
+    lifting by index made a random tree with n = 30 x1.19 slower, and one
+    big-int product per lifted row on packed ints, where a dense product,
+    with a zero product and a copy for every unlifted row, made P300 x1.52
+    slower. M^(l+1) is computed once power l is consumed.
     """
     delta = max(g.degrees)
     lifted = [(u, delta - d) for u, d in enumerate(g.degrees) if d < delta]
@@ -301,7 +297,7 @@ def _packed_powers(g: Graph, lmax: int, layout) -> Iterator[tuple[np.ndarray | l
     lift = np.array([[delta - d] for d in g.degrees], np.min_scalar_type(-delta))
     side, pos, sides = layout
     width = g.n // sides
-    steps = []  # per side: twin classes' neighbourhoods, each row's class, and the array's tables
+    steps = []  # per side: _word_sums' table, and each row's place in its sums
     for s in range(sides):
         twins: dict[tuple[int, ...], int] = {}
         classes = [twins.setdefault(nb, len(twins)) for nb, t in zip(g.neighbors, side) if t == s]
@@ -312,42 +308,37 @@ def _packed_powers(g: Graph, lmax: int, layout) -> Iterator[tuple[np.ndarray | l
         table = []  # per size, its (d, count) members in blocks of step x count rows
         for cs in sizes.values():
             members = np.array([hoods[c] for c in cs]).T
-            # a block holds at most max(X.size, 2^16) entries: one block per size on a
+            # a block holds at most max(width^2, 2^16) entries: one block per size on a
             # sparse graph, and no temporary much larger than X on a dense one
             step = max(1, max(width * width, 1 << 16) // (len(cs) * width))
             table.append([members[i : i + step] for i in range(0, len(members), step)])
         place = {c: i for i, c in enumerate(c for cs in sizes.values() for c in cs)}
         order = [place[c] for c in classes]
-        steps.append((hoods, classes, table, None if order == sorted(place) else np.array(order)))
-    X, rows, size = np.eye(width, dtype=np.int8), None, 1
+        steps.append((table, None if order == sorted(place) else np.array(order)))
+    X, size = np.eye(width, dtype=np.int8), 1
     for l in range(lmax + 1):
         if l:
             need = _slot_bytes(delta, l)
             if need > size:
                 new_size = min(max(need, 2 * size), _slot_bytes(delta, lmax))
-                if rows is not None:
-                    rows = _widen(rows, width, size, new_size)
+                if X.dtype == object:
+                    X = _widen(X, width, size, new_size)
                 elif new_size > 8:
-                    rows = _pack(_le_bytes(X), new_size)
+                    X = _pack(_le_bytes(X), new_size)
                 else:
                     X = X.astype(f"<i{1 << (new_size - 1).bit_length()}")
                 size = new_size
-            hoods, classes, table, order = steps[l % sides]
-            if rows is None:
-                sums = _word_sums(X, table)
-                if order is not None:
-                    sums = sums[order]
-                if lifted:
-                    sums += lift * X
-                X = sums
-            else:
-                sums = _neighbor_sums(rows, hoods)
-                if len(hoods) < len(classes):
-                    sums = [sums[c] for c in classes]
+            table, order = steps[l % sides]
+            sums = _word_sums(X, table)
+            if order is not None:
+                sums = sums[order]
+            if X.dtype == object:
                 for u, d in lifted:
-                    sums[u] += d * rows[u]
-                rows = sums
-        yield X if rows is None else rows, size
+                    sums[u] += d * X[u]
+            elif lifted:
+                sums += lift * X
+            X = sums
+        yield X, size
 
 
 def _row_colors(n: int, rows, slots) -> list[int]:
@@ -402,13 +393,14 @@ def _walk_stream(g: Graph, lmax: int) -> Iterator[tuple[np.ndarray, np.ndarray, 
     fits the slot. On one side, diag, ab, (M^l)_aa and (M^l)_bb are views
     of one gather from the rows, (M^l)_ab from row a. While the slots fit
     8 bytes the rows are an integer array and the gather is one fancy index
-    (_word_slots); past that they are packed ints, and the gather costs two
-    big-int operations per row, one conversion to bytes per colour and one
-    take, with the colouring and masks built at the first such power. The
-    yielded bytes are the same either way, and the same as from packed ints
-    alone. On a regular bipartite graph (M^l)_ab is zero at even l and the
-    diagonal at odd l. At odd l, (M^l)_ab is gathered from the chain's row of
-    the end on side 1, at the slot of the end on side 0. At even l, M = A
+    (_word_slots); past that they are an object array of packed ints, read
+    as a list, and the gather costs two big-int operations per row, one
+    conversion to bytes per colour and one take, with the colouring and
+    masks built at the first such power. The yielded bytes are the same
+    either way, and the same as from packed ints alone. On a regular
+    bipartite graph (M^l)_ab is zero at even l and the diagonal at odd l.
+    At odd l, (M^l)_ab is gathered from the chain's row of the end on
+    side 1, at the slot of the end on side 0. At even l, M = A
     gives diag(M^l)_v = sum_{e ~ v} (M^(l-1))_e. When one _constant compare
     finds every edge value of power l - 1 equal to x, every diagonal slot is
     d x and c_l = 2 d x: no sum and no gather. Otherwise d layer ints, layer
@@ -436,7 +428,7 @@ def _walk_stream(g: Graph, lmax: int) -> Iterator[tuple[np.ndarray, np.ndarray, 
     kept, groups, sized = n + m if sides == 1 else m, None, 0
     for l, (packed, size) in enumerate(_packed_powers(g, lmax, layout)):
         k = m * size
-        words = isinstance(packed, np.ndarray)
+        words = packed.dtype != object
         if size != sized:
             sized, half = size, _repeat(1 << 8 * size - 1, size, m)
             if not words:
@@ -449,7 +441,7 @@ def _walk_stream(g: Graph, lmax: int) -> Iterator[tuple[np.ndarray, np.ndarray, 
                 masks = _slot_masks(width, rows[:kept], slots[:kept], size)
         if sides == 1 or l % 2:
             G = (_word_slots(packed, rows, slots, size) if words
-                 else _masked_slots(packed, masks, groups, size, width).take(at, axis=0))
+                 else _masked_slots(packed.tolist(), masks, groups, size, width).take(at, axis=0))
         if sides == 1:
             diag, ab, raw = G[:n], G[n : n + m], G[n:].tobytes()
             xab, xaa, xbb = (int.from_bytes(raw[i : i + k], "little") for i in (0, k, 2 * k))

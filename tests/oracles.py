@@ -12,11 +12,19 @@ from itertools import combinations
 
 import numpy as np
 
-from edgerigid.errors import BudgetExceededError, LengthMismatchError
+from edgerigid.errors import EdgeRigidError
 from edgerigid.graphs import Graph, WeightVector
 
 MAX_TREE_EDGES = 20
 MAX_WALK_LENGTH = 10
+
+
+class BudgetExceededError(EdgeRigidError):
+    """A brute-force oracle was asked to exceed its enumeration budget."""
+
+
+class LengthMismatchError(EdgeRigidError, ValueError):
+    """Two vectors that must have equal length do not."""
 
 
 class _UnionFind:

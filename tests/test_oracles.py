@@ -12,9 +12,15 @@ import pytest
 import edgerigid
 from edgerigid import families as fam
 from edgerigid import graphs
-from edgerigid.errors import BudgetExceededError
+import oracles
 from conftest import adjacency
-from oracles import count_walks, enumerate_spanning_trees, random_simplex, weighted_enum
+from oracles import (
+    BudgetExceededError,
+    count_walks,
+    enumerate_spanning_trees,
+    random_simplex,
+    weighted_enum,
+)
 
 
 def test_spanning_trees_k4_cayley():
@@ -107,6 +113,13 @@ REFERENCES = {
     "graphs": ("adjoint_apply", "signed_line_graph"),
     "rigidity": ("signed_line_graph_walk_regular",),
 }
+
+
+def test_oracle_errors_live_with_the_oracles():
+    # only the oracles raise these, so the package neither defines nor exports them
+    for name in ("BudgetExceededError", "LengthMismatchError"):
+        assert not hasattr(edgerigid.errors, name) and name not in edgerigid.__all__
+        assert issubclass(getattr(oracles, name), edgerigid.errors.EdgeRigidError)
 
 
 @pytest.mark.parametrize(

@@ -79,17 +79,18 @@ def test_negative_max_power_rejected():
 def applications(monkeypatch):
     """Count the applications of M that rigidity takes: [0] in all, and by representation.
 
-    An application is one call of _word_sums while the slots fit 8 bytes
-    and one of _neighbor_sums on the packed rows after.
+    An application is one call of _word_sums, on an integer array while the
+    slots fit 8 bytes ("words") and on an object array of packed ints after
+    ("packed").
     """
     count = collections.Counter()
-    for name in ("_word_sums", "_neighbor_sums"):
-        def counted(rows, table, sums=getattr(rigidity, name), name=name):
-            count[0] += 1
-            count[name] += 1
-            return sums(rows, table)
 
-        monkeypatch.setattr(rigidity, name, counted)
+    def counted(X, table, sums=rigidity._word_sums):
+        count[0] += 1
+        count["packed" if X.dtype == object else "words"] += 1
+        return sums(X, table)
+
+    monkeypatch.setattr(rigidity, "_word_sums", counted)
     return count
 
 
@@ -106,7 +107,7 @@ def test_full_depth_takes_n_minus_one_applications(applications, n):
     g = fam.cycle_graph(n)
     assert decide_edge_rigid_exact(g).rigid
     assert applications[0] == n - 1
-    assert applications["_word_sums"] == word_applications(g, n - 1) == min(n - 1, 61)
+    assert applications["words"] == word_applications(g, n - 1) == min(n - 1, 61)
 
 
 # d' distinct nonzero Laplacian eigenvalues: Q_d has 2, 4, .., 2d; K_n has n;
@@ -128,7 +129,7 @@ def test_rigid_graph_takes_d_prime_products(applications, g, d_prime):
     res = decide_edge_rigid_exact(g)
     assert res.rigid and res.proved and len(res.constants) == g.n
     assert applications[0] == min(2 * d_prime, g.n - 1)
-    assert applications["_word_sums"] == word_applications(g, applications[0])
+    assert applications["words"] == word_applications(g, applications[0])
 
 
 @pytest.mark.parametrize("n", [4, 5, 10, 50])
@@ -150,7 +151,7 @@ def test_full_report_takes_one_exact_loop_on_every_graph(applications, g):
     # K2_25 needs 9-byte slots from power 14 on
     full_report(g)
     assert applications[0] == g.n - 1
-    assert applications["_word_sums"] == word_applications(g, g.n - 1)
+    assert applications["words"] == word_applications(g, g.n - 1)
 
 
 @pytest.mark.parametrize(
@@ -176,8 +177,10 @@ def test_widen_keeps_unsigned_slots_at_their_limits():
     for size, new_size in ((1, 2), (2, 5)):
         top = (1 << 8 * size) - 1
         rows = [[0, top, 0, top, 1], [top, 0, top - 1, 1, 0], [top] * 5]
-        wide = rigidity._widen([pack(r, size) for r in rows], 5, size, new_size)
-        assert wide == [pack(r, new_size) for r in rows]
+        packed = np.array([pack(r, size) for r in rows], dtype=object)
+        wide = rigidity._widen(packed, 5, size, new_size)
+        assert wide.dtype == object and wide.shape == (3,)
+        assert wide.tolist() == [pack(r, new_size) for r in rows]
 
 
 def test_masked_slots_at_the_slot_limits():
@@ -219,6 +222,19 @@ def test_word_sums_add_each_neighbourhood(width, sizes):
     want = np.concatenate([X[members].sum(0) for members in groups])
     got = rigidity._word_sums(X, table)
     assert got.dtype == X.dtype and (got == want).all()
+
+
+def test_word_sums_add_packed_rows():
+    # the same table sums an object array of packed ints, each sum a Python
+    # int past 2^64, in the same order as the integer rows
+    rng = np.random.default_rng(7)
+    rows = [int(x) << 70 | int(x) for x in rng.integers(0, 1 << 30, 40)]
+    X = np.array(rows, dtype=object)
+    groups = [rng.integers(0, 40, (d, count)) for d, count in ((1, 12), (3, 5), (40, 40))]
+    table = [[m[i : i + 2] for i in range(0, len(m), 2)] for m in groups]
+    got = rigidity._word_sums(X, table)
+    assert got.dtype == object and got.shape == (57,)
+    assert got.tolist() == [sum(rows[v] for v in col) for m in groups for col in m.T.tolist()]
 
 
 def test_dense_graph_keeps_the_word_phase_near_the_array_size():

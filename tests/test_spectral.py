@@ -5,10 +5,16 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import enumerate_spanning_trees, majorization_check, random_simplex, weighted_enum
+from oracles import (
+    LengthMismatchError,
+    enumerate_spanning_trees,
+    majorization_check,
+    random_simplex,
+    weighted_enum,
+)
 
 from edgerigid import families as fam
-from edgerigid.errors import DisconnectingWeightsError, LengthMismatchError
+from edgerigid.errors import DisconnectingWeightsError
 from edgerigid.graphs import WeightVector, adjoint_apply, laplacian
 from edgerigid.rigidity import decide_edge_rigid_exact
 from edgerigid.spectral import (

@@ -265,20 +265,36 @@ def assert_decide_matches(g: Graph, walks: list[np.ndarray], P: int):
 
 
 def crossing_graphs(seed: int = 20261031) -> list[tuple[str, Graph]]:
-    """Regular bipartite graphs whose stream needs 9-byte slots before power n - 1.
+    """Graphs whose stream needs 9-byte slots before power n - 1.
 
-    The chain's rows are an integer array while 2 d^l < 2^63 and packed ints
-    after: C70 from power 62 on, K16_16 (one class of twins per side) from
-    16 and a seeded 6-regular bipartite graph on 60 vertices from 24.
+    The rows are an integer array while 2 Delta^l < 2^63 and packed ints
+    after. On regular bipartite graphs the chain crosses: C70 from power 62
+    on, K16_16 (one class of twins per side) from 16 and a seeded 6-regular
+    bipartite graph on 60 vertices from 24. Two seeded random trees on 48
+    vertices cross on one side, with five neighbourhood sizes, twin leaves
+    whose sums are reindexed, and a lift on almost every row: tree48_9
+    (Delta = 6) from power 24 and tree48_0 (Delta = 5) from 27.
     """
     rng = np.random.default_rng(seed)
     return [("C70", fam.cycle_graph(70)), ("K16_16", fam.complete_bipartite_graph(16, 16)),
-            ("regbip6_60", random_biregular(rng, 30, 30, 6))]
+            ("regbip6_60", random_biregular(rng, 30, 30, 6)),
+            ("tree48_9", fam.random_tree(48, seed=9)), ("tree48_0", fam.random_tree(48, seed=0))]
 
 
 CROSSING = crossing_graphs()
 
 STREAM_CASES = CASES + WIDTH_CASES + REGULAR_BIPARTITE + CROSSING
+
+
+def test_crossing_graphs_cross_before_the_last_power():
+    # each one's stream switches to packed ints at some power l < n, and the
+    # trees lift rows in both representations
+    for _, g in CROSSING:
+        delta = max(g.degrees)
+        assert any(rigidity._slot_bytes(delta, l) > 8 for l in range(g.n))
+    trees = [g for name, g in CROSSING if name.startswith("tree")]
+    assert [max(g.degrees) for g in trees] == [6, 5]
+    assert all(len(set(g.degrees)) == 5 and len(set(g.neighbors)) < g.n for g in trees)
 
 
 @pytest.mark.parametrize("g", [g for _, g in STREAM_CASES], ids=[n for n, _ in STREAM_CASES])
@@ -293,7 +309,7 @@ def test_halved_stream_matches_dense_adjoint(g):
     L = laplacian(g)
     shifted = dense_powers(delta * np.eye(g.n, dtype=np.int64) - L, g.n)
     rows = rigidity._packed_powers(g, g.n, rigidity._sides(g))
-    held = [isinstance(X, np.ndarray) for X, _ in rows]
+    held = [X.dtype != object for X, _ in rows]
     assert held == [rigidity._slot_bytes(delta, l) <= 8 for l in range(g.n + 1)]
     stream = list(_walk_stream(g, g.n))
     assert len(stream) == len(shifted) == len(walks)
@@ -358,20 +374,16 @@ def test_twins_share_one_neighbour_sum(monkeypatch, g, hoods, additions):
     # alike in the integer array and in packed ints: K20_30 needs 9-byte
     # slots from power 13 on
     seen = []
-    words, packed = rigidity._word_sums, rigidity._neighbor_sums
+    words = rigidity._word_sums
 
     def word_sums(X, table):
         # per neighbourhood size d, a (d, count) array of members in blocks of rows
         shapes = [np.concatenate(blocks).shape for blocks in table]
-        seen.append(("words", sum(c for _, c in shapes), sum((d - 1) * c for d, c in shapes)))
+        phase = "packed" if X.dtype == object else "words"
+        seen.append((phase, sum(c for _, c in shapes), sum((d - 1) * c for d, c in shapes)))
         return words(X, table)
 
-    def neighbor_sums(rows, hoods):
-        seen.append(("packed", len(hoods), sum(len(h) - 1 for h in hoods)))
-        return packed(rows, hoods)
-
     monkeypatch.setattr(rigidity, "_word_sums", word_sums)
-    monkeypatch.setattr(rigidity, "_neighbor_sums", neighbor_sums)
     for _ in rigidity._packed_powers(g, g.n - 1, rigidity._sides(g)):
         pass
     assert [s[1:] for s in seen] == [(hoods, additions)] * (g.n - 1)
@@ -491,7 +503,7 @@ def test_regular_bipartite_rows_hold_half_the_slots(g, half):
     # of the n/2 slots of side 0; on any other graph some row of n has a
     # nonzero slot past n/2 at every power, as an array column or a packed slot
     for rows, size in rigidity._packed_powers(g, g.n - 1, rigidity._sides(g)):
-        if isinstance(rows, np.ndarray):
+        if rows.dtype != object:
             assert (not rows[:, g.n // 2 :].any()) is half
         else:
             assert (max(r.bit_length() for r in rows) <= 8 * size * g.n // 2) is half
