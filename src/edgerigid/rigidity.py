@@ -19,23 +19,23 @@ dimension. A power is one application of M,
 R_u <- sum_{v ~ u} R_v + (Delta - deg u) R_u, by one routine on either
 array: additions, and a multiplication only where deg u < Delta (none on a
 regular graph), kept as one dense product on the integer array and one
-product per lifted row on packed ints (_packed_powers says why). Twins,
+product per lifted row on packed ints (_walk_stream says why). Twins,
 vertices with one neighbourhood, share one sum, so K_{a,b} takes
 a + b - 2 row additions per application, not 2ab - a - b. Each power
-gathers the diagonal slots and the slots (M^l)_ab, (M^l)_aa and (M^l)_bb
-into bytes of the same little-endian slots either way; from packed ints,
-masks keep the diagonal and (M^l)_ab in row a, and rows whose kept slots
-are disjoint are merged into one int before it is turned into bytes. They
-combine into c_l as one sum of packed ints. On a regular bipartite graph
-M = A, and every walk from u to v has the parity of side(u) + side(v), so
-(M^l)_uv = 0 unless side(v) = side(u) + l mod 2. The rows of the vertices
-on side l mod 2 then form one chain that holds only the n/2 slots of side 0,
-pos(v) being v's place within its side; nothing else is kept. At odd l the
-chain's rows hold every (M^l)_ab, and the diagonal is zero. At even l the
-edge slots are zero, and the recursion (A^l)_vv = sum_{u ~ v} (A^(l-1))_uv
-gives the diagonal from the edge values read at l - 1: d x in every slot
-when they are all x, as on an edge-rigid graph, and their d sums
-otherwise. M is
+gathers the diagonal slots and the slots (M^l)_ab into bytes of the same
+little-endian slots either way; from packed ints, masks keep the diagonal
+and (M^l)_ab in row a, and rows whose kept slots are disjoint are merged
+into one int before it is turned into bytes. With (M^l)_aa and (M^l)_bb
+read off the diagonal, they combine into c_l as one sum of packed ints. On
+a regular bipartite graph M = A, and every walk from u to v has the parity
+of side(u) + side(v), so (M^l)_uv = 0 unless side(v) = side(u) + l mod 2.
+The rows of the vertices on side l mod 2 then form one chain that holds
+only the n/2 slots of side 0, pos(v) being v's place within its side;
+nothing else is kept. At odd l the chain's rows hold every (M^l)_ab, and
+the diagonal is zero. At even l the edge slots are zero, and the recursion
+(A^l)_vv = sum_{u ~ v} (A^(l-1))_uv gives the diagonal from the edge values
+read at l - 1: d x in every slot when they are all x, as on an edge-rigid
+graph, and their d sums otherwise. M is
 nonnegative with row sums at most Delta, so 0 <= (M^l)_uv <= Delta^l and
 |c_l(e)| <= 2 Delta^l: slots of k >= bitlen(2 Delta^l) + 1 bits decode
 uniquely; k grows with l. The stream to depth n-1 takes n-1 applications of
@@ -245,102 +245,6 @@ def _slot_bytes(r: int, l: int) -> int:
     return ((2 * r**l).bit_length() + 8) // 8
 
 
-def _sides(g: Graph) -> tuple[list[int], list[int], int]:
-    """(side, pos, sides): each vertex's side, its slot within that side, and the number of sides.
-
-    A regular bipartite graph has two, the colour classes of n/2 vertices
-    each; any other graph one, of all n vertices in vertex order.
-    """
-    color, odd, _ = g._search
-    if odd or min(g.degrees) < max(g.degrees):
-        return [0] * g.n, list(range(g.n)), 1
-    count, pos = [0, 0], []
-    for c in color:
-        pos.append(count[c])
-        count[c] += 1
-    return list(color), pos, 2
-
-
-def _packed_powers(g: Graph, lmax: int, layout) -> Iterator[tuple[np.ndarray, int]]:
-    """Yield (kept rows of M^l, slot size in bytes) for l = 0..lmax, M = Delta I - L.
-
-    layout is _sides(g). On one side, row u of M^l is kept for every vertex
-    u. A walk on a regular bipartite graph changes side at every step, so
-    there one chain is kept: the n/2 rows of the vertices u on side l mod 2,
-    in pos order, each of the n/2 slots of side 0. Row u of M^(l+1) is
-    sum_{v ~ u} R_v + (Delta - deg u) R_u for the rows R of M^l. Twins,
-    vertices with one neighbourhood, are grouped once per side and share one
-    sum. The entries of M^l, and the partial sums that compute them, lie in
-    [0, Delta^l]; slots of k >= bitlen(2 Delta^l) + 1 bits also hold the
-    signed walk values of _walk_stream. When the next power needs more, the
-    slots grow before the application, to twice their size or to what power
-    lmax needs if that is less. While _slot_bytes(Delta, l) <= 8, that is
-    2 Delta^l < 2^63, the rows are one integer array of the narrowest width
-    (int8 to int64) that holds a slot, from the identity on. At the first
-    power that needs 9 bytes it is packed once into a 1-D object array: row
-    u becomes one int with (M^l)_uv in unsigned slot pos(v), at bit
-    8 size pos(v), so that CPython's limb loops do the inner dimension.
-    Either way one _word_sums call sums each neighbourhood size's rows in
-    blocks of at most max(width^2, 2^16) entries, at most nnz(A) - n row
-    additions, nnz(A)/2 - n/2 on a chain, a + b - 2 on K_{a,b} and a - 1 on
-    K_{a,a}, and one reindex hands each twin its class's sum. The lift
-    (Delta - deg u) R_u is kept two ways, as full-depth streams measured on
-    a 2-core x86-64 VM: one dense product on the integer array, where
-    lifting by index made a random tree with n = 30 x1.19 slower, and one
-    big-int product per lifted row on packed ints, where a dense product,
-    with a zero product and a copy for every unlifted row, made P300 x1.52
-    slower. M^(l+1) is computed once power l is consumed.
-    """
-    delta = max(g.degrees)
-    lifted = [(u, delta - d) for u, d in enumerate(g.degrees) if d < delta]
-    # one side only, as a regular graph lifts no row; Delta - deg fits every power's dtype
-    lift = np.array([[delta - d] for d in g.degrees], np.min_scalar_type(-delta))
-    side, pos, sides = layout
-    width = g.n // sides
-    steps = []  # per side: _word_sums' table, and each row's place in its sums
-    for s in range(sides):
-        twins: dict[tuple[int, ...], int] = {}
-        classes = [twins.setdefault(nb, len(twins)) for nb, t in zip(g.neighbors, side) if t == s]
-        hoods = tuple(twins) if sides == 1 else tuple(tuple(pos[v] for v in nb) for nb in twins)
-        sizes: dict[int, list[int]] = {}  # classes by neighbourhood size, and their place in table
-        for c, nb in enumerate(hoods):
-            sizes.setdefault(len(nb), []).append(c)
-        table = []  # per size, its (d, count) members in blocks of step x count rows
-        for cs in sizes.values():
-            members = np.array([hoods[c] for c in cs]).T
-            # a block holds at most max(width^2, 2^16) entries: one block per size on a
-            # sparse graph, and no temporary much larger than X on a dense one
-            step = max(1, max(width * width, 1 << 16) // (len(cs) * width))
-            table.append([members[i : i + step] for i in range(0, len(members), step)])
-        place = {c: i for i, c in enumerate(c for cs in sizes.values() for c in cs)}
-        order = [place[c] for c in classes]
-        steps.append((table, None if order == sorted(place) else np.array(order)))
-    X, size = np.eye(width, dtype=np.int8), 1
-    for l in range(lmax + 1):
-        if l:
-            need = _slot_bytes(delta, l)
-            if need > size:
-                new_size = min(max(need, 2 * size), _slot_bytes(delta, lmax))
-                if X.dtype == object:
-                    X = _widen(X, width, size, new_size)
-                elif new_size > 8:
-                    X = _pack(_le_bytes(X), new_size)
-                else:
-                    X = X.astype(f"<i{1 << (new_size - 1).bit_length()}")
-                size = new_size
-            table, order = steps[l % sides]
-            sums = _word_sums(X, table)
-            if order is not None:
-                sums = sums[order]
-            if X.dtype == object:
-                for u, d in lifted:
-                    sums[u] += d * X[u]
-            elif lifted:
-                sums += lift * X
-            X = sums
-        yield X, size
-
-
 def _row_colors(n: int, rows, slots) -> list[int]:
     """Colours of the rows u < n that keep the slots slots[i] with rows[i] == u.
 
@@ -383,87 +287,155 @@ def _masked_slots(rows: list[int], masks: list[int], groups, size: int, width: i
 
 
 def _walk_stream(g: Graph, lmax: int) -> Iterator[tuple[np.ndarray, np.ndarray, bytes]]:
-    """Yield (diag, ab, c_l) for l = 0..lmax, M = Delta I - L (_packed_powers).
+    """Yield (diag, ab, c_l) for l = 0..lmax, M = Delta I - L.
 
     diag holds the n slots diag(M^l) and ab the m slots (M^l)_ab over the
     edges (a, b): uint8 arrays, one row per unsigned slot. c_l(e) =
     (M^l)_aa + (M^l)_bb - 2 (M^l)_ab is one sum of packed ints plus the
     offset 2^(8 size - 1) per slot, built once per slot size, as m
     little-endian slots of equal size (_signed_slots): |c_l(e)| <= 2 Delta^l
-    fits the slot. On one side, diag, ab, (M^l)_aa and (M^l)_bb are views
-    of one gather from the rows, (M^l)_ab from row a. While the slots fit
-    8 bytes the rows are an integer array and the gather is one fancy index
-    (_word_slots); past that they are an object array of packed ints, read
-    as a list, and the gather costs two big-int operations per row, one
-    conversion to bytes per colour and one take, with the colouring and
-    masks built at the first such power. The yielded bytes are the same
-    either way, and the same as from packed ints alone. On a regular
-    bipartite graph (M^l)_ab is zero at even l and the diagonal at odd l.
-    At odd l, (M^l)_ab is gathered from the chain's row of the end on
-    side 1, at the slot of the end on side 0. At even l, M = A
-    gives diag(M^l)_v = sum_{e ~ v} (M^(l-1))_e. When one _constant compare
-    finds every edge value of power l - 1 equal to x, every diagonal slot is
-    d x and c_l = 2 d x: no sum and no gather. Otherwise d layer ints, layer
-    i holding every vertex's i-th edge value of power l - 1 widened to this
-    power's slots, are summed, at most Delta^l a slot so that none carries,
-    and (M^l)_aa and (M^l)_bb are gathered from the sum. Only a graph that
-    is not edge-rigid gets there, after decide has stopped with a witness.
+    fits the slot. The stream keeps rows of M^l, (M^l)_uv in slot pos(v) of
+    row u, pos(v) being v's place within its side. A regular bipartite graph
+    has two sides, its colour classes; any other graph one, of all n
+    vertices in vertex order, and row u is kept for every u. A walk on a
+    regular bipartite graph changes side at every step, so there one chain
+    is kept: the n/2 rows of the vertices u on side l mod 2, in pos order,
+    each of the n/2 slots of side 0.
+
+    Row u of M^(l+1) is sum_{v ~ u} R_v + (Delta - deg u) R_u for the rows
+    R of M^l. Twins, vertices with one neighbourhood, share one sum: one
+    _word_sums call per power sums each neighbourhood size's rows in blocks
+    of at most max(width^2, 2^16) entries, at most nnz(A) - n row additions,
+    nnz(A)/2 - n/2 on a chain, a + b - 2 on K_{a,b} and a - 1 on K_{a,a},
+    and one reindex hands each twin its class's sum. When the next power
+    needs wider slots (_slot_bytes), they grow before the application, to
+    twice their size or to what power lmax needs if that is less. While they
+    fit 8 bytes, 2 Delta^l < 2^63, the rows are one integer array of the
+    narrowest width (int8 to int64) that holds a slot, from the identity on,
+    and the gather is one fancy index (_word_slots). At the first power that
+    needs 9 bytes the array is packed once into a 1-D object array, row u
+    one int with (M^l)_uv in unsigned slot pos(v), so that CPython's limb
+    loops do the inner dimension; the rows are coloured there and masks
+    built at every slot size, and a gather costs two big-int operations per
+    row, one conversion to bytes per colour and one take (_masked_slots).
+    The yielded bytes are the same either way. The lift (Delta - deg u) R_u
+    is kept two ways, as full-depth streams measured on a 2-core x86-64 VM:
+    one dense product on the integer array, where lifting by index made a
+    random tree with n = 30 x1.19 slower, and one big-int product per lifted
+    row on packed ints, where a dense product, with a zero product and a
+    copy for every unlifted row, made P300 x1.52 slower. M^(l+1) is
+    computed once power l is consumed.
+
+    On one side the gather takes the diagonal and (M^l)_ab from row a, n + m
+    slots, and (M^l)_aa and (M^l)_bb are read off the diagonal. On a chain
+    the diagonal is zero at odd l, and (M^l)_ab is gathered from the row of
+    the end on side 1, at the slot of the end on side 0. At even l (M^l)_ab
+    is zero, and M = A gives diag(M^l)_v = sum_{e ~ v} (M^(l-1))_e. When one
+    _constant compare finds every edge value of power l - 1 equal to x,
+    every diagonal slot is d x and c_l = 2 d x: no sum and no gather.
+    Otherwise d layer ints, layer i holding every vertex's i-th edge value
+    of power l - 1 widened to this power's slots, are summed, at most
+    Delta^l a slot so that none carries, and (M^l)_aa and (M^l)_bb are read
+    off the sum. Only a graph that is not edge-rigid gets there, after
+    decide has stopped with a witness.
     """
     n, m = g.n, g.m
-    layout = _sides(g)
-    side, pos, sides = layout
+    delta = max(g.degrees)
+    color, odd, _ = g._search
+    sides = 1 if odd or min(g.degrees) < delta else 2
+    side = [0] * n if sides == 1 else list(color)
+    count, pos = [0, 0], []
+    for s in side:
+        pos.append(count[s])
+        count[s] += 1
     width = n // sides
+    steps = []  # per side: _word_sums' table, and each row's place in its sums
+    for s in range(sides):
+        twins: dict[tuple[int, ...], int] = {}
+        classes = [twins.setdefault(nb, len(twins)) for nb, t in zip(g.neighbors, side) if t == s]
+        hoods = tuple(twins) if sides == 1 else tuple(tuple(pos[v] for v in nb) for nb in twins)
+        sizes: dict[int, list[int]] = {}  # classes by neighbourhood size, and their place in table
+        for c, nb in enumerate(hoods):
+            sizes.setdefault(len(nb), []).append(c)
+        table = []  # per size, its (d, count) members in blocks of step x count rows
+        for cs in sizes.values():
+            members = np.array([hoods[c] for c in cs]).T
+            # one block per size on a sparse graph; no temporary much larger than X on a dense one
+            step = max(1, max(width * width, 1 << 16) // (len(cs) * width))
+            table.append([members[i : i + step] for i in range(0, len(members), step)])
+        place = {c: i for i, c in enumerate(c for cs in sizes.values() for c in cs)}
+        order = [place[c] for c in classes]
+        steps.append((table, None if order == sorted(place) else np.array(order)))
+    lifted = [(u, delta - d) for u, d in enumerate(g.degrees) if d < delta]
+    # one side only, as a regular graph lifts no row; Delta - deg fits every power's dtype
+    lift = np.array([[delta - d] for d in g.degrees], np.min_scalar_type(-delta))
     a, b = g._edge_ends
+    ends = np.concatenate([a, b])
     if sides == 1:
-        # gathered: diag(M^l), then (M^l)_ab, (M^l)_aa and (M^l)_bb over the edges;
-        # row u keeps its diagonal slot u and the slot b of each edge (u, b)
-        u = np.arange(n)
-        rows, slots = np.concatenate([u, a, a, b]), np.concatenate([u, b, a, b])
+        # diag(M^l), then (M^l)_ab: row u keeps its slot u and the slot b of each edge (u, b)
+        rows, slots = (np.concatenate([np.arange(n), e]) for e in (a, b))
     else:
         side, pos = np.array(side), np.array(pos)
         r = np.where(side[a] == 1, a, b)
         rows, slots = pos[r], pos[a + b - r]
-        ends = np.concatenate([a, b])
         layers = np.argsort(ends, kind="stable").reshape(n, -1).T % m  # i: each vertex's i-th edge
-    kept, groups, sized = n + m if sides == 1 else m, None, 0
-    for l, (packed, size) in enumerate(_packed_powers(g, lmax, layout)):
-        k = m * size
-        words = packed.dtype != object
-        if size != sized:
-            sized, half = size, _repeat(1 << 8 * size - 1, size, m)
-            if not words:
-                if groups is None:  # at the first packed power
-                    colors = _row_colors(width, rows[:kept].tolist(), slots[:kept].tolist())
+    X, size, half = np.eye(width, dtype=np.int8), 1, _repeat(1 << 7, 1, m)
+    for l in range(lmax + 1):
+        if l:
+            need = _slot_bytes(delta, l)
+            if need > size:
+                new_size = min(max(need, 2 * size), _slot_bytes(delta, lmax))
+                if X.dtype == object:
+                    X = _widen(X, width, size, new_size)
+                elif new_size > 8:
+                    X = _pack(_le_bytes(X), new_size)
+                    colors = _row_colors(width, rows.tolist(), slots.tolist())
                     groups = [[] for _ in range(max(colors) + 1)]
                     for u, c in enumerate(colors):
                         groups[c].append(u)
                     at = np.array(colors)[rows] * width + slots
-                masks = _slot_masks(width, rows[:kept], slots[:kept], size)
+                else:
+                    X = X.astype(f"<i{1 << (new_size - 1).bit_length()}")
+                size, half = new_size, _repeat(1 << 8 * new_size - 1, new_size, m)
+                if X.dtype == object:
+                    masks = _slot_masks(width, rows, slots, size)
+            table, order = steps[l % sides]
+            sums = _word_sums(X, table)
+            if order is not None:
+                sums = sums[order]
+            if X.dtype == object:
+                for u, d in lifted:
+                    sums[u] += d * X[u]
+            elif lifted:
+                sums += lift * X
+            X = sums
+        k = m * size
         if sides == 1 or l % 2:
-            G = (_word_slots(packed, rows, slots, size) if words
-                 else _masked_slots(packed.tolist(), masks, groups, size, width).take(at, axis=0))
-        if sides == 1:
-            diag, ab, raw = G[:n], G[n : n + m], G[n:].tobytes()
-            xab, xaa, xbb = (int.from_bytes(raw[i : i + k], "little") for i in (0, k, 2 * k))
-            c = xaa + xbb + half - 2 * xab
-        elif l % 2:
+            G = (_word_slots(X, rows, slots, size) if X.dtype != object
+                 else _masked_slots(X.tolist(), masks, groups, size, width).take(at, axis=0))
+        if sides == 2 and l % 2:
             diag, ab = np.zeros((n, size), np.uint8), G
             c = half - 2 * int.from_bytes(ab.tobytes(), "little")
-        elif l and _constant(ab.tobytes(), m):
+        elif sides == 2 and l and _constant(ab.tobytes(), m):
             # every edge value of power l - 1 is x: diag(M^l) = d x and c_l = 2 d x
             dx = g.degrees[0] * int.from_bytes(ab[0].tobytes(), "little")
             diag = np.frombuffer(dx.to_bytes(size, "little") * n, np.uint8).reshape(n, size)
             ab = np.zeros((m, size), np.uint8)
             c = _repeat(2 * dx + (1 << 8 * size - 1), size, m)
         else:
-            diag = np.ones((n, 1), np.uint8)  # M^0 = I
-            if l:
-                wide = np.zeros((len(layers), n, size), np.uint8)
-                wide[..., : ab.shape[1]] = ab[layers]  # the edge values of power l - 1
-                total = sum(_split(wide.tobytes(), len(layers)))
-                diag = np.frombuffer(total.to_bytes(n * size, "little"), np.uint8).reshape(n, size)
-            ab, raw = np.zeros((m, size), np.uint8), diag.take(ends, axis=0).tobytes()
-            c = int.from_bytes(raw[:k], "little") + int.from_bytes(raw[k:], "little") + half
+            if sides == 1:
+                diag, ab = G[:n], G[n:]
+            else:
+                diag = np.ones((n, 1), np.uint8)  # M^0 = I
+                if l:
+                    wide = np.zeros((len(layers), n, size), np.uint8)
+                    wide[..., : ab.shape[1]] = ab[layers]  # the edge values of power l - 1
+                    total = sum(_split(wide.tobytes(), len(layers))).to_bytes(n * size, "little")
+                    diag = np.frombuffer(total, np.uint8).reshape(n, size)
+                ab = np.zeros((m, size), np.uint8)
+            raw = diag.take(ends, axis=0).tobytes()
+            c = (int.from_bytes(raw[:k], "little") + int.from_bytes(raw[k:], "little") + half
+                 - 2 * int.from_bytes(ab.tobytes(), "little"))
         yield diag, ab, c.to_bytes(k, "little")
 
 

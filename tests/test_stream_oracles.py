@@ -297,8 +297,26 @@ def test_crossing_graphs_cross_before_the_last_power():
     assert all(len(set(g.degrees)) == 5 and len(set(g.neighbors)) < g.n for g in trees)
 
 
+def applied_rows(monkeypatch, g: Graph, lmax: int) -> tuple[list[np.ndarray], list]:
+    """(M^0..M^(lmax-1) as the stream applies them, the stream to lmax), via a _word_sums spy.
+
+    Application l + 1 takes M^l, already in the slots of power l + 1, whose
+    slot size is len(c_(l+1)) // m. The spy is undone before returning.
+    """
+    rows, words = [], rigidity._word_sums
+
+    def word_sums(X, table):
+        rows.append(X)
+        return words(X, table)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(rigidity, "_word_sums", word_sums)
+        stream = list(_walk_stream(g, lmax))
+    return rows, stream
+
+
 @pytest.mark.parametrize("g", [g for _, g in STREAM_CASES], ids=[n for n, _ in STREAM_CASES])
-def test_halved_stream_matches_dense_adjoint(g):
+def test_halved_stream_matches_dense_adjoint(monkeypatch, g):
     """The stream against dense adjoint(M^l), M = max-degree I - L, and tr(M^l L), every power.
 
     The stream holds M^l as an integer array exactly while its slots fit
@@ -308,10 +326,11 @@ def test_halved_stream_matches_dense_adjoint(g):
     delta = max(g.degrees)
     L = laplacian(g)
     shifted = dense_powers(delta * np.eye(g.n, dtype=np.int64) - L, g.n)
-    rows = rigidity._packed_powers(g, g.n, rigidity._sides(g))
-    held = [X.dtype != object for X, _ in rows]
-    assert held == [rigidity._slot_bytes(delta, l) <= 8 for l in range(g.n + 1)]
-    stream = list(_walk_stream(g, g.n))
+    rows, stream = applied_rows(monkeypatch, g, g.n + 1)
+    held = [X.dtype != object for X in rows]  # M^0..M^n
+    assert held == [len(raw) // g.m <= 8 for _, _, raw in stream[1:]]
+    assert held == [rigidity._slot_bytes(delta, l + 1) <= 8 for l in range(g.n + 1)]
+    stream = stream[: g.n + 1]
     assert len(stream) == len(shifted) == len(walks)
     a, b = np.transpose(g.edges)
     for l, ((diag, ab, raw), P) in enumerate(zip(stream, shifted)):
@@ -384,7 +403,7 @@ def test_twins_share_one_neighbour_sum(monkeypatch, g, hoods, additions):
         return words(X, table)
 
     monkeypatch.setattr(rigidity, "_word_sums", word_sums)
-    for _ in rigidity._packed_powers(g, g.n - 1, rigidity._sides(g)):
+    for _ in _walk_stream(g, g.n - 1):
         pass
     assert [s[1:] for s in seen] == [(hoods, additions)] * (g.n - 1)
     fit = [rigidity._slot_bytes(max(g.degrees), l) <= 8 for l in range(1, g.n)]
@@ -444,6 +463,30 @@ def test_edge_rigid_chain_gathers_at_odd_powers_only(monkeypatch, g):
     assert gathered == list(range(1, g.n, 2))
 
 
+@pytest.mark.parametrize(
+    "g, calls",
+    [(fam.cycle_graph(71), 62), (CROSSING[-2][1], 24), (hypercube(4), 8)],
+    ids=["C71", CROSSING[-2][0], "Q4"],
+)
+def test_gather_takes_the_diagonal_and_the_edge_slots(monkeypatch, g, calls):
+    # one side gathers diag(M^l) and (M^l)_ab, n + m slots, and reads (M^l)_aa
+    # and (M^l)_bb off the diagonal; the chain gathers (M^l)_ab alone, m slots,
+    # at odd powers. C71 is held in words through power 61, the tree through 23
+    gathered = []
+    gather = rigidity._word_slots
+
+    def spy(X, rows, slots, size):
+        gathered.append((len(rows), len(slots)))
+        return gather(X, rows, slots, size)
+
+    monkeypatch.setattr(rigidity, "_word_slots", spy)
+    for _ in _walk_stream(g, g.n - 1):
+        pass
+    one_side = bipartition(g) is None or len(set(g.degrees)) > 1
+    slots = g.n + g.m if one_side else g.m
+    assert gathered == [(slots, slots)] * calls
+
+
 def test_walk_regular_graph_reads_even_powers_both_ways(monkeypatch):
     # C40(1,7) is walk-regular but not edge-rigid: its edge values agree through
     # power 5 and split at 7, so powers 2..6 are read off the constant and
@@ -498,11 +541,15 @@ def non_bipartite_cubic(seed: int = 20261029) -> Graph:
     ids=["C12", "Q4", "K5_5", REGULAR_BIPARTITE[3][0], "P12", "K3_5", "petersen", "cubic14",
          "K16_16", "K2_25"],
 )
-def test_regular_bipartite_rows_hold_half_the_slots(g, half):
+def test_regular_bipartite_rows_hold_half_the_slots(monkeypatch, g, half):
     # on a regular bipartite graph the stream keeps one chain of n/2 rows, each
     # of the n/2 slots of side 0; on any other graph some row of n has a
-    # nonzero slot past n/2 at every power, as an array column or a packed slot
-    for rows, size in rigidity._packed_powers(g, g.n - 1, rigidity._sides(g)):
+    # nonzero slot past n/2 at every power, as an array column or a packed slot.
+    # Application l + 1 takes M^l in the slots of power l + 1
+    applied, stream = applied_rows(monkeypatch, g, g.n)
+    assert len(applied) == g.n
+    for rows, (_, _, raw) in zip(applied, stream[1:]):
+        size = len(raw) // g.m
         if rows.dtype != object:
             assert (not rows[:, g.n // 2 :].any()) is half
         else:
