@@ -301,11 +301,16 @@ def parse_graph(data: bytes | str, format: str | None = None) -> Graph:
 
 def laplacian(g: Graph, w: WeightVector | None = None) -> np.ndarray:
     """Weighted Laplacian sum(w_e z_e z_e^T) in the weights' dtype: int64 ones when w is None."""
-    wv = np.ones(g.m, dtype=np.int64) if w is None else w.as_array()
+    a, b = g._edge_ends
+    if w is None:  # one entry per edge of a simple graph, and the degrees
+        L = np.zeros((g.n, g.n), dtype=np.int64)
+        L[a, b] = L[b, a] = -1
+        np.fill_diagonal(L, g.degrees)
+        return L
+    wv = w.as_array()
     if len(wv) != g.m:
         raise DimensionMismatchError(f"got {len(wv)} weights for {g.m} edges")
     L = np.zeros((g.n, g.n), dtype=wv.dtype)
-    a, b = g._edge_ends
     np.add.at(L, (a, a), wv)
     np.add.at(L, (b, b), wv)
     np.add.at(L, (a, b), -wv)
@@ -341,10 +346,11 @@ def edge_energies(g: Graph, V) -> np.ndarray:
 def group_energies(g: Graph, V: np.ndarray, bounds) -> np.ndarray:
     """Row i is edge_energies(g, V[:, bounds[i]:bounds[i + 1]]), from one gather of V_a - V_b."""
     a, b = g._edge_ends
-    lo = bounds[0]  # D covers columns lo..bounds[-1]; each row is one einsum on a slice of it
+    lo = bounds[0]  # D covers columns lo..bounds[-1]; each row sums the squares of a slice of it
     D = V[a, lo:bounds[-1]] - V[b, lo:bounds[-1]]
     cols = [D[:, i - lo:j - lo] for i, j in zip(bounds, bounds[1:])]
-    return np.array([np.einsum("ij,ij->i", C, C) for C in cols])
+    return np.array([C[:, 0] * C[:, 0] if C.shape[1] == 1 else np.einsum("ij,ij->i", C, C)
+                     for C in cols])
 
 
 def incidence(g: Graph) -> np.ndarray:

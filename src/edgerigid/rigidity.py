@@ -9,49 +9,26 @@ incidence vector of edge e = (a, b),
 It is computed from powers of M = Delta I - L = A + diag(Delta - deg), Delta
 the maximum degree, as c_l(e) = z_e^T M^l z_e; L = Delta I - M gives
 w_l = sum_{i<=l} C(l, i) Delta^(l-i) (-1)^i c_i, a unit-triangular map, so
-c_0..c_l are constant exactly when w_0..w_l are. The stream holds the rows
-of M^l in slots of k bits, (M^l)_uv in slot pos(v) of row u. While k fits
-8 bytes, _slot_bytes(Delta, l) <= 8 or 2 Delta^l < 2^63, the rows are one
-numpy integer array, exact in machine words; from the first power that
-needs 9 bytes on, they are a 1-D numpy object array, row u one Python int
-with an unsigned field per slot, so CPython's limb loops do the inner
-dimension. A power is one application of M,
-R_u <- sum_{v ~ u} R_v + (Delta - deg u) R_u, by one routine on either
-array: additions, and a multiplication only where deg u < Delta (none on a
-regular graph), kept as one dense product on the integer array and one
-product per lifted row on packed ints (_walk_stream says why). Twins,
-vertices with one neighbourhood, share one sum, so K_{a,b} takes
-a + b - 2 row additions per application, not 2ab - a - b. Each power
-gathers the diagonal slots and the slots (M^l)_ab into bytes of the same
-little-endian slots either way; from packed ints, masks keep the diagonal
-and (M^l)_ab in row a, and rows whose kept slots are disjoint are merged
-into one int before it is turned into bytes. With (M^l)_aa and (M^l)_bb
-read off the diagonal, they combine into c_l as one sum of packed ints. On
-a regular bipartite graph M = A, and every walk from u to v has the parity
-of side(u) + side(v), so (M^l)_uv = 0 unless side(v) = side(u) + l mod 2.
-The rows of the vertices on side l mod 2 then form one chain that holds
-only the n/2 slots of side 0, pos(v) being v's place within its side;
-nothing else is kept. At odd l the chain's rows hold every (M^l)_ab, and
-the diagonal is zero. At even l the edge slots are zero, and the recursion
-(A^l)_vv = sum_{u ~ v} (A^(l-1))_uv gives the diagonal from the edge values
-read at l - 1: d x in every slot when they are all x, as on an edge-rigid
-graph, and their d sums otherwise. M is
-nonnegative with row sums at most Delta, so 0 <= (M^l)_uv <= Delta^l and
-|c_l(e)| <= 2 Delta^l: slots of k >= bitlen(2 Delta^l) + 1 bits decode
-uniquely; k grows with l. The stream to depth n-1 takes n-1 applications of
-M, to n rows of n slots, or to n/2 rows of n/2 slots on a regular bipartite
-graph, of O(n log Delta) bits each. ``decide_edge_rigid_exact``
-often stops sooner, on a certificate read from the c_l themselves. Over the
-eigenvalues t of L with multiplicities m_t, m c_l = tr(M^l L) =
-sum_t m_t t (Delta - t)^l. A monic integer q of degree D that annihilates
-the constants c_0..c_{2D} gives H q = 0 for the Hankel matrix
-H = [m c_{i+k}] = [tr(M^(i+k) L)], so q^T H q = sum_t m_t t q(Delta - t)^2 = 0
-and q(Delta - t) = 0 at every nonzero t. z_e is orthogonal to the kernel of
-L, so q(M) z_e = 0 and every c_l(e) follows q's recurrence, which carries
-constancy to every power. The roots Delta - t are distinct exactly when the
-t are, so a rigid graph with d' distinct nonzero eigenvalues is certified
-after min(2d', n - 1) applications. The C_l are formed only when read. Two
-identities turn other deciders into functions of that stream:
+c_0..c_l are constant exactly when w_0..w_l are. _walk_stream holds the rows
+of M^l, (M^l)_uv in slot pos(v) of row u: one numpy integer array while a
+slot fits 8 bytes, packed Python ints past that, and on a regular bipartite
+graph one chain of n/2 rows of n/2 slots. M is nonnegative with row sums at
+most Delta, so 0 <= (M^l)_uv <= Delta^l and |c_l(e)| <= 2 Delta^l: slots of
+k >= bitlen(2 Delta^l) + 1 bits decode uniquely; k grows with l. The stream
+to depth n - 1 takes n - 1 applications of M, R_u <- sum_{v ~ u} R_v +
+(Delta - deg u) R_u, with one sum per class of twins.
+``decide_edge_rigid_exact`` often stops sooner, on a certificate read from
+the c_l themselves. Over the eigenvalues t of L with multiplicities m_t,
+m c_l = tr(M^l L) = sum_t m_t t (Delta - t)^l. A monic integer q of degree D
+that annihilates the constants c_0..c_{2D} gives H q = 0 for the Hankel
+matrix H = [m c_{i+k}] = [tr(M^(i+k) L)], so q^T H q = sum_t m_t t
+q(Delta - t)^2 = 0 and q(Delta - t) = 0 at every nonzero t. z_e is
+orthogonal to the kernel of L, so q(M) z_e = 0 and every c_l(e) follows q's
+recurrence, which carries constancy to every power. The roots Delta - t are
+distinct exactly when the t are, so a rigid graph with d' distinct nonzero
+eigenvalues is certified after min(2d', n - 1) applications. The C_l are
+formed only when read. Two identities turn other deciders into functions of
+that stream:
 
 - char(L - L_e) - char(L) has coefficients sum_{i<=k} p_i w_{k-i}(e), where
   p_i are those of char(L). The map is unit-triangular, so two edges are
@@ -62,11 +39,18 @@ identities turn other deciders into functions of that stream:
 
 _walk_stream yields, per power, the diagonal slots of M^l, its slots
 (M^l)_ab over the edges and c_l, all from one gather. ``full_report`` reads
-it in one loop: the walk criterion, the cospectrality classes and the
-signed-line-graph verdict come from the c_l, walk_class's flags from the
+it in one loop (_read): the walk criterion, the cospectrality classes and
+the signed-line-graph verdict come from the c_l, walk_class's flags from the
 diagonal and edge slots, and the exact spanning-tree count from the traces
-p_l = tr(M^l), l = 0..n-1, the sums of the diagonal slots. Newton's
-identities, k a_k = -sum_{i=1..k} a_{k-i} p_i with exact divisions, give the
+p_l = tr(M^l) = sum_t m_t (Delta - t)^l, t = 0 included, the sums of the
+diagonal slots. The argument above stops the loop: m_0 = 1 on a connected
+graph, so a monic integer q' of degree D that annihilates
+p_l - Delta^l = sum_{t != 0} m_t (Delta - t)^l, l = 0..2D, gives q(M) = 0
+for q = (x - Delta) q'. The flags and profiles read are final, and q extends
+the traces and walk constants to power n - 1. It is tried once, at power
+2(r - 1) for the float spectrum's r groups: min(2d', n - 1) applications,
+as in decide, when r - 1 = d'. Newton's identities,
+k a_k = -sum_{i=1..k} a_{k-i} p_i with exact divisions, give the
 coefficients a_k of x^(n-k) in char_M(x) = det(xI - M). As
 char_L(x) = (-1)^n char_M(Delta - x) and the coefficient of x in char_L is
 (-1)^(n-1) n tau,
@@ -186,10 +170,14 @@ def _repeat(x: int, size: int, count: int) -> int:
 
 
 def _slot_masks(width: int, rows, slots, size: int) -> list[int]:
-    """Per row u < width of width slots of size bytes, all ones in slots[i] where rows[i] == u."""
-    M = np.zeros((width, width, size), dtype=np.uint8)
-    M[rows, slots] = 0xFF
-    return _split(M.tobytes(), width)
+    """Per row u < width of width slots of size bytes, all ones in slots[i] where rows[i] == u.
+
+    Each kept slot is OR-ed into its row's int, so no more than a row is held beside the masks.
+    """
+    ones, masks = (1 << 8 * size) - 1, [0] * width
+    for u, s in zip(rows.tolist(), slots.tolist()):
+        masks[u] |= ones << 8 * size * s
+    return masks
 
 
 def _pack(slots: np.ndarray, size: int) -> np.ndarray:
@@ -519,7 +507,24 @@ def _predict(terms: list[int], lam: list[int], l: int) -> int:
     return -sum(c * terms[l - 1 - k] for k, c in enumerate(lam))
 
 
-def _walk_criterion(g: Graph, walks: Iterable[bytes], lmax: int) -> WalkCriterion:
+def _certify(terms: list[int], rec: _Recurrence) -> list[int] | None:
+    """rec's lifted recurrence, once fed all terms, if it generates them and 2D < len(terms)."""
+    for x in terms[len(rec.residues) :]:
+        rec.push(x)
+    if 2 * rec.length >= len(terms):
+        return None
+    lam = rec.coeffs()
+    ok = all(_predict(terms, lam, l) == terms[l] for l in range(len(lam), len(terms)))
+    return lam if ok else None
+
+
+def _trace_recurrence(traces: list[int], delta: int) -> list[int] | None:
+    """The recurrence of q = (x - Delta) q' with q(M) = 0, q' proved by p_l - Delta^l, or None."""
+    lam = _certify([p - delta**l for l, p in enumerate(traces)], _Recurrence())
+    return lam and [a - delta * b for a, b in zip(lam + [0], [1] + lam)]
+
+
+def _walk_criterion(g: Graph, walks: Iterable[bytes], lmax: int, lam=None) -> WalkCriterion:
     """Constants c_0..c_lmax of _walk_stream's walks c_l, or the first non-constant power's witness.
 
     At the first non-constant power l, w_l(e) = (-1)^l c_l(e) + K_l with
@@ -532,7 +537,8 @@ def _walk_criterion(g: Graph, walks: Iterable[bytes], lmax: int) -> WalkCriterio
     I, L, .., L^diam are independent, and one that fires at p = lmax >= n - 1
     returns what reading to lmax returns. So nothing is pushed into
     Berlekamp-Massey before power 2 ecc(0), and nothing at all where no
-    other p is left, as on C_n and P_n.
+    other p is left, as on C_n and P_n. Given lam, a recurrence that M
+    satisfies (_trace_recurrence), nothing is pushed: lam extends the walks.
     """
     delta = max(g.degrees)
     shifted: list[int] = []
@@ -550,34 +556,32 @@ def _walk_criterion(g: Graph, walks: Iterable[bytes], lmax: int) -> WalkCriterio
             return WalkCriterion(False, None, delta, witness, True)
         size = len(raw) // g.m
         shifted.append(int.from_bytes(raw[:size], "little") - (1 << 8 * size - 1))
-        if not certify or power < reach:
-            continue
-        for c in shifted[len(rec.residues) :]:
-            rec.push(c)
-        if 2 * rec.length >= len(shifted):
-            continue
-        lam = rec.coeffs()
-        if all(_predict(shifted, lam, l) == shifted[l] for l in range(len(lam), power + 1)):
-            while len(shifted) <= lmax:
-                shifted.append(_predict(shifted, lam, len(shifted)))
-            return WalkCriterion(True, tuple(shifted), delta, None, True)
+        if not lam and certify and power >= reach:
+            lam = _certify(shifted, rec)
+            if lam:
+                break
+    if lam:
+        while len(shifted) <= lmax:
+            shifted.append(_predict(shifted, lam, len(shifted)))
+        return WalkCriterion(True, tuple(shifted), delta, None, True)
     return WalkCriterion(True, tuple(shifted), delta, None, len(shifted) >= g.n)
 
 
 def _profile_classes(g: Graph, walks: list[bytes]) -> tuple[tuple[int, ...], ...]:
     """Group edge indices by their walk profile (w_0(e), .., w_last(e)).
 
-    A power constant over the edges separates none of them, so the profiles
-    are keyed on the other powers only; when every power is constant there
-    is one class.
+    A power constant over the edges separates none of them, so an edge's key
+    is its row of slot bytes in the other powers only; when every power is
+    constant there is one class. Classes come in the order of first edges.
     """
     varying = [raw for raw in walks if not _constant(raw, g.m)]
     if not varying:
         return (tuple(range(g.m)),)
-    buckets: dict[tuple[int, ...], list[int]] = {}
-    for e, profile in enumerate(zip(*(_split(raw, g.m) for raw in varying))):
-        buckets.setdefault(profile, []).append(e)
-    return tuple(tuple(c) for c in sorted(buckets.values(), key=lambda c: c[0]))
+    rows = np.hstack([np.frombuffer(raw, np.uint8).reshape(g.m, -1) for raw in varying])
+    buckets: dict[bytes, list[int]] = {}
+    for e, key in enumerate(rows.view(f"V{rows.shape[1]}")[:, 0].tolist()):
+        buckets.setdefault(key, []).append(e)
+    return tuple(tuple(c) for c in buckets.values())
 
 
 def decide_edge_rigid_exact(g: Graph, max_power: int | None = None) -> WalkCriterion:
@@ -603,9 +607,10 @@ def cospectrality_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
 
     Edges are grouped by their walk profiles, which determine char(L - L_e)
     and are determined by it. One class means all edges are pairwise
-    Laplacian-cospectral, which is equivalent to edge-rigidity.
+    Laplacian-cospectral, which is equivalent to edge-rigidity. The profiles
+    are read to _read's certified stop, which fixes every later power.
     """
-    return _profile_classes(g, [c for _, _, c in _walk_stream(g, g.n - 1)])
+    return _profile_classes(g, [c for _, c, _, _ in _read(g)])
 
 
 @dataclass(frozen=True)
@@ -622,18 +627,50 @@ class WalkClassification:
 
 
 def _walk_flags(g: Graph, parts, diag: np.ndarray, ab: np.ndarray, flags: tuple) -> tuple:
-    """walk_class's flags after one more power of _walk_stream.
+    """walk_class's flags after one more power of _walk_stream, and its trace tr(M^l).
 
     flags: diag, (M^l)_ab, and diag on each side of the bipartition parts
     (False if there is none) were constant in every power so far; each test
-    compares bytes.
+    compares bytes. A constant diagonal gives the trace as n times its first
+    slot and every side's flag; the edge slots are read only while theirs holds.
     """
     diag_const, edge_const, part_const = flags
-    return (
-        diag_const and _constant(diag.tobytes(), g.n),
+    raw = diag.tobytes()
+    level = _constant(raw, g.n)
+    flags = (
+        diag_const and level,
         edge_const and _constant(ab.tobytes(), g.m),
-        part_const and all(_constant(diag.take(p, 0).tobytes(), len(p)) for p in parts),
+        part_const and (level or all(_constant(diag.take(p, 0).tobytes(), len(p)) for p in parts)),
     )
+    return flags, g.n * int.from_bytes(raw[: len(raw) // g.n], "little") if level else _trace(diag)
+
+
+def _read(g: Graph, r: int | None = None) -> Iterator[tuple]:
+    """Per power l of _walk_stream: walk_class's flags so far, c_l, the traces p_0..p_l, and lam.
+
+    r, the unit spectrum's group count, only schedules one try of
+    _trace_recurrence, at power 2(r - 1) < n - 1. When it proves q(M) = 0,
+    every later power of M follows q's recurrence lam, so the flags and
+    profiles read are final: that power comes with lam and the traces
+    extended to power n - 1, and reading stops; otherwise lam is None. A
+    wrong r costs time, never a verdict. Without r, the spectrum is taken at
+    power 2 if 2 ecc(0) < n - 1, as r - 1 = d' >= diam(G) >= ecc(0).
+    """
+    stop = 2 * r - 2 if r else None
+    parts = bipartition(g)
+    flags = True, True, parts is not None
+    traces: list[int] = []
+    for l, (diag, ab, c) in enumerate(_walk_stream(g, g.n - 1)):
+        if stop is None and l == 2 and 2 * g._search[2] < g.n - 1:
+            stop = 2 * spectrum(laplacian(g).astype(float)).r - 2
+        flags, p = _walk_flags(g, parts, diag, ab, flags)
+        traces.append(p)
+        lam = _trace_recurrence(traces, max(g.degrees)) if l == stop < g.n - 1 else None
+        while lam and len(traces) < g.n:
+            traces.append(_predict(traces, lam, len(traces)))
+        yield flags, c, traces, lam
+        if lam:
+            return
 
 
 def _classify(parts, diag_const: bool, edge_const: bool, part_const: bool) -> WalkClassification:
@@ -660,15 +697,13 @@ def walk_class(g: Graph) -> WalkClassification:
     bipartition; the biregular tests are skipped for non-bipartite input.
     The flags come from the walk stream's powers of M = Delta I - L, which
     give those of A (module docstring). The loop stops once both diagonal
-    flags fail, after one power unless g is (bi)regular.
+    flags fail, after one power unless g is (bi)regular, or at _read's
+    certified stop.
     """
-    parts = bipartition(g)
-    flags = True, True, parts is not None
-    for diag, ab, _ in _walk_stream(g, g.n - 1):
-        flags = _walk_flags(g, parts, diag, ab, flags)
+    for flags, _, _, _ in _read(g):
         if not (flags[0] or flags[2]):
             break
-    return _classify(parts, *flags)
+    return _classify(bipartition(g), *flags)
 
 
 def signed_line_graph_walk_regular(g: Graph) -> bool:
@@ -724,26 +759,23 @@ class RigidityReport:
 def full_report(g: Graph) -> RigidityReport:
     """Run every decider and assemble the cross-checked report.
 
-    One loop reads the walk stream at full depth: it keeps the walks c_l and
-    the traces tr(M^l), and updates walk_class's flags, as the powers pass;
-    no power is kept. The walk criterion (whose recurrence certificate may
-    stop reading early, a proof), the cospectrality classes and the
-    signed-line-graph verdict come from the walks, the exact tree count from
-    the traces. All five verdicts must agree or InternalInconsistencyError is
-    raised.
+    The unit spectrum comes first, and one loop (_read) reads the walk
+    stream: it keeps the walks c_l and the traces tr(M^l), and updates
+    walk_class's flags, as the powers pass; no power is kept. It stops at
+    power 2(r - 1), r the spectrum's group count, when the traces read prove
+    q(M) = 0 (module docstring), and at power n - 1 otherwise. The walk
+    criterion, the cospectrality classes and the signed-line-graph verdict
+    come from the walks, the exact tree count from the traces; past a stop,
+    q extends the walk constants and the traces. All five verdicts must
+    agree or InternalInconsistencyError is raised.
     """
-    parts = bipartition(g)
-    flags = True, True, parts is not None
-    traces: list[int] = []
-    walks: list[bytes] = []
-    for diag, ab, c in _walk_stream(g, g.n - 1):
-        traces.append(_trace(diag))
-        flags = _walk_flags(g, parts, diag, ab, flags)
-        walks.append(c)
-    wc = _walk_criterion(g, walks, g.n - 1)
-    classes = _profile_classes(g, walks)
-    wclass = _classify(parts, *flags)
     s = spectrum(laplacian(g).astype(float))
+    walks: list[bytes] = []
+    for flags, c, traces, lam in _read(g, s.r):
+        walks.append(c)
+    wc = _walk_criterion(g, walks, g.n - 1, lam)
+    classes = _profile_classes(g, walks)
+    wclass = _classify(bipartition(g), *flags)
     iso = edge_isometry_check(g, s)
     verdicts = {
         "walk_criterion": wc.rigid,

@@ -82,7 +82,9 @@ def spectrum(Lw: np.ndarray) -> Spectrum:
     groups = group_eigenvalues(evals)
     bounds = tuple(sl.start for sl in groups) + (len(evals),)
     sizes = tuple(np.diff(bounds).tolist())
-    means = tuple(float(evals[i:i + k].mean()) for i, k in zip(bounds, sizes))
+    # a lone eigenvalue is its own mean; + 0.0 turns -0.0 into 0.0, as mean does
+    means = tuple(float(evals[i]) + 0.0 if k == 1 else float(evals[i:i + k].mean())
+                  for i, k in zip(bounds, sizes))
     return Spectrum(evals, evecs, bounds, means, sizes)
 
 

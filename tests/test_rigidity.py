@@ -1,5 +1,7 @@
 import collections
+import itertools
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -110,14 +112,22 @@ def test_full_depth_takes_n_minus_one_applications(applications, n):
     assert applications["words"] == word_applications(g, n - 1) == min(n - 1, 61)
 
 
+def kneser_graph(v: int, k: int) -> Graph:
+    """K(v, k): the k-subsets of range(v), two joined when they are disjoint."""
+    sets = [set(c) for c in itertools.combinations(range(v), k)]
+    pairs = itertools.combinations(range(len(sets)), 2)
+    return Graph(len(sets), tuple((i, j) for i, j in pairs if not sets[i] & sets[j]))
+
+
 # d' distinct nonzero Laplacian eigenvalues: Q_d has 2, 4, .., 2d; K_n has n;
-# K_{a,b} has a, b, a + b; Petersen has 2 and 5
+# K_{a,b} has a, b, a + b; the Kneser graphs Petersen = K(5, 2) and K(7, 2)
+# have two each
 D_PRIME_CASES = (
     [(f"Q{d}", hypercube(d), d) for d in range(2, 7)]
     + [(f"K{n}", fam.complete_graph(n), 1) for n in (4, 5, 9, 20)]
     + [(f"K{a}_{a}", fam.complete_bipartite_graph(a, a), 2) for a in (3, 4, 20)]
     + [(f"K{a}_{b}", fam.complete_bipartite_graph(a, b), 3) for a, b in ((2, 5), (3, 4), (5, 9))]
-    + [("petersen", fam.petersen_graph(), 2)]
+    + [("petersen", fam.petersen_graph(), 2), ("kneser7_2", kneser_graph(7, 2), 2)]
 )
 
 
@@ -140,30 +150,112 @@ def test_witness_at_power_one_takes_one_application(applications, n):
 
 
 @pytest.mark.parametrize(
-    "g",
-    [fam.cycle_graph(12), fam.path_graph(12), fam.complete_bipartite_graph(3, 5),
-     fam.random_tree(30, 4), fam.complete_bipartite_graph(2, 25)],
-    ids=["C12", "P12", "K3_5", "tree30", "K2_25"],
+    "g, powers",
+    [(fam.cycle_graph(12), 11), (fam.path_graph(12), 11), (fam.complete_bipartite_graph(3, 5), 6),
+     (fam.random_tree(30, 4), 29), (fam.complete_bipartite_graph(2, 25), 6),
+     (fam.random_tree(48, 9), 47)],
+    ids=["C12", "P12", "K3_5", "tree30", "K2_25", "tree48"],
 )
-def test_full_report_takes_one_exact_loop_on_every_graph(applications, g):
+def test_full_report_takes_one_exact_loop_on_every_graph(applications, g, powers):
     # regular, irregular and biregular graphs alike: walk_class's flags are
-    # read from the walk stream's powers, one application of M per power;
-    # K2_25 needs 9-byte slots from power 14 on
+    # read from the walk stream's powers, one application of M per power, to
+    # power n - 1 or to the certified stop at twice the d' distinct nonzero
+    # Laplacian eigenvalues, when that comes first: K_{a,b} has d' = 3 (a, b
+    # and a + b), so K3_5 stops at 6 of 7 and K2_25 at 6 of 26. tree48 reads
+    # to full depth and needs 9-byte slots from power 24 on
+    full_report(g)
+    assert applications[0] == powers
+    assert applications["words"] == word_applications(g, powers)
+    assert applications["packed"] == powers - word_applications(g, powers)
+
+
+def test_kneser_graph_has_three_distinct_eigenvalues():
+    g = kneser_graph(7, 2)
+    assert (g.n, g.m, set(g.degrees)) == (21, 105, {10})
+    L = np.diag(g.degrees) - np.array([[int(v in nb) for v in range(g.n)] for nb in g.neighbors])
+    assert sorted({round(x) for x in np.linalg.eigvalsh(L)}) == [0, 9, 14]
+
+
+@pytest.mark.parametrize(
+    "g, d_prime", [c[1:] for c in D_PRIME_CASES], ids=[c[0] for c in D_PRIME_CASES]
+)
+def test_full_report_stops_at_a_certified_trace_recurrence(applications, monkeypatch, g, d_prime):
+    # a monic q' of degree d' that annihilates p_l - max-degree^l for
+    # l = 0..2d' gives q(M) = 0 for q = (x - max-degree) q', which fixes every
+    # later power: min(2d', n - 1) applications of M, as in decide, give the
+    # report that reading to power n - 1 gives
+    rep = full_report(g)
+    assert applications[0] == min(2 * d_prime, g.n - 1)
+    monkeypatch.setattr(rigidity, "_trace_recurrence", lambda traces, delta: None)
+    ref = full_report(g)
+    assert applications[0] == min(2 * d_prime, g.n - 1) + g.n - 1
+    assert rep.to_dict() == ref.to_dict()
+    assert (rep.tree_count, rep.walk_constants) == (ref.tree_count, ref.walk_constants)
+
+
+@pytest.mark.parametrize(
+    "g, d_prime", [c[1:] for c in D_PRIME_CASES], ids=[c[0] for c in D_PRIME_CASES]
+)
+def test_walk_class_and_classes_stop_at_the_same_power(applications, g, d_prime):
+    stop = min(2 * d_prime, g.n - 1)
+    assert walk_class(g) == full_report(g).walk_class
+    assert applications[0] == 2 * stop
+    assert cospectrality_classes(g) == (tuple(range(g.m)),)
+    assert applications[0] == 3 * stop
+
+
+@pytest.mark.parametrize(
+    "g", [fam.cycle_graph(n) for n in (5, 7, 31)] + [fam.path_graph(n) for n in (5, 12, 30)],
+    ids=["C5", "C7", "C31", "P5", "P12", "P30"],
+)
+def test_odd_cycles_and_paths_read_to_full_depth(applications, g):
+    # C_n with n odd has (n - 1) / 2 distinct nonzero Laplacian eigenvalues
+    # and P_n has n - 1: twice that is not below n - 1
     full_report(g)
     assert applications[0] == g.n - 1
-    assert applications["words"] == word_applications(g, g.n - 1)
+    cospectrality_classes(g)
+    assert applications[0] == 2 * (g.n - 1)
+
+
+@pytest.mark.parametrize(
+    "g, d_prime", [c[1:] for c in D_PRIME_CASES], ids=[c[0] for c in D_PRIME_CASES]
+)
+def test_wrong_trace_lifts_fall_back_to_the_stream(applications, monkeypatch, g, d_prime):
+    # a lift with its last coefficient off by one mispredicts p_d' - max-degree^d'
+    # by p_0 - 1 = n - 1 (and c_d' by c_0 = 2): only the exact check may
+    # reject it, and reading on to power n - 1 gives the same report
+    ref = full_report(g)
+    coeffs = rigidity._Recurrence.coeffs
+
+    def forged(self):
+        lam = coeffs(self)
+        return lam[:-1] + [lam[-1] + 1]
+
+    monkeypatch.setattr(rigidity._Recurrence, "coeffs", forged)
+    applications.clear()
+    rep = full_report(g)
+    assert applications[0] == g.n - 1
+    assert rep.to_dict() == ref.to_dict()
+    assert (rep.tree_count, rep.walk_constants) == (ref.tree_count, ref.walk_constants)
+    # modulo 3 some lifts are wrong and some right; either way nothing changes
+    monkeypatch.undo()
+    monkeypatch.setattr(rigidity, "_PRIME", 3)
+    rep = full_report(g)
+    assert rep.to_dict() == ref.to_dict()
+    assert (rep.tree_count, rep.walk_constants) == (ref.tree_count, ref.walk_constants)
 
 
 @pytest.mark.parametrize(
     "g, expected",
     [(fam.path_graph(12), 1), (fam.random_tree(30, 4), 1),
-     (fam.complete_bipartite_graph(3, 5), 7), (fam.cycle_graph(12), 11)],
+     (fam.complete_bipartite_graph(3, 5), 6), (fam.cycle_graph(12), 11)],
     ids=["P12", "tree30", "K3_5", "C12"],
 )
 def test_walk_class_stops_once_both_diagonal_flags_fail(applications, g, expected):
     # diag(M) = max-degree - deg is constant overall only on a regular graph
     # and on each side only on a biregular one; after that the edge flag
-    # cannot change the classification
+    # cannot change the classification. The biregular K3_5 reads on to its
+    # certified stop at 2d' = 6 and C12 (d' = 6) to power n - 1
     walk_class(g)
     assert applications[0] == expected
 
@@ -253,6 +345,27 @@ def test_dense_graph_keeps_the_word_phase_near_the_array_size():
     # every nonzero Laplacian eigenvalue of K_n is n, so w_l = z_e^T L^l z_e = 2 n^l
     assert res.rigid and res.proved and res.constants[:3] == (2, 2 * n, 2 * n * n)
     assert peak < 100 * n * n
+
+
+def test_slot_masks_hold_one_row_beside_the_masks():
+    # C401's one side keeps slot u of row u and slot b of row a for each edge
+    # (a, b): at 64-byte slots the masks hold about 5.6 MB, and a dense
+    # (401, 401, 64) byte array beside them would be 10.3 MB more
+    n, size = 401, 64
+    g = fam.cycle_graph(n)
+    a, b = g._edge_ends
+    rows, slots = (np.concatenate([np.arange(n), e]) for e in (a, b))
+    tracemalloc.start()
+    try:
+        masks = rigidity._slot_masks(n, rows, slots, size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = [0] * n
+    for u, s in zip(rows.tolist(), slots.tolist()):
+        want[u] |= (1 << 8 * size) - 1 << 8 * size * s
+    assert masks == want
+    assert peak < 1.1 * sum(sys.getsizeof(x) for x in masks)
 
 
 def one_side_slots(g):

@@ -48,7 +48,7 @@ from edgerigid.rigidity import (
     signed_line_graph_walk_regular,
     walk_class,
 )
-from edgerigid.spectral import tree_count_exact
+from edgerigid.spectral import group_eigenvalues, tree_count_exact
 
 
 def random_connected_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
@@ -491,27 +491,23 @@ def test_walk_regular_graph_reads_even_powers_both_ways(monkeypatch):
     # C40(1,7) is walk-regular but not edge-rigid: its edge values agree through
     # power 5 and split at 7, so powers 2..6 are read off the constant and
     # powers 8..38 summed from the edge values before, one layer per incident
-    # edge, in words and in packed ints alike; full_report reads the stream to
-    # full depth either way
+    # edge, in words and in packed ints alike. full_report may stop at a
+    # certified trace recurrence, so the stream is driven to power n - 1 here
     g = fam.circulant_graph(40, (1, 7))
+    report = full_report(g)
+    assert not report.edge_rigid and report.witness.power == 7
+    assert report.walk_class.label == "walk-regular-only"
     summed, seen = [], []
-    split, stream = rigidity._split, rigidity._walk_stream
+    split = rigidity._split
 
     def spy_split(raw, count):
         if count == 4:  # the layer sum of a 4-regular graph
             summed.append(len(seen))
         return split(raw, count)
 
-    def spy_stream(g, lmax):
-        for power in stream(g, lmax):
-            seen.append(power)
-            yield power
-
     monkeypatch.setattr(rigidity, "_split", spy_split)
-    monkeypatch.setattr(rigidity, "_walk_stream", spy_stream)
-    report = full_report(g)
-    assert not report.edge_rigid and report.witness.power == 7
-    assert report.walk_class.label == "walk-regular-only"
+    for power in _walk_stream(g, g.n - 1):
+        seen.append(power)
     assert summed == list(range(8, g.n, 2))
     # the sums run on both sides of the switch: slots need 9 bytes from power 31 on
     assert [l for l in summed if rigidity._slot_bytes(4, l) > 8] == [32, 34, 36, 38]
@@ -781,6 +777,64 @@ def test_stream_tree_count_of_a_tree_is_one(g):
 @pytest.mark.parametrize("a, b", [(1, 6), (2, 5), (3, 4), (3, 7), (5, 8)])
 def test_stream_tree_count_of_complete_bipartite(a, b):
     assert full_report(fam.complete_bipartite_graph(a, b)).tree_count == a ** (b - 1) * b ** (a - 1)
+
+
+def stopping_graphs(seed: int = 20261101) -> list[tuple[str, Graph]]:
+    """Seeded graphs where full_report stops at a certified trace recurrence, relabelled.
+
+    Complete multipartite graphs, rook graphs K_a x K_b and threshold graphs
+    (each vertex isolated or dominating when it is added, the last one
+    dominating) have few distinct Laplacian eigenvalues; a graph is kept
+    when 2(r - 1), for their float count r, is below n - 1, and its report
+    then stops there.
+    """
+    rng = np.random.default_rng(seed)
+    graphs = []
+    while len(graphs) < 30:
+        kind = len(graphs) % 3
+        if kind == 0:
+            sizes = [int(x) for x in rng.integers(1, 6, size=int(rng.integers(2, 6)))]
+            g = complete_multipartite(*sizes)
+        elif kind == 1:
+            a, b = (int(x) for x in rng.integers(2, 6, size=2))
+            cells = [(i, j) for i in range(a) for j in range(b)]  # K_a x K_b: one coordinate equal
+            pairs = [(u, v) for u in range(a * b) for v in range(u + 1, a * b)]
+            g = Graph(a * b, tuple((u, v) for u, v in pairs
+                                   if sum(x == y for x, y in zip(cells[u], cells[v])) == 1))
+        else:
+            n = int(rng.integers(6, 21))
+            dominating = [bool(x) for x in rng.integers(0, 2, size=n - 1)] + [True]
+            g = Graph(n, tuple((u, v) for v in range(1, n) if dominating[v] for u in range(v)))
+        r = len(group_eigenvalues(np.linalg.eigvalsh(laplacian(g).astype(float))))
+        if 2 * r - 2 < g.n - 1:
+            graphs.append((f"stop{kind}_{len(graphs)}", relabel(rng, g)))
+    return graphs
+
+
+STOPPING = stopping_graphs()
+
+
+@pytest.mark.parametrize("g", [g for _, g in STOPPING], ids=[n for n, _ in STOPPING])
+def test_stopped_report_matches_full_depth(monkeypatch, g):
+    # the traces extended by the certified recurrence give the Bareiss tree
+    # count, and the report equals the one read to power n - 1
+    stops = []
+
+    def spy(traces, delta, certify=rigidity._trace_recurrence):
+        lam = certify(traces, delta)
+        stops.append(bool(lam))
+        return lam
+
+    monkeypatch.setattr(rigidity, "_trace_recurrence", spy)
+    rep = full_report(g)
+    assert stops == [True]
+    assert rep.tree_count == tree_count_exact(g)
+    monkeypatch.setattr(rigidity, "_trace_recurrence", lambda traces, delta: None)
+    ref = full_report(g)
+    assert rep.to_dict() == ref.to_dict()
+    assert (rep.tree_count, rep.walk_constants) == (ref.tree_count, ref.walk_constants)
+    assert cospectrality_classes(g) == dense_profile_classes(g, dense_walks(g)[0][: g.n])
+    assert walk_class(g) == dense_walk_class(g)
 
 
 def dense_profile_classes(g: Graph, walks: list[np.ndarray]) -> tuple[tuple[int, ...], ...]:
