@@ -9,7 +9,11 @@ incidence vector of edge e = (a, b),
 It is computed from powers of M = Delta I - L = A + diag(Delta - deg), Delta
 the maximum degree, as c_l(e) = z_e^T M^l z_e; L = Delta I - M gives
 w_l = sum_{i<=l} C(l, i) Delta^(l-i) (-1)^i c_i, a unit-triangular map, so
-c_0..c_l are constant exactly when w_0..w_l are. _walk_stream holds the rows
+c_0..c_l are constant exactly when w_0..w_l are. It is one difference table
+(_differences): row 0 is c_0, c_1, .., and row l + 1 is Delta x_i - x_(i+1)
+for the entries x_i of row l, so row l holds z_e^T L^l M^i z_e and starts
+with w_l. N terms take N(N - 1)/2 products by Delta and as many
+subtractions, no product of two big integers. _walk_stream holds the rows
 of M^l, (M^l)_uv in slot pos(v) of row u: one numpy integer array while a
 slot fits 8 bytes, packed Python ints past that, and on a regular bipartite
 graph one chain of n/2 rows of n/2 slots. M is nonnegative with row sums at
@@ -80,7 +84,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from math import comb
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -122,7 +125,8 @@ class WalkWitness:
 class WalkCriterion:
     """Constants c_0..c_lmax of c_l = z_e^T M^l z_e, M = delta I - L, or a witness.
 
-    constants, the C_l of w_l = adjoint(L^l), is formed on first read. proved
+    constants, the C_l of w_l = adjoint(L^l), is formed on first read, as
+    the first column of the difference table on shifted (_unshift). proved
     says whether the verdict is a proof: a witness always is; constants are
     when they reach power n - 1 or a recurrence certificate produced them.
     """
@@ -138,13 +142,21 @@ class WalkCriterion:
         return None if self.shifted is None else _unshift(self.shifted, self.delta)
 
 
+def _differences(shifted: Iterable[int], delta: int) -> Iterator[int]:
+    """sum_{i<=l} C(l, i) delta^(l-i) (-1)^i c_i for l = 0, 1, .., from c_0, c_1, ..
+
+    The first column of the difference table whose row 0 is the c_i and
+    whose row l + 1 is delta x_i - x_(i+1) for the entries x_i of row l.
+    """
+    row = list(shifted)
+    while row:
+        yield row[0]
+        row = [delta * x - y for x, y in zip(row, row[1:])]
+
+
 def _unshift(shifted: tuple[int, ...], delta: int) -> tuple[int, ...]:
-    """C_l = sum_{i<=l} C(l, i) delta^(l-i) (-1)^i c_i for every l, O(l) operations each."""
-    row, constants = [1], []  # coefficients of (delta - x)^l
-    for _ in shifted:
-        constants.append(sum(x * c for x, c in zip(row, shifted)))
-        row = [delta * x - y for x, y in zip(row + [0], [0] + row)]
-    return tuple(constants)
+    """The walk constants C_l of w_l = adjoint(L^l) from the c_l of M = delta I - L."""
+    return tuple(_differences(shifted, delta))
 
 
 def _split(raw: bytes, count: int) -> list[int]:
@@ -528,7 +540,9 @@ def _walk_criterion(g: Graph, walks: Iterable[bytes], lmax: int, lam=None) -> Wa
     """Constants c_0..c_lmax of _walk_stream's walks c_l, or the first non-constant power's witness.
 
     At the first non-constant power l, w_l(e) = (-1)^l c_l(e) + K_l with
-    K_l = sum_{i<l} C(l, i) Delta^(l-i) (-1)^i c_i, one O(l) sum. Reading
+    K_l = sum_{i<l} C(l, i) Delta^(l-i) (-1)^i c_i, the last first-column
+    entry of the difference table on (c_0, .., c_(l-1), 0): l(l + 1)/2
+    products by Delta and as many subtractions (_differences). Reading
     stops as soon as the recurrence of D lifted Berlekamp-Massey
     coefficients exactly generates the 2D + 1 or more c_l read so far, which
     it then extends to power lmax. This is a proof (module docstring), so the
@@ -548,8 +562,7 @@ def _walk_criterion(g: Graph, walks: Iterable[bytes], lmax: int, lam=None) -> Wa
     for power, raw in enumerate(walks):
         if not _constant(raw, g.m):
             sign = -1 if power % 2 else 1
-            k = sum(comb(power, i) * (-1) ** i * delta ** (power - i) * c
-                    for i, c in enumerate(shifted))
+            *_, k = _differences(shifted + [0], delta)
             vals = [k + sign * c for c in _signed_slots(raw, g.m)]
             lo, hi = vals.index(min(vals)), vals.index(max(vals))
             witness = WalkWitness(power, g.edges[lo], g.edges[hi], vals[lo], vals[hi])

@@ -9,9 +9,11 @@ packed ints, with dense adjoint(M^l) and with the traces of M^l L,
 ``walk_class`` with dense
 powers of A, the char(M) coefficients that Newton's identities take from
 the stream's traces with ``char_poly``, and ``full_report``'s tree count
-with the Bareiss ``tree_count_exact`` and closed forms, and ``bipartition``
-with a breadth-first 2-colouring, on the corpus and on seeded random graphs
-(numpy RNG only).
+with the Bareiss ``tree_count_exact`` and closed forms, the difference table
+that forms the walk constants with the binomial formula and the constants
+with power sums of integral spectra, and ``bipartition`` with a
+breadth-first 2-colouring, on the corpus and on seeded random graphs (numpy
+RNG only).
 """
 
 import collections
@@ -616,6 +618,65 @@ def test_witness_at_an_odd_power_matches_dense_walks(g):
     w = assert_decide_matches(g, walks, g.n - 1).witness
     assert w.value_a < w.value_b
     assert full_report(g).witness == w
+
+
+@pytest.mark.parametrize(
+    "g, power",
+    [(fam.circulant_graph(36, (3, 5)), 11), (fam.circulant_graph(39, (4, 9)), 12)],
+    ids=["C36_3_5", "C39_4_9"],
+)
+def test_deep_witness_matches_dense_walks(g, power):
+    # deeper than the odd-witness search reaches: the offset K_l sums 11 and 12 constants
+    walks, _ = dense_walks(g)
+    w = assert_decide_matches(g, walks, g.n - 1).witness
+    assert w.power == power
+    assert full_report(g).witness == w
+
+
+def binomial_unshift(c: list[int], delta: int, l: int) -> int:
+    """sum_{i<=l} C(l, i) delta^(l-i) (-1)^i c_i, term by term."""
+    return sum(math.comb(l, i) * delta ** (l - i) * (-1) ** i * c[i] for i in range(l + 1))
+
+
+def signed_sequences(seed: int = 20261101) -> list[tuple[list[int], int]]:
+    """Seeded (c, delta): lengths 0..300, delta 1..60, |c_i| of up to 6 i + 8 bits, either sign."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for length, delta in [(0, 1), (1, 60), (2, 1), (300, 1), (300, 60)] + [
+        (int(rng.integers(0, 301)), int(rng.integers(1, 61))) for _ in range(7)
+    ]:
+        c = [
+            int(rng.choice([-1, 1])) * int.from_bytes(rng.bytes(1 + 3 * i // 4), "little")
+            for i in range(length)
+        ]
+        cases.append((c, delta))
+    return cases
+
+
+SIGNED = signed_sequences()
+
+
+@pytest.mark.parametrize("c, delta", SIGNED, ids=[f"{len(c)}_{d}" for c, d in SIGNED])
+def test_difference_table_matches_the_binomial_formula(c, delta):
+    assert rigidity._unshift(tuple(c), delta) == tuple(binomial_unshift(c, delta, l) for l in range(len(c)))
+    # the witness offset K_l: c_0..c_(l-1) with c_l = 0, at l = len(c)
+    *_, k = rigidity._differences(c + [0], delta)
+    assert k == binomial_unshift(c + [0], delta, len(c))
+
+
+@pytest.mark.parametrize(
+    "g, trace, m",
+    [
+        (hypercube(8), lambda p: sum(math.comb(8, k) * (2 * k) ** p for k in range(9)), 8 * 2**7),
+        (fam.complete_bipartite_graph(50, 80), lambda p: 50**p * 79 + 80**p * 49 + 130**p, 4000),
+        (fam.complete_graph(100), lambda p: 99 * 100**p, 4950),
+    ],
+    ids=["Q8", "K50_80", "K100"],
+)
+def test_walk_constants_match_the_integral_spectrum(g, trace, m):
+    # on an edge-rigid graph m w_l = sum_e z_e^T L^l z_e = tr(L^(l+1)), a power sum of the spectrum
+    assert full_report(g).walk_constants == tuple(trace(l + 1) // m for l in range(g.n))
+    assert all(trace(l + 1) % m == 0 for l in range(g.n))
 
 
 def random_regular_graphs(seed: int = 20261019) -> list[tuple[str, Graph]]:
