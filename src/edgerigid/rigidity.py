@@ -6,57 +6,62 @@ incidence vector of edge e = (a, b),
 
     w_l(e) = z_e^T L^l z_e = (L^l)_aa + (L^l)_bb - 2 (L^l)_ab.
 
-It is computed from powers of M = Delta I - L = A + diag(Delta - deg), Delta
-the maximum degree, as c_l(e) = z_e^T M^l z_e; L = Delta I - M gives
-w_l = sum_{i<=l} C(l, i) Delta^(l-i) (-1)^i c_i, a unit-triangular map, so
-c_0..c_l are constant exactly when w_0..w_l are. It is one difference table
-(_differences): row 0 is c_0, c_1, .., and row l + 1 is Delta x_i - x_(i+1)
-for the entries x_i of row l, so row l holds z_e^T L^l M^i z_e and starts
-with w_l. N terms take N(N - 1)/2 products by Delta and as many
-subtractions, no product of two big integers. _walk_stream holds the rows
-of M^l, (M^l)_uv in slot pos(v) of row u: one numpy integer array while a
-slot fits 8 bytes, packed Python ints past that, and on a regular bipartite
-graph one chain of n/2 rows of n/2 slots. M is nonnegative with row sums at
-most Delta, so 0 <= (M^l)_uv <= Delta^l and |c_l(e)| <= 2 Delta^l: slots of
-k >= bitlen(2 Delta^l) + 1 bits decode uniquely; k grows with l. The stream
-to depth n - 1 takes n - 1 applications of M, R_u <- sum_{v ~ u} R_v +
-(Delta - deg u) R_u, with one sum per class of twins.
-``decide_edge_rigid_exact`` often stops sooner, on a certificate read from
-the c_l themselves. Over the eigenvalues t of L with multiplicities m_t,
-m c_l = tr(M^l L) = sum_t m_t t (Delta - t)^l. A monic integer q of degree D
-that annihilates the constants c_0..c_{2D} gives H q = 0 for the Hankel
-matrix H = [m c_{i+k}] = [tr(M^(i+k) L)], so q^T H q = sum_t m_t t
-q(Delta - t)^2 = 0 and q(Delta - t) = 0 at every nonzero t. z_e is
-orthogonal to the kernel of L, so q(M) z_e = 0 and every c_l(e) follows q's
-recurrence, which carries constancy to every power. The roots Delta - t are
-distinct exactly when the t are, so a rigid graph with d' distinct nonzero
-eigenvalues is certified after min(2d', n - 1) applications. The C_l are
-formed only when read. Two identities turn other deciders into functions of
-that stream:
+It is computed in a basis of polynomials in M = Delta I - L =
+A + diag(Delta - deg), Delta the maximum degree: P_0 = 1, P_1 = x and
+P_(l+1) = x P_l - c P_(l-1) with c = floor(Delta^2 / 4), the Chebyshev
+polynomials of the second kind scaled to [-Delta, Delta] (Mason and
+Handscomb, Chebyshev Polynomials, 2003), as c'_l(e) = z_e^T P_l(M) z_e. The
+P_l are monic, so (Delta - x)^l = sum_{i<=l} beta_(l,i) P_i(x) with
+beta_(l,l) = (-1)^l: w_l = sum_i beta_(l,i) c'_i is unit-triangular with
+the same coefficients on every edge, and c'_0..c'_l are constant exactly
+when w_0..w_l are. It is one difference table (_differences): row 0 is
+c'_0, c'_1, .., and row l + 1 is Delta x_i - x_(i+1) - c x_(i-1) for the
+entries x_i of row l (x_(-1) = 0), so row l holds z_e^T L^l P_i(M) z_e and
+starts with w_l; N terms take N(N - 1)/2 products by Delta and as many by
+c. With c = 0 it is the binomial transform of powers of M, with Delta = 0
+it turns tr(P_l(M)) into tr((-M)^l). M's eigenvalues lie in [-Delta,
+Delta], where |P_l| <= P_l(Delta) <= Delta^l, P_l(Delta) = r^l +
+r^(l-1) s + .. + s^l for the roots r >= s of x^2 - Delta x + c: so
+|P_l(M)_uv| <= P_l(Delta), |c'_l(e)| <= 2 P_l(Delta), and slots of
+k >= bitlen(2 P_l(Delta)) + 1 bits, each holding its value plus 2^(k - 1),
+decode uniquely. A power adds about log2(Delta / 2) bits to k, where M^l
+added log2(Delta); on C_n, P_l(2) = l + 1. The stream to depth n - 1 takes
+n - 1 applications of M (_walk_stream), and ``decide_edge_rigid_exact``
+often stops sooner, on a certificate read from the walk constants, which
+the table forms one anti-diagonal a power. Over the eigenvalues t of L
+with multiplicities m_t, m w_l = tr(L^(l+1)) = sum_t m_t t^(l+1). A monic
+integer q of degree D that annihilates w_0..w_{2D} gives H q = 0 for the
+Hankel matrix H = [m w_{i+k}], so q^T H q = sum_t m_t t q(t)^2 = 0 and
+q(t) = 0 at every nonzero t. z_e is orthogonal to the kernel of L, so
+q(L) z_e = 0 and every w_l(e) follows q's recurrence, which carries
+constancy to every power: a rigid graph with d' distinct nonzero
+eigenvalues is certified after min(2d', n - 1) applications. Two
+identities turn other deciders into functions of the stream:
 
 - char(L - L_e) - char(L) has coefficients sum_{i<=k} p_i w_{k-i}(e), where
   p_i are those of char(L). The map is unit-triangular, so two edges are
   Laplacian-cospectral exactly when their profiles (w_0..w_{n-1})(e), or
-  equally (c_0..c_{n-1})(e), agree;
+  equally (c'_0..c'_{n-1})(e), agree;
 - diag((2I + A_sigma)^p)_e = w_{p-1}(e) for every orientation sigma, so the
   signed line graph is walk-regular exactly when the stream is constant.
 
-_walk_stream yields, per power, the diagonal slots of M^l, its slots
-(M^l)_ab over the edges and c_l, all from one gather. ``full_report`` reads
-it in one loop (_read): the walk criterion, the cospectrality classes and
-the signed-line-graph verdict come from the c_l, walk_class's flags from the
-diagonal and edge slots, and the exact spanning-tree count from the traces
-p_l = tr(M^l) = sum_t m_t (Delta - t)^l, t = 0 included, the sums of the
-diagonal slots. The argument above stops the loop: m_0 = 1 on a connected
-graph, so a monic integer q' of degree D that annihilates
-p_l - Delta^l = sum_{t != 0} m_t (Delta - t)^l, l = 0..2D, gives q(M) = 0
-for q = (x - Delta) q'. The flags and profiles read are final, and q extends
-the traces and walk constants to power n - 1. It is tried once, at power
-2(r - 1) for the float spectrum's r groups: min(2d', n - 1) applications,
-as in decide, when r - 1 = d'. Newton's identities,
-k a_k = -sum_{i=1..k} a_{k-i} p_i with exact divisions, give the
-coefficients a_k of x^(n-k) in char_M(x) = det(xI - M). As
-char_L(x) = (-1)^n char_M(Delta - x) and the coefficient of x in char_L is
+_walk_stream yields, per power, the diagonal slots of P_l(M), its slots
+P_l(M)_ab over the edges and c'_l, all from one gather. ``full_report``
+reads it in one loop (_read): the walk criterion, the cospectrality classes
+and the signed-line-graph verdict come from the c'_l, walk_class's flags
+from the diagonal and edge slots, and the exact spanning-tree count from
+the traces p_l = tr(M^l) = sum_t m_t (Delta - t)^l, t = 0 included, that
+the table with Delta = 0 forms from the diagonal sums. The argument above
+stops the loop: m_0 = 1 on a connected graph, so a monic integer q' of
+degree D that annihilates p_l - Delta^l, l = 0..2D, gives q(M) = 0 for
+q = (x - Delta) q', and L follows (-1)^(D+1) q(Delta - x) (_reflect). The
+flags and profiles read are final, and q extends the traces and walk
+constants to power n - 1. It is tried once, at power 2(r - 1) for the float
+spectrum's r groups: min(2d', n - 1) applications, as in decide, when
+r - 1 = d'. Newton's identities, k a_k = -sum_{i=1..k} a_{k-i} p_i with
+exact divisions, give the coefficients a_k of x^(n-k) in char_M(x) =
+det(xI - M), smaller than those of char_L (a seventh of the time on Q10).
+As char_L(x) = (-1)^n char_M(Delta - x) and its coefficient of x is
 (-1)^(n-1) n tau,
 
     n tau = char_M'(Delta) = sum_{k<n} (n - k) a_k Delta^(n-1-k),
@@ -64,25 +69,26 @@ char_L(x) = (-1)^n char_M(Delta - x) and the coefficient of x in char_L is
 one Horner pass; a_n = (-1)^n det M is never needed. full_report adds the
 floating-point edge-isometry check and insists that all five verdicts agree;
 a disagreement is an implementation bug, never a mathematical outcome.
-walk_class's flags, defined on powers of A, are read from those of M. On a
-regular graph M = A. On a bipartite biregular graph with degrees
-d_1 < Delta, M = [[cI, B], [B^T, 0]] with c = Delta - d_1 >= 1; the diagonal
-blocks of M^(2j) are monic of degree j in BB^T or B^T B, the edge block of
-M^(2j+1) is (monic of degree j in BB^T) B, and other blocks are integer
-polynomials of no higher degree, such as c^3 + 2c BB^T in M^3: constancy
-through l = n - 1 is the same on M and A. Any other graph fails both
-diagonal flags at l <= 2 on either stream, and then the edge flag
-reaches no field of WalkClassification. The independent references,
-``exactmat.adjugate_quadratic_form`` and the m x m power loop of
-``signed_line_graph_walk_regular`` (canonical orientation; the tests run
-the same loop on random switchings D A_sigma D), are checked against the
-stream in tests/test_stream_oracles.py on the corpus and on seeded random
-graphs. The brute-force oracles live in tests/oracles.py, outside the package.
+walk_class's flags, defined on powers of A, are read from the P_l(M), which
+span what M^0..M^l span, unit-triangularly. On a regular graph M = A. On a
+bipartite biregular graph with degrees d_1 < Delta, M = [[cI, B], [B^T, 0]]
+with c = Delta - d_1 >= 1; the diagonal blocks of M^(2j) are monic of
+degree j in BB^T or B^T B, the edge block of M^(2j+1) is (monic of degree j
+in BB^T) B, and other blocks are integer polynomials of no higher degree,
+such as c^3 + 2c BB^T in M^3: constancy through l = n - 1 is the same on M
+and A. Any other graph fails both diagonal flags at l <= 2 on either
+stream, and then the edge flag reaches no field of WalkClassification. The
+independent references, ``exactmat.adjugate_quadratic_form`` and the m x m
+power loop of ``signed_line_graph_walk_regular`` (canonical orientation;
+the tests run the same loop on random switchings D A_sigma D), are checked
+against the stream in tests/test_stream_oracles.py on the corpus and on
+seeded random graphs. The brute-force oracles live in tests/oracles.py.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import itertools
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -123,12 +129,14 @@ class WalkWitness:
 
 @dataclass(frozen=True)
 class WalkCriterion:
-    """Constants c_0..c_lmax of c_l = z_e^T M^l z_e, M = delta I - L, or a witness.
+    """The walk constants C_l of w_l = adjoint(L^l), l = 0..lmax, or a witness.
 
-    constants, the C_l of w_l = adjoint(L^l), is formed on first read, as
-    the first column of the difference table on shifted (_unshift). proved
-    says whether the verdict is a proof: a witness always is; constants are
-    when they reach power n - 1 or a recurrence certificate produced them.
+    shifted holds the c'_l = z_e^T P_l(M) z_e, M = delta I - L, of the powers
+    the stream gave (module docstring); constants is formed on first read as
+    the first column of the difference table on them (_unshift), unless a
+    certified recurrence extended the C_l to power lmax already (certified).
+    proved says whether the verdict is a proof: a witness always is;
+    constants are when they reach power n - 1 or a certificate produced them.
     """
 
     rigid: bool
@@ -136,27 +144,33 @@ class WalkCriterion:
     delta: int
     witness: WalkWitness | None
     proved: bool
+    certified: tuple[int, ...] = ()
 
     @cached_property
     def constants(self) -> tuple[int, ...] | None:
-        return None if self.shifted is None else _unshift(self.shifted, self.delta)
+        return self.shifted and (self.certified or _unshift(self.shifted, self.delta))
 
 
-def _differences(shifted: Iterable[int], delta: int) -> Iterator[int]:
-    """sum_{i<=l} C(l, i) delta^(l-i) (-1)^i c_i for l = 0, 1, .., from c_0, c_1, ..
+def _differences(terms: Iterable[int], delta: int, c: int) -> Iterator[int]:
+    """First column of the difference table on x_0, x_1, .., one entry per term read.
 
-    The first column of the difference table whose row 0 is the c_i and
-    whose row l + 1 is delta x_i - x_(i+1) for the entries x_i of row l.
+    Row 0 is the terms and row l + 1 is delta x_i - x_(i+1) - c x_(i-1) for the entries x_i of
+    row l, x_(-1) = 0: for x_i = f(P_i), f linear and P_(i+1) = x P_i - c P_(i-1), row l holds
+    f((delta - x)^l P_i). Entry l comes from the last two anti-diagonals when term l is read.
     """
-    row = list(shifted)
-    while row:
-        yield row[0]
-        row = [delta * x - y for x, y in zip(row, row[1:])]
+    last, prev = [], [0]  # the last anti-diagonal, the one before and x_(-1) = 0
+    for x in terms:
+        new = [x]
+        for y, z in zip(last, prev):
+            x = delta * y - x - c * z
+            new.append(x)
+        yield x
+        prev, last = last + [0], new
 
 
 def _unshift(shifted: tuple[int, ...], delta: int) -> tuple[int, ...]:
-    """The walk constants C_l of w_l = adjoint(L^l) from the c_l of M = delta I - L."""
-    return tuple(_differences(shifted, delta))
+    """The walk constants C_l of w_l = adjoint(L^l) from the c'_l of P_l(M), M = delta I - L."""
+    return tuple(_differences(shifted, delta, delta * delta // 4))
 
 
 def _split(raw: bytes, count: int) -> list[int]:
@@ -177,8 +191,8 @@ def _constant(raw: bytes, count: int) -> bool:
 
 
 def _repeat(x: int, size: int, count: int) -> int:
-    """count slots of size bytes, each holding 0 <= x < 2^(8 size)."""
-    return int.from_bytes(x.to_bytes(size, "little") * count, "little")
+    """x times the int of count slots of size bytes that each hold 1."""
+    return x * int.from_bytes(b"\1".ljust(size, b"\0") * count, "little")
 
 
 def _slot_masks(width: int, rows, slots, size: int) -> list[int]:
@@ -207,18 +221,17 @@ def _widen(rows: np.ndarray, count: int, size: int, new_size: int) -> np.ndarray
 
 def _block_sum(X: np.ndarray, block: np.ndarray) -> np.ndarray:
     """X[block[0]] + X[block[1]] + ..., for the rows of X."""
-    return X[block[0]] if len(block) == 1 else np.add.reduce(X[block], 0, X.dtype)
+    return X.take(block[0], 0) if len(block) == 1 else np.add.reduce(X.take(block, 0), 0, X.dtype)
 
 
 def _word_sums(X: np.ndarray, table: list[list[np.ndarray]]) -> np.ndarray:
     """For the rows of X, the sum of X[v] over v in each neighbourhood.
 
     X is an integer array of one row per vertex, or a 1-D object array of
-    packed ints, one per row; numpy adds object entries as Python ints. The
-    neighbourhoods are grouped by size: table holds, per size d, the
-    (d, count) array of their members cut along its first axis into blocks,
-    nnz rows in all. Each block is gathered and summed on its own, so no
-    temporary is larger than a block. The sums follow table's order.
+    packed ints, one per row. table holds, per neighbourhood size d, the
+    (d, count) array of their members cut along its first axis into blocks;
+    each block is gathered and summed on its own, so no temporary is larger
+    than a block. The sums follow table's order.
     """
     sums = []
     for blocks in table:
@@ -231,18 +244,23 @@ def _word_sums(X: np.ndarray, table: list[list[np.ndarray]]) -> np.ndarray:
 
 def _le_bytes(X: np.ndarray) -> np.ndarray:
     """The entries of the integer array X as little-endian bytes, on a new last axis."""
-    k = X.itemsize
-    return np.asarray(X, f"<i{k}").view(np.uint8).reshape(X.shape + (k,))
+    return np.asarray(X, f"<i{X.itemsize}").view(np.uint8).reshape(X.shape + (X.itemsize,))
 
 
-def _word_slots(X: np.ndarray, rows, slots, size: int) -> np.ndarray:
-    """X[rows[i], slots[i]], each in [0, 2^(8 size)), as a uint8 array of one slot per row."""
-    return _le_bytes(X[rows, slots])[:, :size]
+def _word_slots(X: np.ndarray, at: np.ndarray, size: int) -> np.ndarray:
+    """X.flat[at], each |x| < 2^(8 size - 1), as size little-endian bytes of x + 2^(8 size - 1):
+    two's complement with the bits from 8 size - 1 up flipped, cut to size bytes."""
+    return _le_bytes(X.take(at) ^ (-1 << 8 * size - 1))[:, :size]
 
 
-def _slot_bytes(r: int, l: int) -> int:
-    """Bytes per slot for signed values up to 2 r^l in absolute value."""
-    return ((2 * r**l).bit_length() + 8) // 8
+def _slot_bytes(delta: int, l: int) -> int:
+    """Bytes per slot for signed values up to 2 P_l(delta) in absolute value.
+
+    P_l(delta) = r^l + r^(l-1) s + .. + s^l, r = ceil(delta / 2) and s = floor(delta / 2).
+    """
+    r, s = (delta + 1) // 2, delta // 2
+    bound = (l + 1) * s**l if r == s else r ** (l + 1) - s ** (l + 1)
+    return ((2 * bound).bit_length() + 8) // 8
 
 
 def _row_colors(n: int, rows, slots) -> list[int]:
@@ -269,136 +287,136 @@ def _row_colors(n: int, rows, slots) -> list[int]:
     return colors
 
 
-def _masked_slots(rows: list[int], masks: list[int], groups, size: int, width: int) -> np.ndarray:
-    """The slots the masks keep, as a uint8 array of one slot per row.
+def _masked_slots(rows: list[int], masks: list[int], groups, size: int, width: int,
+                  add: int) -> np.ndarray:
+    """The slots the masks keep, plus add's, as a uint8 array of one slot per row.
 
     groups[c] lists the rows of colour c. Row c width + s holds slot s of
     rows[u] for every slot s that masks[u] keeps; rows of one colour keep
-    distinct slots, so they are OR-ed into one int, and one int of width
-    slots per colour is converted to bytes.
+    distinct slots, so they are added into one int that starts at add, and
+    one int of width slots per colour is converted to bytes.
     """
     merged = []
     for group in groups:
-        x = 0
+        x = add
         for u in group:
-            x |= rows[u] & masks[u]
+            x += rows[u] & masks[u]
         merged.append(x.to_bytes(width * size, "little"))
     return np.frombuffer(b"".join(merged), dtype=np.uint8).reshape(-1, size)
 
 
+def _filled(x: int, size: int, count: int) -> np.ndarray:
+    """count slots of size bytes, each holding x plus 2^(8 size - 1), as uint8 (count, size)."""
+    raw = (x + (1 << 8 * size - 1)).to_bytes(size, "little") * count
+    return np.frombuffer(raw, np.uint8).reshape(count, size)
+
+
 def _walk_stream(g: Graph, lmax: int) -> Iterator[tuple[np.ndarray, np.ndarray, bytes]]:
-    """Yield (diag, ab, c_l) for l = 0..lmax, M = Delta I - L.
+    """Yield (diag, ab, c'_l) for l = 0..lmax, c'_l(e) = z_e^T P_l(M) z_e, M = Delta I - L.
 
-    diag holds the n slots diag(M^l) and ab the m slots (M^l)_ab over the
-    edges (a, b): uint8 arrays, one row per unsigned slot. c_l(e) =
-    (M^l)_aa + (M^l)_bb - 2 (M^l)_ab is one sum of packed ints plus the
-    offset 2^(8 size - 1) per slot, built once per slot size, as m
-    little-endian slots of equal size (_signed_slots): |c_l(e)| <= 2 Delta^l
-    fits the slot. The stream keeps rows of M^l, (M^l)_uv in slot pos(v) of
-    row u, pos(v) being v's place within its side. A regular bipartite graph
-    has two sides, its colour classes; any other graph one, of all n
-    vertices in vertex order, and row u is kept for every u. A walk on a
-    regular bipartite graph changes side at every step, so there one chain
-    is kept: the n/2 rows of the vertices u on side l mod 2, in pos order,
-    each of the n/2 slots of side 0.
+    diag holds the n slots diag(P_l(M)) and ab the m slots P_l(M)_ab over the
+    edges (a, b): uint8 arrays, one row per slot, each holding its signed value
+    plus 2^(8 size - 1), as c'_l(e) = P_aa + P_bb - 2 P_ab does, one sum of
+    packed ints (_signed_slots). The stream keeps rows of P_l(M), P_l(M)_uv in
+    slot pos(v) of row u. A regular bipartite graph keeps one chain: P_l has the
+    parity of l, so the n/2 rows of side l mod 2 (its colour classes), each of
+    the n/2 slots of side 0, hold all of it; any other graph keeps n rows on one
+    side. The set-up sorts each side's vertices by neighbourhood size and
+    neighbourhood with numpy sorts and gathers: pos(v) is v's place in that
+    order, twins (one neighbourhood) sit side by side and share one sum, and a
+    graph without twins needs no reindex of its sums.
 
-    Row u of M^(l+1) is sum_{v ~ u} R_v + (Delta - deg u) R_u for the rows
-    R of M^l. Twins, vertices with one neighbourhood, share one sum: one
-    _word_sums call per power sums each neighbourhood size's rows in blocks
-    of at most max(width^2, 2^16) entries, at most nnz(A) - n row additions,
-    nnz(A)/2 - n/2 on a chain, a + b - 2 on K_{a,b} and a - 1 on K_{a,a},
-    and one reindex hands each twin its class's sum. When the next power
-    needs wider slots (_slot_bytes), they grow before the application, to
-    twice their size or to what power lmax needs if that is less. While they
-    fit 8 bytes, 2 Delta^l < 2^63, the rows are one integer array of the
-    narrowest width (int8 to int64) that holds a slot, from the identity on,
-    and the gather is one fancy index (_word_slots). At the first power that
-    needs 9 bytes the array is packed once into a 1-D object array, row u
-    one int with (M^l)_uv in unsigned slot pos(v), so that CPython's limb
-    loops do the inner dimension; the rows are coloured there and masks
-    built at every slot size, and a gather costs two big-int operations per
-    row, one conversion to bytes per colour and one take (_masked_slots).
-    The yielded bytes are the same either way. The lift (Delta - deg u) R_u
-    is kept two ways, as full-depth streams measured on a 2-core x86-64 VM:
-    one dense product on the integer array, where lifting by index made a
-    random tree with n = 30 x1.19 slower, and one big-int product per lifted
-    row on packed ints, where a dense product, with a zero product and a
-    copy for every unlifted row, made P300 x1.52 slower. M^(l+1) is
-    computed once power l is consumed.
+    Row u of P_(l+1)(M) is sum_{v ~ u} R_v + (Delta - deg u) R_u - c R'_u for
+    the rows R of P_l(M) and R' of P_(l-1)(M). One _word_sums call sums each
+    neighbourhood size's rows in blocks of at most max(width^2, 2^16) entries.
+    Slots grow before the application that needs them (_slot_bytes), to twice
+    their size or to what power lmax needs; every partial sum is at most
+    Delta P_l(Delta) <= 2 P_(l+1)(Delta). Up to 8 bytes the rows are one integer
+    array of the narrowest width that holds a slot (on C_n, int8 to power 62 and
+    int16 after), and a gather is one take (_word_slots). Past that they are
+    packed once into an object array of ints, slot pos(v) of row u holding
+    P_l(M)_uv + P_l(Delta) >= 0, an offset that the recurrence itself carries
+    on, as M's rows sum to Delta: M (P_l + P_l(Delta) J) - c (P_(l-1) +
+    P_(l-1)(Delta) J) = P_(l+1) + P_(l+1)(Delta) J for the all-ones J. A gather
+    costs two big-int operations per row, one conversion to bytes per row
+    colour and one take (_masked_slots), which moves the offset to 2^(8 size - 1).
 
-    On one side the gather takes the diagonal and (M^l)_ab from row a, n + m
-    slots, and (M^l)_aa and (M^l)_bb are read off the diagonal. On a chain
-    the diagonal is zero at odd l, and (M^l)_ab is gathered from the row of
-    the end on side 1, at the slot of the end on side 0. At even l (M^l)_ab
-    is zero, and M = A gives diag(M^l)_v = sum_{e ~ v} (M^(l-1))_e. When one
-    _constant compare finds every edge value of power l - 1 equal to x,
-    every diagonal slot is d x and c_l = 2 d x: no sum and no gather.
-    Otherwise d layer ints, layer i holding every vertex's i-th edge value
-    of power l - 1 widened to this power's slots, are summed, at most
-    Delta^l a slot so that none carries, and (M^l)_aa and (M^l)_bb are read
-    off the sum. Only a graph that is not edge-rigid gets there, after
-    decide has stopped with a witness.
+    One side gathers the diagonal and P_l(M)_ab from row a, n + m slots. A
+    chain's diagonal is zero at odd l, where P_l(M)_ab is gathered from the row
+    of the end on side 1. At even l P_l(M)_ab is zero and M = A gives
+    diag(P_l)_v = sum_{e ~ v} P_(l-1)(M)_e - c diag(P_(l-2))_v: d x - c y when
+    the edge values of power l - 1 are one x and the diagonal of power l - 2 one
+    y, with no sum and no gather, else the edge values summed in d layers, layer
+    i holding each vertex's i-th edge; only a graph that is not edge-rigid gets
+    there, after decide has stopped with a witness.
     """
     n, m = g.n, g.m
     delta = max(g.degrees)
+    c = delta * delta // 4
     color, odd, _ = g._search
     sides = 1 if odd or min(g.degrees) < delta else 2
-    side = [0] * n if sides == 1 else list(color)
-    count, pos = [0, 0], []
-    for s in side:
-        pos.append(count[s])
-        count[s] += 1
     width = n // sides
-    steps = []  # per side: _word_sums' table, and each row's place in its sums
-    for s in range(sides):
-        twins: dict[tuple[int, ...], int] = {}
-        classes = [twins.setdefault(nb, len(twins)) for nb, t in zip(g.neighbors, side) if t == s]
-        hoods = tuple(twins) if sides == 1 else tuple(tuple(pos[v] for v in nb) for nb in twins)
-        sizes: dict[int, list[int]] = {}  # classes by neighbourhood size, and their place in table
-        for c, nb in enumerate(hoods):
-            sizes.setdefault(len(nb), []).append(c)
-        table = []  # per size, its (d, count) members in blocks of step x count rows
-        for cs in sizes.values():
-            members = np.array([hoods[c] for c in cs]).T
-            # one block per size on a sparse graph; no temporary much larger than X on a dense one
-            step = max(1, max(width * width, 1 << 16) // (len(cs) * width))
-            table.append([members[i : i + step] for i in range(0, len(members), step)])
-        place = {c: i for i, c in enumerate(c for cs in sizes.values() for c in cs)}
-        order = [place[c] for c in classes]
-        steps.append((table, None if order == sorted(place) else np.array(order)))
-    lifted = [(u, delta - d) for u, d in enumerate(g.degrees) if d < delta]
-    # one side only, as a regular graph lifts no row; Delta - deg fits every power's dtype
-    lift = np.array([[delta - d] for d in g.degrees], np.min_scalar_type(-delta))
+    degrees, side = np.array(g.degrees), np.array(color) if sides == 2 else np.zeros(n, np.intp)
     a, b = g._edge_ends
     ends = np.concatenate([a, b])
+    by = np.argsort(np.concatenate([b, a]), kind="stable")  # edge ends by vertex, then by neighbour
+    key = np.full((n, delta + 2), -1, np.int32)  # side, degree, neighbours ascending, -1s
+    key[:, 0], key[:, 1] = side, degrees
+    key[:, 2:][np.arange(delta) < degrees[:, None]] = ends[by]
+    # vertices by key: the sides in turn, each size together, twins (one neighbourhood) in a run
+    keys = key.view(f"V{4 * delta + 8}")[:, 0]
+    o = np.argsort(keys, kind="stable")
+    keys = keys[o]
+    new = np.append(True, keys[1:] != keys[:-1])  # the first row of each class of twins
+    pos = np.argsort(o, kind="stable") % width  # v's place within its side
+    heads = key[o[new]]  # one per class
+    hoods = pos[heads[:, 2:]]
+    cuts = [0, *(np.flatnonzero((heads[1:, :2] != heads[:-1, :2]).any(1)) + 1).tolist(), len(heads)]
+    tables: list[list] = [[] for _ in range(sides)]  # per side and size, members in blocks
+    for lo, hi in zip(cuts, cuts[1:]):
+        s, d = heads[lo, :2].tolist()
+        members = hoods[lo:hi, :d].T
+        # one block per size on a sparse graph; no temporary much larger than X on a dense one
+        step = max(1, max(width * width, 1 << 16) // ((hi - lo) * width))
+        tables[s].append([members[i : i + step] for i in range(0, d, step)])
+    parts = [slice(s * width, (s + 1) * width) for s in range(sides)]
+    # per side: _word_sums' table, and each row's class, if any has twins
+    steps = [(t, None if new[p].all() else np.cumsum(new[p]) - 1) for t, p in zip(tables, parts)]
+    # one side only, as a regular graph lifts no row; Delta - deg fits every power's dtype
+    lift = (delta - degrees[o])[:, None].astype(np.min_scalar_type(-delta))
+    lifted = np.flatnonzero(lift)
+    lifted = list(zip(lifted.tolist(), lift[lifted, 0].tolist()))
     if sides == 1:
-        # diag(M^l), then (M^l)_ab: row u keeps its slot u and the slot b of each edge (u, b)
-        rows, slots = (np.concatenate([np.arange(n), e]) for e in (a, b))
+        # diag(P_l(M)), then P_l(M)_ab: row u keeps its slot u and the slot b of each edge (u, b)
+        rows, slots = (np.concatenate([pos, pos[e]]) for e in (a, b))
     else:
-        side, pos = np.array(side), np.array(pos)
         r = np.where(side[a] == 1, a, b)
         rows, slots = pos[r], pos[a + b - r]
-        layers = np.argsort(ends, kind="stable").reshape(n, -1).T % m  # i: each vertex's i-th edge
-    X, size, half = np.eye(width, dtype=np.int8), 1, _repeat(1 << 7, 1, m)
+        layers = by.reshape(n, -1).T % m  # i: each vertex's i-th edge
+    flat = rows * width + slots
+    X = Xp = np.eye(width, dtype=np.int8)
+    size, h, hp = 0, 1, 0  # the offsets P_l(Delta) and P_(l-1)(Delta) of packed rows
     for l in range(lmax + 1):
+        need = _slot_bytes(delta, l)
+        if need > size:
+            new_size = min(max(need, 2 * size), _slot_bytes(delta, lmax))
+            if X.dtype == object:
+                X, Xp = (_widen(Y, width, size, new_size) for Y in (X, Xp))
+            elif new_size > 8:
+                X, Xp = (_pack(_le_bytes(Y + o), new_size) for Y, o in ((X, h), (Xp, hp)))
+                colors = _row_colors(width, rows.tolist(), slots.tolist())
+                groups = [[] for _ in range(max(colors) + 1)]
+                for u, col in enumerate(colors):
+                    groups[col].append(u)
+                at = np.array(colors)[rows] * width + slots  # the gather's slots by colour
+            else:
+                word = f"<i{1 << (new_size - 1).bit_length()}"
+                X, Xp = (Y.astype(word, copy=False) for Y in (X, Xp))
+            size, top, ones = new_size, 1 << 8 * new_size - 1, _repeat(1, new_size, m)
+            half, zeros = top * ones, (_filled(0, size, n), _filled(0, size, m))
+            if X.dtype == object:
+                masks, fill = _slot_masks(width, rows, slots, size), _repeat(1, size, width)
         if l:
-            need = _slot_bytes(delta, l)
-            if need > size:
-                new_size = min(max(need, 2 * size), _slot_bytes(delta, lmax))
-                if X.dtype == object:
-                    X = _widen(X, width, size, new_size)
-                elif new_size > 8:
-                    X = _pack(_le_bytes(X), new_size)
-                    colors = _row_colors(width, rows.tolist(), slots.tolist())
-                    groups = [[] for _ in range(max(colors) + 1)]
-                    for u, c in enumerate(colors):
-                        groups[c].append(u)
-                    at = np.array(colors)[rows] * width + slots
-                else:
-                    X = X.astype(f"<i{1 << (new_size - 1).bit_length()}")
-                size, half = new_size, _repeat(1 << 8 * new_size - 1, new_size, m)
-                if X.dtype == object:
-                    masks = _slot_masks(width, rows, slots, size)
             table, order = steps[l % sides]
             sums = _word_sums(X, table)
             if order is not None:
@@ -406,43 +424,56 @@ def _walk_stream(g: Graph, lmax: int) -> Iterator[tuple[np.ndarray, np.ndarray, 
             if X.dtype == object:
                 for u, d in lifted:
                     sums[u] += d * X[u]
-            elif lifted:
-                sums += lift * X
-            X = sums
+                sums -= c * Xp  # l >= 2: power 1 fits 8 bytes
+            else:
+                if lifted:
+                    sums += lift * X
+                if l > 1 and c:
+                    sums -= c * Xp
+            Xp, X, hp, h = X, sums, h, delta * h - c * hp
         k = m * size
         if sides == 1 or l % 2:
-            G = (_word_slots(X, rows, slots, size) if X.dtype != object
-                 else _masked_slots(X.tolist(), masks, groups, size, width).take(at, axis=0))
+            if X.dtype != object:
+                G = _word_slots(X, flat, size)
+            else:  # packed slots carry h, the gathered ones top
+                G = _masked_slots(X.tolist(), masks, groups, size, width, (top - h) * fill)
+                G = G.take(at, axis=0)
         if sides == 2 and l % 2:
-            diag, ab = np.zeros((n, size), np.uint8), G
-            c = half - 2 * int.from_bytes(ab.tobytes(), "little")
-        elif sides == 2 and l and _constant(ab.tobytes(), m):
-            # every edge value of power l - 1 is x: diag(M^l) = d x and c_l = 2 d x
-            dx = g.degrees[0] * int.from_bytes(ab[0].tobytes(), "little")
-            diag = np.frombuffer(dx.to_bytes(size, "little") * n, np.uint8).reshape(n, size)
-            ab = np.zeros((m, size), np.uint8)
-            c = _repeat(2 * dx + (1 << 8 * size - 1), size, m)
+            edge = G.tobytes()
+            diag, ab, walk = zeros[0], G, 3 * half - 2 * int.from_bytes(edge, "little")
+            x = int.from_bytes(edge[:size], "little") - top if _constant(edge, m) else None
+        elif sides == 2 and l and x is not None and y is not None:
+            # every edge value of power l - 1 is x and every diagonal slot of power l - 2 is y
+            y = g.degrees[0] * x - c * y
+            diag, ab, walk = _filled(y, size, n), zeros[1], 2 * y * ones + half
+            even = diag
         else:
             if sides == 1:
                 diag, ab = G[:n], G[n:]
+            elif l:  # the edge values of power l - 1 by layer, less c diag(P_(l-2)), re-offset
+                tops = [1 << 8 * Y.shape[1] - 1 for Y in (ab, even)]
+                total = (sum(_pack(ab[layers], size)) - c * _pack(even[None], size)[0]
+                         + _repeat(top - len(layers) * tops[0] + c * tops[1], size, n))
+                diag = np.frombuffer(total.to_bytes(n * size, "little"), np.uint8).reshape(n, size)
             else:
-                diag = np.ones((n, 1), np.uint8)  # M^0 = I
-                if l:
-                    wide = np.zeros((len(layers), n, size), np.uint8)
-                    wide[..., : ab.shape[1]] = ab[layers]  # the edge values of power l - 1
-                    total = sum(_split(wide.tobytes(), len(layers))).to_bytes(n * size, "little")
-                    diag = np.frombuffer(total, np.uint8).reshape(n, size)
-                ab = np.zeros((m, size), np.uint8)
+                diag = _filled(1, 1, n)  # P_0 = I
+            if sides == 2:
+                ab, even, y = zeros[1], diag, None if l else 1
             raw = diag.take(ends, axis=0).tobytes()
-            c = (int.from_bytes(raw[:k], "little") + int.from_bytes(raw[k:], "little") + half
-                 - 2 * int.from_bytes(ab.tobytes(), "little"))
-        yield diag, ab, c.to_bytes(k, "little")
+            walk = (int.from_bytes(raw[:k], "little") + int.from_bytes(raw[k:], "little")
+                    + half - 2 * int.from_bytes(ab.tobytes(), "little"))
+        yield diag, ab, walk.to_bytes(k, "little")
 
 
 def _trace(diag: np.ndarray) -> int:
-    """tr(M^l): diag's byte columns summed in int64 (each below 256 n), shifted into place."""
+    """tr(P_l(M)): diag's byte columns summed in int64, shifted into place, less the offsets."""
     cols = diag.sum(axis=0, dtype=np.int64).tolist()
-    return sum(c << 8 * j for j, c in enumerate(cols))
+    return sum(c << 8 * j for j, c in enumerate(cols)) - (len(diag) << 8 * len(cols) - 1)
+
+
+def _power_traces(traces: list[int], delta: int) -> list[int]:
+    """p_l = tr(M^l) from tr(P_l(M)): the table with delta 0 gives tr((-M)^l)."""
+    return [-p if l % 2 else p for l, p in enumerate(_differences(traces, 0, delta * delta // 4))]
 
 
 def _char_coeffs(traces: list[int]) -> list[int]:
@@ -531,52 +562,68 @@ def _certify(terms: list[int], rec: _Recurrence) -> list[int] | None:
 
 
 def _trace_recurrence(traces: list[int], delta: int) -> list[int] | None:
-    """The recurrence of q = (x - Delta) q' with q(M) = 0, q' proved by p_l - Delta^l, or None."""
-    lam = _certify([p - delta**l for l, p in enumerate(traces)], _Recurrence())
+    """The recurrence of q = (x - Delta) q' with q(M) = 0, q' proved by p_l - Delta^l, or None.
+
+    p_l = tr(M^l) comes from the traces tr(P_l(M)) (_power_traces).
+    """
+    p = _power_traces(traces, delta)
+    lam = _certify([x - delta**l for l, x in enumerate(p)], _Recurrence())
     return lam and [a - delta * b for a, b in zip(lam + [0], [1] + lam)]
 
 
-def _walk_criterion(g: Graph, walks: Iterable[bytes], lmax: int, lam=None) -> WalkCriterion:
-    """Constants c_0..c_lmax of _walk_stream's walks c_l, or the first non-constant power's witness.
+def _reflect(lam: list[int], delta: int) -> list[int]:
+    """From q's recurrence, that of the monic (-1)^D q(delta - x): L's when q(M) = 0."""
+    poly: list[int] = []  # ascending coefficients of q(delta - x), by Horner
+    for a in [1] + lam:
+        poly = [delta * x - y for x, y in zip(poly + [0], [0] + poly)]
+        poly[0] += a
+    return [poly[-1] * x for x in reversed(poly[:-1])]
 
-    At the first non-constant power l, w_l(e) = (-1)^l c_l(e) + K_l with
-    K_l = sum_{i<l} C(l, i) Delta^(l-i) (-1)^i c_i, the last first-column
-    entry of the difference table on (c_0, .., c_(l-1), 0): l(l + 1)/2
-    products by Delta and as many subtractions (_differences). Reading
-    stops as soon as the recurrence of D lifted Berlekamp-Massey
-    coefficients exactly generates the 2D + 1 or more c_l read so far, which
-    it then extends to power lmax. This is a proof (module docstring), so the
-    extended constants are those the stream would have given. A certificate
-    fires at a power p >= 2D >= 2 d' >= 2 diam(G) >= 2 ecc(0), because
-    I, L, .., L^diam are independent, and one that fires at p = lmax >= n - 1
-    returns what reading to lmax returns. So nothing is pushed into
-    Berlekamp-Massey before power 2 ecc(0), and nothing at all where no
-    other p is left, as on C_n and P_n. Given lam, a recurrence that M
-    satisfies (_trace_recurrence), nothing is pushed: lam extends the walks.
+
+def _walk_criterion(g: Graph, walks: Iterable[bytes], lmax: int, lam=None) -> WalkCriterion:
+    """Constants c'_0..c'_lmax of _walk_stream's walks, or the first non-constant power's witness.
+
+    At the first non-constant power l, w_l(e) = (-1)^l c'_l(e) + K_l, K_l the
+    last first-column entry of the difference table on (c'_0, .., c'_(l-1),
+    0). Where a certificate may fire, the table forms the walk constants C_l
+    as the c'_l are read, and reading stops as soon as the recurrence of D
+    lifted Berlekamp-Massey coefficients exactly generates the 2D + 1 or more
+    C_l read so far, which it then extends to power lmax: a proof (module
+    docstring). A certificate fires at a power p >= 2D >= 2 d' >= 2 diam(G)
+    >= 2 ecc(0), as I, L, .., L^diam are independent, and one at p = lmax >=
+    n - 1 returns what reading to lmax returns: nothing is pushed before
+    power 2 ecc(0), nor at all where no other p is left, as on C_n and P_n.
+    Given lam, a recurrence that L satisfies (_read), lam extends the C_l.
     """
-    delta = max(g.degrees)
-    shifted: list[int] = []
+    delta, m = max(g.degrees), g.m
+    c = delta * delta // 4
+    shifted: list[int] = []  # the c'_l read
+    constants: list[int] = []  # the C_l formed
+    table = _differences((shifted[i] for i in itertools.count()), delta, c)  # as shifted grows
     rec = _Recurrence()
     reach = 2 * g._search[2]  # 2 ecc(0)
     certify = reach <= lmax and reach < max(lmax, g.n - 1)
     for power, raw in enumerate(walks):
-        if not _constant(raw, g.m):
+        if not _constant(raw, m):
             sign = -1 if power % 2 else 1
-            *_, k = _differences(shifted + [0], delta)
-            vals = [k + sign * c for c in _signed_slots(raw, g.m)]
+            shifted.append(0)  # K_l is the last first-column entry on (c'_0, .., c'_(l-1), 0)
+            *_, k = [next(table)] if lam or certify else _differences(shifted, delta, c)
+            vals = [k + sign * x for x in _signed_slots(raw, m)]
             lo, hi = vals.index(min(vals)), vals.index(max(vals))
             witness = WalkWitness(power, g.edges[lo], g.edges[hi], vals[lo], vals[hi])
             return WalkCriterion(False, None, delta, witness, True)
-        size = len(raw) // g.m
+        size = len(raw) // m
         shifted.append(int.from_bytes(raw[:size], "little") - (1 << 8 * size - 1))
+        if lam or certify:
+            constants.append(next(table))
         if not lam and certify and power >= reach:
-            lam = _certify(shifted, rec)
+            lam = _certify(constants, rec)
             if lam:
                 break
     if lam:
-        while len(shifted) <= lmax:
-            shifted.append(_predict(shifted, lam, len(shifted)))
-        return WalkCriterion(True, tuple(shifted), delta, None, True)
+        while len(constants) <= lmax:
+            constants.append(_predict(constants, lam, len(constants)))
+        return WalkCriterion(True, tuple(shifted), delta, None, True, tuple(constants))
     return WalkCriterion(True, tuple(shifted), delta, None, len(shifted) >= g.n)
 
 
@@ -602,12 +649,13 @@ def decide_edge_rigid_exact(g: Graph, max_power: int | None = None) -> WalkCrite
 
     max_power defaults to n - 1, which is sufficient because the minimal
     polynomial of L has degree at most n; a smaller value checks only a
-    prefix, which is not a proof of rigidity. Returns the constants c_l of
+    prefix, which is not a proof of rigidity. Returns the constants c'_l of
     the stream of M = Delta I - L on success, or the first offending power
-    with a witness edge pair of w. The walk constants C_l of w are formed
-    only if .constants is read. The stream stops early on the recurrence
-    certificate of the module docstring, so a rigid graph with d' distinct
-    nonzero eigenvalues costs min(2d', n - 1) applications of M.
+    with a witness edge pair of w. Unless a certificate formed them, the
+    walk constants C_l of w are formed only if .constants is read. The
+    stream stops early on the recurrence certificate of the module
+    docstring, so a rigid graph with d' distinct nonzero eigenvalues costs
+    min(2d', n - 1) applications of M.
     """
     if max_power is not None and max_power < 0:
         raise ValueError(f"max_power must be >= 0, got {max_power}")
@@ -636,13 +684,20 @@ class WalkClassification:
     one_walk_biregular: bool | None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "label": self.label,
+            "walk_regular": self.walk_regular,
+            "one_walk_regular": self.one_walk_regular,
+            "bipartite": self.bipartite,
+            "walk_biregular": self.walk_biregular,
+            "one_walk_biregular": self.one_walk_biregular,
+        }
 
 
 def _walk_flags(g: Graph, parts, diag: np.ndarray, ab: np.ndarray, flags: tuple) -> tuple:
-    """walk_class's flags after one more power of _walk_stream, and its trace tr(M^l).
+    """walk_class's flags after one more power of _walk_stream, and its trace tr(P_l(M)).
 
-    flags: diag, (M^l)_ab, and diag on each side of the bipartition parts
+    flags: diag, P_l(M)_ab, and diag on each side of the bipartition parts
     (False if there is none) were constant in every power so far; each test
     compares bytes. A constant diagonal gives the trace as n times its first
     slot and every side's flag; the edge slots are read only while theirs holds.
@@ -655,19 +710,21 @@ def _walk_flags(g: Graph, parts, diag: np.ndarray, ab: np.ndarray, flags: tuple)
         edge_const and _constant(ab.tobytes(), g.m),
         part_const and (level or all(_constant(diag.take(p, 0).tobytes(), len(p)) for p in parts)),
     )
-    return flags, g.n * int.from_bytes(raw[: len(raw) // g.n], "little") if level else _trace(diag)
+    size = len(raw) // g.n
+    first = int.from_bytes(raw[:size], "little") - (1 << 8 * size - 1)
+    return flags, g.n * first if level else _trace(diag)
 
 
 def _read(g: Graph, r: int | None = None) -> Iterator[tuple]:
-    """Per power l of _walk_stream: walk_class's flags so far, c_l, the traces p_0..p_l, and lam.
+    """Per power l of _walk_stream: walk_class's flags so far, c'_l, tr(P_0(M))..tr(P_l(M)), lam.
 
     r, the unit spectrum's group count, only schedules one try of
     _trace_recurrence, at power 2(r - 1) < n - 1. When it proves q(M) = 0,
     every later power of M follows q's recurrence lam, so the flags and
-    profiles read are final: that power comes with lam and the traces
-    extended to power n - 1, and reading stops; otherwise lam is None. A
-    wrong r costs time, never a verdict. Without r, the spectrum is taken at
-    power 2 if 2 ecc(0) < n - 1, as r - 1 = d' >= diam(G) >= ecc(0).
+    profiles read are final: that power comes with lam, and reading stops;
+    otherwise lam is None. A wrong r costs time, never a verdict. Without r,
+    the spectrum is taken at power 2 if 2 ecc(0) < n - 1, as r - 1 = d' >=
+    diam(G) >= ecc(0).
     """
     stop = 2 * r - 2 if r else None
     parts = bipartition(g)
@@ -679,8 +736,6 @@ def _read(g: Graph, r: int | None = None) -> Iterator[tuple]:
         flags, p = _walk_flags(g, parts, diag, ab, flags)
         traces.append(p)
         lam = _trace_recurrence(traces, max(g.degrees)) if l == stop < g.n - 1 else None
-        while lam and len(traces) < g.n:
-            traces.append(_predict(traces, lam, len(traces)))
         yield flags, c, traces, lam
         if lam:
             return
@@ -773,20 +828,25 @@ def full_report(g: Graph) -> RigidityReport:
     """Run every decider and assemble the cross-checked report.
 
     The unit spectrum comes first, and one loop (_read) reads the walk
-    stream: it keeps the walks c_l and the traces tr(M^l), and updates
+    stream: it keeps the walks c'_l and the traces tr(P_l(M)), and updates
     walk_class's flags, as the powers pass; no power is kept. It stops at
     power 2(r - 1), r the spectrum's group count, when the traces read prove
     q(M) = 0 (module docstring), and at power n - 1 otherwise. The walk
     criterion, the cospectrality classes and the signed-line-graph verdict
-    come from the walks, the exact tree count from the traces; past a stop,
-    q extends the walk constants and the traces. All five verdicts must
-    agree or InternalInconsistencyError is raised.
+    come from the walks, the exact tree count from the traces tr(M^l) that
+    the table forms from them; past a stop, q extends those traces and the
+    walk constants. All five verdicts must agree or
+    InternalInconsistencyError is raised.
     """
     s = spectrum(laplacian(g).astype(float))
     walks: list[bytes] = []
     for flags, c, traces, lam in _read(g, s.r):
         walks.append(c)
-    wc = _walk_criterion(g, walks, g.n - 1, lam)
+    delta = max(g.degrees)
+    traces = _power_traces(traces, delta)
+    while lam and len(traces) < g.n:
+        traces.append(_predict(traces, lam, len(traces)))
+    wc = _walk_criterion(g, walks, g.n - 1, lam and _reflect(lam, delta))
     classes = _profile_classes(g, walks)
     wclass = _classify(bipartition(g), *flags)
     iso = edge_isometry_check(g, s)
@@ -813,5 +873,5 @@ def full_report(g: Graph) -> RigidityReport:
         walk_class=wclass,
         spectrum=s,
         isometry=iso,
-        tree_count=_tree_count(traces, max(g.degrees)),
+        tree_count=_tree_count(traces, delta),
     )

@@ -97,19 +97,42 @@ def applications(monkeypatch):
 
 
 def word_applications(g, applications):
-    """How many of the applications 1..applications fall in powers whose slots fit 8 bytes."""
+    """How many of the applications 1..applications fall in powers whose slots fit 8 bytes.
+
+    _slot_bytes sizes a slot of power l from 2 P_l(max-degree), P_l the Chebyshev basis.
+    """
     return sum(rigidity._slot_bytes(max(g.degrees), l) <= 8 for l in range(1, applications + 1))
+
+
+@pytest.mark.parametrize("delta", [1, 2, 3, 4, 5, 6, 7, 16, 30, 99])
+def test_slot_bytes_hold_twice_the_chebyshev_bound(delta):
+    # P_0 = 1, P_1 = x, P_(l+1) = x P_l - c P_(l-1) with c = floor(delta^2 / 4):
+    # |P_l(x)| <= P_l(delta) <= delta^l on [-delta, delta], here at its
+    # integers, and a slot of _slot_bytes(delta, l) holds +-2 P_l(delta), in
+    # no more bytes than +-2 delta^l takes
+    c = delta * delta // 4
+    values = {x: [1, x] for x in range(-delta, delta + 1)}
+    for v in values.values():
+        for _ in range(150):
+            v.append(v[-1] * v[1] - c * v[-2])
+    for l in range(len(values[delta])):
+        bound = values[delta][l]
+        assert max(abs(v[l]) for v in values.values()) == bound <= delta**l
+        size = rigidity._slot_bytes(delta, l)
+        assert (2 * bound).bit_length() < 8 * size <= (2 * bound).bit_length() + 8
+        assert size <= ((2 * delta**l).bit_length() + 8) // 8
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 13, 30, 70, 71])
 def test_full_depth_takes_n_minus_one_applications(applications, n):
     # C_n has floor(n/2) distinct nonzero eigenvalues, too many to stop
-    # early: n - 1 applications of M, one per power after the first; powers
-    # past 61 need 9-byte slots, so C70 and C71 take their last in packed ints
+    # early: n - 1 applications of M, one per power after the first. The
+    # entries of P_l(M) are at most P_l(2) = l + 1, so C70 and C71 take
+    # every application in words
     g = fam.cycle_graph(n)
     assert decide_edge_rigid_exact(g).rigid
     assert applications[0] == n - 1
-    assert applications["words"] == word_applications(g, n - 1) == min(n - 1, 61)
+    assert applications["words"] == word_applications(g, n - 1) == n - 1
 
 
 def kneser_graph(v: int, k: int) -> Graph:
@@ -162,7 +185,7 @@ def test_full_report_takes_one_exact_loop_on_every_graph(applications, g, powers
     # power n - 1 or to the certified stop at twice the d' distinct nonzero
     # Laplacian eigenvalues, when that comes first: K_{a,b} has d' = 3 (a, b
     # and a + b), so K3_5 stops at 6 of 7 and K2_25 at 6 of 26. tree48 reads
-    # to full depth and needs 9-byte slots from power 24 on
+    # to full depth and needs 9-byte slots from power 36 on
     full_report(g)
     assert applications[0] == powers
     assert applications["words"] == word_applications(g, powers)
@@ -281,21 +304,22 @@ def test_masked_slots_at_the_slot_limits():
     rows = [sum(v << 8 * s for s, v in enumerate(row)) for row in X]
     # rows 0 and 1 share colour 0 and keep slots {0, 2} and {1}; row 2 keeps slot 2
     masks = [0xFF00FF, 0xFF00, 0xFF0000]
-    E = rigidity._masked_slots(rows, masks, [[0, 1], [2]], 1, 3)
+    E = rigidity._masked_slots(rows, masks, [[0, 1], [2]], 1, 3, 0)
     # three slots per colour
     assert E.shape == (6, 1)
     assert E[:, 0].tolist() == [255, 255, 255, 0, 0, 5]
 
 
 def test_word_slots_at_the_slot_limits():
-    # entries below 2^(8 size) read back as size little-endian bytes, also
-    # where the array is wider than the slot (a 3-byte slot in int32)
+    # entries in [-2^(8 size - 1), 2^(8 size - 1)) read back as size little-endian
+    # bytes of the entry plus 2^(8 size - 1), also where the array is wider
+    # than the slot (a 3-byte slot in int32)
     for size, dtype in ((1, np.int8), (1, np.int16), (2, np.int16), (3, np.int32), (8, np.int64)):
-        top = min((1 << 8 * size) - 1, np.iinfo(dtype).max)
-        X = np.array([[top, 0], [1, top - 1]], dtype=dtype)
-        E = rigidity._word_slots(X, [0, 1, 1, 0], [0, 0, 1, 1], size)
+        lo, hi = -(1 << 8 * size - 1), (1 << 8 * size - 1) - 1
+        X = np.array([[hi, lo], [1, hi - 1]], dtype=dtype)
+        E = rigidity._word_slots(X, np.array([0, 2, 3, 1]), size)
         assert E.shape == (4, size)
-        assert rigidity._split(E.tobytes(), 4) == [top, 1, top - 1, 0]
+        assert rigidity._signed_slots(E.tobytes(), 4) == [hi, 1, hi - 1, lo]
 
 
 @pytest.mark.parametrize(

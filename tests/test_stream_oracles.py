@@ -5,18 +5,20 @@ walk stream w_l = adjoint(L^l), which is computed from powers of
 M = max-degree I - L. Here they are compared with the exact characteristic
 polynomials of ``adjugate_quadratic_form`` and with the m x m
 signed-line-graph power loop, the stream itself, in machine words and in
-packed ints, with dense adjoint(M^l) and with the traces of M^l L,
-``walk_class`` with dense
+packed ints, with dense adjoint(P_l(M)) for the Chebyshev basis P_l of the
+stream and with the traces of P_l(M) L, ``walk_class`` with dense
 powers of A, the char(M) coefficients that Newton's identities take from
 the stream's traces with ``char_poly``, and ``full_report``'s tree count
 with the Bareiss ``tree_count_exact`` and closed forms, the difference table
-that forms the walk constants with the binomial formula and the constants
+that forms the walk constants with the binomial formula and with expansions
+in the Chebyshev basis, and the constants
 with power sums of integral spectra, and ``bipartition`` with a
 breadth-first 2-colouring, on the corpus and on seeded random graphs (numpy
 RNG only).
 """
 
 import collections
+import itertools
 import math
 
 import numpy as np
@@ -249,6 +251,23 @@ def reference_criterion(g: Graph, walks: list[np.ndarray]):
     return True, tuple(int(w[0]) for w in walks), None
 
 
+def chebyshev_bounds(delta: int, l_max: int) -> list[int]:
+    """P_0(delta)..P_l_max(delta) for P_0 = 1, P_1 = x, P_(l+1) = x P_l - c P_(l-1), c = floor(delta^2 / 4)."""
+    c, bounds = delta * delta // 4, [1, delta]
+    while len(bounds) <= l_max:
+        bounds.append(delta * bounds[-1] - c * bounds[-2])
+    return bounds[: l_max + 1]
+
+
+def chebyshev_powers(M, delta: int, l_max: int) -> list[np.ndarray]:
+    """Reference P_0(M)..P_l_max(M) from dense object-dtype products, c = floor(delta^2 / 4)."""
+    A, c = exact_matrix(M), delta * delta // 4
+    basis = dense_powers(M, 1)
+    while len(basis) <= l_max:
+        basis.append(basis[-1] @ A - c * basis[-2])
+    return basis[: l_max + 1]
+
+
 def dense_walks(g: Graph) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Reference walk vectors adjoint(L^l), l = 0..n, and powers L^0..L^(n+1)."""
     powers = dense_powers(laplacian(g), g.n + 1)
@@ -269,40 +288,48 @@ def assert_decide_matches(g: Graph, walks: list[np.ndarray], P: int):
 def crossing_graphs(seed: int = 20261031) -> list[tuple[str, Graph]]:
     """Graphs whose stream needs 9-byte slots before power n - 1.
 
-    The rows are an integer array while 2 Delta^l < 2^63 and packed ints
-    after. On regular bipartite graphs the chain crosses: C70 from power 62
-    on, K16_16 (one class of twins per side) from 16 and a seeded 6-regular
-    bipartite graph on 60 vertices from 24. Two seeded random trees on 48
-    vertices cross on one side, with five neighbourhood sizes, twin leaves
-    whose sums are reindexed, and a lift on almost every row: tree48_9
-    (Delta = 6) from power 24 and tree48_0 (Delta = 5) from 27.
+    The rows are an integer array while 2 P_l(Delta) < 2^63 and packed ints
+    after. On regular bipartite graphs the chain crosses: the 8-regular
+    circulant C32(1, 3, 5, 7), which has no twins, from power 29 on, K16_16
+    (one class of twins per side) from 20 and a seeded 6-regular bipartite
+    graph on 60 vertices from 36. Two seeded random trees on 48 vertices
+    cross on one side, with five neighbourhood sizes, twin leaves whose sums
+    are reindexed, and a lift on almost every row: tree48_9 (Delta = 6) from
+    power 36 and tree48_0 (Delta = 5) from 39.
     """
     rng = np.random.default_rng(seed)
-    return [("C70", fam.cycle_graph(70)), ("K16_16", fam.complete_bipartite_graph(16, 16)),
+    return [("C32_1_3_5_7", fam.circulant_graph(32, (1, 3, 5, 7))),
+            ("K16_16", fam.complete_bipartite_graph(16, 16)),
             ("regbip6_60", random_biregular(rng, 30, 30, 6)),
             ("tree48_9", fam.random_tree(48, seed=9)), ("tree48_0", fam.random_tree(48, seed=0))]
 
 
 CROSSING = crossing_graphs()
 
-STREAM_CASES = CASES + WIDTH_CASES + REGULAR_BIPARTITE + CROSSING
+# The entries of P_l(M) on C_n are at most P_l(2) = l + 1: C70's chain stays in
+# int8 to power 62 and in int16 after, where the powers of M needed packed ints
+NARROW = [("C70", fam.cycle_graph(70))]
+
+STREAM_CASES = CASES + WIDTH_CASES + REGULAR_BIPARTITE + CROSSING + NARROW
 
 
 def test_crossing_graphs_cross_before_the_last_power():
     # each one's stream switches to packed ints at some power l < n, and the
-    # trees lift rows in both representations
+    # trees lift rows in both representations; C70's never does
     for _, g in CROSSING:
         delta = max(g.degrees)
         assert any(rigidity._slot_bytes(delta, l) > 8 for l in range(g.n))
+    assert all(rigidity._slot_bytes(2, l) <= 2 for l in range(70))
     trees = [g for name, g in CROSSING if name.startswith("tree")]
     assert [max(g.degrees) for g in trees] == [6, 5]
     assert all(len(set(g.degrees)) == 5 and len(set(g.neighbors)) < g.n for g in trees)
 
 
 def applied_rows(monkeypatch, g: Graph, lmax: int) -> tuple[list[np.ndarray], list]:
-    """(M^0..M^(lmax-1) as the stream applies them, the stream to lmax), via a _word_sums spy.
+    """(P_0(M)..P_(lmax-1)(M) as the stream applies M to them, the stream to lmax), via a
+    _word_sums spy.
 
-    Application l + 1 takes M^l, already in the slots of power l + 1, whose
+    Application l + 1 takes P_l(M), already in the slots of power l + 1, whose
     slot size is len(c_(l+1)) // m. The spy is undone before returning.
     """
     rows, words = [], rigidity._word_sums
@@ -319,31 +346,37 @@ def applied_rows(monkeypatch, g: Graph, lmax: int) -> tuple[list[np.ndarray], li
 
 @pytest.mark.parametrize("g", [g for _, g in STREAM_CASES], ids=[n for n, _ in STREAM_CASES])
 def test_halved_stream_matches_dense_adjoint(monkeypatch, g):
-    """The stream against dense adjoint(M^l), M = max-degree I - L, and tr(M^l L), every power.
+    """The stream against dense adjoint(P_l(M)), M = max-degree I - L, and tr(P_l(M) L), every power.
 
-    The stream holds M^l as an integer array exactly while its slots fit
-    8 bytes, and as packed ints after.
+    P_l is the Chebyshev basis of the stream, P_(l+1) = M P_l - c P_(l-1).
+    The stream holds P_l(M) as an integer array exactly while its slots fit
+    8 bytes, and as packed ints after; the cases cover one side, the chain,
+    lifted rows, twins and, with a maximum degree of 5 or more, packed ints.
     """
     walks, powers = dense_walks(g)
     delta = max(g.degrees)
     L = laplacian(g)
-    shifted = dense_powers(delta * np.eye(g.n, dtype=np.int64) - L, g.n)
+    basis = chebyshev_powers(delta * np.eye(g.n, dtype=np.int64) - L, delta, g.n)
+    bounds = chebyshev_bounds(delta, g.n)
     rows, stream = applied_rows(monkeypatch, g, g.n + 1)
-    held = [X.dtype != object for X in rows]  # M^0..M^n
+    held = [X.dtype != object for X in rows]  # P_0(M)..P_n(M)
     assert held == [len(raw) // g.m <= 8 for _, _, raw in stream[1:]]
     assert held == [rigidity._slot_bytes(delta, l + 1) <= 8 for l in range(g.n + 1)]
     stream = stream[: g.n + 1]
-    assert len(stream) == len(shifted) == len(walks)
+    assert len(stream) == len(basis) == len(walks)
     a, b = np.transpose(g.edges)
-    for l, ((diag, ab, raw), P) in enumerate(zip(stream, shifted)):
-        # the diagonal and edge slots of M^l that walk_class's flags read
-        assert _split(diag.tobytes(), g.n) == [int(x) for x in P.diagonal()]
-        assert _split(ab.tobytes(), g.m) == [int(x) for x in P[a, b]]
+    for l, ((diag, ab, raw), P) in enumerate(zip(stream, basis)):
+        # the diagonal and edge slots of P_l(M) that walk_class's flags read
+        assert _signed_slots(diag.tobytes(), g.n) == [int(x) for x in P.diagonal()]
+        assert _signed_slots(ab.tobytes(), g.m) == [int(x) for x in P[a, b]]
         c = _signed_slots(raw, g.m)
         assert c == [int(x) for x in adjoint_apply(g, P)]
-        assert sum(c) == (P @ exact_matrix(L)).trace()  # sum_e c_l(e) = tr(B^T M^l B)
-        # |c_l(e)| <= 2 max-degree^l, and the slots hold signed values that large
-        assert 8 * len(raw) // g.m >= (2 * delta**l).bit_length() + 1
+        assert sum(c) == (P @ exact_matrix(L)).trace()  # sum_e c'_l(e) = tr(B^T P_l(M) B)
+        # |P_l(M)_uv| <= P_l(max-degree) and |c'_l(e)| <= 2 P_l(max-degree), and
+        # the slots hold signed values that large
+        assert max(abs(int(x)) for x in P.flat) <= bounds[l]
+        assert max(abs(x) for x in c) <= 2 * bounds[l]
+        assert 8 * len(raw) // g.m >= (2 * bounds[l]).bit_length() + 1
     for P in range(g.n + 1):
         wc = assert_decide_matches(g, walks, P)
         if wc.rigid:
@@ -393,7 +426,7 @@ def test_twins_share_one_neighbour_sum(monkeypatch, g, hoods, additions):
     # K_{a,b} has one neighbourhood per side; C_n with n > 4 has no twins,
     # and the even C12 keeps one chain of 6 rows. Row additions are counted
     # alike in the integer array and in packed ints: K20_30 needs 9-byte
-    # slots from power 13 on
+    # slots from power 15 on
     seen = []
     words = rigidity._word_sums
 
@@ -430,17 +463,20 @@ def test_small_regular_bipartite_graphs_vary_their_diagonals():
 
 @pytest.mark.parametrize("g", [g for _, g in REGULAR_BIPARTITE], ids=[n for n, _ in REGULAR_BIPARTITE])
 def test_even_diagonal_sums_the_odd_edge_values_before(g):
-    # M = A: diag(M^(2j)) = |B| ab_(2j-1), |B| the unsigned n x m incidence
-    # matrix, in the stream and in dense powers alike
+    # M = A: diag(P_2j(A)) = |B| ab_(2j-1) - c diag(P_(2j-2)(A)), |B| the
+    # unsigned n x m incidence matrix, in the stream and in dense powers alike
     B = np.abs(incidence(g)).astype(object)
     a, b = np.transpose(g.edges)
-    powers = dense_powers(adjacency(g), g.n - 1)
+    delta = g.degrees[0]
+    c = delta * delta // 4
+    basis = chebyshev_powers(adjacency(g), delta, g.n - 1)
     stream = list(_walk_stream(g, g.n - 1))
     for l in range(2, g.n, 2):
-        edges = _split(stream[l - 1][1].tobytes(), g.m)
-        assert _split(stream[l][0].tobytes(), g.n) == list(B @ np.array(edges, dtype=object))
-        assert list(powers[l].diagonal()) == list(B @ powers[l - 1][a, b])
-        assert edges == list(powers[l - 1][a, b])
+        edges = np.array(_signed_slots(stream[l - 1][1].tobytes(), g.m), dtype=object)
+        before = np.array(_signed_slots(stream[l - 2][0].tobytes(), g.n), dtype=object)
+        assert _signed_slots(stream[l][0].tobytes(), g.n) == list(B @ edges - c * before)
+        assert list(basis[l].diagonal()) == list(B @ basis[l - 1][a, b] - c * basis[l - 2].diagonal())
+        assert list(edges) == list(basis[l - 1][a, b])
 
 
 @pytest.mark.parametrize(
@@ -449,10 +485,11 @@ def test_even_diagonal_sums_the_odd_edge_values_before(g):
     ids=["C12", "Q4", "K5_5", "K16_16"],
 )
 def test_edge_rigid_chain_gathers_at_odd_powers_only(monkeypatch, g):
-    # every odd power's edge values are one constant x, so each even power is
-    # read off it (d x on the diagonal) without a gather from the rows, in
+    # every odd power's edge values are one constant x, and the diagonal of
+    # the even power before one constant y, so each even power is read off
+    # them (d x - c y on the diagonal) without a gather from the rows, in
     # words (_word_slots) and in packed ints (_masked_slots) alike; K16_16
-    # needs 9-byte slots from power 16 on
+    # needs 9-byte slots from power 20 on
     gathered, seen = [], []
     for name in ("_word_slots", "_masked_slots"):
         def spy(*args, gather=getattr(rigidity, name)):
@@ -467,35 +504,35 @@ def test_edge_rigid_chain_gathers_at_odd_powers_only(monkeypatch, g):
 
 @pytest.mark.parametrize(
     "g, calls",
-    [(fam.cycle_graph(71), 62), (CROSSING[-2][1], 24), (hypercube(4), 8)],
+    [(fam.cycle_graph(71), 71), (CROSSING[-2][1], 36), (hypercube(4), 8)],
     ids=["C71", CROSSING[-2][0], "Q4"],
 )
 def test_gather_takes_the_diagonal_and_the_edge_slots(monkeypatch, g, calls):
-    # one side gathers diag(M^l) and (M^l)_ab, n + m slots, and reads (M^l)_aa
-    # and (M^l)_bb off the diagonal; the chain gathers (M^l)_ab alone, m slots,
-    # at odd powers. C71 is held in words through power 61, the tree through 23
+    # one side gathers diag(P_l(M)) and P_l(M)_ab, n + m slots, and reads P_aa
+    # and P_bb off the diagonal; the chain gathers P_l(M)_ab alone, m slots,
+    # at odd powers. C71 is held in words at every power, the tree through 35
     gathered = []
     gather = rigidity._word_slots
 
-    def spy(X, rows, slots, size):
-        gathered.append((len(rows), len(slots)))
-        return gather(X, rows, slots, size)
+    def spy(X, at, size):
+        gathered.append(len(at))
+        return gather(X, at, size)
 
     monkeypatch.setattr(rigidity, "_word_slots", spy)
     for _ in _walk_stream(g, g.n - 1):
         pass
     one_side = bipartition(g) is None or len(set(g.degrees)) > 1
     slots = g.n + g.m if one_side else g.m
-    assert gathered == [(slots, slots)] * calls
+    assert gathered == [slots] * calls
 
 
 def test_walk_regular_graph_reads_even_powers_both_ways(monkeypatch):
-    # C40(1,7) is walk-regular but not edge-rigid: its edge values agree through
-    # power 5 and split at 7, so powers 2..6 are read off the constant and
-    # powers 8..38 summed from the edge values before, one layer per incident
-    # edge, in words and in packed ints alike. full_report may stop at a
-    # certified trace recurrence, so the stream is driven to power n - 1 here
-    g = fam.circulant_graph(40, (1, 7))
+    # C40(1,7,9,15) is walk-regular but not edge-rigid: its edge values agree
+    # through power 5 and split at 7, so powers 2..6 are read off the constant
+    # and powers 8..38 summed from the edge values before, one layer per
+    # incident edge, in words and in packed ints alike. full_report may stop
+    # at a certified trace recurrence, so the stream is driven to power n - 1 here
+    g = fam.circulant_graph(40, (1, 7, 9, 15))
     report = full_report(g)
     assert not report.edge_rigid and report.witness.power == 7
     assert report.walk_class.label == "walk-regular-only"
@@ -503,7 +540,7 @@ def test_walk_regular_graph_reads_even_powers_both_ways(monkeypatch):
     split = rigidity._split
 
     def spy_split(raw, count):
-        if count == 4:  # the layer sum of a 4-regular graph
+        if count == 8:  # the layer sum of an 8-regular graph
             summed.append(len(seen))
         return split(raw, count)
 
@@ -511,15 +548,15 @@ def test_walk_regular_graph_reads_even_powers_both_ways(monkeypatch):
     for power in _walk_stream(g, g.n - 1):
         seen.append(power)
     assert summed == list(range(8, g.n, 2))
-    # the sums run on both sides of the switch: slots need 9 bytes from power 31 on
-    assert [l for l in summed if rigidity._slot_bytes(4, l) > 8] == [32, 34, 36, 38]
+    # the sums run on both sides of the switch: slots need 9 bytes from power 29 on
+    assert [l for l in summed if rigidity._slot_bytes(8, l) > 8] == [30, 32, 34, 36, 38]
     # M = A on a regular graph
     a, b = np.transpose(g.edges)
-    powers = dense_powers(adjacency(g), g.n - 1)
-    assert len(seen) == len(powers)
-    for (diag, ab, raw), P in zip(seen, powers):
-        assert _split(diag.tobytes(), g.n) == [int(x) for x in P.diagonal()]
-        assert _split(ab.tobytes(), g.m) == [int(x) for x in P[a, b]]
+    basis = chebyshev_powers(adjacency(g), 8, g.n - 1)
+    assert len(seen) == len(basis)
+    for (diag, ab, raw), P in zip(seen, basis):
+        assert _signed_slots(diag.tobytes(), g.n) == [int(x) for x in P.diagonal()]
+        assert _signed_slots(ab.tobytes(), g.m) == [int(x) for x in P[a, b]]
         assert _signed_slots(raw, g.m) == [int(x) for x in adjoint_apply(g, P)]
 
 
@@ -658,10 +695,63 @@ SIGNED = signed_sequences()
 
 @pytest.mark.parametrize("c, delta", SIGNED, ids=[f"{len(c)}_{d}" for c, d in SIGNED])
 def test_difference_table_matches_the_binomial_formula(c, delta):
-    assert rigidity._unshift(tuple(c), delta) == tuple(binomial_unshift(c, delta, l) for l in range(len(c)))
+    # with c = 0 (P_l = x^l) the table is the binomial transform of the powers of M
+    assert tuple(rigidity._differences(c, delta, 0)) == tuple(binomial_unshift(c, delta, l) for l in range(len(c)))
     # the witness offset K_l: c_0..c_(l-1) with c_l = 0, at l = len(c)
-    *_, k = rigidity._differences(c + [0], delta)
+    *_, k = rigidity._differences(c + [0], delta, 0)
     assert k == binomial_unshift(c + [0], delta, len(c))
+
+
+def chebyshev_expansion(delta: int, c: int, l: int) -> list[int]:
+    """beta_0..beta_l with (delta - x)^l = sum_i beta_i P_i(x), by brute force on coefficients.
+
+    P_0 = 1, P_1 = x, P_(i+1) = x P_i - c P_(i-1), each a list of ascending
+    coefficients; the monic P_i are peeled off the top degree down.
+    """
+    basis = [[1], [0, 1]]
+    while len(basis) <= l:
+        shifted = [0] + basis[-1]
+        basis.append([u - c * v for u, v in itertools.zip_longest(shifted, basis[-2], fillvalue=0)])
+    poly = [math.comb(l, k) * delta ** (l - k) * (-1) ** k for k in range(l + 1)]
+    beta = [0] * (l + 1)
+    for i in range(l, -1, -1):
+        beta[i] = poly[i]
+        poly = [u - beta[i] * v for u, v in itertools.zip_longest(poly, basis[i], fillvalue=0)]
+    assert not any(poly)
+    return beta
+
+
+@pytest.mark.parametrize("c", [0, 1, 2, 9, 100])
+def test_difference_table_expands_powers_in_the_chebyshev_basis(c):
+    # row l + 1 = delta x_i - x_(i+1) - c x_(i-1): entry l of the first column
+    # is sum_i beta_(l,i) x_i for the expansion of (delta - x)^l in P_0, P_1, ..
+    rng = np.random.default_rng(20261102 + c)
+    for delta in (1, 2, 7, 20):
+        x = [int(v) for v in rng.integers(-10**6, 10**6, size=25)]
+        column = list(rigidity._differences(x, delta, c))
+        for l in range(len(x)):
+            beta = chebyshev_expansion(delta, c, l)
+            assert column[l] == sum(b * v for b, v in zip(beta, x))
+            # the witness offset: x_0..x_(l-1) and x_l = 0
+            *_, k = rigidity._differences(x[:l] + [0], delta, c)
+            assert k == sum(b * v for b, v in zip(beta[:l], x))
+
+
+def test_cycles_stay_in_one_and_two_byte_words(monkeypatch):
+    # P_l(2) = l + 1 bounds every entry of P_l(M) on C_n, so 2 P_l(2) < 2^15
+    # for all l < n <= 301: the rows are int8 through power 62 and int16
+    # after, never packed, and every slot takes one or two bytes
+    widths, words = set(), rigidity._word_sums
+
+    def spy(X, table):
+        widths.add(X.dtype.str)
+        return words(X, table)
+
+    monkeypatch.setattr(rigidity, "_word_sums", spy)
+    for n in (3, 63, 64, 65, 100, 101, 300, 301):
+        sizes = {len(raw) // n for _, _, raw in _walk_stream(fam.cycle_graph(n), n - 1)}
+        assert sizes == ({1} if n <= 63 else {1, 2})
+    assert widths == {"|i1", "<i2"}
 
 
 @pytest.mark.parametrize(
@@ -775,8 +865,12 @@ def test_classes_keyed_on_varying_powers_match_all_powers(case):
 
 def test_newton_coefficients_match_char_poly(case):
     g = case
-    M = max(g.degrees) * np.eye(g.n, dtype=np.int64) - laplacian(g)
+    delta = max(g.degrees)
+    M = delta * np.eye(g.n, dtype=np.int64) - laplacian(g)
     traces = [_trace(diag) for diag, _, _ in _walk_stream(g, g.n - 1)]
+    assert traces == [P.trace() for P in chebyshev_powers(M, delta, g.n - 1)]
+    # tr(M^l) through the difference table with delta 0
+    traces = rigidity._power_traces(traces, delta)
     assert traces == [P.trace() for P in dense_powers(M, g.n - 1)]
     # coefficients of x^n..x^1 of det(xI - M), against char_poly's ascending degrees 1..n
     assert _char_coeffs(traces)[::-1] == list(char_poly(M).coeffs[1:])
@@ -906,7 +1000,7 @@ def dense_profile_classes(g: Graph, walks: list[np.ndarray]) -> tuple[tuple[int,
     return tuple(tuple(c) for c in sorted(buckets.values()))
 
 
-REPORT_CASES = REGULAR_BIPARTITE + CROSSING[:1]
+REPORT_CASES = REGULAR_BIPARTITE + NARROW
 
 
 @pytest.mark.parametrize("g", [g for _, g in REPORT_CASES], ids=[n for n, _ in REPORT_CASES])
