@@ -4,15 +4,24 @@ Every graph in this package is simple, connected and undirected, with
 vertices 0..n-1 and edges stored as (a, b), a < b, sorted lexicographically.
 That canonical edge order indexes every edge-indexed vector anywhere in the
 package (weights, adjoint values, resistances, incidence columns).
+
+A Graph is checked and kept as arrays: the parsers hand it an (m, 2) array of
+ids and edge tuples become one. Construction sorts the 2m arc keys, checks
+range, self-loops, duplicates and connectivity on them, and caches
+_edge_ends (the canonical a and b), _arcs (degrees, and the arcs by vertex,
+then neighbour) and _search (a breadth-first search over the arcs). The
+edge-list parser checks the text with a regular expression and reads every
+id in one np.fromstring scan; it splits text line by line only to name its
+first bad line, or to read an id of more than 18 digits.
 """
 
 from __future__ import annotations
 
 import math
-import operator
+import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -28,36 +37,49 @@ Edge = tuple[int, int]
 
 GRAPH6_HEADER = b">>graph6<<"
 
+# Lines of two decimals of at most 18 digits, which int64 holds, or of whitespace; breaks are
+# str.splitlines' ASCII ones, and \x1c-\x1f, which np.fromstring does not skip, are translated
+_ID, _SPACE, _BLANK = "[+-]?[0-9]{1,18}", "[ \t\x1f]", "[ \t\n\r\x0b\x0c\x1c-\x1f]"
+_LINE = f"{_ID}{_SPACE}+{_ID}{_SPACE}*"
+_EDGE_LIST = re.compile(f"{_BLANK}*{_LINE}(?:[\n\r\x0b\x0c\x1c-\x1e]{_BLANK}*{_LINE})*{_BLANK}*")
+_SEPARATORS = str.maketrans("\x1c\x1d\x1e\x1f", "\n\n\n ")
+_CANONICAL = re.compile("(?:[0-9]{1,18} [0-9]{1,18}\n)+")  # to_edge_list's layout, matched faster
+
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple connected graph with canonical edge ordering."""
+    """Immutable simple connected graph with canonical edges, given as pairs or an (m, 2) array."""
 
     n: int
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 2 or len(self.edges) < 1:
-            raise TooSmallError(f"need n >= 2 and m >= 1, got n={self.n}, m={len(self.edges)}")
-        canon = sorted([(a, b) if a < b else (b, a) for a, b in self.edges])
-        lo, hi = zip(*canon)
-        # ids in range, a < b (no self-loop), and no two equal edges side by side
-        simple = min(lo) >= 0 and max(hi) < self.n and all(map(operator.lt, lo, hi))
-        if not simple or any(map(operator.eq, canon, canon[1:])):
-            # name the first self-loop or out-of-range id in input order, else the first duplicate
-            for a, b in self.edges:
-                if a == b:
-                    raise NotSimpleError(f"self-loop at vertex {a}")
-                if not (0 <= a < self.n and 0 <= b < self.n):
-                    raise ParseError(f"vertex id out of range in edge ({a}, {b})")
-            for e, f in zip(canon, canon[1:]):
-                if e == f:
-                    raise NotSimpleError(f"duplicate edge {e}")
-        object.__setattr__(self, "edges", tuple(canon))
-        # a connected graph has m >= n - 1; failing fast keeps a huge n from
-        # allocating n neighbour lists
-        if len(canon) < self.n - 1 or -1 in self._search[0]:
+        n, m = self.n, len(self.edges)
+        if n < 2 or m < 1:
+            raise TooSmallError(f"need n >= 2 and m >= 1, got n={n}, m={m}")
+        edges = self.edges
+        try:  # the ids as an (m, 2) int64 array, None if one does not fit int64
+            ids = (np.asarray(edges, np.int64) if isinstance(edges, np.ndarray)
+                   else np.fromiter(chain.from_iterable(edges), np.int64, 2 * m)).reshape(-1, 2)
+        except OverflowError:
+            ids = None
+        # ids in [0, n), a negative one being a huge unsigned one; the arc keys t n + h of
+        # arcs t -> h fit int64 for n <= 2^31, and more vertices than that leave m < n - 1
+        if ids is None or n > 1 << 31 or ids.view(np.uint64).max() >= n:
+            _name_fault(n, edges)
+        keys = (ids @ np.array([[n, 1], [1, n]])).ravel()  # the arcs a -> b and b -> a of each edge
+        keys.sort()
+        if np.count_nonzero(keys[1:] == keys[:-1]):  # a self-loop or a duplicate edge repeats a key
+            _name_fault(n, edges)
+        if m < n - 1:  # not connected: failing fast keeps a huge n from allocating n entries
             raise DisconnectedError("graph is not connected")
+        tails, heads = np.divmod(keys, n)
+        out = tails < heads  # the canonical edges (a, b), in order
+        a, b = tails[out], heads[out]
+        object.__setattr__(self, "edges", tuple(zip(a.tolist(), b.tolist())))
+        object.__setattr__(self, "_edge_ends", (a, b))
+        object.__setattr__(self, "_arcs", (np.bincount(tails, minlength=n), tails, heads))
+        self._search  # raises DisconnectedError if it leaves a vertex unreached
 
     @property
     def m(self) -> int:
@@ -65,38 +87,34 @@ class Graph:
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return tuple(map(tuple, adj))  # ascending, as the edges are sorted
+        deg, _, heads = self._arcs
+        nbrs, ends = heads.tolist(), list(accumulate(deg.tolist(), initial=0))
+        return tuple(tuple(nbrs[i:j]) for i, j in zip(ends, ends[1:]))  # ascending
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(nb) for nb in self.neighbors)
+        return tuple(self._arcs[0].tolist())
 
     @cached_property
-    def _search(self) -> tuple[tuple[int, ...], bool, int]:
-        """Breadth-first search from vertex 0: colours 0/1, -1 if unreached; odd if an
-        edge joins equal colours (in one layer); and the eccentricity of vertex 0."""
-        adj = self.neighbors
-        depth = [-1] * self.n
-        depth[0] = 0
+    def _search(self) -> tuple[list[int], bool, int]:
+        """Breadth-first search from vertex 0 over the arcs: depths (colours by parity), odd if
+        an edge joins equal colours (in one layer), ecc(0); DisconnectedError if one is unreached."""
+        deg, _, heads = self._arcs
+        nbrs, ends = heads.tolist(), list(accumulate(deg.tolist(), initial=0))
+        depth = [0] + [-1] * (self.n - 1)
         reached = [0]
         odd = False
         for v in reached:
-            for u in adj[v]:
-                if depth[u] == -1:
-                    depth[u] = depth[v] + 1
+            d = depth[v] + 1
+            for u in nbrs[ends[v] : ends[v + 1]]:
+                if depth[u] < 0:
+                    depth[u] = d
                     reached.append(u)
-                elif depth[u] == depth[v]:
+                elif depth[u] == d - 1:
                     odd = True
-        return tuple(d % 2 if d >= 0 else -1 for d in depth), odd, depth[reached[-1]]
-
-    @cached_property
-    def _edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
-        arr = np.fromiter(chain.from_iterable(self.edges), np.intp, 2 * self.m).reshape(-1, 2)
-        return arr[:, 0], arr[:, 1]
+        if len(reached) < self.n:
+            raise DisconnectedError("graph is not connected")
+        return depth, odd, depth[reached[-1]]
 
     def to_edge_list(self) -> str:
         """Serialize in the edge-list file format (inverse of parsing)."""
@@ -106,6 +124,22 @@ class Graph:
 
     def to_graph6(self) -> bytes:
         return graph6_bytes(self)
+
+
+def _name_fault(n: int, edges) -> None:
+    """Name the first self-loop or out-of-range id in input order, else the first duplicate, else
+    disconnection: ids beyond int64 or n > 2^31 leave m < n - 1."""
+    edges = edges.tolist() if isinstance(edges, np.ndarray) else edges
+    for a, b in edges:
+        if a == b:
+            raise NotSimpleError(f"self-loop at vertex {a}")
+        if not (0 <= a < n and 0 <= b < n):
+            raise ParseError(f"vertex id out of range in edge ({a}, {b})")
+    canon = sorted([(a, b) if a < b else (b, a) for a, b in edges])
+    for e, f in zip(canon, canon[1:]):
+        if e == f:
+            raise NotSimpleError(f"duplicate edge {e}")
+    raise DisconnectedError("graph is not connected")
 
 
 @dataclass(frozen=True)
@@ -167,6 +201,14 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: first line "n m", then m lines "a b", ASCII decimals."""
     if not text.isascii() or "_" in text:  # int() reads 1_0 and non-ASCII digits
         raise ParseError("edge list entries must be ASCII decimal numbers")
+    if _CANONICAL.fullmatch(text) or _EDGE_LIST.fullmatch(text):  # the scan reads every token
+        if "\x1c" in text or "\x1d" in text or "\x1e" in text or "\x1f" in text:
+            text = text.translate(_SEPARATORS)
+        ids = np.fromstring(text, np.int64, sep=" ")
+        n, m = ids[:2].tolist()
+        if len(ids) != 2 * m + 2:
+            raise ParseError(f"header promises {m} edges, found {len(ids) // 2 - 1}")
+        return Graph(n, ids[2:].reshape(-1, 2))
     lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines:
         raise ParseError("empty input")
@@ -179,21 +221,14 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError(f"bad header {lines[0]!r}") from exc
     if len(lines) - 1 != m:
         raise ParseError(f"header promises {m} edges, found {len(lines) - 1}")
-    rows = [ln.split() for ln in lines[1:]]
-    try:
-        ids = list(map(int, chain.from_iterable(rows)))
-    except ValueError:
-        ids = None
-    if ids is None or any(len(r) != 2 for r in rows):
-        for ln in lines[1:]:  # some line is bad: name the first
-            parts = ln.split()
-            if len(parts) != 2:
-                raise ParseError(f"bad edge line {ln!r}")
-            try:
-                int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise ParseError(f"bad edge line {ln!r}") from exc
-    return Graph(n, tuple(zip(ids[::2], ids[1::2])))
+    edges = []
+    for ln in lines[1:]:  # name the first bad line
+        try:
+            a, b = map(int, ln.split())
+        except ValueError as exc:
+            raise ParseError(f"bad edge line {ln!r}") from exc
+        edges.append((a, b))
+    return Graph(n, tuple(edges))
 
 
 def parse_graph6(data: bytes | str) -> Graph:
@@ -235,7 +270,7 @@ def parse_graph6(data: bytes | str) -> Graph:
     cols = np.arange(n)
     j = np.searchsorted(cols * (cols - 1) // 2, idx, side="right") - 1
     i = idx - j * (j - 1) // 2
-    return Graph(n, tuple(zip(i.tolist(), j.tolist())))
+    return Graph(n, np.column_stack((i, j)))
 
 
 def _graph6_order(data: bytes) -> tuple[int, bytes]:
@@ -374,11 +409,11 @@ def signed_line_graph(g: Graph) -> np.ndarray:
 
 def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """The colour classes of g's search, unique on a connected graph; None if not bipartite."""
-    color, odd, _ = g._search
+    depth, odd, _ = g._search
     if odd:
         return None
-    part0 = tuple(v for v in range(g.n) if color[v] == 0)
-    part1 = tuple(v for v in range(g.n) if color[v] == 1)
+    part0 = tuple(v for v in range(g.n) if depth[v] % 2 == 0)
+    part1 = tuple(v for v in range(g.n) if depth[v] % 2 == 1)
     return part0, part1
 
 

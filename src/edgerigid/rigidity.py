@@ -321,10 +321,10 @@ def _walk_stream(g: Graph, lmax: int) -> Iterator[tuple[np.ndarray, np.ndarray, 
     slot pos(v) of row u. A regular bipartite graph keeps one chain: P_l has the
     parity of l, so the n/2 rows of side l mod 2 (its colour classes), each of
     the n/2 slots of side 0, hold all of it; any other graph keeps n rows on one
-    side. The set-up sorts each side's vertices by neighbourhood size and
-    neighbourhood with numpy sorts and gathers: pos(v) is v's place in that
-    order, twins (one neighbourhood) sit side by side and share one sum, and a
-    graph without twins needs no reindex of its sums.
+    side. The set-up sorts a key per vertex, its side in a chain or degree and
+    then its neighbours from the Graph's arcs: each size comes together and
+    twins (one neighbourhood) side by side, to share one sum; pos(v) is v's
+    place in that order, so a graph without twins needs no reindex of sums.
 
     Row u of P_(l+1)(M) is sum_{v ~ u} R_v + (Delta - deg u) R_u - c R'_u for
     the rows R of P_l(M) and R' of P_(l-1)(M). One _word_sums call sums each
@@ -351,50 +351,49 @@ def _walk_stream(g: Graph, lmax: int) -> Iterator[tuple[np.ndarray, np.ndarray, 
     there, after decide has stopped with a witness.
     """
     n, m = g.n, g.m
+    deg, tails, nbrs = g._arcs
     delta = max(g.degrees)
     c = delta * delta // 4
-    color, odd, _ = g._search
-    sides = 1 if odd or min(g.degrees) < delta else 2
+    depth, odd, _ = g._search
+    regular = min(g.degrees) == delta
+    sides = 2 if regular and not odd else 1
     width = n // sides
-    degrees, side = np.array(g.degrees), np.array(color) if sides == 2 else np.zeros(n, np.intp)
     a, b = g._edge_ends
     ends = np.concatenate([a, b])
-    by = np.argsort(np.concatenate([b, a]), kind="stable")  # edge ends by vertex, then by neighbour
-    key = np.full((n, delta + 2), -1, np.int32)  # side, degree, neighbours ascending, -1s
-    key[:, 0], key[:, 1] = side, degrees
-    key[:, 2:][np.arange(delta) < degrees[:, None]] = ends[by]
+    key = np.full((n, delta + 1), -1, np.int32)  # side of a chain, else degree; neighbours, -1s
+    key[:, 0] = np.array(depth) % 2 if sides == 2 else deg
+    key[:, 1:][np.arange(delta) < deg[:, None]] = nbrs
     # vertices by key: the sides in turn, each size together, twins (one neighbourhood) in a run
-    keys = key.view(f"V{4 * delta + 8}")[:, 0]
-    o = np.argsort(keys, kind="stable")
+    keys = key.view(f"V{4 * delta + 4}").ravel()
+    o = keys.argsort(kind="stable")
     keys = keys[o]
-    new = np.append(True, keys[1:] != keys[:-1])  # the first row of each class of twins
-    pos = np.argsort(o, kind="stable") % width  # v's place within its side
+    new = np.ones(n, bool)  # the first row of each class of twins
+    new[1:] = keys[1:] != keys[:-1]
+    pos = o.argsort()  # v's place in the order, then within its side
     heads = key[o[new]]  # one per class
-    hoods = pos[heads[:, 2:]]
-    cuts = [0, *(np.flatnonzero((heads[1:, :2] != heads[:-1, :2]).any(1)) + 1).tolist(), len(heads)]
+    hoods, sizes = pos[heads[:, 1:]] % width, heads[:, 0]
+    cuts = [0, *(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist(), len(heads)]
+    sizes = sizes.tolist()
     tables: list[list] = [[] for _ in range(sides)]  # per side and size, members in blocks
     for lo, hi in zip(cuts, cuts[1:]):
-        s, d = heads[lo, :2].tolist()
+        s, d = (sizes[lo], delta) if sides == 2 else (0, sizes[lo])
         members = hoods[lo:hi, :d].T
         # one block per size on a sparse graph; no temporary much larger than X on a dense one
         step = max(1, max(width * width, 1 << 16) // ((hi - lo) * width))
         tables[s].append([members[i : i + step] for i in range(0, d, step)])
-    parts = [slice(s * width, (s + 1) * width) for s in range(sides)]
     # per side: _word_sums' table, and each row's class, if any has twins
-    steps = [(t, None if new[p].all() else np.cumsum(new[p]) - 1) for t, p in zip(tables, parts)]
-    # one side only, as a regular graph lifts no row; Delta - deg fits every power's dtype
-    lift = (delta - degrees[o])[:, None].astype(np.min_scalar_type(-delta))
-    lifted = np.flatnonzero(lift)
-    lifted = list(zip(lifted.tolist(), lift[lifted, 0].tolist()))
-    if sides == 1:
-        # diag(P_l(M)), then P_l(M)_ab: row u keeps its slot u and the slot b of each edge (u, b)
-        rows, slots = (np.concatenate([pos, pos[e]]) for e in (a, b))
-    else:
-        r = np.where(side[a] == 1, a, b)
-        rows, slots = pos[r], pos[a + b - r]
-        layers = by.reshape(n, -1).T % m  # i: each vertex's i-th edge
-    flat = rows * width + slots
-    X = Xp = np.eye(width, dtype=np.int8)
+    steps = [(t, np.cumsum(new[s * width : (s + 1) * width]) - 1 if len(heads) < n else None)
+             for s, t in enumerate(tables)]
+    # Delta - deg per row of the one side of an irregular graph, in every power's dtype
+    lift = None if regular else (delta - deg[o])[:, None].astype(np.min_scalar_type(-delta))
+    if sides == 1:  # diag(P_l(M)), then P_l(M)_ab: row u keeps slot u and slot b of edge (u, b)
+        flat = np.concatenate([pos * (width + 1), pos[a] * width + pos[b]])
+    else:  # P_l(M)_ab from the row of the end on side 1, the one placed later
+        pa, pb = pos[a], pos[b]
+        flat = np.maximum(pa, pb) * width + np.minimum(pa, pb) - width * width
+        layers = None  # i: each vertex's i-th edge, formed where first needed
+    X = Xp = np.zeros((width, width), np.int8)
+    X.ravel()[:: width + 1] = 1
     size, h, hp = 0, 1, 0  # the offsets P_l(Delta) and P_(l-1)(Delta) of packed rows
     for l in range(lmax + 1):
         need = _slot_bytes(delta, l)
@@ -404,11 +403,13 @@ def _walk_stream(g: Graph, lmax: int) -> Iterator[tuple[np.ndarray, np.ndarray, 
                 X, Xp = (_widen(Y, width, size, new_size) for Y in (X, Xp))
             elif new_size > 8:
                 X, Xp = (_pack(_le_bytes(Y + o), new_size) for Y, o in ((X, h), (Xp, hp)))
+                rows, slots = np.divmod(flat, width)
                 colors = _row_colors(width, rows.tolist(), slots.tolist())
                 groups = [[] for _ in range(max(colors) + 1)]
                 for u, col in enumerate(colors):
                     groups[col].append(u)
                 at = np.array(colors)[rows] * width + slots  # the gather's slots by colour
+                lifted = [] if regular else np.flatnonzero(lift).tolist()
             else:
                 word = f"<i{1 << (new_size - 1).bit_length()}"
                 X, Xp = (Y.astype(word, copy=False) for Y in (X, Xp))
@@ -422,27 +423,30 @@ def _walk_stream(g: Graph, lmax: int) -> Iterator[tuple[np.ndarray, np.ndarray, 
             if order is not None:
                 sums = sums[order]
             if X.dtype == object:
-                for u, d in lifted:
-                    sums[u] += d * X[u]
+                for u in lifted:
+                    sums[u] += int(lift[u, 0]) * X[u]
                 sums -= c * Xp  # l >= 2: power 1 fits 8 bytes
             else:
-                if lifted:
+                if lift is not None:
                     sums += lift * X
                 if l > 1 and c:
                     sums -= c * Xp
             Xp, X, hp, h = X, sums, h, delta * h - c * hp
         k = m * size
-        if sides == 1 or l % 2:
+        if l and (sides == 1 or l % 2):
             if X.dtype != object:
                 G = _word_slots(X, flat, size)
             else:  # packed slots carry h, the gathered ones top
                 G = _masked_slots(X.tolist(), masks, groups, size, width, (top - h) * fill)
                 G = G.take(at, axis=0)
-        if sides == 2 and l % 2:
+        if not l:  # P_0 = I: c'_0 = 2 on every edge
+            diag, ab, walk = _filled(1, 1, n), zeros[1], 2 * ones + half
+            even, y = diag, 1
+        elif sides == 2 and l % 2:
             edge = G.tobytes()
             diag, ab, walk = zeros[0], G, 3 * half - 2 * int.from_bytes(edge, "little")
             x = int.from_bytes(edge[:size], "little") - top if _constant(edge, m) else None
-        elif sides == 2 and l and x is not None and y is not None:
+        elif sides == 2 and x is not None and y is not None:
             # every edge value of power l - 1 is x and every diagonal slot of power l - 2 is y
             y = g.degrees[0] * x - c * y
             diag, ab, walk = _filled(y, size, n), zeros[1], 2 * y * ones + half
@@ -450,15 +454,15 @@ def _walk_stream(g: Graph, lmax: int) -> Iterator[tuple[np.ndarray, np.ndarray, 
         else:
             if sides == 1:
                 diag, ab = G[:n], G[n:]
-            elif l:  # the edge values of power l - 1 by layer, less c diag(P_(l-2)), re-offset
+            else:  # the edge values of power l - 1 by layer, less c diag(P_(l-2)), re-offset
+                if layers is None:  # by the arc's key among the edges'
+                    arcs = np.minimum(tails, nbrs) * n + np.maximum(tails, nbrs)
+                    layers = np.searchsorted(a * n + b, arcs).reshape(n, -1).T
                 tops = [1 << 8 * Y.shape[1] - 1 for Y in (ab, even)]
                 total = (sum(_pack(ab[layers], size)) - c * _pack(even[None], size)[0]
                          + _repeat(top - len(layers) * tops[0] + c * tops[1], size, n))
                 diag = np.frombuffer(total.to_bytes(n * size, "little"), np.uint8).reshape(n, size)
-            else:
-                diag = _filled(1, 1, n)  # P_0 = I
-            if sides == 2:
-                ab, even, y = zeros[1], diag, None if l else 1
+                ab, even, y = zeros[1], diag, None
             raw = diag.take(ends, axis=0).tobytes()
             walk = (int.from_bytes(raw[:k], "little") + int.from_bytes(raw[k:], "little")
                     + half - 2 * int.from_bytes(ab.tobytes(), "little"))
@@ -843,8 +847,9 @@ def full_report(g: Graph) -> RigidityReport:
     for flags, c, traces, lam in _read(g, s.r):
         walks.append(c)
     delta = max(g.degrees)
-    traces = _power_traces(traces, delta)
-    while lam and len(traces) < g.n:
+    # a tree (m = n - 1) is its own one spanning tree: no trace is extended or read
+    traces = None if g.m == g.n - 1 else _power_traces(traces, delta)
+    while lam and traces and len(traces) < g.n:
         traces.append(_predict(traces, lam, len(traces)))
     wc = _walk_criterion(g, walks, g.n - 1, lam and _reflect(lam, delta))
     classes = _profile_classes(g, walks)
@@ -873,5 +878,5 @@ def full_report(g: Graph) -> RigidityReport:
         walk_class=wclass,
         spectrum=s,
         isometry=iso,
-        tree_count=_tree_count(traces, delta),
+        tree_count=_tree_count(traces, delta) if traces else 1,
     )

@@ -2,17 +2,25 @@
 
 These are deliberately naive: spanning trees by enumerating edge subsets,
 walk counts by dynamic programming over adjacency lists, majorization by
-sorted partial sums. They exist to check the fast paths, so they must not
-share code with them, and the package never imports them.
+sorted partial sums, edge lists split line by line into sorted tuples. They
+exist to check the fast paths, so they must not share code with them, and
+the package never imports them.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from dataclasses import dataclass
+from itertools import chain, combinations
 
 import numpy as np
 
-from edgerigid.errors import EdgeRigidError
+from edgerigid.errors import (
+    DisconnectedError,
+    EdgeRigidError,
+    NotSimpleError,
+    ParseError,
+    TooSmallError,
+)
 from edgerigid.graphs import Graph, WeightVector
 
 MAX_TREE_EDGES = 20
@@ -118,3 +126,86 @@ def majorization_check(x, y, tol: float = 1e-9) -> bool:
     if abs(xs[-1] - ys[-1]) > tol:
         return False
     return bool(np.all(xs <= ys + tol))
+
+
+@dataclass(frozen=True)
+class ReferenceGraph:
+    """What a parsed Graph must hold: edges canonical and sorted, per-vertex
+    neighbours ascending and degrees, the search (depths from vertex 0, odd,
+    eccentricity of vertex 0) and the edge ends as two lists."""
+
+    n: int
+    edges: tuple[tuple[int, int], ...]
+    neighbors: tuple[tuple[int, ...], ...]
+    degrees: tuple[int, ...]
+    search: tuple[list[int], bool, int]
+    edge_ends: list[list[int]]
+
+
+def reference_graph(n: int, edges) -> ReferenceGraph:
+    """Check edges as a simple connected graph on n vertices with sorted tuples, and search it.
+
+    Errors name the first self-loop or out-of-range id in input order, else
+    the first duplicate, else disconnection.
+    """
+    if n < 2 or len(edges) < 1:
+        raise TooSmallError(f"need n >= 2 and m >= 1, got n={n}, m={len(edges)}")
+    for a, b in edges:
+        if a == b:
+            raise NotSimpleError(f"self-loop at vertex {a}")
+        if not (0 <= a < n and 0 <= b < n):
+            raise ParseError(f"vertex id out of range in edge ({a}, {b})")
+    canon = sorted((a, b) if a < b else (b, a) for a, b in edges)
+    for e, f in zip(canon, canon[1:]):
+        if e == f:
+            raise NotSimpleError(f"duplicate edge {e}")
+    if len(canon) < n - 1:
+        raise DisconnectedError("graph is not connected")
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in canon:
+        adj[a].append(b)
+        adj[b].append(a)
+    depth, frontier, odd = {0: 0}, [0], False
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for u in adj[v]:
+                if u not in depth:
+                    depth[u] = depth[v] + 1
+                    nxt.append(u)
+                odd = odd or depth[u] == depth[v]
+        frontier = nxt
+    if len(depth) < n:
+        raise DisconnectedError("graph is not connected")
+    search = [depth[v] for v in range(n)], odd, max(depth.values())
+    neighbors = tuple(tuple(sorted(nb)) for nb in adj)
+    return ReferenceGraph(n, tuple(canon), neighbors, tuple(map(len, neighbors)), search,
+                          [[a for a, _ in canon], [b for _, b in canon]])
+
+
+def parse_edge_list(text: str) -> ReferenceGraph:
+    """The edge-list format split line by line and read with int(): "n m", then m lines "a b"."""
+    if not text.isascii() or "_" in text:
+        raise ParseError("edge list entries must be ASCII decimal numbers")
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
+    if not lines:
+        raise ParseError("empty input")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise ParseError(f"expected header 'n m', got {lines[0]!r}")
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError as exc:
+        raise ParseError(f"bad header {lines[0]!r}") from exc
+    if len(lines) - 1 != m:
+        raise ParseError(f"header promises {m} edges, found {len(lines) - 1}")
+    rows = [ln.split() for ln in lines[1:]]
+    for ln, row in zip(lines[1:], rows):  # name the first bad line
+        if len(row) != 2:
+            raise ParseError(f"bad edge line {ln!r}")
+        try:
+            int(row[0]), int(row[1])
+        except ValueError as exc:
+            raise ParseError(f"bad edge line {ln!r}") from exc
+    ids = [int(x) for x in chain.from_iterable(rows)]
+    return reference_graph(n, tuple(zip(ids[::2], ids[1::2])))

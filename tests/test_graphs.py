@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import oracles
 from conftest import adjacency
 
 from edgerigid import cli
@@ -247,6 +248,124 @@ def test_malformed_input_is_a_typed_error_and_exits_2(name, tmp_path, capsys):
         code = exc.code
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+# str.splitlines' ASCII line breaks, and the whitespace inside a line
+BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+SPACES = [" ", "\t", "  ", "\x1f", " \t "]
+
+
+def written_edge_lists(seed: int = 20261102) -> list[str]:
+    """Seeded well-formed edge lists of random connected graphs, n = 2..30.
+
+    Every third keeps to_edge_list's layout, its lines shuffled and reoriented;
+    the others mix the line breaks and spaces above, blank and whitespace-only
+    lines, leading zeros and + signs, some write ids with 20 digits, and half
+    of them lose their last line break.
+    """
+    rng = np.random.default_rng(seed)
+    texts = []
+    for i in range(120):
+        n = int(rng.integers(2, 31))
+        order = rng.permutation(n).tolist()
+        edges = {tuple(sorted((order[v], order[int(rng.integers(v))]))) for v in range(1, n)}
+        edges |= {(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.15}
+        rows = [[n, len(edges)]] + [list(e)[:: int(rng.choice([1, -1]))] for e in edges]
+        rows[1:] = [rows[1 + k] for k in rng.permutation(len(edges))]
+        if i % 3 == 0:
+            texts.append("".join(f"{a} {b}\n" for a, b in rows))
+            continue
+
+        def token(x):
+            pad = "0" * int(rng.choice([0, 0, 0, 2, 20 - len(str(x))] if i % 9 == 1 else [0, 0, 1, 3]))
+            return str(rng.choice(["", "", "+"])) + pad + str(x)
+
+        lines = []
+        for a, b in rows:
+            if rng.random() < 0.2:
+                lines.append(str(rng.choice(["", " ", "\t \x1f"])))
+            lead, space, tail = (str(rng.choice(c)) for c in (["", " ", "\t"], SPACES, ["", " ", "\x1f"]))
+            lines.append(lead + token(a) + space + token(b) + tail)
+        texts.append("".join(ln + str(rng.choice(BREAKS)) for ln in lines)[: None if i % 2 else -1])
+    return texts
+
+
+WRITTEN = written_edge_lists()
+
+# One malformed edge list per way to fail, each compared with the line-by-line reference
+MALFORMED_EDGE_LISTS = {
+    "empty": "",
+    "whitespace-only": " \n\t\x0b\n",
+    "header-one-token": "4\n0 1\n",
+    "header-three-tokens": "4 3 1\n0 1\n1 2\n2 3\n",
+    "header-not-a-number": "4 x\n0 1\n",
+    "header-mismatch": "4 4\n0 1\n1 2\n2 3\n",
+    "header-negative-m": "4 -1\n",
+    "header-20-digit-n": "1" * 20 + " 3\n0 1\n1 2\n2 3\n",
+    "header-20-digit-n-self-loop": "1" * 20 + " 2\n0 1\n1 1\n",
+    "header-n-past-2^31": f"{2**31 + 1} 2\n0 1\n0 {2**31}\n",
+    "n-too-small": "1 1\n0 1\n",
+    "n-negative": "-4 3\n0 1\n1 2\n2 3\n",
+    "no-edges": "3 0\n",
+    "one-token-line": "4 3\n0 1\n1\n2 3\n",
+    "three-token-line": "4 3\n0 1\n1 2 3\n2 3\n",
+    "sign-alone": "4 3\n0 1\n+ 2\n2 3\n",
+    "sign-after": "4 3\n0 1\n1 2-\n2 3\n",
+    "sign-inside": "4 3\n0 1\n1-2 3\n2 3\n",
+    "double-sign": "4 3\n0 1\n--1 2\n2 3\n",
+    "hex": "4 3\n0 1\n1 0x2\n2 3\n",
+    "negative-id": "4 3\n0 1\n-1 2\n2 3\n",
+    "minus-zero-id": "4 3\n0 1\n1 -0\n2 3\n",
+    "out-of-range-id": "4 3\n0 1\n1 4\n2 3\n",
+    "20-digit-id": "4 3\n0 1\n1 " + "9" * 20 + "\n2 3\n",
+    "5000-digit-id": "4 3\n0 1\n1 " + "9" * 5000 + "\n2 3\n",
+    "self-loop": "4 3\n0 1\n2 2\n2 3\n",
+    "duplicate": "4 3\n0 1\n0 1\n2 3\n",
+    "reversed-duplicate": "4 3\n0 1\n1 0\n2 3\n",
+    "loop-after-duplicate": "4 4\n1 0\n0 1\n2 2\n2 3\n",
+    "disconnected-few-edges": "4 2\n0 1\n2 3\n",
+    "disconnected": "5 4\n0 1\n1 2\n2 0\n3 4\n",
+    "non-ascii": "4 3\n0 1\n1 \u00e92\n2 3\n",
+    "underscore": "4 3\n0 1\n1_0 2\n2 3\n",
+}
+
+
+def parse_outcome(parse, text: str):
+    """The tables of the parsed graph, or the type and message of what was raised."""
+    try:
+        g = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(g, oracles.ReferenceGraph):
+        return g.n, g.edges, g.neighbors, g.degrees, g.search, g.edge_ends
+    return g.n, g.edges, g.neighbors, g.degrees, g._search, [x.tolist() for x in g._edge_ends]
+
+
+@pytest.mark.parametrize("i", range(len(WRITTEN)))
+def test_parse_edge_list_matches_the_line_by_line_reference(i):
+    text = WRITTEN[i]
+    expected = parse_outcome(oracles.parse_edge_list, text)
+    assert isinstance(expected[0], int)
+    assert parse_outcome(parse_edge_list, text) == expected
+    assert parse_outcome(lambda t: parse_graph(t.encode(), "edge-list"), text) == expected
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_EDGE_LISTS))
+def test_malformed_edge_list_raises_as_the_reference_does(name):
+    text = MALFORMED_EDGE_LISTS[name]
+    expected = parse_outcome(oracles.parse_edge_list, text)
+    assert isinstance(expected[0], type) and issubclass(expected[0], Exception)
+    assert parse_outcome(parse_edge_list, text) == expected
+
+
+def test_written_edge_lists_cover_every_layout():
+    # the fast layout, every line break and in-line space, blank and
+    # whitespace-only lines, signs, leading zeros and 20-digit ids
+    joined = "".join(WRITTEN)
+    assert all(c in joined for c in "".join(BREAKS + SPACES) + "+")
+    assert sum(t == "".join(f"{ln}\n" for ln in t.splitlines()) and " " in t for t in WRITTEN) >= 40
+    assert any(len(tok) == 20 for t in WRITTEN for tok in t.split())
+    assert any("\n\n" in t or "\n \n" in t for t in WRITTEN)
 
 
 def test_parse_auto_detection():

@@ -192,6 +192,29 @@ def test_full_report_takes_one_exact_loop_on_every_graph(applications, g, powers
     assert applications["packed"] == powers - word_applications(g, powers)
 
 
+@pytest.mark.parametrize(
+    "g, powers",
+    [(fam.path_graph(12), 11), (fam.path_graph(30), 29), (fam.random_tree(30, 4), 29),
+     (fam.random_tree(48, 9), 47), (fam.star_graph(9), 4), (fam.star_graph(30), 4)],
+    ids=["P12", "P30", "tree30", "tree48", "K1_9", "K1_30"],
+)
+def test_trees_count_one_spanning_tree_without_newtons_identities(applications, monkeypatch, g,
+                                                                 powers):
+    # a tree (m = n - 1) is its own one spanning tree: full_report neither
+    # extends the traces nor turns them into those of powers of M, and never
+    # runs Newton's identities; a star K_{1,k}, with eigenvalues 0, 1 and k + 1,
+    # still stops at power 4, where its traces certify q(M) = 0
+    def newton(traces):
+        pytest.fail("Newton's identities ran on a tree")
+
+    read, power_traces = [], rigidity._power_traces
+    monkeypatch.setattr(rigidity, "_char_coeffs", newton)
+    monkeypatch.setattr(rigidity, "_power_traces", lambda t, d: read.append(len(t)) or power_traces(t, d))
+    rep = full_report(g)
+    assert rep.tree_count == 1 and applications[0] == powers
+    assert read == ([powers + 1] if powers < g.n - 1 else [])  # the certificate's traces alone
+
+
 def test_kneser_graph_has_three_distinct_eigenvalues():
     g = kneser_graph(7, 2)
     assert (g.n, g.m, set(g.degrees)) == (21, 105, {10})

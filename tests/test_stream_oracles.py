@@ -37,7 +37,7 @@ from edgerigid import families as fam
 from edgerigid import rigidity
 from edgerigid.exactmat import adjugate_quadratic_form, char_poly, exact_matrix
 from edgerigid.errors import DisconnectedError, InternalInconsistencyError
-from edgerigid.graphs import Graph, adjoint_apply, bipartition, incidence, laplacian
+from edgerigid.graphs import Graph, adjoint_apply, bipartition, incidence, laplacian, parse_graph
 from edgerigid.rigidity import (
     WalkClassification,
     _char_coeffs,
@@ -310,7 +310,62 @@ CROSSING = crossing_graphs()
 # int8 to power 62 and in int16 after, where the powers of M needed packed ints
 NARROW = [("C70", fam.cycle_graph(70))]
 
-STREAM_CASES = CASES + WIDTH_CASES + REGULAR_BIPARTITE + CROSSING + NARROW
+
+
+def complete_split(k: int, n: int) -> Graph:
+    """A clique on k vertices joined to every one of n - k independent vertices."""
+    return Graph(n, tuple((a, b) for a in range(k) for b in range(a + 1, n)))
+
+
+def setup_graphs(seed: int = 20261103) -> list[tuple[str, Graph]]:
+    """Seeded relabelled graphs for the stream's set-up, which sorts vertices by key.
+
+    Twin classes: K_{3,7}, the chain K_{5,5}, K_{2,3,4} and complete split
+    graphs, whose independent vertices are twins; lifted rows: a random tree
+    and a biregular graph; chains: a 3-regular bipartite graph. The complete
+    split graph on 36 vertices (Delta = 35) passes every slot-size switch: int8
+    to int16, int32 and int64 words, packed ints, and their widening.
+    """
+    rng = np.random.default_rng(seed)
+    return [("K3_7r", relabel(rng, fam.complete_bipartite_graph(3, 7))),
+            ("K5_5r", relabel(rng, fam.complete_bipartite_graph(5, 5))),
+            ("K2_3_4r", relabel(rng, complete_multipartite(2, 3, 4))),
+            ("split4_12r", relabel(rng, complete_split(4, 12))),
+            ("split8_36r", relabel(rng, complete_split(8, 36))),
+            ("tree24r", relabel(rng, fam.random_tree(24, seed=int(rng.integers(1000))))),
+            ("bireg6_9r", random_biregular(rng, 6, 9, 2)),
+            ("chain3_18r", random_biregular(rng, 9, 9, 3))]
+
+
+SETUP = setup_graphs()
+
+STREAM_CASES = CASES + WIDTH_CASES + REGULAR_BIPARTITE + CROSSING + NARROW + SETUP
+
+
+def test_setup_graphs_cover_twins_lifts_chains_and_every_slot_switch():
+    twins = [g for _, g in SETUP if len(set(g.neighbors)) < g.n]
+    lifted = [g for _, g in SETUP if len(set(g.degrees)) > 1]
+    chains = [g for _, g in SETUP if bipartition(g) and len(set(g.degrees)) == 1]
+    assert len(twins) >= 5 and len(lifted) >= 5 and len(chains) == 2
+    switches = set()
+    for _, g in SETUP:
+        sizes = [len(raw) // g.m for _, _, raw in _walk_stream(g, g.n - 1)]
+        switches |= {(x, y) for x, y in zip(sizes, sizes[1:]) if x != y}
+    assert {(1, 2), (2, 4), (4, 8), (8, 16), (16, 19)} <= switches
+
+
+@pytest.mark.parametrize("g", [g for _, g in SETUP + CROSSING], ids=[n for n, _ in SETUP + CROSSING])
+def test_graphs_from_tuples_and_from_parsed_bytes_carry_equal_arrays(g):
+    # the stream's set-up reads these arrays: edge tuples given in any order and
+    # orientation, the edge-list text and graph6 bytes all give the same ones
+    rng = np.random.default_rng(g.n)
+    pairs = [e[::-1] if rng.random() < 0.5 else e for e in g.edges]
+    made = [Graph(g.n, tuple(pairs[k] for k in rng.permutation(g.m))),
+            parse_graph(g.to_edge_list().encode()), parse_graph(g.to_graph6())]
+    for h in made:
+        assert (h.n, h.edges, h.degrees, h._search) == (g.n, g.edges, g.degrees, g._search)
+        for x, y in zip(h._edge_ends + h._arcs, g._edge_ends + g._arcs):
+            assert x.dtype == np.int64 and x.tolist() == y.tolist()
 
 
 def test_crossing_graphs_cross_before_the_last_power():
@@ -504,13 +559,14 @@ def test_edge_rigid_chain_gathers_at_odd_powers_only(monkeypatch, g):
 
 @pytest.mark.parametrize(
     "g, calls",
-    [(fam.cycle_graph(71), 71), (CROSSING[-2][1], 36), (hypercube(4), 8)],
+    [(fam.cycle_graph(71), 70), (CROSSING[-2][1], 35), (hypercube(4), 8)],
     ids=["C71", CROSSING[-2][0], "Q4"],
 )
 def test_gather_takes_the_diagonal_and_the_edge_slots(monkeypatch, g, calls):
     # one side gathers diag(P_l(M)) and P_l(M)_ab, n + m slots, and reads P_aa
     # and P_bb off the diagonal; the chain gathers P_l(M)_ab alone, m slots,
-    # at odd powers. C71 is held in words at every power, the tree through 35
+    # at odd powers. P_0 = I is formed without a gather. C71 is held in words
+    # at every power, the tree through 35
     gathered = []
     gather = rigidity._word_slots
 
