@@ -56,13 +56,12 @@ stops the loop: m_0 = 1 on a connected graph, so a monic integer q' of
 degree D that annihilates p_l - Delta^l, l = 0..2D, gives q(M) = 0 for
 q = (x - Delta) q', and L follows (-1)^(D+1) q(Delta - x) (_reflect). The
 flags and profiles read are final, and q extends the traces and walk
-constants to power n - 1. It is tried once, at power 2(r - 1) for the float
-spectrum's r groups: min(2d', n - 1) applications, as in decide, when
-r - 1 = d'. Newton's identities, k a_k = -sum_{i=1..k} a_{k-i} p_i with
-exact divisions, give the coefficients a_k of x^(n-k) in char_M(x) =
-det(xI - M), smaller than those of char_L (a seventh of the time on Q10).
-As char_L(x) = (-1)^n char_M(Delta - x) and its coefficient of x is
-(-1)^(n-1) n tau,
+constants to power n - 1. It is tried at every power from 2 ecc(0) below
+n - 1, decide's rule (_stop_rule): min(2d', n - 1) applications, as in
+decide. Newton's identities, k a_k = -sum_{i=1..k} a_{k-i} p_i with exact
+divisions, give the coefficients a_k of x^(n-k) in char_M(x) = det(xI - M),
+smaller than those of char_L (a seventh of the time on Q10). As char_L(x) =
+(-1)^n char_M(Delta - x) and its coefficient of x is (-1)^(n-1) n tau,
 
     n tau = char_M'(Delta) = sum_{k<n} (n - k) a_k Delta^(n-1-k),
 
@@ -90,7 +89,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -508,26 +507,27 @@ def _tree_count(traces: list[int], delta: int) -> int:
     return tau
 
 
-# Modulus of the Berlekamp-Massey run on the walk constants, a Mersenne prime.
-# Its candidates are only trusted after an exact integer check.
+# Berlekamp-Massey moduli, Mersenne primes; a candidate is trusted only after an exact check.
+_WORD_PRIME = 2**61 - 1
 _PRIME = 2**521 - 1
 
 
 class _Recurrence:
-    """Berlekamp-Massey modulo _PRIME, fed one term at a time.
+    """Berlekamp-Massey modulo prime, fed one term at a time.
 
-    coeffs() lifts the shortest recurrence
-    x_l = -(lambda_1 x_{l-1} + .. + lambda_D x_{l-D}) of the residues pushed
-    so far to symmetric integer residues lambda_1..lambda_D.
+    coeffs() lifts the shortest recurrence x_l = -(lambda_1 x_{l-1} + .. + lambda_D x_{l-D}) of
+    the residues pushed so far to symmetric integer residues lambda_1..lambda_D. Every integer
+    recurrence of the terms holds modulo prime, so none is shorter than D.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, prime: int) -> None:
+        self.prime = prime
         self.residues: list[int] = []
         self.conn, self.prev = [1], [1]  # connection polynomials 1 + lambda_1 z + ..
         self.length, self.shift, self.inverse = 0, 1, 1  # inverse: of prev's discrepancy
 
     def push(self, x: int) -> None:
-        p = _PRIME
+        p = self.prime
         self.residues.append(x % p)
         d = sum(c * r for c, r in zip(self.conn, reversed(self.residues))) % p
         if d == 0:
@@ -545,7 +545,7 @@ class _Recurrence:
         self.conn = conn
 
     def coeffs(self) -> list[int]:
-        p = _PRIME
+        p = self.prime
         lam = (self.conn + [0] * self.length)[1 : self.length + 1]
         return [c - p if c > p // 2 else c for c in lam]
 
@@ -554,25 +554,34 @@ def _predict(terms: list[int], lam: list[int], l: int) -> int:
     return -sum(c * terms[l - 1 - k] for k, c in enumerate(lam))
 
 
-def _certify(terms: list[int], rec: _Recurrence) -> list[int] | None:
-    """rec's lifted recurrence, once fed all terms, if it generates them and 2D < len(terms)."""
-    for x in terms[len(rec.residues) :]:
-        rec.push(x)
-    if 2 * rec.length >= len(terms):
-        return None
-    lam = rec.coeffs()
-    ok = all(_predict(terms, lam, l) == terms[l] for l in range(len(lam), len(terms)))
-    return lam if ok else None
+def _certify(terms: list[int], word: _Recurrence, big: _Recurrence) -> list[int] | None:
+    """A lifted recurrence of D coefficients that generates all terms, 2D < len(terms), or None.
 
-
-def _trace_recurrence(traces: list[int], delta: int) -> list[int] | None:
-    """The recurrence of q = (x - Delta) q' with q(M) = 0, q' proved by p_l - Delta^l, or None.
-
-    p_l = tr(M^l) comes from the traces tr(P_l(M)) (_power_traces).
+    word's D is at most any integer recurrence's, so where 2D >= len(terms) none certifies; big
+    is fed only where word's lift fails its exact check, as where a coefficient is above 2^60.
     """
-    p = _power_traces(traces, delta)
-    lam = _certify([x - delta**l for l, x in enumerate(p)], _Recurrence())
-    return lam and [a - delta * b for a, b in zip(lam + [0], [1] + lam)]
+    for rec in (word, big):
+        for x in terms[len(rec.residues) :]:
+            rec.push(x)
+        if 2 * rec.length >= len(terms):
+            return None
+        lam = rec.coeffs()
+        if all(_predict(terms, lam, l) == terms[l] for l in range(len(lam), len(terms))):
+            return lam
+    return None
+
+
+def _stop_rule(g: Graph, lmax: int) -> Callable[[list[int]], list[int] | None] | None:
+    """_certify on the terms read so far, one a power p, at 2 ecc(0) <= p < max(lmax, n - 1).
+
+    None where there is no such p, as on C_n and P_n. A certificate fires at p >= 2D >= 2 d' >=
+    2 diam(G) >= 2 ecc(0), and one at p = lmax >= n - 1 proves what the terms read do.
+    """
+    reach, last = 2 * g._search[2], lmax - (lmax >= g.n - 1)
+    if reach > last:
+        return None
+    recs = _Recurrence(_WORD_PRIME), _Recurrence(_PRIME)
+    return lambda terms: _certify(terms, *recs) if reach < len(terms) <= last + 1 else None
 
 
 def _reflect(lam: list[int], delta: int) -> list[int]:
@@ -589,41 +598,33 @@ def _walk_criterion(g: Graph, walks: Iterable[bytes], lmax: int, lam=None) -> Wa
 
     At the first non-constant power l, w_l(e) = (-1)^l c'_l(e) + K_l, K_l the
     last first-column entry of the difference table on (c'_0, .., c'_(l-1),
-    0). Where a certificate may fire, the table forms the walk constants C_l
-    as the c'_l are read, and reading stops as soon as the recurrence of D
-    lifted Berlekamp-Massey coefficients exactly generates the 2D + 1 or more
-    C_l read so far, which it then extends to power lmax: a proof (module
-    docstring). A certificate fires at a power p >= 2D >= 2 d' >= 2 diam(G)
-    >= 2 ecc(0), as I, L, .., L^diam are independent, and one at p = lmax >=
-    n - 1 returns what reading to lmax returns: nothing is pushed before
-    power 2 ecc(0), nor at all where no other p is left, as on C_n and P_n.
-    Given lam, a recurrence that L satisfies (_read), lam extends the C_l.
+    0). Where a certificate may fire (_stop_rule), the table forms the walk
+    constants C_l as the c'_l are read, and reading stops at the first
+    certificate, whose recurrence extends them to power lmax: a proof
+    (module docstring). Given lam, a recurrence that L satisfies (_read),
+    lam extends the C_l.
     """
     delta, m = max(g.degrees), g.m
     c = delta * delta // 4
     shifted: list[int] = []  # the c'_l read
     constants: list[int] = []  # the C_l formed
     table = _differences((shifted[i] for i in itertools.count()), delta, c)  # as shifted grows
-    rec = _Recurrence()
-    reach = 2 * g._search[2]  # 2 ecc(0)
-    certify = reach <= lmax and reach < max(lmax, g.n - 1)
+    stop = None if lam else _stop_rule(g, lmax)
     for power, raw in enumerate(walks):
         if not _constant(raw, m):
             sign = -1 if power % 2 else 1
             shifted.append(0)  # K_l is the last first-column entry on (c'_0, .., c'_(l-1), 0)
-            *_, k = [next(table)] if lam or certify else _differences(shifted, delta, c)
+            *_, k = [next(table)] if lam or stop else _differences(shifted, delta, c)
             vals = [k + sign * x for x in _signed_slots(raw, m)]
             lo, hi = vals.index(min(vals)), vals.index(max(vals))
             witness = WalkWitness(power, g.edges[lo], g.edges[hi], vals[lo], vals[hi])
             return WalkCriterion(False, None, delta, witness, True)
         size = len(raw) // m
         shifted.append(int.from_bytes(raw[:size], "little") - (1 << 8 * size - 1))
-        if lam or certify:
+        if lam or stop:
             constants.append(next(table))
-        if not lam and certify and power >= reach:
-            lam = _certify(constants, rec)
-            if lam:
-                break
+        if stop and (lam := stop(constants)):
+            break
     if lam:
         while len(constants) <= lmax:
             constants.append(_predict(constants, lam, len(constants)))
@@ -719,27 +720,28 @@ def _walk_flags(g: Graph, parts, diag: np.ndarray, ab: np.ndarray, flags: tuple)
     return flags, g.n * first if level else _trace(diag)
 
 
-def _read(g: Graph, r: int | None = None) -> Iterator[tuple]:
+def _read(g: Graph) -> Iterator[tuple]:
     """Per power l of _walk_stream: walk_class's flags so far, c'_l, tr(P_0(M))..tr(P_l(M)), lam.
 
-    r, the unit spectrum's group count, only schedules one try of
-    _trace_recurrence, at power 2(r - 1) < n - 1. When it proves q(M) = 0,
-    every later power of M follows q's recurrence lam, so the flags and
-    profiles read are final: that power comes with lam, and reading stops;
-    otherwise lam is None. A wrong r costs time, never a verdict. Without r,
-    the spectrum is taken at power 2 if 2 ecc(0) < n - 1, as r - 1 = d' >=
-    diam(G) >= ecc(0).
+    Where a certificate may fire, _stop_rule reads p_l - Delta^l, p_l = tr(M^l) from the table
+    with delta 0 on the traces. Once it proves q(M) = 0, q = (x - Delta) q' for its q', the flags
+    and profiles read are final: that power comes with q's recurrence lam, and reading stops;
+    otherwise lam is None.
     """
-    stop = 2 * r - 2 if r else None
     parts = bipartition(g)
     flags = True, True, parts is not None
+    delta = max(g.degrees)
     traces: list[int] = []
+    gaps = []  # p_l - Delta^l, p_l = tr(M^l) = (-1)^l tr((-M)^l)
+    signed = _differences((traces[i] for i in itertools.count()), 0, delta * delta // 4)
+    stop, lam = _stop_rule(g, g.n - 1), None
     for l, (diag, ab, c) in enumerate(_walk_stream(g, g.n - 1)):
-        if stop is None and l == 2 and 2 * g._search[2] < g.n - 1:
-            stop = 2 * spectrum(laplacian(g).astype(float)).r - 2
         flags, p = _walk_flags(g, parts, diag, ab, flags)
         traces.append(p)
-        lam = _trace_recurrence(traces, max(g.degrees)) if l == stop < g.n - 1 else None
+        if stop:
+            gaps.append((-1) ** l * next(signed) - delta**l)
+            lam = stop(gaps)
+            lam = lam and [a - delta * b for a, b in zip(lam + [0], [1] + lam)]
         yield flags, c, traces, lam
         if lam:
             return
@@ -770,7 +772,7 @@ def walk_class(g: Graph) -> WalkClassification:
     The flags come from the walk stream's powers of M = Delta I - L, which
     give those of A (module docstring). The loop stops once both diagonal
     flags fail, after one power unless g is (bi)regular, or at _read's
-    certified stop.
+    certified stop; no float spectrum is taken.
     """
     for flags, _, _, _ in _read(g):
         if not (flags[0] or flags[2]):
@@ -831,20 +833,17 @@ class RigidityReport:
 def full_report(g: Graph) -> RigidityReport:
     """Run every decider and assemble the cross-checked report.
 
-    The unit spectrum comes first, and one loop (_read) reads the walk
-    stream: it keeps the walks c'_l and the traces tr(P_l(M)), and updates
-    walk_class's flags, as the powers pass; no power is kept. It stops at
-    power 2(r - 1), r the spectrum's group count, when the traces read prove
-    q(M) = 0 (module docstring), and at power n - 1 otherwise. The walk
-    criterion, the cospectrality classes and the signed-line-graph verdict
-    come from the walks, the exact tree count from the traces tr(M^l) that
-    the table forms from them; past a stop, q extends those traces and the
-    walk constants. All five verdicts must agree or
-    InternalInconsistencyError is raised.
+    One loop (_read) reads the walk stream, keeping the walks c'_l and the
+    traces tr(P_l(M)) and updating walk_class's flags as the powers pass, up
+    to where the traces read prove q(M) = 0 (module docstring), else to power
+    n - 1. The walk criterion, the cospectrality classes and the signed-line
+    graph verdict come from the walks, the exact tree count from the traces
+    tr(M^l) that the table forms from them; past a stop, q extends those traces
+    and the walk constants. Only the float verdict needs the unit spectrum. All
+    five must agree or InternalInconsistencyError is raised.
     """
-    s = spectrum(laplacian(g).astype(float))
     walks: list[bytes] = []
-    for flags, c, traces, lam in _read(g, s.r):
+    for flags, c, traces, lam in _read(g):
         walks.append(c)
     delta = max(g.degrees)
     # a tree (m = n - 1) is its own one spanning tree: no trace is extended or read
@@ -854,6 +853,7 @@ def full_report(g: Graph) -> RigidityReport:
     wc = _walk_criterion(g, walks, g.n - 1, lam and _reflect(lam, delta))
     classes = _profile_classes(g, walks)
     wclass = _classify(bipartition(g), *flags)
+    s = spectrum(laplacian(g).astype(float))
     iso = edge_isometry_check(g, s)
     verdicts = {
         "walk_criterion": wc.rigid,

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 import random
 import sys
 import tracemalloc
@@ -207,12 +208,13 @@ def test_trees_count_one_spanning_tree_without_newtons_identities(applications, 
     def newton(traces):
         pytest.fail("Newton's identities ran on a tree")
 
-    read, power_traces = [], rigidity._power_traces
+    def power_traces(traces, delta):
+        pytest.fail("the traces of powers of M were formed on a tree")
+
     monkeypatch.setattr(rigidity, "_char_coeffs", newton)
-    monkeypatch.setattr(rigidity, "_power_traces", lambda t, d: read.append(len(t)) or power_traces(t, d))
+    monkeypatch.setattr(rigidity, "_power_traces", power_traces)
     rep = full_report(g)
     assert rep.tree_count == 1 and applications[0] == powers
-    assert read == ([powers + 1] if powers < g.n - 1 else [])  # the certificate's traces alone
 
 
 def test_kneser_graph_has_three_distinct_eigenvalues():
@@ -232,11 +234,22 @@ def test_full_report_stops_at_a_certified_trace_recurrence(applications, monkeyp
     # report that reading to power n - 1 gives
     rep = full_report(g)
     assert applications[0] == min(2 * d_prime, g.n - 1)
-    monkeypatch.setattr(rigidity, "_trace_recurrence", lambda traces, delta: None)
+    monkeypatch.setattr(rigidity, "_certify", lambda terms, word, big: None)
     ref = full_report(g)
     assert applications[0] == min(2 * d_prime, g.n - 1) + g.n - 1
     assert rep.to_dict() == ref.to_dict()
     assert (rep.tree_count, rep.walk_constants) == (ref.tree_count, ref.walk_constants)
+
+
+@pytest.mark.parametrize("g", [c[1] for c in D_PRIME_CASES], ids=[c[0] for c in D_PRIME_CASES])
+def test_walk_class_and_classes_take_no_float_spectrum(monkeypatch, g):
+    # their stop is certified from the exact traces alone
+    def eigh(*args, **kwargs):
+        pytest.fail("numpy.linalg.eigh ran")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    assert walk_class(g).label in ("1-walk-regular", "1-walk-biregular")
+    assert cospectrality_classes(g) == (tuple(range(g.m)),)
 
 
 @pytest.mark.parametrize(
@@ -248,6 +261,60 @@ def test_walk_class_and_classes_stop_at_the_same_power(applications, g, d_prime)
     assert applications[0] == 2 * stop
     assert cospectrality_classes(g) == (tuple(range(g.m)),)
     assert applications[0] == 3 * stop
+
+
+def distinct_nonzero_eigenvalues(g: Graph) -> int:
+    """d' from the exact rank of the Krylov vectors L^i v of a seeded integer v, v summing to 1.
+
+    v meets every eigenspace of L, kernel included, so the rank is the degree of L's minimal
+    polynomial, the number of distinct eigenvalues. Rows are reduced over the integers, each
+    divided by the gcd of its entries.
+    """
+    L = [[0] * g.n for _ in range(g.n)]
+    for a, b in g.edges:
+        L[a][b] = L[b][a] = -1
+        L[a][a] += 1
+        L[b][b] += 1
+    rng = random.Random(g.n)
+    v = [rng.randint(-99, 99) for _ in range(g.n - 1)]
+    v.append(1 - sum(v))
+    basis = []  # (pivot, row)
+    while True:
+        w = list(v)
+        for j, b in basis:
+            if w[j]:
+                w = [b[j] * x - w[j] * y for x, y in zip(w, b)]
+                d = math.gcd(*w) or 1
+                w = [x // d for x in w]
+        if not any(w):
+            return len(basis) - 1
+        j = next(i for i, x in enumerate(w) if x)
+        basis.append((j, w))
+        v = [sum(r * x for r, x in zip(row, v)) for row in L]
+
+
+def star_path_star(s: int, p: int) -> Graph:
+    """Two stars K_{1,s} whose centres a path of p edges joins."""
+    far = s + p  # the second centre; the path runs 0, s + 1, .., s + p
+    path = [0, *range(s + 1, far + 1)]
+    edges = [(0, i) for i in range(1, s + 1)] + list(zip(path, path[1:]))
+    return Graph(far + s + 1, tuple(edges + [(far, far + i) for i in range(1, s + 1)]))
+
+
+def test_close_eigenvalues_do_not_delay_the_stop(applications, monkeypatch):
+    # the two top Laplacian eigenvalues of two K_{1,20} joined by a path of 20
+    # edges differ by far less than a float spectrum resolves; the exact
+    # traces stop full_report and cospectrality_classes at 2d' all the same
+    g = star_path_star(20, 20)
+    d_prime = distinct_nonzero_eigenvalues(g)
+    assert (g.n, d_prime) == (61, 23)
+    rep = full_report(g)
+    assert applications[0] == 2 * d_prime < g.n - 1
+    assert len(cospectrality_classes(g)) == len(rep.cospectrality_classes)
+    assert applications[0] == 4 * d_prime
+    monkeypatch.setattr(rigidity, "_certify", lambda terms, word, big: None)
+    ref = full_report(g)
+    assert rep.to_dict() == ref.to_dict() and rep.tree_count == ref.tree_count == 1
 
 
 @pytest.mark.parametrize(
@@ -285,6 +352,7 @@ def test_wrong_trace_lifts_fall_back_to_the_stream(applications, monkeypatch, g,
     assert (rep.tree_count, rep.walk_constants) == (ref.tree_count, ref.walk_constants)
     # modulo 3 some lifts are wrong and some right; either way nothing changes
     monkeypatch.undo()
+    monkeypatch.setattr(rigidity, "_WORD_PRIME", 3)
     monkeypatch.setattr(rigidity, "_PRIME", 3)
     rep = full_report(g)
     assert rep.to_dict() == ref.to_dict()
@@ -552,14 +620,67 @@ DECIDE_CONSTANTS = {
 def test_recurrence_matches_textbook_berlekamp_massey(seq):
     # push keeps the inverse of the last discrepancy that grew the recurrence,
     # not the discrepancy itself; every state after every push is Massey's
-    p, rec = rigidity._PRIME, rigidity._Recurrence()
-    for x, (C, L) in zip(seq, textbook_berlekamp_massey(seq, p)):
-        rec.push(x)
-        conn = list(rec.conn)
-        while len(conn) > 1 and conn[-1] == 0:
-            conn.pop()
-        assert (conn, rec.length) == (C, L)
-        assert rec.coeffs() == [c - p if c > p // 2 else c for c in (C + [0] * L)[1 : L + 1]]
+    for p in (rigidity._WORD_PRIME, rigidity._PRIME):
+        rec = rigidity._Recurrence(p)
+        for x, (C, L) in zip(seq, textbook_berlekamp_massey(seq, p)):
+            rec.push(x)
+            conn = list(rec.conn)
+            while len(conn) > 1 and conn[-1] == 0:
+                conn.pop()
+            assert (conn, rec.length) == (C, L)
+            assert rec.coeffs() == [c - p if c > p // 2 else c for c in (C + [0] * L)[1 : L + 1]]
+
+
+def recurrence_terms(lam, first, count):
+    """count terms of x_l = -(lam_1 x_(l-1) + .. + lam_D x_(l-D)) from the D terms first."""
+    terms = list(first)
+    while len(terms) < count:
+        terms.append(-sum(c * terms[-1 - k] for k, c in enumerate(lam)))
+    return terms
+
+
+# lam_1 = 2^62 + 3 is 5 modulo 2^61 - 1, where the word-size lift reads it as 5
+BIG_LAM = [2**62 + 3, -5]
+
+
+def test_certify_lifts_a_big_coefficient_modulo_the_big_prime():
+    # the word-size lift fails its exact check, and the 2^521 - 1 one
+    # certifies at the 2D + 1 terms a recurrence of D coefficients needs
+    terms = recurrence_terms(BIG_LAM, [1, 2], 9)
+    for count in range(1, len(terms) + 1):
+        word, big = rigidity._Recurrence(rigidity._WORD_PRIME), rigidity._Recurrence(rigidity._PRIME)
+        lam = rigidity._certify(terms[:count], word, big)
+        assert lam == (BIG_LAM if count >= 5 else None)
+        if count >= 5:
+            assert word.coeffs() == [5, -5] and len(big.residues) == count
+
+
+def test_certify_rejects_a_term_off_by_the_word_prime():
+    # 2^61 - 1 added to a late term leaves every residue modulo the word prime,
+    # and so its candidate, as it was: only the exact check rejects it, and the
+    # big recurrence, fed all terms, grows too long to certify
+    terms = recurrence_terms(BIG_LAM, [1, 2], 9)
+    terms[7] += rigidity._WORD_PRIME
+    word, big = rigidity._Recurrence(rigidity._WORD_PRIME), rigidity._Recurrence(rigidity._PRIME)
+    assert rigidity._certify(terms, word, big) is None
+    assert word.coeffs() == [5, -5] and 2 * word.length < len(terms)
+    assert len(big.residues) == len(terms) and 2 * big.length >= len(terms)
+
+
+@pytest.mark.parametrize(
+    "g, d_prime", [c[1:] for c in D_PRIME_CASES], ids=[c[0] for c in D_PRIME_CASES]
+)
+def test_word_lift_failures_stop_at_the_same_power(applications, monkeypatch, g, d_prime):
+    # modulo 3 the word-size lifts are often wrong; the 2^521 - 1 recurrence
+    # then certifies at the same power, in decide and in full_report alike
+    ref = full_report(g)
+    monkeypatch.setattr(rigidity, "_WORD_PRIME", 3)
+    applications.clear()
+    assert decide_edge_rigid_exact(g).constants == ref.walk_constants
+    assert applications[0] == min(2 * d_prime, g.n - 1)
+    rep = full_report(g)
+    assert applications[0] == 2 * min(2 * d_prime, g.n - 1)
+    assert rep.to_dict() == ref.to_dict() and rep.tree_count == ref.tree_count
 
 
 # ---------------------------------------------------------------------------

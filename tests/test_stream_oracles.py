@@ -444,6 +444,7 @@ def test_halved_stream_matches_dense_adjoint(monkeypatch, g):
 def test_wrong_recurrence_lifts_fall_back_to_the_stream(monkeypatch, g):
     # modulo 3, Berlekamp-Massey proposes recurrences whose integer lifts do
     # not generate the walk constants; only the exact check may reject them
+    monkeypatch.setattr(rigidity, "_WORD_PRIME", 3)
     monkeypatch.setattr(rigidity, "_PRIME", 3)
     walks, _ = dense_walks(g)
     for P in range(g.n + 1):
@@ -1031,16 +1032,16 @@ def test_stopped_report_matches_full_depth(monkeypatch, g):
     # count, and the report equals the one read to power n - 1
     stops = []
 
-    def spy(traces, delta, certify=rigidity._trace_recurrence):
-        lam = certify(traces, delta)
+    def spy(terms, word, big, certify=rigidity._certify):
+        lam = certify(terms, word, big)
         stops.append(bool(lam))
         return lam
 
-    monkeypatch.setattr(rigidity, "_trace_recurrence", spy)
+    monkeypatch.setattr(rigidity, "_certify", spy)
     rep = full_report(g)
-    assert stops == [True]
+    assert stops == [False] * (len(stops) - 1) + [True]  # the last try certifies, no other
     assert rep.tree_count == tree_count_exact(g)
-    monkeypatch.setattr(rigidity, "_trace_recurrence", lambda traces, delta: None)
+    monkeypatch.setattr(rigidity, "_certify", lambda terms, word, big: None)
     ref = full_report(g)
     assert rep.to_dict() == ref.to_dict()
     assert (rep.tree_count, rep.walk_constants) == (ref.tree_count, ref.walk_constants)
